@@ -1,7 +1,8 @@
 """Command-line driver: build tau caches, run verification suites, benchmark.
 
 Exit codes: 0 when every selected check passes, 1 when any identity fails
-(the report is still emitted), 2 on usage or configuration errors.
+(the report is still emitted), 2 on usage or configuration errors and on
+harness errors: a failed elimination, an inexact division or cache I/O.
 """
 
 from __future__ import annotations
@@ -15,9 +16,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__
+from .laurent import ExactDivisionError
 from .report import CheckReport
 from .verifier import SUITE_NAMES, family_depth_needed, run_checks, suite_tasks
-from .wronskian import TauFamily
+from .wronskian import DeterminantError, TauFamily
 
 CACHE_ENV_VAR = "HV_CACHE_DIR"
 
@@ -29,7 +31,6 @@ class RunConfig:
     cache_path: str | None = None
     report_format: str = "text"
     fail_fast: bool = False
-    worker_count: int = 1
 
     def validate(self) -> None:
         if self.n_max < 1:
@@ -39,8 +40,6 @@ class RunConfig:
             raise ValueError(f"unknown suite name(s): {', '.join(unknown)}")
         if self.report_format not in ("json", "text"):
             raise ValueError("format must be 'json' or 'text'")
-        if self.worker_count < 1:
-            raise ValueError("workers must be at least 1")
 
 
 def _default_cache_path(depth: int) -> Path | None:
@@ -51,12 +50,16 @@ def _default_cache_path(depth: int) -> Path | None:
 
 
 def _obtain_family(depth: int, cache_path: str | None) -> TauFamily:
-    """Load a cached family when possible, building and saving otherwise."""
+    """Load a cached family when possible; build and save it when missing, short or refused."""
     path = Path(cache_path) if cache_path else _default_cache_path(depth)
     if path is not None and path.exists():
-        fam = TauFamily.load(path)
-        if fam.n_max >= depth:
-            return fam
+        try:
+            fam = TauFamily.load(path)
+        except ValueError as exc:
+            print(f"note: {exc}; rebuilding the cache", file=sys.stderr)
+        else:
+            if fam.n_max >= depth:
+                return fam
     fam = TauFamily.build(depth)
     if path is not None:
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -77,7 +80,6 @@ def _emit_report(config: RunConfig, reports: list[CheckReport], stream) -> None:
                 "cache_path": config.cache_path,
                 "report_format": config.report_format,
                 "fail_fast": config.fail_fast,
-                "worker_count": config.worker_count,
             },
             "checks": [r.as_dict() for r in reports],
             "summary": {"pass": passed, "fail": failed, "elapsed_total": total_elapsed},
@@ -105,7 +107,7 @@ def cmd_verify(config: RunConfig, stream=None) -> int:
     tasks = []
     for suite in config.suites:
         tasks.extend(suite_tasks(suite, fam, config.n_max))
-    reports = run_checks(tasks, workers=config.worker_count, fail_fast=config.fail_fast)
+    reports = run_checks(tasks, fail_fast=config.fail_fast)
     _emit_report(config, reports, stream)
     return 0 if all(r.passed for r in reports) else 1
 
@@ -137,8 +139,6 @@ def cmd_bench(n_max: int, stream=None) -> int:
     if n_max < 1:
         raise ValueError("n-max must be at least 1")
     stream.write(f"{'n':>3} {'tau terms':>10} {'f terms':>9} {'build (s)':>10}\n")
-    fam = None
-    previous = 0.0
     for n in range(1, n_max + 1):
         started = time.perf_counter()
         fam = TauFamily.build(n)
@@ -147,7 +147,6 @@ def cmd_bench(n_max: int, stream=None) -> int:
             f"{n:>3} {fam.tau[n].term_count:>10} {fam.f[n].term_count:>9} "
             f"{elapsed:>10.3f}\n"
         )
-        previous = elapsed
     depth = family_depth_needed(_BENCH_SUITES, n_max)
     fam = TauFamily.build(depth)
     for suite in _BENCH_SUITES:
@@ -174,7 +173,6 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--cache", default=None, help="tau-family cache file")
     verify.add_argument("--format", choices=("json", "text"), default="text")
     verify.add_argument("--fail-fast", action="store_true")
-    verify.add_argument("--workers", type=int, default=1)
 
     build = sub.add_parser("build", help="construct and cache a tau family")
     build.add_argument("--n-max", type=int, required=True)
@@ -196,13 +194,12 @@ def main(argv: list[str] | None = None) -> int:
                 cache_path=args.cache,
                 report_format=args.format,
                 fail_fast=args.fail_fast,
-                worker_count=args.workers,
             )
             return cmd_verify(config)
         if args.command == "build":
             return cmd_build(args.n_max, args.cache)
         return cmd_bench(args.n_max)
-    except ValueError as exc:
+    except (ValueError, DeterminantError, ExactDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -9,7 +9,6 @@ rational weights come from half-integer Gamma ratios.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .laurent import (
@@ -181,35 +180,3 @@ def f_low(n: int) -> LaurentPoly:
     """Coefficient of t^{-n+1} in f_n, the u <-> v mirror of f_high."""
     return _f_extreme(n, high=False)
 
-
-@dataclass
-class ClosedFormTable:
-    """Precomputed closed forms for n = 0..n_max (W up to w_max)."""
-
-    n_max: int
-    w_max: int
-    w: list[LaurentPoly] = field(default_factory=list)
-    a: list[Fraction] = field(default_factory=list)
-    g_q0: list[LaurentPoly] = field(default_factory=list)
-    f_q0: list[LaurentPoly] = field(default_factory=list)
-    g_high: list[LaurentPoly] = field(default_factory=list)
-    g_low: list[LaurentPoly] = field(default_factory=list)
-    f_high: list[LaurentPoly] = field(default_factory=list)
-    f_low: list[LaurentPoly] = field(default_factory=list)
-
-    @classmethod
-    def build(cls, n_max: int, w_max: int | None = None) -> "ClosedFormTable":
-        if n_max < 1:
-            raise ValueError("n_max must be at least 1")
-        if w_max is None:
-            w_max = max(2 * n_max - 1, 1)
-        table = cls(n_max=n_max, w_max=w_max)
-        table.w = [ZERO] + [w_recursive(k) for k in range(1, w_max + 1)]
-        table.a = [a_coeff(k) for k in range(n_max + 2)]
-        table.g_q0 = [ONE] + [g_q0_closed(k) for k in range(1, n_max + 1)]
-        table.f_q0 = [ZERO] + [f_q0_closed(k) for k in range(1, n_max + 1)]
-        table.g_high = [g_high(k) for k in range(n_max + 1)]
-        table.g_low = [g_low(k) for k in range(n_max + 1)]
-        table.f_high = [f_high(k) for k in range(n_max + 1)]
-        table.f_low = [f_low(k) for k in range(n_max + 1)]
-        return table

@@ -318,27 +318,6 @@ def swap_xy(p: LaurentPoly) -> LaurentPoly:
     return LaurentPoly._make({Monomial(m.et, m.ey, m.ex): c for m, c in p.terms()})
 
 
-_SUBSTITUTIONS = {
-    "t->1/t": subst_t_inverse,
-    "y->-y": subst_y_negate,
-    "t->-t": subst_t_negate,
-    "t->i*t": subst_t_times_i,
-    "swap_xy": swap_xy,
-}
-
-
-def substitute(p: LaurentPoly, kind: str) -> LaurentPoly:
-    """Apply one of the named exact substitutions.
-
-    Kinds: 't->1/t', 'y->-y', 't->-t', 't->i*t', 'swap_xy'.
-    """
-    try:
-        fn = _SUBSTITUTIONS[kind]
-    except KeyError:
-        raise ValueError(f"unknown substitution {kind!r}") from None
-    return fn(p)
-
-
 def conjugate_coeffs(p: LaurentPoly) -> LaurentPoly:
     """Conjugate every coefficient, leaving monomials alone."""
     return LaurentPoly._make({m: c.conjugate() for m, c in p.terms()})

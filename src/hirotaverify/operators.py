@@ -50,27 +50,6 @@ def l_minus(p: LaurentPoly) -> LaurentPoly:
     return l_x(p) - l_y(p)
 
 
-_DIFF_OPS: dict[str, Callable[[LaurentPoly], LaurentPoly]] = {
-    "L_plus": l_plus,
-    "L_minus": l_minus,
-    "L_X": l_x,
-    "L_Y": l_y,
-    "d_x": d_x,
-    "d_y": d_y,
-}
-
-DIFF_OP_KINDS = tuple(_DIFF_OPS)
-
-
-def apply_L(kind: str, p: LaurentPoly) -> LaurentPoly:
-    """Apply one named derivation; kinds: L_plus, L_minus, L_X, L_Y, d_x, d_y."""
-    try:
-        fn = _DIFF_OPS[kind]
-    except KeyError:
-        raise ValueError(f"unknown operator kind {kind!r}") from None
-    return fn(p)
-
-
 # Derivations usable inside Hirota brackets.  S and T act through L_plus
 # and L_minus, never through explicit light-cone coordinates.
 _DERIVATIONS: dict[str, Callable[[LaurentPoly], LaurentPoly]] = {

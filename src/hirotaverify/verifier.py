@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Iterable, Literal, Sequence
 
@@ -54,7 +53,6 @@ __all__ = [
     "orderwise_nakamura_sides",
     "Su11Params",
     "su11_transform",
-    "su11_family",
     "check_su11",
     "random_su11_params",
     "ernst_residual_numeric",
@@ -222,14 +220,6 @@ def su11_transform(
     return gp, fp
 
 
-def su11_family(
-    fam: TauFamily, params: Su11Params
-) -> tuple[list[LaurentPoly], list[LaurentPoly]]:
-    """The whole transformed lattice family, sharing one (alpha, beta)."""
-    pairs = [su11_transform(fam, k, params) for k in range(fam.n_max + 1)]
-    return [gp for gp, _ in pairs], [fp for _, fp in pairs]
-
-
 def random_su11_params(count: int, seed: int = 1789) -> list[Su11Params]:
     """Deterministic admissible parameter pairs with small Gaussian-rational parts."""
     rng = random.Random(seed)
@@ -260,7 +250,9 @@ def check_su11(
     if not 1 <= n <= fam.n_max - 1:
         raise ValueError(f"need 1 <= n <= {fam.n_max - 1}, got {n}")
     note = f"alpha={params.alpha}, beta={params.beta}"
-    gs, fs = su11_family(fam, params)
+    (g_lo, f_lo), (g, f), (g_hi, f_hi) = (
+        su11_transform(fam, k, params) for k in (n - 1, n, n + 1)
+    )
     reports = []
 
     def run(eq_id: str, residual_fn: Callable[[], LaurentPoly]):
@@ -268,17 +260,14 @@ def check_su11(
         reports.append(
             _report(
                 eq_id, n, residual_fn(), started,
-                order_index=pair_index, term_count=gs[n].term_count, note=note,
+                order_index=pair_index, term_count=g.term_count, note=note,
             )
         )
 
-    run("su11.toda.g", lambda: hirota_dst(gs[n], gs[n]) - 2 * (gs[n + 1] * gs[n - 1]))
-    run("su11.toda.f", lambda: hirota_dst(fs[n], fs[n]) - 2 * (fs[n + 1] * fs[n - 1]))
-    run(
-        "su11.mixed",
-        lambda: hirota_dst(fs[n], gs[n]) - fs[n + 1] * gs[n - 1] - fs[n - 1] * gs[n + 1],
-    )
-    for eq_id, residual_fn in _conjecture_checks(gs[n], fs[n], n):
+    run("su11.toda.g", lambda: hirota_dst(g, g) - 2 * (g_hi * g_lo))
+    run("su11.toda.f", lambda: hirota_dst(f, f) - 2 * (f_hi * f_lo))
+    run("su11.mixed", lambda: hirota_dst(f, g) - f_hi * g_lo - f_lo * g_hi)
+    for eq_id, residual_fn in _conjecture_checks(g, f, n):
         run(f"su11.{eq_id}", residual_fn)
     return reports
 
@@ -596,10 +585,16 @@ def suite_tasks(name: str, fam: TauFamily, n_max: int) -> list[CheckTask]:
 
 
 def _toda_suite(fam, n_max):
+    def tau_and_g(n: int) -> list[CheckReport]:
+        # g_n is tau_n: one residual gives both rows, and the g row costs nothing.
+        tau = check_toda(fam, n, "tau")
+        return [tau, replace(tau, equation_id="toda.g", elapsed=0.0, note="g_n = tau_n")]
+
     return [
-        CheckTask(f"toda.{which}", n, None,
-                  lambda n=n, which=which: check_toda(fam, n, which))
-        for which in ("tau", "g", "f")
+        CheckTask("toda.tau", n, None, lambda n=n: tau_and_g(n))
+        for n in range(1, n_max + 1)
+    ] + [
+        CheckTask("toda.f", n, None, lambda n=n: check_toda(fam, n, "f"))
         for n in range(1, n_max + 1)
     ]
 
@@ -806,31 +801,14 @@ def _check_weyl_pair(n: int) -> CheckReport:
 
 # -- execution -----------------------------------------------------------------
 
-def run_checks(
-    tasks: Sequence[CheckTask], workers: int = 1, fail_fast: bool = False
-) -> list[CheckReport]:
-    """Execute tasks, flatten grouped results and sort them deterministically."""
+def run_checks(tasks: Sequence[CheckTask], fail_fast: bool = False) -> list[CheckReport]:
+    """Execute tasks in order, flatten grouped results and sort them deterministically."""
     reports: list[CheckReport] = []
-
-    def consume(result: CheckReport | list[CheckReport]) -> bool:
+    for task in tasks:
+        result = task.run()
         batch = result if isinstance(result, list) else [result]
         reports.extend(batch)
-        return any(not r.passed for r in batch)
-
-    if workers <= 1:
-        for task in tasks:
-            failed = consume(task.run())
-            if failed and fail_fast:
-                break
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(task.run) for task in tasks]
-            for future in futures:
-                if future.cancelled():
-                    continue
-                failed = consume(future.result())
-                if failed and fail_fast:
-                    for pending in futures:
-                        pending.cancel()
+        if fail_fast and any(not r.passed for r in batch):
+            break
     reports.sort(key=sort_key)
     return reports

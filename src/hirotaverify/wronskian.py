@@ -9,12 +9,14 @@ expansion kept as an independent oracle.
 
 from __future__ import annotations
 
+import os
 import re
 import time
+import zlib
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Literal
+from typing import Iterable
 
 from .laurent import (
     LaurentPoly,
@@ -30,6 +32,10 @@ from .operators import l_minus, l_plus
 from .report import CheckReport
 
 _HALF = Fraction(1, 2)
+
+CACHE_MAGIC = "hirotaverify tau-family"
+CACHE_VERSION = 1
+_HEADER = re.compile(rf"^{CACHE_MAGIC} v(\d+) crc32=([0-9a-f]{{8}})$")
 
 
 def build_psi() -> LaurentPoly:
@@ -130,74 +136,31 @@ def det_cofactor(m: SymMatrix) -> LaurentPoly:
     return rec(0, tuple(range(m.dim)))
 
 
-def det_fraction_free(m: SymMatrix) -> LaurentPoly:
-    """One-step fraction-free elimination (Bareiss).
+def _eliminate(m: SymMatrix) -> tuple[list[LaurentPoly], int]:
+    """One-step fraction-free (Bareiss) elimination of m.
 
-    Every division is by the previous pivot and is exact over an integral
-    domain; a division failure therefore raises DeterminantError rather than
-    a user-facing error.
+    Returns the pivots in order, the last one being the final diagonal entry,
+    and the number of row swaps made.  Every division is by the previous
+    pivot and is exact over an integral domain, so a failed one raises
+    DeterminantError, a harness error, not a failed identity.  A zero pivot is
+    swapped with the first lower row that is nonzero in its column; when
+    there is none the matrix is singular and the pivots end with that zero.
     """
     n = m.dim
-    if n == 0:
-        return ONE
     a = [list(row) for row in m.entries]
-    sign = 1
+    pivots: list[LaurentPoly] = []
+    swaps = 0
     prev = ONE
-    for k in range(n - 1):
+    for k in range(n):
         if a[k][k].is_zero:
-            for r in range(k + 1, n):
-                if not a[r][k].is_zero:
-                    a[k], a[r] = a[r], a[k]
-                    sign = -sign
-                    break
-            else:
-                return ZERO
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = a[k][k] * a[i][j] - a[i][k] * a[k][j]
-                if num.is_zero:
-                    a[i][j] = ZERO
-                    continue
-                try:
-                    a[i][j] = exact_divide(num, prev)
-                except ExactDivisionError as exc:
-                    raise DeterminantError(
-                        f"inexact pivot division at step {k}"
-                    ) from exc
-            a[i][k] = ZERO
-        prev = a[k][k]
-    result = a[n - 1][n - 1]
-    return result if sign > 0 else -result
-
-
-Algo = Literal["fraction_free", "cofactor"]
-
-
-def determinant(m: SymMatrix, algo: Algo = "fraction_free") -> LaurentPoly:
-    if algo == "fraction_free":
-        return det_fraction_free(m)
-    if algo == "cofactor":
-        return det_cofactor(m)
-    raise ValueError(f"unknown determinant algorithm {algo!r}")
-
-
-def leading_principal_minors(m: SymMatrix) -> list[LaurentPoly] | None:
-    """All leading principal minor determinants from one elimination pass.
-
-    The pivot entering step k of fraction-free elimination is exactly the
-    (k+1)-dimensional leading principal minor, so a single pass yields the
-    whole sequence.  Returns None when a pivot vanishes (a row swap would
-    invalidate the harvest); callers then fall back to per-minor work.
-    """
-    n = m.dim
-    a = [list(row) for row in m.entries]
-    out: list[LaurentPoly] = []
-    prev = ONE
-    for k in range(n - 1):
+            below = next((r for r in range(k + 1, n) if not a[r][k].is_zero), None)
+            if below is None:
+                pivots.append(ZERO)
+                return pivots, swaps
+            a[k], a[below] = a[below], a[k]
+            swaps += 1
         pivot = a[k][k]
-        if pivot.is_zero:
-            return None
-        out.append(pivot)
+        pivots.append(pivot)
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 num = pivot * a[i][j] - a[i][k] * a[k][j]
@@ -211,85 +174,120 @@ def leading_principal_minors(m: SymMatrix) -> list[LaurentPoly] | None:
                         f"inexact pivot division at step {k}"
                     ) from exc
         prev = pivot
-    out.append(a[n - 1][n - 1])
-    return out
+    return pivots, swaps
+
+
+def determinant(m: SymMatrix) -> LaurentPoly:
+    """Fraction-free determinant: the last pivot, signed by the row swaps."""
+    if m.dim == 0:
+        return ONE
+    pivots, swaps = _eliminate(m)
+    return -pivots[-1] if swaps % 2 else pivots[-1]
+
+
+def leading_principal_minors(m: SymMatrix) -> list[LaurentPoly]:
+    """All leading principal minor determinants from one elimination pass.
+
+    Without row swaps the pivot entering step k of fraction-free elimination
+    is exactly the (k+1)-dimensional leading principal minor, so a single
+    pass yields the whole sequence.  A zero pivot before the last step would
+    need a row swap, which invalidates the harvest: it raises
+    DeterminantError.
+    """
+    pivots, swaps = _eliminate(m)
+    if swaps or len(pivots) < m.dim:
+        raise DeterminantError("zero pivot: leading principal minors need a row swap")
+    return pivots
 
 
 @dataclass
 class TauFamily:
-    """Cached tau, g and f sequences for lattice sites 0..n_max.
+    """Cached tau and f sequences for lattice sites 0..n_max.
 
-    g_n equals tau_n; f_n is the (n-1)-dimensional Wronskian determinant of
-    the once-shifted seed L_plus L_minus psi, with f_1 = 1 (empty determinant)
-    and f_0 = 0 (the semi-infinite lattice cuts the chain below site zero).
+    g_n equals tau_n, and g is the same list as tau; f_n is the
+    (n-1)-dimensional Wronskian determinant of the once-shifted seed
+    L_plus L_minus psi, with f_1 = 1 (empty determinant) and f_0 = 0 (the
+    semi-infinite lattice cuts the chain below site zero).
     """
 
     n_max: int
     tau: list[LaurentPoly]
-    g: list[LaurentPoly]
     f: list[LaurentPoly]
 
+    @property
+    def g(self) -> list[LaurentPoly]:
+        return self.tau
+
     @classmethod
-    def build(cls, n_max: int, algo: Algo = "fraction_free") -> "TauFamily":
+    def build(cls, n_max: int) -> "TauFamily":
         if n_max < 1:
             raise ValueError("n_max must be at least 1")
         psi = build_psi()
-        tau = [ONE] + cls._minor_sequence(wronskian_matrix(psi, n_max), algo)
+        tau = [ONE] + leading_principal_minors(wronskian_matrix(psi, n_max))
         f: list[LaurentPoly] = [ZERO, ONE]
         if n_max >= 2:
             shifted = l_plus(l_minus(psi))
-            f += cls._minor_sequence(wronskian_matrix(shifted, n_max - 1), algo)
-        return cls(n_max=n_max, tau=tau, g=list(tau), f=f)
+            f += leading_principal_minors(wronskian_matrix(shifted, n_max - 1))
+        return cls(n_max=n_max, tau=tau, f=f)
 
-    @staticmethod
-    def _minor_sequence(matrix: SymMatrix, algo: Algo) -> list[LaurentPoly]:
-        if algo == "fraction_free":
-            harvested = leading_principal_minors(matrix)
-            if harvested is not None:
-                return harvested
-        return [
-            determinant(leading_minor(matrix, k), algo)
-            for k in range(1, matrix.dim + 1)
-        ]
-
-    # -- cache file: one '<key> n=<k>: <polynomial>' line per entry ---------
+    # -- cache file: a header holding the format version and the CRC-32 of the
+    # body, then one '<tau|f> n=<k>: <polynomial>' line per entry.  A CRC finds
+    # damage; hashlib would load OpenSSL, +3.6 MB resident in every run ------
 
     def save(self, path: str | Path) -> None:
-        lines = []
-        for key, seq in (("tau", self.tau), ("g", self.g), ("f", self.f)):
-            for k, poly in enumerate(seq):
-                lines.append(f"{key} n={k}: {serialize(poly)}")
-        Path(path).write_text("\n".join(lines) + "\n")
+        """Write the cache atomically: a temp file in the same directory, then a rename."""
+        path = Path(path)
+        body = "".join(
+            f"{key} n={k}: {serialize(poly)}\n"
+            for key, seq in (("tau", self.tau), ("f", self.f))
+            for k, poly in enumerate(seq)
+        ).encode()
+        header = f"{CACHE_MAGIC} v{CACHE_VERSION} crc32={zlib.crc32(body):08x}\n"
+        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        try:
+            tmp.write_bytes(header.encode() + body)
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
 
     @classmethod
     def load(cls, path: str | Path) -> "TauFamily":
-        pattern = re.compile(r"^(tau|g|f) n=(\d+): (.*)$")
-        found: dict[str, dict[int, LaurentPoly]] = {"tau": {}, "g": {}, "f": {}}
-        text = Path(path).read_text()
-        for lineno, line in enumerate(text.splitlines(), start=1):
+        """Read a cache written by save; ValueError when it is refused."""
+        header, _, body = Path(path).read_bytes().partition(b"\n")
+        match = _HEADER.match(header.decode("ascii", errors="replace"))
+        if match is None:
+            raise ValueError(f"{path}: no tau-family cache header")
+        if int(match.group(1)) != CACHE_VERSION:
+            raise ValueError(
+                f"{path}: cache format v{match.group(1)}, expected v{CACHE_VERSION}"
+            )
+        if f"{zlib.crc32(body):08x}" != match.group(2):
+            raise ValueError(f"{path}: cache body does not match its CRC-32")
+        pattern = re.compile(r"^(tau|f) n=(\d+): (.*)$")
+        found: dict[str, dict[int, LaurentPoly]] = {"tau": {}, "f": {}}
+        for lineno, line in enumerate(body.decode().splitlines(), start=2):
             if not line.strip():
                 continue
             match = pattern.match(line)
             if match is None:
                 raise ValueError(f"{path}:{lineno}: malformed cache line")
-            key, k, body = match.group(1), int(match.group(2)), match.group(3)
-            found[key][k] = parse(body)
+            key, k, text = match.group(1), int(match.group(2)), match.group(3)
+            found[key][k] = parse(text)
         n_max = max(found["tau"], default=-1)
         if n_max < 1:
             raise ValueError(f"{path}: cache holds no tau entries")
-        for key in ("tau", "g", "f"):
+        for key in ("tau", "f"):
             missing = [k for k in range(n_max + 1) if k not in found[key]]
             if missing:
                 raise ValueError(f"{path}: missing {key} entries for n={missing}")
         return cls(
             n_max=n_max,
             tau=[found["tau"][k] for k in range(n_max + 1)],
-            g=[found["g"][k] for k in range(n_max + 1)],
             f=[found["f"][k] for k in range(n_max + 1)],
         )
 
 
-def jacobi_residual(n: int, algo: Algo = "fraction_free") -> LaurentPoly:
+def jacobi_residual(n: int) -> LaurentPoly:
     """Sylvester minor identity residual on the (n+1) x (n+1) seed Wronskian.
 
     With 1-based minor notation D[i; j] deleting row i and column j, the
@@ -299,18 +297,18 @@ def jacobi_residual(n: int, algo: Algo = "fraction_free") -> LaurentPoly:
         raise ValueError("n must be at least 1")
     m = wronskian_matrix(build_psi(), n + 1)
     r, s = n - 1, n  # 0-based positions of rows/cols n and n+1
-    d = determinant(m, algo)
-    d_rr = determinant(minor(m, {r}, {r}), algo)
-    d_ss = determinant(minor(m, {s}, {s}), algo)
-    d_sr = determinant(minor(m, {s}, {r}), algo)
-    d_rs = determinant(minor(m, {r}, {s}), algo)
-    d_both = determinant(minor(m, {r, s}, {r, s}), algo)
+    d = determinant(m)
+    d_rr = determinant(minor(m, {r}, {r}))
+    d_ss = determinant(minor(m, {s}, {s}))
+    d_sr = determinant(minor(m, {s}, {r}))
+    d_rs = determinant(minor(m, {r}, {s}))
+    d_both = determinant(minor(m, {r, s}, {r, s}))
     return d_rr * d_ss - d_sr * d_rs - d * d_both
 
 
-def jacobi_identity_check(n: int, algo: Algo = "fraction_free") -> CheckReport:
+def jacobi_identity_check(n: int) -> CheckReport:
     started = time.perf_counter()
-    residual = jacobi_residual(n, algo)
+    residual = jacobi_residual(n)
     elapsed = time.perf_counter() - started
     if residual.is_zero:
         return CheckReport("jacobi", n, elapsed=elapsed)

@@ -25,9 +25,7 @@ def fam5() -> TauFamily:
 
 @pytest.fixture(scope="session")
 def fam4(fam5: TauFamily) -> TauFamily:
-    return TauFamily(
-        n_max=4, tau=fam5.tau[:5], g=fam5.g[:5], f=fam5.f[:5]
-    )
+    return TauFamily(n_max=4, tau=fam5.tau[:5], f=fam5.f[:5])
 
 
 # -- hypothesis strategies ----------------------------------------------------

@@ -19,7 +19,7 @@ from hirotaverify.wronskian import (
     TauFamily,
     build_psi,
     det_cofactor,
-    det_fraction_free,
+    determinant,
     jacobi_residual,
     leading_minor,
     wronskian_matrix,
@@ -217,18 +217,18 @@ def test_criterion_11_determinism_and_oracle():
     big = wronskian_matrix(psi, 4)
     for dim in range(1, 5):
         sub = leading_minor(big, dim)
-        ok = ok and det_fraction_free(sub) == det_cofactor(sub)
+        ok = ok and determinant(sub) == det_cofactor(sub)
     from hirotaverify.operators import l_minus, l_plus
     from hirotaverify.wronskian import SymMatrix
 
     shifted = wronskian_matrix(l_plus(l_minus(psi)), 4)
     for dim in range(1, 5):
         sub = leading_minor(shifted, dim)
-        ok = ok and det_fraction_free(sub) == det_cofactor(sub)
+        ok = ok and determinant(sub) == det_cofactor(sub)
     ws = [closedform.w_recursive(k) for k in range(1, 8)]
     for dim in range(2, 5):
         hankel = SymMatrix(tuple(tuple(ws[i + j] for j in range(dim)) for i in range(dim)))
-        ok = ok and det_fraction_free(hankel) == det_cofactor(hankel)
+        ok = ok and determinant(hankel) == det_cofactor(hankel)
 
     def run_once() -> str:
         stream = io.StringIO()

@@ -3,7 +3,6 @@ from fractions import Fraction
 import pytest
 
 from hirotaverify.closedform import (
-    ClosedFormTable,
     a_coeff,
     f_high,
     f_low,
@@ -133,13 +132,3 @@ class TestExtremeCoefficients:
             - f_high(n - 1) * g_high(n + 1)
         )
         assert mixed.is_zero
-
-
-def test_table_build():
-    table = ClosedFormTable.build(3)
-    assert table.w_max == 5 and len(table.w) == 6
-    assert table.a[:5] == [1, 1, 1, 4, 144]
-    assert table.g_q0[2] == g_q0_closed(2)
-    assert table.f_high[3] == f_high(3)
-    with pytest.raises(ValueError):
-        ClosedFormTable.build(0)

@@ -17,9 +17,11 @@ from hirotaverify.laurent import (
     monomial,
     parse,
     serialize,
-    substitute,
     subst_t_inverse,
+    subst_t_negate,
+    subst_t_times_i,
     subst_y_negate,
+    swap_xy,
     to_uv,
     variable,
 )
@@ -59,25 +61,21 @@ class TestSubstitutions:
     def test_t_rotation_order_four(self, p):
         q = p
         for _ in range(4):
-            q = substitute(q, "t->i*t")
+            q = subst_t_times_i(q)
         assert q == p
 
     def test_named_examples(self):
         psi = build_psi()
         u = parse("1/2*x + 1/2*y")
         v = parse("1/2*x + (-1/2)*y")
-        assert substitute(psi, "t->1/t") == T * u + subst_t_inverse(T) * v
-        assert substitute(psi, "y->-y") == substitute(psi, "t->1/t")
-        assert substitute(X * Y, "swap_xy") == X * Y
-        assert substitute(X**2 * Y, "swap_xy") == Y**2 * X
+        assert subst_t_inverse(psi) == T * u + subst_t_inverse(T) * v
+        assert subst_y_negate(psi) == subst_t_inverse(psi)
+        assert swap_xy(X * Y) == X * Y
+        assert swap_xy(X**2 * Y) == Y**2 * X
 
     def test_even_site_sign_rule(self):
         g2 = TauFamily.build(2).g[2]
-        assert substitute(g2, "t->-t") == g2
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            substitute(X, "z->z")
+        assert subst_t_negate(g2) == g2
 
 
 class TestDifferentiate:

@@ -6,7 +6,6 @@ from hirotaverify.operators import (
     FOperator,
     apply_F,
     apply_F_weyl,
-    apply_L,
     hirota,
     hirota_dst,
     l_minus,
@@ -38,15 +37,11 @@ class TestDerivations:
 
     def test_plus_minus_relation(self):
         for p in (PSI, X**3, parse("x*y^2 + t^2")):
-            assert apply_L("L_plus", p) - apply_L("L_minus", p) == 2 * apply_L("L_Y", p)
+            assert l_plus(p) - l_minus(p) == 2 * l_y(p)
 
     @given(p=polys)
     def test_lx_ly_commute(self, p):
         assert l_x(l_y(p)) == l_y(l_x(p))
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            apply_L("L_Z", X)
 
 
 class TestHirota:

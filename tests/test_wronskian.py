@@ -1,3 +1,5 @@
+import zlib
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -5,11 +7,13 @@ from hypothesis import strategies as st
 from hirotaverify.laurent import ONE, parse, subst_t_inverse, subst_y_negate
 from hirotaverify.operators import hirota_dst, l_minus, l_plus
 from hirotaverify.wronskian import (
+    CACHE_MAGIC,
+    CACHE_VERSION,
+    DeterminantError,
     SymMatrix,
     TauFamily,
     build_psi,
     det_cofactor,
-    det_fraction_free,
     determinant,
     jacobi_identity_check,
     jacobi_residual,
@@ -89,11 +93,11 @@ class TestDeterminants:
     @pytest.mark.parametrize("dim", [2, 3, 4])
     def test_algorithms_agree(self, dim):
         m = leading_minor(wronskian_matrix(PSI, 4), dim)
-        assert det_fraction_free(m) == det_cofactor(m)
+        assert determinant(m) == det_cofactor(m)
 
     def test_algorithms_agree_on_shifted_seed(self):
         m = wronskian_matrix(l_plus(l_minus(PSI)), 3)
-        assert det_fraction_free(m) == det_cofactor(m)
+        assert determinant(m) == det_cofactor(m)
 
     @given(scale=st.fractions(min_value=-3, max_value=3, max_denominator=4))
     def test_row_scaling(self, scale):
@@ -106,7 +110,7 @@ class TestDeterminants:
 
         x = variable("x")
         m = SymMatrix(((ZERO, x), (x, ONE)))
-        assert det_fraction_free(m) == -(x * x)
+        assert determinant(m) == -(x * x)
         assert det_cofactor(m) == -(x * x)
 
     def test_singular_column(self):
@@ -114,18 +118,23 @@ class TestDeterminants:
 
         x = variable("x")
         m = SymMatrix(((ZERO, x), (ZERO, ONE)))
-        assert det_fraction_free(m).is_zero
-
-    def test_unknown_algorithm(self):
-        with pytest.raises(ValueError):
-            determinant(wronskian_matrix(PSI, 1), "gauss")
+        assert determinant(m).is_zero
 
     def test_minor_harvest_matches_cofactor(self):
         m = wronskian_matrix(PSI, 4)
         harvested = leading_principal_minors(m)
-        assert harvested is not None
+        assert len(harvested) == 4
         for k, value in enumerate(harvested, start=1):
             assert value == det_cofactor(leading_minor(m, k))
+
+    def test_minor_harvest_refuses_zero_pivot(self):
+        from hirotaverify.laurent import ZERO, variable
+
+        x = variable("x")
+        with pytest.raises(DeterminantError):
+            leading_principal_minors(SymMatrix(((ZERO, x), (x, ONE))))
+        # A zero last pivot is the full determinant, not a row swap.
+        assert leading_principal_minors(SymMatrix(((x, x), (x, x))))[-1].is_zero
 
 
 class TestTauFamily:
@@ -174,10 +183,20 @@ class TestTauFamily:
         with pytest.raises(ValueError):
             TauFamily.build(0)
 
-    def test_cofactor_build_matches(self, fam5):
-        small = TauFamily.build(3, algo="cofactor")
-        assert small.tau[:4] == fam5.tau[:4]
-        assert small.f[:4] == fam5.f[:4]
+    def test_cofactor_build_matches(self):
+        small = TauFamily.build(3)
+        seed = wronskian_matrix(PSI, 3)
+        shifted = wronskian_matrix(l_plus(l_minus(PSI)), 2)
+        assert small.tau[1:] == [det_cofactor(leading_minor(seed, k)) for k in (1, 2, 3)]
+        assert small.f[2:] == [det_cofactor(leading_minor(shifted, k)) for k in (1, 2)]
+
+    def test_g_is_tau(self, fam5):
+        assert fam5.g is fam5.tau
+
+
+def write_cache(path, body: str, version: int = CACHE_VERSION) -> None:
+    """A cache file with a valid header for the given body."""
+    path.write_text(f"{CACHE_MAGIC} v{version} crc32={zlib.crc32(body.encode()):08x}\n{body}")
 
 
 class TestCacheFile:
@@ -196,16 +215,45 @@ class TestCacheFile:
         fam5.save(b)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_header_then_tau_and_f_lines_only(self, fam5, tmp_path):
+        path = tmp_path / "family.tau"
+        fam5.save(path)
+        header, *lines = path.read_text().splitlines()
+        assert header.startswith(f"{CACHE_MAGIC} v{CACHE_VERSION} crc32=")
+        assert [line.split(" ", 1)[0] for line in lines] == ["tau"] * 6 + ["f"] * 6
+        assert list(tmp_path.iterdir()) == [path]
+
     def test_malformed_line(self, tmp_path):
         path = tmp_path / "bad.tau"
-        path.write_text("tau n=0: 1\nnot a record\n")
-        with pytest.raises(ValueError):
+        write_cache(path, "tau n=0: 1\nnot a record\n")
+        with pytest.raises(ValueError, match="malformed"):
             TauFamily.load(path)
 
     def test_missing_entries(self, tmp_path):
         path = tmp_path / "gap.tau"
-        path.write_text("tau n=0: 1\ntau n=1: x\ng n=0: 1\ng n=1: x\nf n=1: 1\n")
-        with pytest.raises(ValueError):
+        write_cache(path, "tau n=0: 1\ntau n=1: x\nf n=1: 1\n")
+        with pytest.raises(ValueError, match="missing f"):
+            TauFamily.load(path)
+
+    def test_refuses_missing_header(self, tmp_path):
+        path = tmp_path / "old.tau"
+        path.write_text("tau n=0: 1\ntau n=1: x\ng n=0: 1\ng n=1: x\nf n=0: 0\nf n=1: 1\n")
+        with pytest.raises(ValueError, match="header"):
+            TauFamily.load(path)
+
+    def test_refuses_other_version(self, tmp_path):
+        path = tmp_path / "future.tau"
+        write_cache(path, "tau n=0: 1\ntau n=1: x\nf n=0: 0\nf n=1: 1\n",
+                    version=CACHE_VERSION + 1)
+        with pytest.raises(ValueError, match="format"):
+            TauFamily.load(path)
+
+    def test_refuses_body_that_differs_from_digest(self, fam5, tmp_path):
+        path = tmp_path / "family.tau"
+        fam5.save(path)
+        text = path.read_text()
+        path.write_text(text.replace("tau n=3: ", "tau n=3: 1 + ", 1))
+        with pytest.raises(ValueError, match="CRC-32"):
             TauFamily.load(path)
 
 
