@@ -3,6 +3,8 @@
 Exit codes: 0 when every selected check passes, 1 when any identity fails
 (the report is still emitted), 2 on usage or configuration errors and on
 harness errors: a failed elimination, an inexact division or cache I/O.
+A harness error inside one check is reported as that check's "error" row;
+the run then exits 2 unless some identity failed.
 """
 
 from __future__ import annotations
@@ -68,8 +70,9 @@ def _obtain_family(depth: int, cache_path: str | None) -> TauFamily:
 
 
 def _emit_report(config: RunConfig, reports: list[CheckReport], stream) -> None:
-    passed = sum(1 for r in reports if r.passed)
-    failed = len(reports) - passed
+    passed = sum(1 for r in reports if r.status == "pass")
+    failed = sum(1 for r in reports if r.status == "fail")
+    errors = sum(1 for r in reports if r.status == "error")
     total_elapsed = sum(r.elapsed for r in reports)
     if config.report_format == "json":
         payload = {
@@ -82,7 +85,8 @@ def _emit_report(config: RunConfig, reports: list[CheckReport], stream) -> None:
                 "fail_fast": config.fail_fast,
             },
             "checks": [r.as_dict() for r in reports],
-            "summary": {"pass": passed, "fail": failed, "elapsed_total": total_elapsed},
+            "summary": {"pass": passed, "fail": failed, "error": errors,
+                        "elapsed_total": total_elapsed},
         }
         json.dump(payload, stream, indent=2, sort_keys=True)
         stream.write("\n")
@@ -95,7 +99,8 @@ def _emit_report(config: RunConfig, reports: list[CheckReport], stream) -> None:
         if r.note:
             line += f"  [{r.note}]"
         stream.write(line + "\n")
-    stream.write(f"summary: {passed} pass, {failed} fail, {total_elapsed:.2f}s total\n")
+    stream.write(f"summary: {passed} pass, {failed} fail, {errors} error, "
+                 f"{total_elapsed:.2f}s total\n")
 
 
 def cmd_verify(config: RunConfig, stream=None) -> int:
@@ -109,7 +114,8 @@ def cmd_verify(config: RunConfig, stream=None) -> int:
         tasks.extend(suite_tasks(suite, fam, config.n_max))
     reports = run_checks(tasks, fail_fast=config.fail_fast)
     _emit_report(config, reports, stream)
-    return 0 if all(r.passed for r in reports) else 1
+    statuses = {r.status for r in reports}
+    return 1 if "fail" in statuses else 2 if "error" in statuses else 0
 
 
 def cmd_build(n_max: int, cache_path: str | None, stream=None) -> int:

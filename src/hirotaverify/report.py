@@ -10,9 +10,12 @@ class CheckReport:
     """Outcome of one identity check.
 
     status is "pass" exactly when the residual polynomial was identically
-    zero (or, for pointwise checks, every evaluated residual vanished).
-    witness holds the leading residual term in canonical text form when a
-    check fails.  order_index carries the Laurent order I where one applies.
+    zero (or, for pointwise checks, every evaluated residual vanished),
+    "fail" when it was not, and "error" when the check could not be carried
+    out (a harness exception or an unusable sample point).  witness holds
+    the leading residual term in canonical text form when a check fails, and
+    the cause of an error.  order_index carries the Laurent order I where
+    one applies.
     """
 
     equation_id: str

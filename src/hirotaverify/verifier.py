@@ -13,7 +13,7 @@ import random
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Iterable, Literal, Sequence
+from typing import Callable, Iterable, Literal, NamedTuple, Sequence
 
 from . import closedform
 from .gaussian import GaussianRational, minus_i_power
@@ -47,8 +47,9 @@ __all__ = [
     "check_mixed",
     "check_conjecture",
     "check_symmetries",
-    "check_orderwise_toda",
-    "check_orderwise_nakamura",
+    "ORDERWISE_SYSTEMS",
+    "orderwise_span",
+    "check_orderwise",
     "orderwise_toda_sides",
     "orderwise_nakamura_sides",
     "Su11Params",
@@ -78,28 +79,30 @@ def _report(
     term_count: int = 0,
     note: str | None = None,
 ) -> CheckReport:
-    elapsed = time.perf_counter() - started
-    if residual.is_zero:
-        return CheckReport(
-            equation_id, n, order_index=order_index, term_count=term_count,
-            elapsed=elapsed, note=note,
-        )
-    mono, coeff = residual.leading_term()
-    return CheckReport(
-        equation_id,
-        n,
-        order_index=order_index,
-        status="fail",
-        witness=serialize(LaurentPoly({mono: coeff})),
-        term_count=term_count,
-        elapsed=elapsed,
-        note=note,
+    report = CheckReport(
+        equation_id, n, order_index=order_index, term_count=term_count,
+        elapsed=time.perf_counter() - started, note=note,
     )
+    if not residual.is_zero:
+        mono, coeff = residual.leading_term()
+        report.status = "fail"
+        report.witness = serialize(LaurentPoly({mono: coeff}))
+    return report
 
 
 # -- bilinear lattice identities ---------------------------------------------
 
 Which = Literal["tau", "g", "f"]
+
+
+def _toda_residual(lo: LaurentPoly, mid: LaurentPoly, hi: LaurentPoly) -> LaurentPoly:
+    """D_S D_T a_n . a_n - 2 a_{n+1} a_{n-1} from a_{n-1}, a_n, a_{n+1}."""
+    return hirota_dst(mid, mid) - 2 * (hi * lo)
+
+
+def _mixed_residual(g_lo, g, g_hi, f_lo, f, f_hi) -> LaurentPoly:
+    """D_S D_T f_n . g_n - f_{n+1} g_{n-1} - f_{n-1} g_{n+1} from sites n-1, n, n+1."""
+    return hirota_dst(f, g) - f_hi * g_lo - f_lo * g_hi
 
 
 def check_toda(fam: TauFamily, n: int, which: Which = "tau") -> CheckReport:
@@ -108,7 +111,7 @@ def check_toda(fam: TauFamily, n: int, which: Which = "tau") -> CheckReport:
         raise ValueError(f"need 1 <= n <= {fam.n_max - 1}, got {n}")
     seq = {"tau": fam.tau, "g": fam.g, "f": fam.f}[which]
     started = time.perf_counter()
-    residual = hirota_dst(seq[n], seq[n]) - 2 * (seq[n + 1] * seq[n - 1])
+    residual = _toda_residual(*seq[n - 1:n + 2])
     return _report(
         f"toda.{which}", n, residual, started, term_count=seq[n].term_count
     )
@@ -119,11 +122,7 @@ def check_mixed(fam: TauFamily, n: int) -> CheckReport:
     if not 1 <= n <= fam.n_max - 1:
         raise ValueError(f"need 1 <= n <= {fam.n_max - 1}, got {n}")
     started = time.perf_counter()
-    residual = (
-        hirota_dst(fam.f[n], fam.g[n])
-        - fam.f[n + 1] * fam.g[n - 1]
-        - fam.f[n - 1] * fam.g[n + 1]
-    )
+    residual = _mixed_residual(*fam.g[n - 1:n + 2], *fam.f[n - 1:n + 2])
     return _report("mixed", n, residual, started, term_count=fam.g[n].term_count)
 
 
@@ -264,9 +263,9 @@ def check_su11(
             )
         )
 
-    run("su11.toda.g", lambda: hirota_dst(g, g) - 2 * (g_hi * g_lo))
-    run("su11.toda.f", lambda: hirota_dst(f, f) - 2 * (f_hi * f_lo))
-    run("su11.mixed", lambda: hirota_dst(f, g) - f_hi * g_lo - f_lo * g_hi)
+    run("su11.toda.g", lambda: _toda_residual(g_lo, g, g_hi))
+    run("su11.toda.f", lambda: _toda_residual(f_lo, f, f_hi))
+    run("su11.mixed", lambda: _mixed_residual(g_lo, g, g_hi, f_lo, f, f_hi))
     for eq_id, residual_fn in _conjecture_checks(g, f, n):
         run(f"su11.{eq_id}", residual_fn)
     return reports
@@ -274,31 +273,56 @@ def check_su11(
 
 # -- order-by-order systems ---------------------------------------------------
 
-TodaFamily = Literal["g", "f", "mixed"]
+class OrderwiseSystem(NamedTuple):
+    suite: str
+    top_offset: int  # top order K(n) = 2n + top_offset
+    direct_offset: int  # last direct order D(n) = n + direct_offset
+    case_ids: tuple[str, str, str]  # (low, middle, mirror)
 
-# (top t-order K, direct-case boundary) per family; the Laurent order at
-# index I is K - 2I and the mirror partner of I is K_index - I.
-def _toda_spans(n: int) -> dict[str, tuple[int, int]]:
-    return {"g": (2 * n, n), "f": (2 * n - 2, n - 1), "mixed": (2 * n - 1, n - 1)}
+
+# Each identity expanded in t.  The Laurent order at index I is K - 2I, and an
+# order I above D is generated from its partner K - I by y -> -y.
+ORDERWISE_SYSTEMS = {
+    "g": OrderwiseSystem("orderwise-A", 0, 0, ("TD1", "TD2", "TD3")),
+    "f": OrderwiseSystem("orderwise-A", -2, -1, ("TD4", "TD5", "TD6")),
+    "mixed": OrderwiseSystem("orderwise-A", -1, -1, ("TD7", "TD8", "TD9")),
+    "B1": OrderwiseSystem("orderwise-B", -1, 0, ("B.1", "B.2", "B.3")),
+    "B2": OrderwiseSystem("orderwise-B", -1, 0, ("B.4", "B.5", "B.6")),
+    "B3": OrderwiseSystem("orderwise-B", -1, 0, ("B.7", "B.8", "B.9")),
+    # The I = 0 instance is the highest-order equation and takes the middle
+    # id B.11; the other direct orders I = 1..n take the low id B.10.
+    "B4": OrderwiseSystem("orderwise-B", 0, 0, ("B.10", "B.11", "B.12")),
+}
+
+
+def orderwise_span(n: int, system: str) -> tuple[int, int]:
+    """Top order K(n) and last direct order D(n) of one orderwise system."""
+    if system not in ORDERWISE_SYSTEMS:
+        raise ValueError(f"unknown orderwise system {system!r}")
+    spec = ORDERWISE_SYSTEMS[system]
+    return 2 * n + spec.top_offset, n + spec.direct_offset
+
+
+def _require_order(fam: TauFamily, n: int, I: int, system: str, suite: str) -> None:
+    top, _ = orderwise_span(n, system)
+    if ORDERWISE_SYSTEMS[system].suite != suite:
+        raise ValueError(f"{system!r} is not an {suite} system")
+    reach = fam.n_max - _DEPTH_EXTRA[suite]
+    if not 1 <= n <= reach:
+        raise ValueError(f"need 1 <= n <= {reach}, got {n}")
+    if not 0 <= I <= top:
+        raise ValueError(f"order index {I} out of range 0..{top} for {system!r}")
 
 
 def orderwise_toda_sides(
-    fam: TauFamily, n: int, I: int, family: TodaFamily
+    fam: TauFamily, n: int, I: int, family: str
 ) -> tuple[LaurentPoly, LaurentPoly]:
     """Left and right side of the order-I lattice equation, any valid I.
 
     Out-of-range Laurent coefficients enter as zero, so one convolution
     formula covers the low-order, middle and mirrored cases alike.
     """
-    if not 1 <= n <= fam.n_max - 1:
-        raise ValueError(f"need 1 <= n <= {fam.n_max - 1}, got {n}")
-    spans = _toda_spans(n)
-    if family not in spans:
-        raise ValueError(f"unknown family {family!r}")
-    top, _ = spans[family]
-    if not 0 <= I <= top:
-        raise ValueError(f"order index {I} out of range 0..{top} for family {family!r}")
-
+    _require_order(fam, n, I, family, "orderwise-A")
     gt = lambda k, m: fam.g[k].coeff_of_t(m)
     ft = lambda k, m: fam.f[k].coeff_of_t(m)
     lhs, rhs = ZERO, ZERO
@@ -323,68 +347,11 @@ def orderwise_toda_sides(
     return lhs, rhs
 
 
-_TODA_CASE_IDS = {
-    "g": ("TD1", "TD2", "TD3"),
-    "f": ("TD4", "TD5", "TD6"),
-    "mixed": ("TD7", "TD8", "TD9"),
-}
-
-
-def check_orderwise_toda(
-    fam: TauFamily, n: int, I: int, family: TodaFamily
-) -> CheckReport:
-    """Order-I coefficient identity of the lattice equations.
-
-    Above the middle order the identity is generated from its low-order
-    partner by y -> -y; the check then also demands that this mirrored
-    residual agree with the one derived directly at order I.
-    """
-    if family not in _TODA_CASE_IDS:
-        raise ValueError(f"unknown family {family!r}")
-    started = time.perf_counter()
-    top, direct_end = _toda_spans(n)[family]
-    low_id, mid_id, mirror_id = _TODA_CASE_IDS[family]
-    lhs, rhs = orderwise_toda_sides(fam, n, I, family)
-    if I <= direct_end:
-        eq_id = low_id if I < direct_end else mid_id
-        return _report(eq_id, n, lhs - rhs, started, order_index=I,
-                       term_count=lhs.term_count)
-    partner_lhs, partner_rhs = orderwise_toda_sides(fam, n, top - I, family)
-    mirrored = subst_y_negate(partner_lhs - partner_rhs)
-    direct = lhs - rhs
-    if direct != mirrored:
-        return _report(mirror_id, n, direct - mirrored, started, order_index=I,
-                       term_count=lhs.term_count, note="route mismatch")
-    return _report(mirror_id, n, mirrored, started, order_index=I,
-                   term_count=lhs.term_count)
-
-
-NakWhich = Literal["B1", "B2", "B3", "B4"]
-
-_NAK_CASE_IDS = {
-    "B1": ("B.1", "B.2", "B.3"),
-    "B2": ("B.4", "B.5", "B.6"),
-    "B3": ("B.7", "B.8", "B.9"),
-    "B4": ("B.10", "B.11", "B.12"),
-}
-
-
-def _nak_span(n: int, which: NakWhich) -> int:
-    return 2 * n if which == "B4" else 2 * n - 1
-
-
 def orderwise_nakamura_sides(
-    fam: TauFamily, n: int, I: int, which: NakWhich
+    fam: TauFamily, n: int, I: int, which: str
 ) -> tuple[LaurentPoly, LaurentPoly]:
     """Order-I decomposition-equation sides (the right side is always zero)."""
-    if not 1 <= n <= fam.n_max:
-        raise ValueError(f"need 1 <= n <= {fam.n_max}, got {n}")
-    if which not in _NAK_CASE_IDS:
-        raise ValueError(f"unknown equation selector {which!r}")
-    top = _nak_span(n, which)
-    if not 0 <= I <= top:
-        raise ValueError(f"order index {I} out of range 0..{top} for {which}")
-
+    _require_order(fam, n, I, which, "orderwise-B")
     gt = lambda m: fam.g[n].coeff_of_t(m)
     ft = lambda m: fam.f[n].coeff_of_t(m)
     fop = FOperator(n)
@@ -404,32 +371,42 @@ def orderwise_nakamura_sides(
     return lhs, ZERO
 
 
-def check_orderwise_nakamura(
-    fam: TauFamily, n: int, I: int, which: NakWhich
-) -> CheckReport:
-    """Order-I coefficient identity of one decomposition equation."""
-    if which not in _NAK_CASE_IDS:
-        raise ValueError(f"unknown equation selector {which!r}")
-    started = time.perf_counter()
-    top = _nak_span(n, which)
-    low_id, mid_id, mirror_id = _NAK_CASE_IDS[which]
-    if I <= n:
-        lhs, _ = orderwise_nakamura_sides(fam, n, I, which)
-        if which == "B4":
-            # The I = 0 instance is the highest-order equation, labelled last.
-            eq_id = mid_id if I == 0 else low_id
+def check_orderwise(fam: TauFamily, n: int, system: str) -> list[CheckReport]:
+    """Every order-I coefficient identity of one orderwise system at site n.
+
+    Orders up to D(n) are derived directly.  Above D(n) the identity is
+    generated from its low-order partner K(n) - I by y -> -y; the check then
+    also demands that this mirrored residual agree with the one derived
+    directly at order I.  Each order's sides are computed once.
+    """
+    top, direct_end = orderwise_span(n, system)
+    spec = ORDERWISE_SYSTEMS[system]
+    low_id, mid_id, mirror_id = spec.case_ids
+    middle = 0 if system == "B4" else direct_end
+    residuals: list[LaurentPoly] = []
+    reports = []
+    for I in range(top + 1):
+        started = time.perf_counter()
+        # Called by module-level name so that rebinding the name reaches this call.
+        if spec.suite == "orderwise-A":
+            lhs, rhs = orderwise_toda_sides(fam, n, I, system)
         else:
-            eq_id = low_id if I < n else mid_id
-        return _report(eq_id, n, lhs, started, order_index=I,
-                       term_count=lhs.term_count)
-    lhs, _ = orderwise_nakamura_sides(fam, n, I, which)
-    partner_lhs, _ = orderwise_nakamura_sides(fam, n, top - I, which)
-    mirrored = subst_y_negate(partner_lhs)
-    if not (lhs - mirrored).is_zero:
-        return _report(mirror_id, n, lhs - mirrored, started, order_index=I,
-                       term_count=lhs.term_count, note="route mismatch")
-    return _report(mirror_id, n, mirrored, started, order_index=I,
-                   term_count=lhs.term_count)
+            lhs, rhs = orderwise_nakamura_sides(fam, n, I, system)
+        direct = lhs - rhs
+        residuals.append(direct)
+        if I <= direct_end:
+            eq_id = mid_id if I == middle else low_id
+            reports.append(_report(eq_id, n, direct, started, order_index=I,
+                                   term_count=lhs.term_count))
+            continue
+        mirrored = subst_y_negate(residuals[top - I])
+        if direct == mirrored:
+            residual, note = mirrored, None
+        else:
+            residual, note = direct - mirrored, "route mismatch"
+        reports.append(_report(mirror_id, n, residual, started, order_index=I,
+                               term_count=lhs.term_count, note=note))
+    return reports
 
 
 # -- numeric spot-check of the complex-potential equation ----------------------
@@ -460,7 +437,8 @@ def ernst_residual_numeric(
     B = ((x^2-1) xi_x)_x + ((1-y^2) xi_y)_y and
     G = (x^2-1) xi_x^2 + (1-y^2) xi_y^2, the residual is
     (xi xi* - 1) B - 2 xi* G, cleared of denominators.  Evaluation is exact
-    rational arithmetic; a passing point yields exactly zero.
+    rational arithmetic; a passing point yields exactly zero.  A point that
+    cannot be used (|t| != 1, or a vanishing denominator) is an "error".
     """
     if not 1 <= n <= fam.n_max:
         raise ValueError(f"need 1 <= n <= {fam.n_max}, got {n}")
@@ -472,26 +450,13 @@ def ernst_residual_numeric(
     q = gy * f - g * fy
     px, qy = d_x(p), d_y(q)
 
-    reports = []
-    for idx, (x0, y0, t0) in enumerate(samples):
-        started = time.perf_counter()
-        note = f"x={x0}, y={y0}, t={t0}"
+    def outcome(x0, y0, t0) -> tuple[str, str | None]:
         if t0.abs2() != 1:
-            reports.append(
-                CheckReport("ernst", n, order_index=idx, status="fail",
-                            witness="sample point violates |t| = 1",
-                            elapsed=time.perf_counter() - started, note=note)
-            )
-            continue
+            return "error", "sample point violates |t| = 1"
         fv = f.evaluate(x0, y0, t0)
         fsv = fs.evaluate(x0, y0, t0)
         if fv.is_zero or fsv.is_zero:
-            reports.append(
-                CheckReport("ernst", n, order_index=idx, status="fail",
-                            witness="denominator vanishes at sample point",
-                            elapsed=time.perf_counter() - started, note=note)
-            )
-            continue
+            return "error", "denominator vanishes at sample point"
         gv = g.evaluate(x0, y0, t0)
         gsv = gs.evaluate(x0, y0, t0)
         pv = p.evaluate(x0, y0, t0)
@@ -511,16 +476,17 @@ def ernst_residual_numeric(
         n_g = x2m1 * pv * pv + one_m_y2 * qv * qv
         numerator = (gv * gsv - fv * fsv) * n_b - 2 * gsv * n_g
         residual = numerator / (fsv * fv ** 4)
-        elapsed = time.perf_counter() - started
-        if residual.is_zero:
-            reports.append(
-                CheckReport("ernst", n, order_index=idx, elapsed=elapsed, note=note)
-            )
-        else:
-            reports.append(
-                CheckReport("ernst", n, order_index=idx, status="fail",
-                            witness=str(residual), elapsed=elapsed, note=note)
-            )
+        return ("pass", None) if residual.is_zero else ("fail", str(residual))
+
+    reports = []
+    for idx, (x0, y0, t0) in enumerate(samples):
+        started = time.perf_counter()
+        status, witness = outcome(x0, y0, t0)
+        reports.append(
+            CheckReport("ernst", n, order_index=idx, status=status, witness=witness,
+                        elapsed=time.perf_counter() - started,
+                        note=f"x={x0}, y={y0}, t={t0}")
+        )
     return reports
 
 
@@ -648,36 +614,17 @@ def _weyl_suite(fam, n_max):
     return tasks
 
 
-def _orderwise_a_suite(fam, n_max):
-    tasks = []
-    for n in range(1, n_max + 1):
-        for family, (top, _) in _toda_spans(n).items():
-            for I in range(top + 1):
-                tasks.append(
-                    CheckTask(
-                        f"orderA.{family}", n, I,
-                        lambda n=n, I=I, family=family: check_orderwise_toda(
-                            fam, n, I, family
-                        ),
-                    )
-                )
-    return tasks
+def _orderwise_suite(suite):
+    def build(fam, n_max):
+        return [
+            CheckTask(f"{suite}.{system}", n, None,
+                      lambda n=n, system=system: check_orderwise(fam, n, system))
+            for n in range(1, n_max + 1)
+            for system, spec in ORDERWISE_SYSTEMS.items()
+            if spec.suite == suite
+        ]
 
-
-def _orderwise_b_suite(fam, n_max):
-    tasks = []
-    for n in range(1, n_max + 1):
-        for which in ("B1", "B2", "B3", "B4"):
-            for I in range(_nak_span(n, which) + 1):
-                tasks.append(
-                    CheckTask(
-                        f"orderB.{which}", n, I,
-                        lambda n=n, I=I, which=which: check_orderwise_nakamura(
-                            fam, n, I, which
-                        ),
-                    )
-                )
-    return tasks
+    return build
 
 
 def _ernst_suite(fam, n_max):
@@ -695,8 +642,8 @@ _SUITE_BUILDERS = {
     "symmetries": _symmetries_suite,
     "closedforms": _closedforms_suite,
     "weyl": _weyl_suite,
-    "orderwise-A": _orderwise_a_suite,
-    "orderwise-B": _orderwise_b_suite,
+    "orderwise-A": _orderwise_suite("orderwise-A"),
+    "orderwise-B": _orderwise_suite("orderwise-B"),
     "ernst-numeric": _ernst_suite,
 }
 
@@ -802,10 +749,18 @@ def _check_weyl_pair(n: int) -> CheckReport:
 # -- execution -----------------------------------------------------------------
 
 def run_checks(tasks: Sequence[CheckTask], fail_fast: bool = False) -> list[CheckReport]:
-    """Execute tasks in order, flatten grouped results and sort them deterministically."""
+    """Execute tasks in order, flatten grouped results and sort them deterministically.
+
+    An exception inside one task becomes a single status="error" report for
+    that task, and the run goes on with the next one.
+    """
     reports: list[CheckReport] = []
     for task in tasks:
-        result = task.run()
+        try:
+            result = task.run()
+        except Exception as exc:
+            result = CheckReport(task.equation_id, task.n, order_index=task.order_index,
+                                 status="error", witness=f"{type(exc).__name__}: {exc}")
         batch = result if isinstance(result, list) else [result]
         reports.extend(batch)
         if fail_fast and any(not r.passed for r in batch):

@@ -144,17 +144,13 @@ def test_criterion_08_orderwise_systems():
     fam = family(4)
     ok = True
     for n in range(1, 4):
-        for fam_name, (top, _) in V._toda_spans(n).items():
-            for I in range(top + 1):
-                ok = ok and V.check_orderwise_toda(fam, n, I, fam_name).passed
-        for which in ("B1", "B2", "B3", "B4"):
-            for I in range(V._nak_span(n, which) + 1):
-                ok = ok and V.check_orderwise_nakamura(fam, n, I, which).passed
+        for system in V.ORDERWISE_SYSTEMS:
+            ok = ok and all(r.passed for r in V.check_orderwise(fam, n, system))
 
     # t-weighted sums rebuild the parent polynomials on both sides.
     for n in range(1, 4):
         for fam_name in ("g", "f", "mixed"):
-            top, _ = V._toda_spans(n)[fam_name]
+            top, _ = V.orderwise_span(n, fam_name)
             shift = {"g": 2 * n, "f": 2 * n - 2, "mixed": 2 * n - 1}[fam_name]
             lhs_sum, rhs_sum = ZERO, ZERO
             for I in range(top + 1):
@@ -183,7 +179,7 @@ def test_criterion_08_orderwise_systems():
             }[which]
             shift = 2 * n if which == "B4" else 2 * n - 1
             total = ZERO
-            for I in range(V._nak_span(n, which) + 1):
+            for I in range(V.orderwise_span(n, which)[0] + 1):
                 lhs, _ = V.orderwise_nakamura_sides(fam, n, I, which)
                 total = total + lhs * monomial(1, et=shift - 2 * I)
             ok = ok and total == parent

@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+from hirotaverify import verifier
 from hirotaverify.cli import RunConfig, cmd_bench, cmd_build, cmd_verify, main
 from hirotaverify.laurent import ONE, ExactDivisionError
 from hirotaverify.wronskian import DeterminantError, TauFamily
@@ -30,7 +31,7 @@ class TestVerifyCommand:
         assert code == 0
         payload = json.loads(out)
         assert payload["summary"] == {
-            "pass": 12, "fail": 0,
+            "pass": 12, "fail": 0, "error": 0,
             "elapsed_total": payload["summary"]["elapsed_total"],
         }
         assert len(payload["checks"]) == 12
@@ -68,6 +69,21 @@ class TestVerifyCommand:
         monkeypatch.setattr(TauFamily, "build", classmethod(fail))
         assert main(["verify", "--suite", "toda", "--n-max", "1"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_error_in_one_check_keeps_the_report(self, monkeypatch, capsys):
+        def fail(n):
+            raise DeterminantError("zero pivot")
+
+        monkeypatch.setattr(verifier, "jacobi_identity_check", fail)
+        code = main(["verify", "--suite", "jacobi", "--suite", "mixed", "--n-max", "1",
+                     "--format", "json"])
+        assert code == 2
+        payload = json.loads(capsys.readouterr().out)
+        rows = {c["equation_id"]: c for c in payload["checks"]}
+        assert rows["jacobi"]["status"] == "error"
+        assert rows["jacobi"]["witness"] == "DeterminantError: zero pivot"
+        assert rows["mixed"]["status"] == "pass"
+        assert payload["summary"]["error"] == 1
 
 
 class TestCacheContract:

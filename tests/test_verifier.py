@@ -125,6 +125,18 @@ class TestSu11:
         assert all(r.passed for r in V.check_su11(fam4, 2, params))
         assert sites == [1, 2, 3]
 
+    def test_one_dst_per_bilinear_residual(self, fam4, monkeypatch):
+        calls = []
+
+        def counting(f, g):
+            calls.append((f, g))
+            return hirota_dst(f, g)
+
+        monkeypatch.setattr(V, "hirota_dst", counting)
+        params = V.Su11Params(GaussianRational(2), GaussianRational(3))
+        assert all(r.passed for r in V.check_su11(fam4, 1, params))
+        assert len(calls) == 3
+
     def test_complex_pair(self, fam4):
         params = V.Su11Params(GaussianRational(1, 1), GaussianRational(0, 2))
         reports = V.check_su11(fam4, 1, params)
@@ -152,30 +164,29 @@ class TestSu11:
             assert p.alpha.abs2() != p.beta.abs2()
 
 
-def _all_orderwise_toda(fam, n):
-    for family, (top, _) in V._toda_spans(n).items():
-        for I in range(top + 1):
-            yield family, I, V.check_orderwise_toda(fam, n, I, family)
+def _orderwise_reports(fam, n, suite):
+    for system, spec in V.ORDERWISE_SYSTEMS.items():
+        if spec.suite == suite:
+            for report in V.check_orderwise(fam, n, system):
+                yield system, report
 
 
-def _all_orderwise_nakamura(fam, n):
-    for which in ("B1", "B2", "B3", "B4"):
-        for I in range(V._nak_span(n, which) + 1):
-            yield which, I, V.check_orderwise_nakamura(fam, n, I, which)
+def _label(fam, n, system, I):
+    return V.check_orderwise(fam, n, system)[I].equation_id
 
 
 class TestOrderwiseToda:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_every_order_passes(self, fam4, n):
-        for family, I, report in _all_orderwise_toda(fam4, n):
-            assert report.passed, (family, I, report.witness, report.note)
+        for family, report in _orderwise_reports(fam4, n, "orderwise-A"):
+            assert report.passed, (family, report.order_index, report.witness, report.note)
 
     def test_case_labels(self, fam4):
-        assert V.check_orderwise_toda(fam4, 2, 0, "g").equation_id == "TD1"
-        assert V.check_orderwise_toda(fam4, 2, 2, "g").equation_id == "TD2"
-        assert V.check_orderwise_toda(fam4, 2, 4, "g").equation_id == "TD3"
-        assert V.check_orderwise_toda(fam4, 2, 1, "f").equation_id == "TD5"
-        assert V.check_orderwise_toda(fam4, 2, 3, "mixed").equation_id == "TD9"
+        assert _label(fam4, 2, "g", 0) == "TD1"
+        assert _label(fam4, 2, "g", 2) == "TD2"
+        assert _label(fam4, 2, "g", 4) == "TD3"
+        assert _label(fam4, 2, "f", 1) == "TD5"
+        assert _label(fam4, 2, "mixed", 3) == "TD9"
 
     def test_top_order_matches_closed_forms(self, fam4):
         from hirotaverify.closedform import g_high
@@ -189,7 +200,7 @@ class TestOrderwiseToda:
     def test_weighted_sum_reproduces_parents(self, fam4, family, n):
         seq_a = fam4.f if family in ("f", "mixed") else fam4.g
         seq_b = fam4.g if family in ("g", "mixed") else fam4.f
-        top, _ = V._toda_spans(n)[family]
+        top, _ = V.orderwise_span(n, family)
         shift = {"g": 2 * n, "f": 2 * n - 2, "mixed": 2 * n - 1}[family]
         lhs_sum, rhs_sum = ZERO, ZERO
         for I in range(top + 1):
@@ -207,34 +218,49 @@ class TestOrderwiseToda:
 
     def test_mirror_route_equality(self, fam4):
         for n in (2, 3):
-            top, _ = V._toda_spans(n)["g"]
+            top, _ = V.orderwise_span(n, "g")
             for I in range(n + 1, top + 1):
                 lhs, rhs = V.orderwise_toda_sides(fam4, n, I, "g")
                 plhs, prhs = V.orderwise_toda_sides(fam4, n, top - I, "g")
                 assert lhs - rhs == subst_y_negate(plhs - prhs)
 
+    def test_broken_mirror_is_a_route_mismatch(self, fam4):
+        # t^2 x in g_2 has no y-reflected t^-2 partner, so g_2 loses its mirror symmetry.
+        broken = TauFamily(
+            n_max=4,
+            tau=[p + parse("t^2*x") if k == 2 else p for k, p in enumerate(fam4.tau)],
+            f=fam4.f,
+        )
+        reports = V.check_orderwise(broken, 2, "g")
+        mirror_rows = [r for r in reports if r.equation_id == "TD3"]
+        assert [r.order_index for r in mirror_rows] == [3, 4]
+        assert all(r.status == "fail" and r.note == "route mismatch" for r in mirror_rows)
+        assert all(r.note is None for r in reports if r.equation_id != "TD3")
+
     def test_invalid_arguments(self, fam4):
         with pytest.raises(ValueError):
-            V.check_orderwise_toda(fam4, 2, 5, "g")
+            V.orderwise_toda_sides(fam4, 2, 5, "g")
         with pytest.raises(ValueError):
-            V.check_orderwise_toda(fam4, 1, 0, "h")
+            V.check_orderwise(fam4, 1, "h")
         with pytest.raises(ValueError):
-            V.check_orderwise_toda(fam4, 4, 0, "g")
+            V.check_orderwise(fam4, 4, "g")
+        with pytest.raises(ValueError):
+            V.orderwise_toda_sides(fam4, 2, 0, "B1")
 
 
 class TestOrderwiseNakamura:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_every_order_passes(self, fam4, n):
-        for which, I, report in _all_orderwise_nakamura(fam4, n):
-            assert report.passed, (which, I, report.witness, report.note)
+        for which, report in _orderwise_reports(fam4, n, "orderwise-B"):
+            assert report.passed, (which, report.order_index, report.witness, report.note)
 
     def test_case_labels(self, fam4):
-        assert V.check_orderwise_nakamura(fam4, 2, 0, "B1").equation_id == "B.1"
-        assert V.check_orderwise_nakamura(fam4, 2, 2, "B1").equation_id == "B.2"
-        assert V.check_orderwise_nakamura(fam4, 2, 3, "B2").equation_id == "B.6"
-        assert V.check_orderwise_nakamura(fam4, 2, 0, "B4").equation_id == "B.11"
-        assert V.check_orderwise_nakamura(fam4, 2, 1, "B4").equation_id == "B.10"
-        assert V.check_orderwise_nakamura(fam4, 2, 4, "B4").equation_id == "B.12"
+        assert _label(fam4, 2, "B1", 0) == "B.1"
+        assert _label(fam4, 2, "B1", 2) == "B.2"
+        assert _label(fam4, 2, "B2", 3) == "B.6"
+        assert _label(fam4, 2, "B4", 0) == "B.11"
+        assert _label(fam4, 2, "B4", 1) == "B.10"
+        assert _label(fam4, 2, "B4", 4) == "B.12"
 
     def test_top_order_uses_extreme_forms(self, fam4):
         from hirotaverify.closedform import f_high, g_high, g_low
@@ -256,7 +282,7 @@ class TestOrderwiseNakamura:
             "B3": apply_F(fop, gs, f),
             "B4": apply_F(fop, gs, g) + apply_F(fop, fs, f),
         }
-        top = V._nak_span(n, which)
+        top, _ = V.orderwise_span(n, which)
         shift = 2 * n if which == "B4" else 2 * n - 1
         total = ZERO
         for I in range(top + 1):
@@ -266,9 +292,34 @@ class TestOrderwiseNakamura:
 
     def test_invalid_arguments(self, fam4):
         with pytest.raises(ValueError):
-            V.check_orderwise_nakamura(fam4, 2, 5, "B1")
+            V.orderwise_nakamura_sides(fam4, 2, 5, "B1")
         with pytest.raises(ValueError):
-            V.check_orderwise_nakamura(fam4, 2, 0, "B9")
+            V.check_orderwise(fam4, 2, "B9")
+        with pytest.raises(ValueError):
+            V.orderwise_nakamura_sides(fam4, 2, 0, "g")
+
+
+class TestOrderwiseSystems:
+    @pytest.mark.parametrize("system", list(V.ORDERWISE_SYSTEMS))
+    def test_sides_computed_once_per_order(self, fam4, monkeypatch, system):
+        calls = []
+        for name in ("orderwise_toda_sides", "orderwise_nakamura_sides"):
+            def counting(fam, n, I, selector, _sides=getattr(V, name)):
+                calls.append(I)
+                return _sides(fam, n, I, selector)
+
+            monkeypatch.setattr(V, name, counting)
+        top, _ = V.orderwise_span(3, system)
+        assert all(r.passed for r in V.check_orderwise(fam4, 3, system))
+        assert calls == list(range(top + 1))
+
+    def test_suites_split_the_table(self, fam4):
+        for suite in ("orderwise-A", "orderwise-B"):
+            tasks = V.suite_tasks(suite, fam4, 2)
+            systems = [s for s, spec in V.ORDERWISE_SYSTEMS.items() if spec.suite == suite]
+            assert [(t.n, t.equation_id) for t in tasks] == [
+                (n, f"{suite}.{s}") for n in (1, 2) for s in systems
+            ]
 
 
 class TestErnstNumeric:
@@ -282,6 +333,7 @@ class TestErnstNumeric:
         bad = (GaussianRational(2), GaussianRational(1), GaussianRational(2))
         (report,) = V.ernst_residual_numeric(fam4, 1, [bad])
         assert not report.passed
+        assert report.status == "error"
         assert "|t|" in report.witness
 
     def test_denominator_zero_reported_per_point(self, fam4):
@@ -290,6 +342,7 @@ class TestErnstNumeric:
         zero_point = (GaussianRational(1), GaussianRational(1), GaussianRational(1))
         reports = V.ernst_residual_numeric(fam4, 2, [zero_point, good])
         assert [r.passed for r in reports] == [False, True]
+        assert reports[0].status == "error"
         assert "denominator" in reports[0].witness
 
 
