@@ -95,13 +95,6 @@ class LaurentPoly:
     def coeff(self, mono: Monomial) -> GaussianRational:
         return self._terms.get(mono, GaussianRational(0))
 
-    def t_span(self) -> tuple[int, int]:
-        """(min, max) t-exponent; raises on the zero polynomial."""
-        if not self._terms:
-            raise ValueError("zero polynomial has no t-span")
-        exps = [m.et for m in self._terms]
-        return min(exps), max(exps)
-
     def has_negative_xy(self) -> bool:
         return any(m.ex < 0 or m.ey < 0 for m in self._terms)
 
@@ -515,14 +508,15 @@ def parse(text: str) -> LaurentPoly:
 
 
 def _parse_sum(toks: _Tokens) -> LaurentPoly:
-    total = _parse_signed_term(toks, allow_sign=True)
+    # One polynomial from all the terms at the end: summing as we go is O(T^2).
+    terms = [_parse_signed_term(toks, allow_sign=True)]
     while True:
         tok = toks.peek()
         if tok is None or tok[0] not in "+-":
-            return total
+            return LaurentPoly(item for term in terms for item in term.terms())
         toks.next()
         term = _parse_signed_term(toks, allow_sign=False)
-        total = total + term if tok[0] == "+" else total - term
+        terms.append(term if tok[0] == "+" else -term)
 
 
 def _parse_signed_term(toks: _Tokens, allow_sign: bool) -> LaurentPoly:

@@ -50,13 +50,11 @@ def l_minus(p: LaurentPoly) -> LaurentPoly:
     return l_x(p) - l_y(p)
 
 
-# Derivations usable inside Hirota brackets.  S and T act through L_plus
-# and L_minus, never through explicit light-cone coordinates.
+# Derivations usable inside Hirota brackets.  The only S, T bracket the
+# identities need is the mixed one, hirota_dst, built from L_plus and L_minus.
 _DERIVATIONS: dict[str, Callable[[LaurentPoly], LaurentPoly]] = {
     "x": d_x,
     "y": d_y,
-    "S": l_plus,
-    "T": l_minus,
 }
 
 

@@ -39,12 +39,13 @@ from .operators import (
     hirota_dst,
 )
 from .report import CheckReport, sort_key
-from .wronskian import TauFamily, jacobi_identity_check
+from .wronskian import TauFamily, jacobi_residual
 
 __all__ = [
     "star",
     "check_toda",
     "check_mixed",
+    "jacobi_identity_check",
     "check_conjecture",
     "check_symmetries",
     "ORDERWISE_SYSTEMS",
@@ -58,6 +59,7 @@ __all__ = [
     "random_su11_params",
     "ernst_residual_numeric",
     "DEFAULT_ERNST_POINTS",
+    "SUITES",
     "SUITE_NAMES",
     "suite_tasks",
     "run_checks",
@@ -124,6 +126,13 @@ def check_mixed(fam: TauFamily, n: int) -> CheckReport:
     started = time.perf_counter()
     residual = _mixed_residual(*fam.g[n - 1:n + 2], *fam.f[n - 1:n + 2])
     return _report("mixed", n, residual, started, term_count=fam.g[n].term_count)
+
+
+def jacobi_identity_check(n: int) -> CheckReport:
+    """Residual of the Sylvester minor identity on the (n+1) x (n+1) seed Wronskian."""
+    started = time.perf_counter()
+    residual = jacobi_residual(n)
+    return _report("jacobi", n, residual, started, term_count=residual.term_count)
 
 
 def check_conjecture(fam: TauFamily, n: int) -> list[CheckReport]:
@@ -307,7 +316,7 @@ def _require_order(fam: TauFamily, n: int, I: int, system: str, suite: str) -> N
     top, _ = orderwise_span(n, system)
     if ORDERWISE_SYSTEMS[system].suite != suite:
         raise ValueError(f"{system!r} is not an {suite} system")
-    reach = fam.n_max - _DEPTH_EXTRA[suite]
+    reach = fam.n_max - SUITES[suite].depth_extra
     if not 1 <= n <= reach:
         raise ValueError(f"need 1 <= n <= {reach}, got {n}")
     if not 0 <= I <= top:
@@ -496,156 +505,84 @@ def ernst_residual_numeric(
 class CheckTask:
     equation_id: str
     n: int
-    order_index: int | None
     run: Callable[[], CheckReport | list[CheckReport]]
 
 
-SUITE_NAMES = (
-    "toda",
-    "mixed",
-    "jacobi",
-    "conjecture",
-    "symmetries",
-    "closedforms",
-    "weyl",
-    "orderwise-A",
-    "orderwise-B",
-    "ernst-numeric",
-    "all",
-)
+def _per_site(equation_id: str, last: int, check: Callable[[int], object]) -> list[CheckTask]:
+    """One task per site n = 1..last, each running check(n)."""
+    return [CheckTask(equation_id, n, lambda n=n: check(n)) for n in range(1, last + 1)]
 
-# Family depth each suite needs to check sites 1..n_max.
-_DEPTH_EXTRA = {
-    "toda": 1,
-    "mixed": 1,
-    "jacobi": 0,
-    "conjecture": 0,
-    "symmetries": 0,
-    "closedforms": 0,
-    "weyl": 0,
-    "orderwise-A": 1,
-    "orderwise-B": 0,
-    "ernst-numeric": 0,
+
+def _with_g_row(tau: CheckReport) -> list[CheckReport]:
+    # g_n is tau_n: one residual gives both rows, and the g row costs nothing.
+    return [tau, replace(tau, equation_id="toda.g", elapsed=0.0, note="g_n = tau_n")]
+
+
+def _orderwise_tasks(suite: str, fam: TauFamily, n_max: int) -> list[CheckTask]:
+    return [
+        CheckTask(f"{suite}.{system}", n,
+                  lambda n=n, system=system: check_orderwise(fam, n, system))
+        for n in range(1, n_max + 1)
+        for system, spec in ORDERWISE_SYSTEMS.items()
+        if spec.suite == suite
+    ]
+
+
+class Suite(NamedTuple):
+    depth_extra: int  # family sites beyond n_max that checking sites 1..n_max reads
+    tasks: Callable[[TauFamily, int], list[CheckTask]]
+
+
+# Every suite in run order.  The tasks call checks by their module-level
+# names, so rebinding a name reaches the suite's calls.
+SUITES: dict[str, Suite] = {
+    "toda": Suite(1, lambda fam, n_max: (
+        _per_site("toda.tau", n_max, lambda n: _with_g_row(check_toda(fam, n, "tau")))
+        + _per_site("toda.f", n_max, lambda n: check_toda(fam, n, "f")))),
+    "mixed": Suite(1, lambda fam, n_max: _per_site(
+        "mixed", n_max, lambda n: check_mixed(fam, n))),
+    "jacobi": Suite(0, lambda fam, n_max: _per_site(
+        "jacobi", n_max, lambda n: jacobi_identity_check(n))),
+    "conjecture": Suite(0, lambda fam, n_max: _per_site(
+        "tsdec", n_max, lambda n: check_conjecture(fam, n))),
+    "symmetries": Suite(0, lambda fam, n_max: _per_site(
+        "symmetry", n_max, lambda n: check_symmetries(fam, n))),
+    "closedforms": Suite(0, lambda fam, n_max: (
+        [CheckTask("closed.W", 0, lambda: _check_w_forms(max(12, 2 * n_max + 1))),
+         CheckTask("closed.A", 0, lambda: _check_a_facts())]
+        + _per_site("closed.q0", max(6, n_max), lambda n: _check_q0(n))
+        + _per_site("closed.extreme", n_max, lambda n: _check_extremes(fam, n)))),
+    "weyl": Suite(0, lambda fam, n_max: (
+        [CheckTask("weyl.lock", 0, lambda: _check_weyl_lock(50, seed=421))]
+        + _per_site("weyl.pair", max(3, n_max), lambda n: _check_weyl_pair(n)))),
+    "orderwise-A": Suite(1, lambda fam, n_max: _orderwise_tasks("orderwise-A", fam, n_max)),
+    "orderwise-B": Suite(0, lambda fam, n_max: _orderwise_tasks("orderwise-B", fam, n_max)),
+    "ernst-numeric": Suite(0, lambda fam, n_max: _per_site(
+        "ernst", n_max, lambda n: ernst_residual_numeric(fam, n))),
 }
+
+SUITE_NAMES = (*SUITES, "all")
+
+
+def _expand(names: Iterable[str]) -> list[str]:
+    """Suite names in order, "all" standing for every suite; ValueError on an unknown one."""
+    expanded: list[str] = []
+    for name in names:
+        if name == "all":
+            expanded.extend(SUITES)
+        elif name in SUITES:
+            expanded.append(name)
+        else:
+            raise ValueError(f"unknown suite {name!r}")
+    return expanded
 
 
 def family_depth_needed(suites: Iterable[str], n_max: int) -> int:
-    names = set(suites)
-    if "all" in names:
-        names = set(SUITE_NAMES) - {"all"}
-    extra = max((_DEPTH_EXTRA[s] for s in names), default=0)
-    return n_max + extra
+    return n_max + max((SUITES[s].depth_extra for s in _expand(suites)), default=0)
 
 
 def suite_tasks(name: str, fam: TauFamily, n_max: int) -> list[CheckTask]:
-    if name == "all":
-        tasks: list[CheckTask] = []
-        for sub in SUITE_NAMES:
-            if sub != "all":
-                tasks.extend(suite_tasks(sub, fam, n_max))
-        return tasks
-    builder = _SUITE_BUILDERS.get(name)
-    if builder is None:
-        raise ValueError(f"unknown suite {name!r}")
-    return builder(fam, n_max)
-
-
-def _toda_suite(fam, n_max):
-    def tau_and_g(n: int) -> list[CheckReport]:
-        # g_n is tau_n: one residual gives both rows, and the g row costs nothing.
-        tau = check_toda(fam, n, "tau")
-        return [tau, replace(tau, equation_id="toda.g", elapsed=0.0, note="g_n = tau_n")]
-
-    return [
-        CheckTask("toda.tau", n, None, lambda n=n: tau_and_g(n))
-        for n in range(1, n_max + 1)
-    ] + [
-        CheckTask("toda.f", n, None, lambda n=n: check_toda(fam, n, "f"))
-        for n in range(1, n_max + 1)
-    ]
-
-
-def _mixed_suite(fam, n_max):
-    return [
-        CheckTask("mixed", n, None, lambda n=n: check_mixed(fam, n))
-        for n in range(1, n_max + 1)
-    ]
-
-
-def _jacobi_suite(fam, n_max):
-    return [
-        CheckTask("jacobi", n, None, lambda n=n: jacobi_identity_check(n))
-        for n in range(1, n_max + 1)
-    ]
-
-
-def _conjecture_suite(fam, n_max):
-    return [
-        CheckTask("tsdec", n, None, lambda n=n: check_conjecture(fam, n))
-        for n in range(1, n_max + 1)
-    ]
-
-
-def _symmetries_suite(fam, n_max):
-    return [
-        CheckTask("symmetry", n, None, lambda n=n: check_symmetries(fam, n))
-        for n in range(1, n_max + 1)
-    ]
-
-
-def _closedforms_suite(fam, n_max):
-    tasks = [
-        CheckTask("closed.W", 0, None, lambda: _check_w_forms(max(12, 2 * n_max + 1))),
-        CheckTask("closed.A", 0, None, _check_a_facts),
-    ]
-    for n in range(1, max(6, n_max) + 1):
-        tasks.append(CheckTask("closed.q0", n, None, lambda n=n: _check_q0(n)))
-    for n in range(1, n_max + 1):
-        tasks.append(
-            CheckTask("closed.extreme", n, None, lambda n=n: _check_extremes(fam, n))
-        )
-    return tasks
-
-
-def _weyl_suite(fam, n_max):
-    tasks = [CheckTask("weyl.lock", 0, None, lambda: _check_weyl_lock(50, seed=421))]
-    for n in range(1, max(3, n_max) + 1):
-        tasks.append(CheckTask("weyl.pair", n, None, lambda n=n: _check_weyl_pair(n)))
-    return tasks
-
-
-def _orderwise_suite(suite):
-    def build(fam, n_max):
-        return [
-            CheckTask(f"{suite}.{system}", n, None,
-                      lambda n=n, system=system: check_orderwise(fam, n, system))
-            for n in range(1, n_max + 1)
-            for system, spec in ORDERWISE_SYSTEMS.items()
-            if spec.suite == suite
-        ]
-
-    return build
-
-
-def _ernst_suite(fam, n_max):
-    return [
-        CheckTask("ernst", n, None, lambda n=n: ernst_residual_numeric(fam, n))
-        for n in range(1, n_max + 1)
-    ]
-
-
-_SUITE_BUILDERS = {
-    "toda": _toda_suite,
-    "mixed": _mixed_suite,
-    "jacobi": _jacobi_suite,
-    "conjecture": _conjecture_suite,
-    "symmetries": _symmetries_suite,
-    "closedforms": _closedforms_suite,
-    "weyl": _weyl_suite,
-    "orderwise-A": _orderwise_suite("orderwise-A"),
-    "orderwise-B": _orderwise_suite("orderwise-B"),
-    "ernst-numeric": _ernst_suite,
-}
+    return [task for suite in _expand([name]) for task in SUITES[suite].tasks(fam, n_max)]
 
 
 # -- closed-form and Weyl-branch checks used by the suites ---------------------
@@ -656,8 +593,8 @@ def _check_w_forms(w_max: int) -> CheckReport:
         if closedform.w_formula(k) != closedform.w_recursive(k):
             diff = closedform.w_formula(k) - closedform.w_recursive(k)
             return _report("closed.W", k, diff, started)
-    return CheckReport("closed.W", 0, elapsed=time.perf_counter() - started,
-                       note=f"formula matches recursion for n=2..{w_max}")
+    return _report("closed.W", 0, ZERO, started,
+                   note=f"formula matches recursion for n=2..{w_max}")
 
 
 def _check_a_facts() -> CheckReport:
@@ -700,12 +637,9 @@ def _check_extremes(fam: TauFamily, n: int) -> CheckReport:
         (closedform.f_high(n), fam.f[n].coeff_of_t(n - 1)),
         (closedform.f_low(n), fam.f[n].coeff_of_t(-n + 1)),
     ]
-    for closed, extracted in checks:
-        if closed != extracted:
-            return _report("closed.extreme", n, closed - extracted, started,
-                           term_count=fam.g[n].term_count)
-    return CheckReport("closed.extreme", n, term_count=fam.g[n].term_count,
-                       elapsed=time.perf_counter() - started)
+    residual = next((closed - extracted for closed, extracted in checks
+                     if closed != extracted), ZERO)
+    return _report("closed.extreme", n, residual, started, term_count=fam.g[n].term_count)
 
 
 def _random_x_poly(rng: random.Random, max_degree: int = 6) -> LaurentPoly:
@@ -732,8 +666,7 @@ def _check_weyl_lock(count: int, seed: int) -> CheckReport:
         if not diff.is_zero:
             return _report("weyl.lock", n, diff, started, order_index=done)
         done += 1
-    return CheckReport("weyl.lock", 0, elapsed=time.perf_counter() - started,
-                       note=f"{count} random x-only pairs agree")
+    return _report("weyl.lock", 0, ZERO, started, note=f"{count} random x-only pairs agree")
 
 
 def _check_weyl_pair(n: int) -> CheckReport:
@@ -759,8 +692,8 @@ def run_checks(tasks: Sequence[CheckTask], fail_fast: bool = False) -> list[Chec
         try:
             result = task.run()
         except Exception as exc:
-            result = CheckReport(task.equation_id, task.n, order_index=task.order_index,
-                                 status="error", witness=f"{type(exc).__name__}: {exc}")
+            result = CheckReport(task.equation_id, task.n, status="error",
+                                 witness=f"{type(exc).__name__}: {exc}")
         batch = result if isinstance(result, list) else [result]
         reports.extend(batch)
         if fail_fast and any(not r.passed for r in batch):

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import os
 import re
-import time
 import zlib
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,7 +28,6 @@ from .laurent import (
     serialize,
 )
 from .operators import l_minus, l_plus
-from .report import CheckReport
 
 _HALF = Fraction(1, 2)
 
@@ -65,12 +63,9 @@ class SymMatrix:
     def dim(self) -> int:
         return len(self.entries)
 
-    def entry(self, i: int, j: int) -> LaurentPoly:
-        return self.entries[i][j]
-
 
 def wronskian_matrix(seed: LaurentPoly, n: int) -> SymMatrix:
-    """n x n matrix with entry(i, j) = L_plus^i L_minus^j seed.
+    """n x n matrix with entries[i][j] = L_plus^i L_minus^j seed.
 
     Row 0 is built by repeated L_minus from the seed and each later row by
     one L_plus per entry, so construction costs O(n^2) operator applications.
@@ -100,12 +95,6 @@ def minor(m: SymMatrix, rows: Iterable[int], cols: Iterable[int]) -> SymMatrix:
         if i not in drop_rows
     )
     return SymMatrix(kept)
-
-
-def leading_minor(m: SymMatrix, k: int) -> SymMatrix:
-    if not 0 < k <= m.dim:
-        raise ValueError(f"leading minor size {k} out of range")
-    return SymMatrix(tuple(row[:k] for row in m.entries[:k]))
 
 
 class DeterminantError(RuntimeError):
@@ -304,20 +293,3 @@ def jacobi_residual(n: int) -> LaurentPoly:
     d_rs = determinant(minor(m, {r}, {s}))
     d_both = determinant(minor(m, {r, s}, {r, s}))
     return d_rr * d_ss - d_sr * d_rs - d * d_both
-
-
-def jacobi_identity_check(n: int) -> CheckReport:
-    started = time.perf_counter()
-    residual = jacobi_residual(n)
-    elapsed = time.perf_counter() - started
-    if residual.is_zero:
-        return CheckReport("jacobi", n, elapsed=elapsed)
-    mono, coeff = residual.leading_term()
-    return CheckReport(
-        "jacobi",
-        n,
-        status="fail",
-        witness=serialize(LaurentPoly({mono: coeff})),
-        term_count=residual.term_count,
-        elapsed=elapsed,
-    )

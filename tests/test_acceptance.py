@@ -21,7 +21,6 @@ from hirotaverify.wronskian import (
     det_cofactor,
     determinant,
     jacobi_residual,
-    leading_minor,
     wronskian_matrix,
 )
 
@@ -210,16 +209,15 @@ def test_criterion_11_determinism_and_oracle():
     started = time.perf_counter()
     ok = True
     psi = build_psi()
-    big = wronskian_matrix(psi, 4)
     for dim in range(1, 5):
-        sub = leading_minor(big, dim)
+        sub = wronskian_matrix(psi, dim)
         ok = ok and determinant(sub) == det_cofactor(sub)
     from hirotaverify.operators import l_minus, l_plus
     from hirotaverify.wronskian import SymMatrix
 
-    shifted = wronskian_matrix(l_plus(l_minus(psi)), 4)
+    shifted = l_plus(l_minus(psi))
     for dim in range(1, 5):
-        sub = leading_minor(shifted, dim)
+        sub = wronskian_matrix(shifted, dim)
         ok = ok and determinant(sub) == det_cofactor(sub)
     ws = [closedform.w_recursive(k) for k in range(1, 8)]
     for dim in range(2, 5):

@@ -62,10 +62,6 @@ class TestHirota:
     def test_mixed_bracket_equals_two_tau2(self, fam5):
         assert hirota_dst(PSI, PSI) == 2 * fam5.tau[2]
 
-    def test_light_cone_variables(self):
-        assert hirota("S", PSI, PSI, 1).is_zero
-        assert hirota("T", X, X**2, 1) == l_minus(X) * X**2 - X * l_minus(X**2)
-
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
             hirota("z", X, X, 1)

@@ -373,6 +373,28 @@ class TestRunner:
         with pytest.raises(ValueError):
             V.suite_tasks("nope", fam4, 2)
 
+    def test_family_depth_rejects_unknown_suite(self):
+        with pytest.raises(ValueError, match="nope"):
+            V.family_depth_needed(["toda", "nope"], 3)
+
+    def test_all_runs_every_task_in_suite_order(self, fam4):
+        # --fail-fast stops at the first failing task, so the order is part of the contract.
+        sites = lambda eq_id, first, last: [(eq_id, n) for n in range(first, last + 1)]
+        expected = (
+            sites("toda.tau", 1, 2) + sites("toda.f", 1, 2) + sites("mixed", 1, 2)
+            + sites("jacobi", 1, 2) + sites("tsdec", 1, 2) + sites("symmetry", 1, 2)
+            + [("closed.W", 0), ("closed.A", 0)] + sites("closed.q0", 1, 6)
+            + sites("closed.extreme", 1, 2) + [("weyl.lock", 0)] + sites("weyl.pair", 1, 3)
+            + [(f"orderwise-A.{s}", n) for n in (1, 2) for s in ("g", "f", "mixed")]
+            + [(f"orderwise-B.{s}", n) for n in (1, 2) for s in ("B1", "B2", "B3", "B4")]
+            + sites("ernst", 1, 2)
+        )
+        tasks = V.suite_tasks("all", fam4, 2)
+        assert [(t.equation_id, t.n) for t in tasks] == expected
+        assert V.SUITE_NAMES[-1] == "all"
+        assert [t.equation_id for name in V.SUITE_NAMES[:-1]
+                for t in V.suite_tasks(name, fam4, 2)] == [e for e, _ in expected]
+
     def test_sort_key_shape(self, fam4):
         report = V.check_mixed(fam4, 1)
         assert sort_key(report) == ("mixed", 1, -1)
