@@ -38,14 +38,6 @@ class GaussianRational:
             return GaussianRational(value)
         return None
 
-    @classmethod
-    def _real(cls, value: Fraction) -> "GaussianRational":
-        # Internal fast constructor for already-reduced real values.
-        out = object.__new__(cls)
-        out.re = value
-        out.im = _ZERO_FRACTION
-        return out
-
     @property
     def is_zero(self) -> bool:
         return not self.re and not self.im
@@ -71,8 +63,6 @@ class GaussianRational:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if not self.im and not other.im:
-            return GaussianRational._real(self.re + other.re)
         return GaussianRational(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
@@ -81,8 +71,6 @@ class GaussianRational:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if not self.im and not other.im:
-            return GaussianRational._real(self.re - other.re)
         return GaussianRational(self.re - other.re, self.im - other.im)
 
     def __rsub__(self, other):
@@ -98,8 +86,6 @@ class GaussianRational:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if not self.im and not other.im:
-            return GaussianRational._real(self.re * other.re)
         return GaussianRational(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
@@ -141,7 +127,8 @@ class GaussianRational:
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # A real value equals its Fraction or int, so it hashes like one.
+        return hash((self.re, self.im)) if self.im else hash(self.re)
 
     def __bool__(self):
         return not self.is_zero
@@ -159,8 +146,6 @@ class GaussianRational:
         sign = "+" if self.im > 0 else "-"
         return f"{self.re}{sign}{im_text}"
 
-
-_ZERO_FRACTION = Fraction(0)
 
 ZERO = GaussianRational(0)
 ONE = GaussianRational(1)

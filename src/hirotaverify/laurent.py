@@ -1,24 +1,42 @@
 """Sparse Laurent polynomials in t, x, y over Gaussian rationals.
 
-A polynomial is a finite map from exponent triples to nonzero coefficients:
+A polynomial is a finite sum of terms c * t^et * x^ex * y^ey with nonzero
+Gaussian-rational coefficients c.  t carries integer exponents of both signs
+throughout.  x and y are normally non-negative, but negative exponents are
+permitted so that intermediate objects (inverse-power sums that later cancel
+against a monomial prefactor) live in the same type.  The canonical term
+order sorts by t-exponent descending, then total x,y-degree descending, then
+x-exponent descending; serialization, leading terms and the division
+algorithm all use this order, which makes text output deterministic and
+equality purely structural.
 
-    Monomial(et, ex, ey)  ->  GaussianRational
+Inside, a polynomial keeps integer numerators over one positive denominator
+that shares no factor with all of them:
 
-t carries integer exponents of both signs throughout.  x and y are normally
-non-negative, but negative exponents are permitted so that intermediate
-objects (inverse-power sums that later cancel against a monomial prefactor)
-live in the same type.  The canonical term order sorts by t-exponent
-descending, then total x,y-degree descending, then x-exponent descending;
-serialization, leading terms and the division algorithm all use this order,
-which makes text output deterministic and equality purely structural.
+    re: {key: int},  im: {key: int} or None,  den: int
+
+and the coefficient at a key is (re[key] + i*im[key]) / den.  The imaginary
+map exists only when some coefficient is not real.  A key packs a monomial
+into one int,
+
+    key = -(et * R**2 + (ex + ey) * R + ex),    R = 2**24,
+
+which is linear, so adding two keys multiplies their monomials, and whose
+integer order is the canonical term order: the leading term has the smallest
+key.  Each of et, ex + ey and ex must lie in [-2**22, 2**22).  A sum of two
+such keys still decodes exactly, so every operation that can leave that
+range checks its result and raises OverflowError instead of wrapping.  The
+public methods take and return Monomial and GaussianRational.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping, NamedTuple, Union
 
-from .gaussian import GaussianRational, i_power
+from .gaussian import GaussianRational
 
 ScalarLike = Union[int, Fraction, GaussianRational]
 
@@ -29,9 +47,39 @@ class Monomial(NamedTuple):
     ey: int
 
 
-def monomial_key(m: Monomial):
-    """Sort key realizing the canonical order (ascending sort puts the leading term first)."""
-    return (-m.et, -(m.ex + m.ey), -m.ex)
+# -- packed monomial keys -----------------------------------------------------
+#
+# A key holds three balanced base-R digits (et, ex + ey, ex), negated.  Stored
+# digits lie in [-_LIMIT, _LIMIT); the sum of two stored keys has digits in
+# [-2*_LIMIT, 2*_LIMIT), which _unpack still reads exactly, and
+# (_BIAS - key) & _OUTSIDE is nonzero exactly when such a key has left the
+# stored range.
+
+_BITS = 24
+_RADIX = 1 << _BITS
+_DIGIT_HALF = _RADIX >> 1
+_DIGIT_MASK = _RADIX - 1
+_LIMIT = _RADIX >> 2
+_BIAS = _LIMIT * (1 + _RADIX + _RADIX * _RADIX)
+_OUTSIDE = ~((2 * _LIMIT - 1) * (1 + _RADIX + _RADIX * _RADIX))
+_T_SHIFT = 2 * _BITS
+_T_HALF = 1 << (_T_SHIFT - 1)
+
+
+def _pack(et: int, ex: int, ey: int) -> int:
+    """Key of t^et x^ex y^ey; OverflowError when an exponent is outside its field."""
+    s = ex + ey
+    if not (-_LIMIT <= et < _LIMIT and -_LIMIT <= s < _LIMIT and -_LIMIT <= ex < _LIMIT):
+        raise OverflowError(f"t^{et}*x^{ex}*y^{ey} is outside the exponent fields")
+    return -((et << _T_SHIFT) + (s << _BITS) + ex)
+
+
+def _unpack(key: int) -> Monomial:
+    v = -key
+    ex = ((v + _DIGIT_HALF) & _DIGIT_MASK) - _DIGIT_HALF
+    v = (v - ex) >> _BITS
+    s = ((v + _DIGIT_HALF) & _DIGIT_MASK) - _DIGIT_HALF
+    return Monomial((v - s) >> _BITS, ex, s - ex)
 
 
 def _as_coeff(value: ScalarLike) -> GaussianRational:
@@ -41,117 +89,115 @@ def _as_coeff(value: ScalarLike) -> GaussianRational:
     return c
 
 
+def _parts(c: GaussianRational) -> tuple[int, int, int]:
+    """(re, im, den) with c = (re + i*im) / den and den > 0."""
+    den = lcm(c.re.denominator, c.im.denominator)
+    return (c.re.numerator * (den // c.re.denominator),
+            c.im.numerator * (den // c.im.denominator), den)
+
+
+def _canonical(re: dict, im: dict | None, den: int) -> tuple[dict, dict | None, int]:
+    """Divide out the factor den shares with every numerator; an empty im becomes None."""
+    im = im or None
+    if den != 1:
+        g = den
+        for nums in (re, im or {}):
+            for v in nums.values():
+                g = gcd(g, v)
+                if g == 1:
+                    return re, im, den
+        re = {k: v // g for k, v in re.items()}
+        im = im and {k: v // g for k, v in im.items()}
+        den //= g
+    return re, im, den
+
+
+def _times(nums: dict | None, factor: int) -> dict | None:
+    return None if nums is None else {k: v * factor for k, v in nums.items()}
+
+
 class LaurentPoly:
     """Immutable sparse polynomial; zero coefficients are never stored."""
 
-    __slots__ = ("_terms", "_tsplit")
+    __slots__ = ("_re", "_im", "_den", "_tsplit")
 
     def __init__(self, terms: Mapping | Iterable = ()):
-        data: dict[Monomial, GaussianRational] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
-        for mono, coeff in items:
-            if not isinstance(mono, Monomial):
-                mono = Monomial(*mono)
-            c = _as_coeff(coeff)
-            if mono in data:
-                c = data[mono] + c
-            if c.is_zero:
-                data.pop(mono, None)
-            else:
-                data[mono] = c
-        self._terms = data
+        p = _sum([monomial(value, *mono) for mono, value in items])
+        self._re, self._im, self._den = p._re, p._im, p._den
         self._tsplit = None
 
     @classmethod
-    def _make(cls, data: dict[Monomial, GaussianRational]) -> "LaurentPoly":
-        # Trusted constructor: keys are Monomials, values GaussianRational, possibly zero.
+    def _make(cls, re: dict, im: dict | None = None, den: int = 1) -> "LaurentPoly":
+        # Trusted constructor: stored-range keys, nonzero int numerators, den > 0.
         p = object.__new__(cls)
-        p._terms = {m: c for m, c in data.items() if not c.is_zero}
+        p._re, p._im, p._den = _canonical(re, im, den)
         p._tsplit = None
         return p
 
     # -- inspection ---------------------------------------------------------
 
+    def _keys(self):
+        return self._re.keys() | self._im.keys() if self._im else self._re.keys()
+
+    def _coeff_at(self, key: int) -> GaussianRational:
+        im = self._im.get(key, 0) if self._im else 0
+        return GaussianRational(Fraction(self._re.get(key, 0), self._den), Fraction(im, self._den))
+
     @property
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._re and self._im is None
 
     @property
     def term_count(self) -> int:
-        return len(self._terms)
+        return len(self._keys())
 
     def terms(self) -> Iterator[tuple[Monomial, GaussianRational]]:
-        return iter(self._terms.items())
+        return ((_unpack(k), self._coeff_at(k)) for k in self._keys())
 
     def sorted_terms(self) -> list[tuple[Monomial, GaussianRational]]:
-        return sorted(self._terms.items(), key=lambda kv: monomial_key(kv[0]))
+        return [(_unpack(k), self._coeff_at(k)) for k in sorted(self._keys())]
 
     def leading_term(self) -> tuple[Monomial, GaussianRational]:
-        if not self._terms:
+        if self.is_zero:
             raise ValueError("zero polynomial has no leading term")
-        mono = min(self._terms, key=monomial_key)
-        return mono, self._terms[mono]
+        key = min(self._keys())
+        return _unpack(key), self._coeff_at(key)
 
     def coeff(self, mono: Monomial) -> GaussianRational:
-        return self._terms.get(mono, GaussianRational(0))
+        try:
+            return self._coeff_at(_pack(*mono))
+        except OverflowError:
+            return GaussianRational(0)
 
     def has_negative_xy(self) -> bool:
-        return any(m.ex < 0 or m.ey < 0 for m in self._terms)
+        return any(m.ex < 0 or m.ey < 0 for m in map(_unpack, self._keys()))
 
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other):
-        if not isinstance(other, LaurentPoly):
-            c = GaussianRational._coerce(other)
-            if c is None:
-                return NotImplemented
-            other = constant(c)
-        out = dict(self._terms)
-        for mono, coeff in other._terms.items():
-            s = out.get(mono)
-            s = coeff if s is None else s + coeff
-            if s.is_zero:
-                out.pop(mono, None)
-            else:
-                out[mono] = s
-        return LaurentPoly._make(out)
+        other = _as_poly(other)
+        if other is None:
+            return NotImplemented
+        return _add(self, other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if not isinstance(other, LaurentPoly):
-            c = GaussianRational._coerce(other)
-            if c is None:
-                return NotImplemented
-            other = constant(c)
-        out = dict(self._terms)
-        for mono, coeff in other._terms.items():
-            s = out.get(mono)
-            s = -coeff if s is None else s - coeff
-            if s.is_zero:
-                out.pop(mono, None)
-            else:
-                out[mono] = s
-        return LaurentPoly._make(out)
+        other = _as_poly(other)
+        if other is None:
+            return NotImplemented
+        return _add(self, other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        return LaurentPoly._make({m: -c for m, c in self._terms.items()})
+        return LaurentPoly._make(_times(self._re, -1), _times(self._im, -1), self._den)
 
     def __mul__(self, other):
         if isinstance(other, LaurentPoly):
-            if not self._terms or not other._terms:
-                return ZERO
-            out: dict[Monomial, GaussianRational] = {}
-            for ma, ca in self._terms.items():
-                for mb, cb in other._terms.items():
-                    mono = Monomial(ma.et + mb.et, ma.ex + mb.ex, ma.ey + mb.ey)
-                    c = ca * cb
-                    s = out.get(mono)
-                    out[mono] = c if s is None else s + c
-            return LaurentPoly._make(out)
+            return _product(self, other)
         c = GaussianRational._coerce(other)
         if c is None:
             return NotImplemented
@@ -163,7 +209,10 @@ class LaurentPoly:
         c = _as_coeff(scalar)
         if c.is_zero:
             return ZERO
-        return LaurentPoly._make({m: v * c for m, v in self._terms.items()})
+        if c.im:
+            return _product(self, constant(c))
+        n, d = c.re.numerator, c.re.denominator
+        return LaurentPoly._make(_times(self._re, n), _times(self._im, n), self._den * d)
 
     def __pow__(self, exponent: int) -> "LaurentPoly":
         if not isinstance(exponent, int) or exponent < 0:
@@ -179,18 +228,20 @@ class LaurentPoly:
         return result
 
     def __eq__(self, other):
-        if isinstance(other, LaurentPoly):
-            return self._terms == other._terms
-        c = GaussianRational._coerce(other)
-        if c is None:
+        other = _as_poly(other)
+        if other is None:
             return NotImplemented
-        return self == constant(c)
+        return self._den == other._den and self._re == other._re and self._im == other._im
 
     def __hash__(self):
-        return hash(frozenset(self._terms.items()))
+        if self.term_count <= 1 and not any(self._keys()):
+            # Zero or a constant equals its scalar, so it hashes like it.
+            return hash(self._coeff_at(0))
+        return hash((self._den, frozenset(self._re.items()),
+                     frozenset(self._im.items()) if self._im else None))
 
     def __bool__(self):
-        return bool(self._terms)
+        return not self.is_zero
 
     def __repr__(self):
         text = serialize(self)
@@ -203,10 +254,14 @@ class LaurentPoly:
     def t_coefficients(self) -> dict[int, "LaurentPoly"]:
         """Split into x,y-polynomials keyed by t-exponent.  Cached; do not mutate."""
         if self._tsplit is None:
-            split: dict[int, dict[Monomial, GaussianRational]] = {}
-            for mono, coeff in self._terms.items():
-                split.setdefault(mono.et, {})[Monomial(0, mono.ex, mono.ey)] = coeff
-            self._tsplit = {m: LaurentPoly._make(d) for m, d in split.items()}
+            split: dict[int, tuple[dict, dict]] = {}
+            for part, nums in enumerate((self._re, self._im or {})):
+                for k, v in nums.items():
+                    # The et digit; adding et * R**2 to the key drops it.
+                    et = (_T_HALF - k) >> _T_SHIFT
+                    split.setdefault(et, ({}, {}))[part][k + (et << _T_SHIFT)] = v
+            self._tsplit = {et: LaurentPoly._make(re, im, self._den)
+                            for et, (re, im) in split.items()}
         return self._tsplit
 
     def coeff_of_t(self, m: int) -> "LaurentPoly":
@@ -217,47 +272,138 @@ class LaurentPoly:
 
     def evaluate(self, x: ScalarLike, y: ScalarLike, t: ScalarLike) -> GaussianRational:
         """Exact value at a scalar point; negative exponents invert the base."""
-        xv, yv, tv = _as_coeff(x), _as_coeff(y), _as_coeff(t)
-        powers: dict[tuple[str, int], GaussianRational] = {}
+        keys = list(self._keys())
+        exps = [_unpack(k) for k in keys]
+        tables, den = [], self._den
+        for slot, value in enumerate((t, x, y)):
+            table, scale = _powers(_as_coeff(value), {m[slot] for m in exps})
+            tables.append(table)
+            den *= scale
+        t_pow, x_pow, y_pow = tables
+        re, im = self._re, self._im or {}
+        total_re = total_im = 0
+        for k, (et, ex, ey) in zip(keys, exps):
+            ar, ai = t_pow[et]
+            br, bi = x_pow[ex]
+            ar, ai = ar * br - ai * bi, ar * bi + ai * br
+            br, bi = y_pow[ey]
+            ar, ai = ar * br - ai * bi, ar * bi + ai * br
+            cr, ci = re.get(k, 0), im.get(k, 0)
+            total_re += cr * ar - ci * ai
+            total_im += cr * ai + ci * ar
+        return GaussianRational(Fraction(total_re, den), Fraction(total_im, den))
 
-        def power(base: GaussianRational, tag: str, e: int) -> GaussianRational:
-            key = (tag, e)
-            got = powers.get(key)
-            if got is None:
-                got = powers[key] = base ** e
-            return got
 
-        total = GaussianRational(0)
-        for mono, coeff in self._terms.items():
-            v = coeff
-            if mono.et:
-                v = v * power(tv, "t", mono.et)
-            if mono.ex:
-                v = v * power(xv, "x", mono.ex)
-            if mono.ey:
-                v = v * power(yv, "y", mono.ey)
-            total = total + v
-        return total
+def _powers(value: GaussianRational, exponents: set[int]) -> tuple[dict, int]:
+    """value**e for each e, as Gaussian-integer pairs over one common denominator."""
+    vr, vi, vd = _parts(value)
+    top = max(max(exponents, default=0), 0)
+    bottom = max(-min(exponents, default=0), 0)
+    norm = vr * vr + vi * vi
+    if bottom and not norm:
+        raise ZeroDivisionError("negative power of zero")
+    table = {}
+    for e in exponents:
+        # value**-k = vd**k * conj(value * vd)**k / norm**k
+        if e >= 0:
+            zr, zi, k, scale = vr, vi, e, vd ** (top - e) * norm ** bottom
+        else:
+            zr, zi, k, scale = vr, -vi, -e, vd ** (top - e) * norm ** (bottom + e)
+        pr, pi = scale, 0
+        for _ in range(k):
+            pr, pi = pr * zr - pi * zi, pr * zi + pi * zr
+        table[e] = (pr, pi)
+    return table, vd ** top * norm ** bottom
 
 
-ZERO = LaurentPoly()
-ONE = LaurentPoly({Monomial(0, 0, 0): 1})
+# -- kernels on numerator maps ---------------------------------------------------
+
+def _as_poly(value) -> LaurentPoly | None:
+    if isinstance(value, LaurentPoly):
+        return value
+    c = GaussianRational._coerce(value)
+    return None if c is None else constant(c)
+
+
+def _accumulate(out: dict, nums: dict, factor: int) -> dict:
+    """out += factor * nums, dropping the entries that cancel."""
+    get = out.get
+    for k, v in nums.items():
+        s = get(k, 0) + v * factor
+        if s:
+            out[k] = s
+        else:
+            del out[k]
+    return out
+
+
+def _add(a: LaurentPoly, b: LaurentPoly, sign: int) -> LaurentPoly:
+    """a + sign * b over the least common denominator."""
+    den = a._den if a._den == b._den else lcm(a._den, b._den)
+    fa, fb = den // a._den, sign * (den // b._den)
+    re = _accumulate(dict(a._re) if fa == 1 else _times(a._re, fa), b._re, fb)
+    im = None
+    if a._im or b._im:
+        im = _accumulate(_times(a._im, fa) or {}, b._im or {}, fb)
+    return LaurentPoly._make(re, im, den)
+
+
+def _sum(polys: list[LaurentPoly]) -> LaurentPoly:
+    den = lcm(*(p._den for p in polys))
+    re: dict[int, int] = {}
+    im: dict[int, int] = {}
+    for p in polys:
+        _accumulate(re, p._re, den // p._den)
+        if p._im:
+            _accumulate(im, p._im, den // p._den)
+    return LaurentPoly._make(re, im, den)
+
+
+def _convolve(out: dict, x: dict, y: dict, sign: int) -> dict:
+    """out += sign * x * y; entries that cancel stay as zeros."""
+    if len(x) > len(y):
+        x, y = y, x
+    get = out.get
+    pairs = list(y.items())
+    for kx, cx in x.items():
+        cx *= sign
+        for ky, cy in pairs:
+            k = kx + ky
+            out[k] = get(k, 0) + cx * cy
+    return out
+
+
+def _checked(re: dict, im: dict | None, den: int) -> LaurentPoly:
+    """The polynomial (re + i*im) / den; OverflowError if a key left the stored range."""
+    for nums in (re, im or {}):
+        for key in nums:
+            if (_BIAS - key) & _OUTSIDE:
+                raise OverflowError(f"{_unpack(key)} is outside the exponent fields")
+    return LaurentPoly._make(re, im, den)
+
+
+def _product(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
+    if a._im is None and b._im is None:
+        re, im = _convolve({}, a._re, b._re, 1), None
+    else:
+        a_im, b_im = a._im or {}, b._im or {}
+        re = _convolve(_convolve({}, a._re, b._re, 1), a_im, b_im, -1)
+        im = _convolve(_convolve({}, a._re, b_im, 1), a_im, b._re, 1)
+        im = {k: v for k, v in im.items() if v}
+    return _checked({k: v for k, v in re.items() if v}, im, a._den * b._den)
+
 
 _VAR_SLOT = {"t": 0, "x": 1, "y": 2}
 
 
 def constant(value: ScalarLike) -> LaurentPoly:
-    c = _as_coeff(value)
-    if c.is_zero:
-        return ZERO
-    return LaurentPoly._make({Monomial(0, 0, 0): c})
+    return monomial(value)
 
 
 def monomial(coeff: ScalarLike, et: int = 0, ex: int = 0, ey: int = 0) -> LaurentPoly:
-    c = _as_coeff(coeff)
-    if c.is_zero:
-        return ZERO
-    return LaurentPoly._make({Monomial(et, ex, ey): c})
+    re, im, den = _parts(_as_coeff(coeff))
+    key = _pack(et, ex, ey)
+    return LaurentPoly._make({key: re} if re else {}, {key: im} if im else None, den)
 
 
 def variable(name: str, power: int = 1) -> LaurentPoly:
@@ -265,55 +411,77 @@ def variable(name: str, power: int = 1) -> LaurentPoly:
         raise ValueError(f"unknown variable {name!r}")
     exps = [0, 0, 0]
     exps[_VAR_SLOT[name]] = power
-    return LaurentPoly._make({Monomial(*exps): GaussianRational(1)})
+    return monomial(1, *exps)
+
+
+ZERO = LaurentPoly()
+ONE = monomial(1)
 
 
 def differentiate(p: LaurentPoly, var: str) -> LaurentPoly:
     """Formal partial derivative in x or y (term-wise power rule)."""
     if var not in ("x", "y"):
         raise ValueError("differentiate expects var 'x' or 'y'")
-    slot = _VAR_SLOT[var]
-    out: dict[Monomial, GaussianRational] = {}
-    for mono, coeff in p.terms():
-        e = mono[slot]
-        if e == 0:
-            continue
-        exps = list(mono)
-        exps[slot] = e - 1
-        out[Monomial(*exps)] = coeff * e
-    return LaurentPoly._make(out)
+    # Lowering ex lowers ex and ex + ey: the key grows by R + 1; for ey, by R.
+    step = _RADIX + 1 if var == "x" else _RADIX
+
+    def part(nums: dict) -> dict:
+        out = {}
+        for k, v in nums.items():
+            # The ex digit of the key, and for y the ex + ey digit minus it (see _unpack).
+            e = ((_DIGIT_HALF - k) & _DIGIT_MASK) - _DIGIT_HALF
+            if var == "y":
+                e = ((((-k - e) >> _BITS) + _DIGIT_HALF) & _DIGIT_MASK) - _DIGIT_HALF - e
+            if e:
+                out[k + step] = v * e
+        return out
+
+    return _checked(part(p._re), p._im and part(p._im), p._den)
 
 
 # -- substitutions ----------------------------------------------------------
 
+def _transform(p: LaurentPoly, step) -> LaurentPoly:
+    """Term-wise map: step(et, ex, ey) gives the new exponents and k, the coefficient gaining i**k."""
+    re, im = {}, {}
+    p_im = p._im or {}
+    for key in p._keys():
+        exps, k = step(*_unpack(key))
+        new_key = _pack(*exps)
+        a, b = p._re.get(key, 0), p_im.get(key, 0)
+        for _ in range(k % 4):
+            a, b = -b, a
+        if a:
+            re[new_key] = a
+        if b:
+            im[new_key] = b
+    return LaurentPoly._make(re, im, p._den)
+
+
 def subst_t_inverse(p: LaurentPoly) -> LaurentPoly:
-    return LaurentPoly._make({Monomial(-m.et, m.ex, m.ey): c for m, c in p.terms()})
+    return _transform(p, lambda et, ex, ey: ((-et, ex, ey), 0))
 
 
 def subst_y_negate(p: LaurentPoly) -> LaurentPoly:
-    return LaurentPoly._make(
-        {m: (-c if m.ey % 2 else c) for m, c in p.terms()}
-    )
+    return _transform(p, lambda et, ex, ey: ((et, ex, ey), 2 * (ey % 2)))
 
 
 def subst_t_negate(p: LaurentPoly) -> LaurentPoly:
-    return LaurentPoly._make(
-        {m: (-c if m.et % 2 else c) for m, c in p.terms()}
-    )
+    return _transform(p, lambda et, ex, ey: ((et, ex, ey), 2 * (et % 2)))
 
 
 def subst_t_times_i(p: LaurentPoly) -> LaurentPoly:
     """t -> i*t, multiplying each term by i**et."""
-    return LaurentPoly._make({m: c * i_power(m.et) for m, c in p.terms()})
+    return _transform(p, lambda et, ex, ey: ((et, ex, ey), et))
 
 
 def swap_xy(p: LaurentPoly) -> LaurentPoly:
-    return LaurentPoly._make({Monomial(m.et, m.ey, m.ex): c for m, c in p.terms()})
+    return _transform(p, lambda et, ex, ey: ((et, ey, ex), 0))
 
 
 def conjugate_coeffs(p: LaurentPoly) -> LaurentPoly:
     """Conjugate every coefficient, leaving monomials alone."""
-    return LaurentPoly._make({m: c.conjugate() for m, c in p.terms()})
+    return LaurentPoly._make(p._re, _times(p._im, -1), p._den)
 
 
 # -- exact division ---------------------------------------------------------
@@ -329,60 +497,94 @@ class ExactDivisionError(ArithmeticError):
 def exact_divide(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     """Quotient a / b when b divides a exactly in the Laurent ring.
 
-    Both operands are shifted by monomials so their exponents become
-    non-negative, then ordinary multivariate long division runs under the
-    canonical term order.  Exactness makes the divisor's leading monomial
-    divide the running remainder's at every step; the first failure proves
-    non-divisibility and is reported with the outstanding remainder.
+    Multivariate division under the canonical term order.  Exactness makes
+    every quotient monomial reach at least min(a) - min(b) in each variable,
+    the minima taken over the terms of each operand, so the first leading
+    remainder term that b's leading term cannot reduce within that bound
+    proves non-divisibility; it is reported with the outstanding remainder
+    a - q*b.  The real and imaginary numerators of a are divided apart, and
+    a failure reports the remainder of the part that failed.  A non-real b
+    is first made real, a / b = (a b') / (b b') with b' the coefficient
+    conjugate of b.
     """
     if b.is_zero:
         raise ZeroDivisionError("division by the zero polynomial")
     if a.is_zero:
         return ZERO
+    if b._im is not None:
+        conj = conjugate_coeffs(b)
+        a, b = _product(a, conj), _product(b, conj)
+    low = [ea - eb for ea, eb in zip(_lowest(a), _lowest(b))]
+    nums, den = _quotient(a, a._re, b, low, imaginary=False)
+    quotient = LaurentPoly._make(_times(nums, b._den), None, den * a._den)
+    if a._im:
+        nums, den = _quotient(a, a._im, b, low, imaginary=True)
+        quotient = _add(quotient, LaurentPoly._make({}, _times(nums, b._den), den * a._den), 1)
+    return quotient
 
-    a_shift = _min_exponents(a)
-    b_shift = _min_exponents(b)
-    rem = {_shift(m, a_shift): c for m, c in a.terms()}
-    bterms = {_shift(m, b_shift): c for m, c in b.terms()}
-    lead_b = min(bterms, key=monomial_key)
-    lead_b_coeff = bterms[lead_b]
 
-    quotient: dict[Monomial, GaussianRational] = {}
-    while rem:
-        lead_r = min(rem, key=monomial_key)
-        diff = Monomial(lead_r.et - lead_b.et, lead_r.ex - lead_b.ex, lead_r.ey - lead_b.ey)
-        if diff.et < 0 or diff.ex < 0 or diff.ey < 0:
-            witness = LaurentPoly._make({_madd(m, a_shift): c for m, c in rem.items()})
+def _lowest(p: LaurentPoly) -> tuple[int, int, int]:
+    ets, exs, eys = zip(*map(_unpack, p._keys()))
+    return min(ets), min(exs), min(eys)
+
+
+def _quotient(a: LaurentPoly, nums: dict, b: LaurentPoly, low: list[int],
+              imaginary: bool) -> tuple[dict, int]:
+    """Quotient numerators and their denominator: nums / (b's numerators).
+
+    Heap-ordered sparse division after Monagan and Pearce, "Sparse
+    polynomial division using a heap" (JSC 2011): the remainder's keys sit in
+    a heap, so each step finds the leading term without rescanning the
+    remainder.  A key may be in the heap twice, or after it cancelled; the
+    remainder map says which entries are live.  The quotient's denominator
+    grows only when a quotient coefficient is not integral, and the
+    remainder is kept in the same units.
+    """
+    rem = dict(nums)
+    get = rem.get
+    (lead, lead_coeff), *tail = sorted(b._re.items())
+    lead_exps = _unpack(lead)
+    heap = list(rem)
+    heapify(heap)
+    quotient: dict[int, int] = {}
+    den = 1
+    while heap:
+        key = heappop(heap)
+        c = get(key)
+        if c is None:
+            continue
+        diff = [e - f for e, f in zip(_unpack(key), lead_exps)]
+        if any(d < m for d, m in zip(diff, low)):
+            remainder = _checked({} if imaginary else rem, rem if imaginary else None,
+                                 den * a._den)
             raise ExactDivisionError(
-                f"not divisible: leading term {lead_r} not reducible by {lead_b}", witness
+                f"not divisible: leading term {_unpack(key)} not reducible by {lead_exps}",
+                remainder,
             )
-        c = rem[lead_r] / lead_b_coeff
-        quotient[diff] = c
-        for mb, cb in bterms.items():
-            mono = Monomial(diff.et + mb.et, diff.ex + mb.ex, diff.ey + mb.ey)
-            s = rem.get(mono)
-            s = -(c * cb) if s is None else s - c * cb
-            if s.is_zero:
-                rem.pop(mono, None)
+        q_key = _pack(*diff)
+        del rem[key]
+        if c % lead_coeff:
+            m = abs(lead_coeff) // gcd(c, lead_coeff)
+            den *= m
+            c *= m
+            for values in (quotient, rem):
+                for k in values:
+                    values[k] *= m
+        q = c // lead_coeff
+        quotient[q_key] = q
+        for kb, cb in tail:
+            k = q_key + kb
+            v = get(k)
+            if v is None:
+                rem[k] = -q * cb
+                heappush(heap, k)
             else:
-                rem[mono] = s
-
-    # Undo the shifts: a = a' * s_a, b = b' * s_b, so q = q' * s_a / s_b.
-    back = Monomial(a_shift.et - b_shift.et, a_shift.ex - b_shift.ex, a_shift.ey - b_shift.ey)
-    return LaurentPoly._make({_madd(m, back): c for m, c in quotient.items()})
-
-
-def _min_exponents(p: LaurentPoly) -> Monomial:
-    ets, exs, eys = zip(*(m for m, _ in p.terms()))
-    return Monomial(min(ets), min(exs), min(eys))
-
-
-def _shift(m: Monomial, by: Monomial) -> Monomial:
-    return Monomial(m.et - by.et, m.ex - by.ex, m.ey - by.ey)
-
-
-def _madd(m: Monomial, by: Monomial) -> Monomial:
-    return Monomial(m.et + by.et, m.ex + by.ex, m.ey + by.ey)
+                v -= q * cb
+                if v:
+                    rem[k] = v
+                else:
+                    del rem[k]
+    return quotient, den
 
 
 # -- basis change between (x, y) and (u, v) ---------------------------------
@@ -419,15 +621,15 @@ def _subst_linear(p: LaurentPoly, x_image: LaurentPoly, y_image: LaurentPoly) ->
             got = images[e] = pow_of(images, base, e - 1) * base
         return got
 
-    total = ZERO
+    terms = []
     for mono, coeff in p.terms():
         term = monomial(coeff, et=mono.et)
         if mono.ex:
             term = term * pow_of(x_pows, x_image, mono.ex)
         if mono.ey:
             term = term * pow_of(y_pows, y_image, mono.ey)
-        total = total + term
-    return total
+        terms.append(term)
+    return _sum(terms)
 
 
 # -- canonical text form ----------------------------------------------------
@@ -513,7 +715,7 @@ def _parse_sum(toks: _Tokens) -> LaurentPoly:
     while True:
         tok = toks.peek()
         if tok is None or tok[0] not in "+-":
-            return LaurentPoly(item for term in terms for item in term.terms())
+            return _sum(terms)
         toks.next()
         term = _parse_signed_term(toks, allow_sign=False)
         terms.append(term if tok[0] == "+" else -term)

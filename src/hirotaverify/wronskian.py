@@ -241,7 +241,12 @@ class TauFamily:
 
     @classmethod
     def load(cls, path: str | Path) -> "TauFamily":
-        """Read a cache written by save; ValueError when it is refused."""
+        """Read a cache written by save; ValueError when it is refused.
+
+        A cache is refused when its header, version or CRC is wrong, when a
+        line is malformed or an entry missing, and when tau_0..2 or f_0..2
+        differ from their recomputation from the seed.
+        """
         header, _, body = Path(path).read_bytes().partition(b"\n")
         match = _HEADER.match(header.decode("ascii", errors="replace"))
         if match is None:
@@ -269,6 +274,15 @@ class TauFamily:
             missing = [k for k in range(n_max + 1) if k not in found[key]]
             if missing:
                 raise ValueError(f"{path}: missing {key} entries for n={missing}")
+        # The CRC finds damage, not a faulty build: recompute the first sites
+        # from the seed, by cofactor expansion, and compare.
+        m = wronskian_matrix(build_psi(), 2)
+        expected = {("tau", 0): ONE, ("tau", 1): m.entries[0][0], ("tau", 2): det_cofactor(m),
+                    ("f", 0): ZERO, ("f", 1): ONE, ("f", 2): m.entries[1][1]}
+        wrong = [f"{key}_{k}" for (key, k), poly in expected.items()
+                 if k <= n_max and found[key][k] != poly]
+        if wrong:
+            raise ValueError(f"{path}: {', '.join(wrong)} disagree with the seed")
         return cls(
             n_max=n_max,
             tau=[found["tau"][k] for k in range(n_max + 1)],

@@ -128,11 +128,48 @@ class TestCacheContract:
         cache = tmp_path / "out.tau"
         assert main(["build", "--n-max", "2", "--cache", str(cache)]) == 0
         lines = cache.read_text().splitlines(keepends=True)
-        for end in range(len(lines) + 1):
-            cache.write_text("".join(lines[:end]))
+        # Cuts at every line boundary, and at every term boundary of every
+        # line both with and without the lines that follow.
+        damaged = ["".join(lines[:end]) for end in range(len(lines) + 1)]
+        for k, line in enumerate(lines):
+            start = 0
+            while (cut := line.find(" + ", start)) >= 0:
+                damaged.append("".join(lines[:k]) + line[:cut])
+                damaged.append("".join(lines[:k]) + line[:cut] + "\n" + "".join(lines[k + 1:]))
+                start = cut + 1
+        for damage in damaged:
+            cache.write_text(damage)
             code = main(["verify", "--suite", "toda", "--n-max", "1",
                          "--cache", str(cache), "--format", "json"])
-            assert code == 0, end
+            assert code == 0, damage
+        assert len(damaged) > 40
+
+    def test_flipped_byte_never_exits_one(self, tmp_path, capsys):
+        cache = tmp_path / "out.tau"
+        assert main(["build", "--n-max", "2", "--cache", str(cache)]) == 0
+        data = cache.read_bytes()
+        positions = sorted(set(range(0, len(data), max(1, len(data) // 40))) | {len(data) - 2})
+        for pos in positions:
+            for flip in (0x01, 0x20):
+                damage = bytearray(data)
+                damage[pos] ^= flip
+                cache.write_bytes(bytes(damage))
+                code = main(["verify", "--suite", "toda", "--n-max", "1",
+                             "--cache", str(cache), "--format", "json"])
+                assert code == 0, (pos, flip)
+                assert "rebuilding" in capsys.readouterr().err, (pos, flip)
+
+    def test_valid_looking_wrong_cache_is_rebuilt(self, tmp_path, capsys):
+        # A well-formed cache with a correct CRC, written by a faulty build.
+        fam = TauFamily.build(2)
+        fam.tau[2] = fam.tau[2] + 1
+        cache = tmp_path / "wrong.tau"
+        fam.save(cache)
+        assert main(["verify", "--suite", "toda", "--n-max", "1",
+                     "--cache", str(cache)]) == 0
+        err = capsys.readouterr().err
+        assert "rebuilding" in err and "tau_2" in err
+        assert TauFamily.load(cache).tau[2] == TauFamily.build(2).tau[2]
 
     def test_env_var_default_location(self, tmp_path, monkeypatch):
         monkeypatch.setenv("HV_CACHE_DIR", str(tmp_path))
