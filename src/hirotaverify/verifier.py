@@ -13,6 +13,7 @@ import random
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Iterable, Literal, NamedTuple, Sequence
 
 from . import closedform
@@ -48,11 +49,10 @@ __all__ = [
     "jacobi_identity_check",
     "check_conjecture",
     "check_symmetries",
+    "IDENTITIES",
     "ORDERWISE_SYSTEMS",
     "orderwise_span",
     "check_orderwise",
-    "orderwise_toda_sides",
-    "orderwise_nakamura_sides",
     "Su11Params",
     "su11_transform",
     "check_su11",
@@ -92,40 +92,69 @@ def _report(
     return report
 
 
-# -- bilinear lattice identities ---------------------------------------------
+# -- bilinear identities --------------------------------------------------------
 
-Which = Literal["tau", "g", "f"]
+class _Site:
+    """A sequence pair g, f read around site n, with F_n.
+
+    Each of g and f holds the polynomials at sites n-1, n and n+1, from the
+    family's lists or from a transformed triple.  Only the Toda and mixed
+    identities read the neighbours, so they may be None where the sequence
+    ends.  star(g_n) and star(f_n) are computed on first use, once each.
+    """
+
+    def __init__(self, n: int, g: Sequence, f: Sequence):
+        self.n, self.fop = n, FOperator(n)
+        self.g_lo, self.g, self.g_hi = g
+        self.f_lo, self.f, self.f_hi = f
+
+    gs = cached_property(lambda self: star(self.g))
+    fs = cached_property(lambda self: star(self.f))
 
 
-def _toda_residual(lo: LaurentPoly, mid: LaurentPoly, hi: LaurentPoly) -> LaurentPoly:
-    """D_S D_T a_n . a_n - 2 a_{n+1} a_{n-1} from a_{n-1}, a_n, a_{n+1}."""
-    return hirota_dst(mid, mid) - 2 * (hi * lo)
+def _family_site(fam: TauFamily, n: int) -> _Site:
+    around = lambda seq: [seq[k] if k <= fam.n_max else None for k in (n - 1, n, n + 1)]
+    return _Site(n, around(fam.g), around(fam.f))
 
 
-def _mixed_residual(g_lo, g, g_hi, f_lo, f, f_hi) -> LaurentPoly:
-    """D_S D_T f_n . g_n - f_{n+1} g_{n-1} - f_{n-1} g_{n+1} from sites n-1, n, n+1."""
-    return hirota_dst(f, g) - f_hi * g_lo - f_lo * g_hi
+# Each bilinear identity once, as its (lhs, rhs) at one site.  The checks
+# report lhs - rhs, and an orderwise system reads one t-coefficient of both.
+IDENTITIES: dict[str, Callable[[_Site], tuple[LaurentPoly, LaurentPoly]]] = {
+    "toda.g": lambda s: (hirota_dst(s.g, s.g), 2 * (s.g_hi * s.g_lo)),
+    "toda.f": lambda s: (hirota_dst(s.f, s.f), 2 * (s.f_hi * s.f_lo)),
+    "mixed": lambda s: (hirota_dst(s.f, s.g), s.f_hi * s.g_lo + s.f_lo * s.g_hi),
+    "tsdec1": lambda s: (hirota("x", s.g, s.f, 1) - hirota("x", s.gs, s.fs, 1), ZERO),
+    "tsdec2": lambda s: (hirota("y", s.g, s.f, 1) + hirota("y", s.gs, s.fs, 1), ZERO),
+    "tsdec3": lambda s: (apply_F(s.fop, s.gs, s.f), ZERO),
+    "tsdec4": lambda s: (apply_F(s.fop, s.gs, s.g) + apply_F(s.fop, s.fs, s.f), ZERO),
+}
 
 
-def check_toda(fam: TauFamily, n: int, which: Which = "tau") -> CheckReport:
-    """Residual of D_S D_T a_n . a_n - 2 a_{n+1} a_{n-1} for a in {tau, g, f}."""
-    if not 1 <= n <= fam.n_max - 1:
-        raise ValueError(f"need 1 <= n <= {fam.n_max - 1}, got {n}")
-    seq = {"tau": fam.tau, "g": fam.g, "f": fam.f}[which]
+def _identity_report(eq_id: str, name: str, site: _Site, **fields) -> CheckReport:
+    """The row for one identity at one site: its residual lhs - rhs."""
     started = time.perf_counter()
-    residual = _toda_residual(*seq[n - 1:n + 2])
-    return _report(
-        f"toda.{which}", n, residual, started, term_count=seq[n].term_count
-    )
+    lhs, rhs = IDENTITIES[name](site)
+    return _report(eq_id, site.n, lhs - rhs, started, **fields)
+
+
+def _require_site(n: int, last: int) -> None:
+    if not 1 <= n <= last:
+        raise ValueError(f"need 1 <= n <= {last}, got {n}")
+
+
+def check_toda(fam: TauFamily, n: int, which: Literal["tau", "f"] = "tau") -> CheckReport:
+    """Residual of D_S D_T a_n . a_n - 2 a_{n+1} a_{n-1} for a in {tau, f}."""
+    _require_site(n, fam.n_max - 1)
+    site = _family_site(fam, n)
+    name, subject = {"tau": ("toda.g", site.g), "f": ("toda.f", site.f)}[which]
+    return _identity_report(f"toda.{which}", name, site, term_count=subject.term_count)
 
 
 def check_mixed(fam: TauFamily, n: int) -> CheckReport:
     """Residual of D_S D_T f_n . g_n - f_{n+1} g_{n-1} - f_{n-1} g_{n+1}."""
-    if not 1 <= n <= fam.n_max - 1:
-        raise ValueError(f"need 1 <= n <= {fam.n_max - 1}, got {n}")
-    started = time.perf_counter()
-    residual = _mixed_residual(*fam.g[n - 1:n + 2], *fam.f[n - 1:n + 2])
-    return _report("mixed", n, residual, started, term_count=fam.g[n].term_count)
+    _require_site(n, fam.n_max - 1)
+    return _identity_report("mixed", "mixed", _family_site(fam, n),
+                            term_count=fam.g[n].term_count)
 
 
 def jacobi_identity_check(n: int) -> CheckReport:
@@ -137,27 +166,10 @@ def jacobi_identity_check(n: int) -> CheckReport:
 
 def check_conjecture(fam: TauFamily, n: int) -> list[CheckReport]:
     """The four decomposition equations for the pair (g_n, f_n)."""
-    if not 1 <= n <= fam.n_max:
-        raise ValueError(f"need 1 <= n <= {fam.n_max}, got {n}")
-    reports = []
-    for eq_id, residual_fn in _conjecture_checks(fam.g[n], fam.f[n], n):
-        started = time.perf_counter()
-        residual = residual_fn()
-        reports.append(
-            _report(eq_id, n, residual, started, term_count=fam.g[n].term_count)
-        )
-    return reports
-
-
-def _conjecture_checks(g, f, n):
-    gs, fs = star(g), star(f)
-    fop = FOperator(n)
-    return [
-        ("tsdec1", lambda: hirota("x", g, f, 1) - hirota("x", gs, fs, 1)),
-        ("tsdec2", lambda: hirota("y", g, f, 1) + hirota("y", gs, fs, 1)),
-        ("tsdec3", lambda: apply_F(fop, gs, f)),
-        ("tsdec4", lambda: apply_F(fop, gs, g) + apply_F(fop, fs, f)),
-    ]
+    _require_site(n, fam.n_max)
+    site = _family_site(fam, n)
+    return [_identity_report(name, name, site, term_count=fam.g[n].term_count)
+            for name in ("tsdec1", "tsdec2", "tsdec3", "tsdec4")]
 
 
 def check_symmetries(fam: TauFamily, n: int) -> list[CheckReport]:
@@ -169,9 +181,9 @@ def check_symmetries(fam: TauFamily, n: int) -> list[CheckReport]:
     prop4: t -> i t equals (-i)^{n^2} (swap x,y) on g and (-i)^{n^2-1} on f.
     mirror: the t^-m coefficient is the y-reflection of the t^m coefficient.
     """
-    if not 1 <= n <= fam.n_max:
-        raise ValueError(f"need 1 <= n <= {fam.n_max}, got {n}")
-    g, f = fam.g[n], fam.f[n]
+    _require_site(n, fam.n_max)
+    site = _family_site(fam, n)
+    g, f = site.g, site.f
     reports = []
 
     def run(eq_id: str, residual_fn: Callable[[], LaurentPoly], subject: LaurentPoly):
@@ -180,10 +192,10 @@ def check_symmetries(fam: TauFamily, n: int) -> list[CheckReport]:
             _report(eq_id, n, residual_fn(), started, term_count=subject.term_count)
         )
 
-    run("prop1.g", lambda: star(g) - subst_t_inverse(g), g)
-    run("prop1.f", lambda: star(f) - subst_t_inverse(f), f)
-    run("prop2.g", lambda: star(g) - subst_y_negate(g), g)
-    run("prop2.f", lambda: star(f) - subst_y_negate(f), f)
+    run("prop1.g", lambda: site.gs - subst_t_inverse(g), g)
+    run("prop1.f", lambda: site.fs - subst_t_inverse(f), f)
+    run("prop2.g", lambda: site.gs - subst_y_negate(g), g)
+    run("prop2.f", lambda: site.fs - subst_y_negate(f), f)
     run("prop3.g", lambda: subst_t_negate(g) - (-1) ** n * g, g)
     run("prop3.f", lambda: subst_t_negate(f) - (-1) ** (n - 1) * f, f)
     run("prop4.g", lambda: subst_t_times_i(g) - minus_i_power(n * n) * swap_xy(g), g)
@@ -255,52 +267,40 @@ def check_su11(
     The Toda and mixed identities need the transformed neighbours n-1, n+1,
     so n must stay below fam.n_max.
     """
-    if not 1 <= n <= fam.n_max - 1:
-        raise ValueError(f"need 1 <= n <= {fam.n_max - 1}, got {n}")
+    _require_site(n, fam.n_max - 1)
     note = f"alpha={params.alpha}, beta={params.beta}"
-    (g_lo, f_lo), (g, f), (g_hi, f_hi) = (
-        su11_transform(fam, k, params) for k in (n - 1, n, n + 1)
-    )
-    reports = []
-
-    def run(eq_id: str, residual_fn: Callable[[], LaurentPoly]):
-        started = time.perf_counter()
-        reports.append(
-            _report(
-                eq_id, n, residual_fn(), started,
-                order_index=pair_index, term_count=g.term_count, note=note,
-            )
-        )
-
-    run("su11.toda.g", lambda: _toda_residual(g_lo, g, g_hi))
-    run("su11.toda.f", lambda: _toda_residual(f_lo, f, f_hi))
-    run("su11.mixed", lambda: _mixed_residual(g_lo, g, g_hi, f_lo, f, f_hi))
-    for eq_id, residual_fn in _conjecture_checks(g, f, n):
-        run(f"su11.{eq_id}", residual_fn)
-    return reports
+    pairs = [su11_transform(fam, k, params) for k in (n - 1, n, n + 1)]
+    site = _Site(n, *zip(*pairs))
+    return [
+        _identity_report(f"su11.{name}", name, site, order_index=pair_index,
+                         term_count=site.g.term_count, note=note)
+        for name in IDENTITIES
+    ]
 
 
 # -- order-by-order systems ---------------------------------------------------
 
 class OrderwiseSystem(NamedTuple):
     suite: str
+    identity: str  # the IDENTITIES entry this system expands in t
     top_offset: int  # top order K(n) = 2n + top_offset
     direct_offset: int  # last direct order D(n) = n + direct_offset
     case_ids: tuple[str, str, str]  # (low, middle, mirror)
 
 
-# Each identity expanded in t.  The Laurent order at index I is K - 2I, and an
-# order I above D is generated from its partner K - I by y -> -y.
+# Each identity expanded in t.  The order-I equation is the coefficient of
+# t^(K-2I) on both sides, and an order I above D is generated from its
+# partner K - I by y -> -y.
 ORDERWISE_SYSTEMS = {
-    "g": OrderwiseSystem("orderwise-A", 0, 0, ("TD1", "TD2", "TD3")),
-    "f": OrderwiseSystem("orderwise-A", -2, -1, ("TD4", "TD5", "TD6")),
-    "mixed": OrderwiseSystem("orderwise-A", -1, -1, ("TD7", "TD8", "TD9")),
-    "B1": OrderwiseSystem("orderwise-B", -1, 0, ("B.1", "B.2", "B.3")),
-    "B2": OrderwiseSystem("orderwise-B", -1, 0, ("B.4", "B.5", "B.6")),
-    "B3": OrderwiseSystem("orderwise-B", -1, 0, ("B.7", "B.8", "B.9")),
+    "g": OrderwiseSystem("orderwise-A", "toda.g", 0, 0, ("TD1", "TD2", "TD3")),
+    "f": OrderwiseSystem("orderwise-A", "toda.f", -2, -1, ("TD4", "TD5", "TD6")),
+    "mixed": OrderwiseSystem("orderwise-A", "mixed", -1, -1, ("TD7", "TD8", "TD9")),
+    "B1": OrderwiseSystem("orderwise-B", "tsdec1", -1, 0, ("B.1", "B.2", "B.3")),
+    "B2": OrderwiseSystem("orderwise-B", "tsdec2", -1, 0, ("B.4", "B.5", "B.6")),
+    "B3": OrderwiseSystem("orderwise-B", "tsdec3", -1, 0, ("B.7", "B.8", "B.9")),
     # The I = 0 instance is the highest-order equation and takes the middle
     # id B.11; the other direct orders I = 1..n take the low id B.10.
-    "B4": OrderwiseSystem("orderwise-B", 0, 0, ("B.10", "B.11", "B.12")),
+    "B4": OrderwiseSystem("orderwise-B", "tsdec4", 0, 0, ("B.10", "B.11", "B.12")),
 }
 
 
@@ -312,109 +312,39 @@ def orderwise_span(n: int, system: str) -> tuple[int, int]:
     return 2 * n + spec.top_offset, n + spec.direct_offset
 
 
-def _require_order(fam: TauFamily, n: int, I: int, system: str, suite: str) -> None:
-    top, _ = orderwise_span(n, system)
-    if ORDERWISE_SYSTEMS[system].suite != suite:
-        raise ValueError(f"{system!r} is not an {suite} system")
-    reach = fam.n_max - SUITES[suite].depth_extra
-    if not 1 <= n <= reach:
-        raise ValueError(f"need 1 <= n <= {reach}, got {n}")
-    if not 0 <= I <= top:
-        raise ValueError(f"order index {I} out of range 0..{top} for {system!r}")
-
-
-def orderwise_toda_sides(
-    fam: TauFamily, n: int, I: int, family: str
-) -> tuple[LaurentPoly, LaurentPoly]:
-    """Left and right side of the order-I lattice equation, any valid I.
-
-    Out-of-range Laurent coefficients enter as zero, so one convolution
-    formula covers the low-order, middle and mirrored cases alike.
-    """
-    _require_order(fam, n, I, family, "orderwise-A")
-    gt = lambda k, m: fam.g[k].coeff_of_t(m)
-    ft = lambda k, m: fam.f[k].coeff_of_t(m)
-    lhs, rhs = ZERO, ZERO
-    if family == "g":
-        for J in range(I + 1):
-            lhs = lhs + hirota_dst(gt(n, n - 2 * J), gt(n, n - 2 * I + 2 * J))
-            rhs = rhs + gt(n + 1, n - 2 * J + 1) * gt(n - 1, n - 2 * I + 2 * J - 1)
-        rhs = 2 * rhs
-    elif family == "f":
-        for J in range(I + 1):
-            lhs = lhs + hirota_dst(ft(n, n - 2 * J - 1), ft(n, n - 2 * I + 2 * J - 1))
-            rhs = rhs + ft(n + 1, n - 2 * J) * ft(n - 1, n - 2 * I + 2 * J - 2)
-        rhs = 2 * rhs
-    else:
-        for J in range(I + 1):
-            lhs = lhs + hirota_dst(ft(n, n - 2 * J - 1), gt(n, n - 2 * I + 2 * J))
-            rhs = (
-                rhs
-                + ft(n + 1, n - 2 * J) * gt(n - 1, n - 2 * I + 2 * J - 1)
-                + ft(n - 1, n - 2 * J - 2) * gt(n + 1, n - 2 * I + 2 * J + 1)
-            )
-    return lhs, rhs
-
-
-def orderwise_nakamura_sides(
-    fam: TauFamily, n: int, I: int, which: str
-) -> tuple[LaurentPoly, LaurentPoly]:
-    """Order-I decomposition-equation sides (the right side is always zero)."""
-    _require_order(fam, n, I, which, "orderwise-B")
-    gt = lambda m: fam.g[n].coeff_of_t(m)
-    ft = lambda m: fam.f[n].coeff_of_t(m)
-    fop = FOperator(n)
-    lhs = ZERO
-    for J in range(I + 1):
-        if which == "B1":
-            lhs = lhs + hirota("x", gt(n - 2 * J), ft(n - 2 * I + 2 * J - 1), 1)
-            lhs = lhs - hirota("x", gt(-n + 2 * J), ft(-n + 2 * I - 2 * J + 1), 1)
-        elif which == "B2":
-            lhs = lhs + hirota("y", gt(n - 2 * J), ft(n - 2 * I + 2 * J - 1), 1)
-            lhs = lhs + hirota("y", gt(-n + 2 * J), ft(-n + 2 * I - 2 * J + 1), 1)
-        elif which == "B3":
-            lhs = lhs + apply_F(fop, gt(-n + 2 * J), ft(n - 2 * I + 2 * J - 1))
-        else:
-            lhs = lhs + apply_F(fop, gt(-n + 2 * J), gt(n - 2 * I + 2 * J))
-            lhs = lhs + apply_F(fop, ft(-n + 2 * J + 1), ft(n - 2 * I + 2 * J + 1))
-    return lhs, ZERO
-
-
 def check_orderwise(fam: TauFamily, n: int, system: str) -> list[CheckReport]:
     """Every order-I coefficient identity of one orderwise system at site n.
 
-    Orders up to D(n) are derived directly.  Above D(n) the identity is
-    generated from its low-order partner K(n) - I by y -> -y; the check then
-    also demands that this mirrored residual agree with the one derived
-    directly at order I.  Each order's sides are computed once.
+    The system's identity is evaluated once, and order I reads the
+    coefficient of t^(K-2I) on both sides.  Orders up to D(n) are reported
+    directly.  Above D(n) the identity is generated from its low-order
+    partner K(n) - I by y -> -y; the check then also demands that this
+    mirrored residual agree with the one read directly at order I.  The
+    identity's time goes to the I = 0 row, and every later row is timed
+    from the end of the row before it.
     """
     top, direct_end = orderwise_span(n, system)
     spec = ORDERWISE_SYSTEMS[system]
+    _require_site(n, fam.n_max - SUITES[spec.suite].depth_extra)
     low_id, mid_id, mirror_id = spec.case_ids
     middle = 0 if system == "B4" else direct_end
+    started = time.perf_counter()
+    lhs, rhs = (side.t_coefficients()
+                for side in IDENTITIES[spec.identity](_family_site(fam, n)))
     residuals: list[LaurentPoly] = []
     reports = []
     for I in range(top + 1):
+        lhs_i = lhs.get(top - 2 * I, ZERO)
+        residual = lhs_i - rhs.get(top - 2 * I, ZERO)
+        residuals.append(residual)
+        eq_id, note = mid_id if I == middle else low_id, None
+        if I > direct_end:
+            eq_id, mirrored = mirror_id, subst_y_negate(residuals[top - I])
+            if residual != mirrored:
+                residual, note = residual - mirrored, "route mismatch"
+        reports.append(_report(eq_id, n, residual, started, order_index=I,
+                               term_count=lhs_i.term_count, note=note))
         started = time.perf_counter()
-        # Called by module-level name so that rebinding the name reaches this call.
-        if spec.suite == "orderwise-A":
-            lhs, rhs = orderwise_toda_sides(fam, n, I, system)
-        else:
-            lhs, rhs = orderwise_nakamura_sides(fam, n, I, system)
-        direct = lhs - rhs
-        residuals.append(direct)
-        if I <= direct_end:
-            eq_id = mid_id if I == middle else low_id
-            reports.append(_report(eq_id, n, direct, started, order_index=I,
-                                   term_count=lhs.term_count))
-            continue
-        mirrored = subst_y_negate(residuals[top - I])
-        if direct == mirrored:
-            residual, note = mirrored, None
-        else:
-            residual, note = direct - mirrored, "route mismatch"
-        reports.append(_report(mirror_id, n, residual, started, order_index=I,
-                               term_count=lhs.term_count, note=note))
     return reports
 
 
@@ -449,8 +379,7 @@ def ernst_residual_numeric(
     rational arithmetic; a passing point yields exactly zero.  A point that
     cannot be used (|t| != 1, or a vanishing denominator) is an "error".
     """
-    if not 1 <= n <= fam.n_max:
-        raise ValueError(f"need 1 <= n <= {fam.n_max}, got {n}")
+    _require_site(n, fam.n_max)
     g, f = fam.g[n], fam.f[n]
     gs, fs = star(g), star(f)
     gx, gy = d_x(g), d_y(g)

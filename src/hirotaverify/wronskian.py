@@ -139,7 +139,7 @@ def _eliminate(m: SymMatrix) -> tuple[list[LaurentPoly], int]:
     a = [list(row) for row in m.entries]
     pivots: list[LaurentPoly] = []
     swaps = 0
-    prev = ONE
+    prev = None  # the first step would divide by 1
     for k in range(n):
         if a[k][k].is_zero:
             below = next((r for r in range(k + 1, n) if not a[r][k].is_zero), None)
@@ -153,8 +153,8 @@ def _eliminate(m: SymMatrix) -> tuple[list[LaurentPoly], int]:
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 num = pivot * a[i][j] - a[i][k] * a[k][j]
-                if num.is_zero:
-                    a[i][j] = ZERO
+                if num.is_zero or prev is None:
+                    a[i][j] = num
                     continue
                 try:
                     a[i][j] = exact_divide(num, prev)

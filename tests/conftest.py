@@ -5,7 +5,8 @@ from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
 from hirotaverify.gaussian import GaussianRational
-from hirotaverify.laurent import LaurentPoly, Monomial
+from hirotaverify.laurent import ZERO, LaurentPoly, Monomial
+from hirotaverify.operators import FOperator, apply_F, hirota, hirota_dst
 from hirotaverify.wronskian import TauFamily
 
 settings.register_profile(
@@ -26,6 +27,53 @@ def fam5() -> TauFamily:
 @pytest.fixture(scope="session")
 def fam4(fam5: TauFamily) -> TauFamily:
     return TauFamily(n_max=4, tau=fam5.tau[:5], f=fam5.f[:5])
+
+
+# -- the order-by-order systems written out by hand ----------------------------
+
+def orderwise_oracle(
+    fam: TauFamily, n: int, I: int, system: str
+) -> tuple[LaurentPoly, LaurentPoly]:
+    """Left and right side of the order-I equation of one orderwise system at site n.
+
+    The paper's convolution sums over the coefficient polynomials, written
+    independently of the whole identities the verifier expands.  Out-of-range
+    Laurent coefficients enter as zero, so one formula covers the low-order,
+    middle and mirrored cases alike.  Only the coefficients that the parity
+    of g_n (t^n, t^(n-2), ...) and f_n (t^(n-1), ...) allows are read.
+    """
+    gt = lambda k, m: fam.g[k].coeff_of_t(m)
+    ft = lambda k, m: fam.f[k].coeff_of_t(m)
+    lhs, rhs = ZERO, ZERO
+    fop = FOperator(n)
+    for J in range(I + 1):
+        if system == "g":
+            lhs = lhs + hirota_dst(gt(n, n - 2 * J), gt(n, n - 2 * I + 2 * J))
+            rhs = rhs + 2 * (gt(n + 1, n - 2 * J + 1) * gt(n - 1, n - 2 * I + 2 * J - 1))
+        elif system == "f":
+            lhs = lhs + hirota_dst(ft(n, n - 2 * J - 1), ft(n, n - 2 * I + 2 * J - 1))
+            rhs = rhs + 2 * (ft(n + 1, n - 2 * J) * ft(n - 1, n - 2 * I + 2 * J - 2))
+        elif system == "mixed":
+            lhs = lhs + hirota_dst(ft(n, n - 2 * J - 1), gt(n, n - 2 * I + 2 * J))
+            rhs = (
+                rhs
+                + ft(n + 1, n - 2 * J) * gt(n - 1, n - 2 * I + 2 * J - 1)
+                + ft(n - 1, n - 2 * J - 2) * gt(n + 1, n - 2 * I + 2 * J + 1)
+            )
+        elif system == "B1":
+            lhs = lhs + hirota("x", gt(n, n - 2 * J), ft(n, n - 2 * I + 2 * J - 1), 1)
+            lhs = lhs - hirota("x", gt(n, -n + 2 * J), ft(n, -n + 2 * I - 2 * J + 1), 1)
+        elif system == "B2":
+            lhs = lhs + hirota("y", gt(n, n - 2 * J), ft(n, n - 2 * I + 2 * J - 1), 1)
+            lhs = lhs + hirota("y", gt(n, -n + 2 * J), ft(n, -n + 2 * I - 2 * J + 1), 1)
+        elif system == "B3":
+            lhs = lhs + apply_F(fop, gt(n, -n + 2 * J), ft(n, n - 2 * I + 2 * J - 1))
+        elif system == "B4":
+            lhs = lhs + apply_F(fop, gt(n, -n + 2 * J), gt(n, n - 2 * I + 2 * J))
+            lhs = lhs + apply_F(fop, ft(n, -n + 2 * J + 1), ft(n, n - 2 * I + 2 * J + 1))
+        else:
+            raise ValueError(f"unknown orderwise system {system!r}")
+    return lhs, rhs
 
 
 # -- hypothesis strategies ----------------------------------------------------

@@ -24,6 +24,8 @@ from hirotaverify.wronskian import (
     wronskian_matrix,
 )
 
+from conftest import orderwise_oracle
+
 _FAMILIES: dict[int, TauFamily] = {}
 
 
@@ -45,11 +47,12 @@ def conclude(number: int, description: str, ok: bool, started: float) -> None:
 def test_criterion_01_toda_suite():
     started = time.perf_counter()
     fam = family(5)
-    ok = all(
-        V.check_toda(fam, n, which).passed
-        for which in ("tau", "g", "f")
-        for n in range(1, 5)
-    )
+    # The suite reports toda.g from the tau residual, since g_n is tau_n.
+    reports = V.run_checks(V.suite_tasks("toda", fam, 4))
+    ok = sorted((r.equation_id, r.n) for r in reports) == [
+        (f"toda.{which}", n) for which in ("f", "g", "tau") for n in range(1, 5)
+    ]
+    ok = ok and all(r.passed for r in reports)
     elapsed = time.perf_counter() - started
     ok = ok and elapsed < 120.0
     conclude(1, "bilinear lattice residuals zero for tau,g,f at n=1..4 under 2min",
@@ -146,14 +149,19 @@ def test_criterion_08_orderwise_systems():
         for system in V.ORDERWISE_SYSTEMS:
             ok = ok and all(r.passed for r in V.check_orderwise(fam, n, system))
 
-    # t-weighted sums rebuild the parent polynomials on both sides.
+    # The hand-expanded order equations match the rows, and their t-weighted
+    # sums rebuild the parent polynomials on both sides.
     for n in range(1, 4):
+        for system in V.ORDERWISE_SYSTEMS:
+            for report in V.check_orderwise(fam, n, system):
+                lhs, rhs = orderwise_oracle(fam, n, report.order_index, system)
+                ok = ok and (lhs - rhs).is_zero and report.term_count == lhs.term_count
         for fam_name in ("g", "f", "mixed"):
             top, _ = V.orderwise_span(n, fam_name)
             shift = {"g": 2 * n, "f": 2 * n - 2, "mixed": 2 * n - 1}[fam_name]
             lhs_sum, rhs_sum = ZERO, ZERO
             for I in range(top + 1):
-                lhs, rhs = V.orderwise_toda_sides(fam, n, I, fam_name)
+                lhs, rhs = orderwise_oracle(fam, n, I, fam_name)
                 weight = monomial(1, et=shift - 2 * I)
                 lhs_sum, rhs_sum = lhs_sum + lhs * weight, rhs_sum + rhs * weight
             if fam_name == "g":
@@ -179,11 +187,11 @@ def test_criterion_08_orderwise_systems():
             shift = 2 * n if which == "B4" else 2 * n - 1
             total = ZERO
             for I in range(V.orderwise_span(n, which)[0] + 1):
-                lhs, _ = V.orderwise_nakamura_sides(fam, n, I, which)
+                lhs, _ = orderwise_oracle(fam, n, I, which)
                 total = total + lhs * monomial(1, et=shift - 2 * I)
             ok = ok and total == parent
-    conclude(8, "order-by-order systems pass for n=1..3 and weighted sums "
-                "rebuild the parent identities", ok, started)
+    conclude(8, "order-by-order systems pass for n=1..3, match the hand-expanded "
+                "equations, and their weighted sums rebuild the parent identities", ok, started)
 
 
 def test_criterion_09_su11_invariance():

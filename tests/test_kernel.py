@@ -250,6 +250,10 @@ class TestExponentFields:
         with pytest.raises(OverflowError):
             monomial(1, ex=-3) ** 2 ** 21
 
+    def test_power_skips_the_unused_last_square(self):
+        p = monomial(1, et=2 ** 21 - 1)
+        assert p ** 2 == p * p
+
     def test_products_at_the_edge(self):
         half = 2 ** 21
         top = monomial(1, et=half - 1)

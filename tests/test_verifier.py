@@ -1,13 +1,26 @@
+import ast
+import inspect
+import textwrap
+import time
 from fractions import Fraction
 
 import pytest
 
 from hirotaverify.gaussian import GaussianRational
-from hirotaverify.laurent import ZERO, monomial, parse, subst_y_negate
+from hirotaverify.laurent import (
+    ZERO,
+    LaurentPoly,
+    monomial,
+    parse,
+    serialize,
+    subst_y_negate,
+)
 from hirotaverify.operators import FOperator, apply_F, hirota, hirota_dst
 from hirotaverify.report import sort_key
 from hirotaverify import verifier as V
 from hirotaverify.wronskian import TauFamily
+
+from conftest import orderwise_oracle
 
 
 class TestStar:
@@ -30,7 +43,10 @@ class TestLatticeChecks:
     @pytest.mark.parametrize("which", ["tau", "g", "f"])
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_toda(self, fam5, which, n):
-        assert V.check_toda(fam5, n, which).passed
+        # check_toda has no "g" selector: the suite reports toda.g from the tau residual.
+        tasks = [task for task in V.suite_tasks("toda", fam5, 4) if task.n == n]
+        rows = {r.equation_id: r for r in V.run_checks(tasks)}
+        assert rows[f"toda.{which}"].passed
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_mixed(self, fam5, n):
@@ -38,7 +54,7 @@ class TestLatticeChecks:
 
     def test_site_bounds(self, fam5):
         with pytest.raises(ValueError):
-            V.check_toda(fam5, 5, "g")
+            V.check_toda(fam5, 5, "tau")
         with pytest.raises(ValueError):
             V.check_mixed(fam5, 0)
 
@@ -48,7 +64,7 @@ class TestLatticeChecks:
             tau=[fam5.tau[0], fam5.tau[1], fam5.tau[2] + parse("1")],
             f=fam5.f[:3],
         )
-        report = V.check_toda(broken, 1, "g")
+        report = V.check_toda(broken, 1, "tau")
         assert not report.passed
         assert report.witness
 
@@ -84,6 +100,18 @@ class TestSymmetries:
         reports = V.check_symmetries(fam5, n)
         assert len(reports) == 10
         assert all(r.passed for r in reports)
+
+    def test_each_star_computed_once(self, fam5, monkeypatch):
+        stars = []
+
+        def counting(p):
+            stars.append(p)
+            return star(p)
+
+        star = V.star
+        monkeypatch.setattr(V, "star", counting)
+        assert all(r.passed for r in V.check_symmetries(fam5, 3))
+        assert stars == [fam5.g[3], fam5.f[3]]
 
     def test_quarter_turn_small_phases(self, fam5):
         from hirotaverify.gaussian import minus_i_power
@@ -175,6 +203,13 @@ def _label(fam, n, system, I):
     return V.check_orderwise(fam, n, system)[I].equation_id
 
 
+def _with_stray_term(fam, seq, k, extra):
+    """A copy of fam with the term extra added to tau_k or f_k."""
+    add = lambda name: [p + parse(extra) if (name, i) == (seq, k) else p
+                        for i, p in enumerate(getattr(fam, name))]
+    return TauFamily(n_max=fam.n_max, tau=add("tau"), f=add("f"))
+
+
 class TestOrderwiseToda:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_every_order_passes(self, fam4, n):
@@ -191,7 +226,7 @@ class TestOrderwiseToda:
     def test_top_order_matches_closed_forms(self, fam4):
         from hirotaverify.closedform import g_high
 
-        lhs, rhs = V.orderwise_toda_sides(fam4, 2, 0, "g")
+        lhs, rhs = orderwise_oracle(fam4, 2, 0, "g")
         assert lhs == hirota_dst(g_high(2), g_high(2))
         assert rhs == 2 * g_high(3) * g_high(1)
 
@@ -204,7 +239,7 @@ class TestOrderwiseToda:
         shift = {"g": 2 * n, "f": 2 * n - 2, "mixed": 2 * n - 1}[family]
         lhs_sum, rhs_sum = ZERO, ZERO
         for I in range(top + 1):
-            lhs, rhs = V.orderwise_toda_sides(fam4, n, I, family)
+            lhs, rhs = orderwise_oracle(fam4, n, I, family)
             weight = monomial(1, et=shift - 2 * I)
             lhs_sum = lhs_sum + lhs * weight
             rhs_sum = rhs_sum + rhs * weight
@@ -220,17 +255,13 @@ class TestOrderwiseToda:
         for n in (2, 3):
             top, _ = V.orderwise_span(n, "g")
             for I in range(n + 1, top + 1):
-                lhs, rhs = V.orderwise_toda_sides(fam4, n, I, "g")
-                plhs, prhs = V.orderwise_toda_sides(fam4, n, top - I, "g")
+                lhs, rhs = orderwise_oracle(fam4, n, I, "g")
+                plhs, prhs = orderwise_oracle(fam4, n, top - I, "g")
                 assert lhs - rhs == subst_y_negate(plhs - prhs)
 
     def test_broken_mirror_is_a_route_mismatch(self, fam4):
         # t^2 x in g_2 has no y-reflected t^-2 partner, so g_2 loses its mirror symmetry.
-        broken = TauFamily(
-            n_max=4,
-            tau=[p + parse("t^2*x") if k == 2 else p for k, p in enumerate(fam4.tau)],
-            f=fam4.f,
-        )
+        broken = _with_stray_term(fam4, "tau", 2, "t^2*x")
         reports = V.check_orderwise(broken, 2, "g")
         mirror_rows = [r for r in reports if r.equation_id == "TD3"]
         assert [r.order_index for r in mirror_rows] == [3, 4]
@@ -239,13 +270,9 @@ class TestOrderwiseToda:
 
     def test_invalid_arguments(self, fam4):
         with pytest.raises(ValueError):
-            V.orderwise_toda_sides(fam4, 2, 5, "g")
-        with pytest.raises(ValueError):
             V.check_orderwise(fam4, 1, "h")
         with pytest.raises(ValueError):
             V.check_orderwise(fam4, 4, "g")
-        with pytest.raises(ValueError):
-            V.orderwise_toda_sides(fam4, 2, 0, "B1")
 
 
 class TestOrderwiseNakamura:
@@ -265,9 +292,9 @@ class TestOrderwiseNakamura:
     def test_top_order_uses_extreme_forms(self, fam4):
         from hirotaverify.closedform import f_high, g_high, g_low
 
-        lhs, _ = V.orderwise_nakamura_sides(fam4, 2, 0, "B3")
+        lhs, _ = orderwise_oracle(fam4, 2, 0, "B3")
         assert lhs == apply_F(FOperator(2), g_low(2), f_high(2))
-        lhs, _ = V.orderwise_nakamura_sides(fam4, 2, 0, "B4")
+        lhs, _ = orderwise_oracle(fam4, 2, 0, "B4")
         assert lhs == apply_F(FOperator(2), g_low(2), g_high(2))
 
     @pytest.mark.parametrize("which", ["B1", "B2", "B3", "B4"])
@@ -286,32 +313,60 @@ class TestOrderwiseNakamura:
         shift = 2 * n if which == "B4" else 2 * n - 1
         total = ZERO
         for I in range(top + 1):
-            lhs, _ = V.orderwise_nakamura_sides(fam4, n, I, which)
+            lhs, _ = orderwise_oracle(fam4, n, I, which)
             total = total + lhs * monomial(1, et=shift - 2 * I)
         assert total == parents[which]
 
     def test_invalid_arguments(self, fam4):
         with pytest.raises(ValueError):
-            V.orderwise_nakamura_sides(fam4, 2, 5, "B1")
-        with pytest.raises(ValueError):
             V.check_orderwise(fam4, 2, "B9")
         with pytest.raises(ValueError):
-            V.orderwise_nakamura_sides(fam4, 2, 0, "g")
+            V.check_orderwise(fam4, 5, "B1")
+
+
+def _row_outcome(residual):
+    """(status, witness) of a row whose residual is the given polynomial."""
+    if residual.is_zero:
+        return "pass", None
+    mono, coeff = residual.leading_term()
+    return "fail", serialize(LaurentPoly({mono: coeff}))
 
 
 class TestOrderwiseSystems:
     @pytest.mark.parametrize("system", list(V.ORDERWISE_SYSTEMS))
-    def test_sides_computed_once_per_order(self, fam4, monkeypatch, system):
-        calls = []
-        for name in ("orderwise_toda_sides", "orderwise_nakamura_sides"):
-            def counting(fam, n, I, selector, _sides=getattr(V, name)):
-                calls.append(I)
-                return _sides(fam, n, I, selector)
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_rows_match_oracle(self, fam5, n, system):
+        top, direct_end = V.orderwise_span(n, system)
+        residuals = [lhs - rhs for lhs, rhs in
+                     (orderwise_oracle(fam5, n, I, system) for I in range(top + 1))]
+        reports = V.check_orderwise(fam5, n, system)
+        assert [r.order_index for r in reports] == list(range(top + 1))
+        for I, report in enumerate(reports):
+            expected = residuals[I]
+            if I > direct_end:
+                mirrored = subst_y_negate(residuals[top - I])
+                if expected != mirrored:
+                    expected = expected - mirrored
+            assert (report.status, report.witness) == _row_outcome(expected), (system, n, I)
+            lhs, _ = orderwise_oracle(fam5, n, I, system)
+            assert report.term_count == lhs.term_count, (system, n, I)
 
-            monkeypatch.setattr(V, name, counting)
-        top, _ = V.orderwise_span(3, system)
-        assert all(r.passed for r in V.check_orderwise(fam4, 3, system))
-        assert calls == list(range(top + 1))
+    @pytest.mark.parametrize("system", list(V.ORDERWISE_SYSTEMS))
+    def test_sides_computed_once_per_order(self, fam4, monkeypatch, system):
+        # Each (n, system) task evaluates its identity once and splits it by t-order.
+        spec = V.ORDERWISE_SYSTEMS[system]
+        calls = []
+        identity = V.IDENTITIES[spec.identity]
+
+        def counting(site):
+            calls.append(site.n)
+            return identity(site)
+
+        monkeypatch.setitem(V.IDENTITIES, spec.identity, counting)
+        tasks = [t for t in V.suite_tasks(spec.suite, fam4, 3)
+                 if t.equation_id == f"{spec.suite}.{system}"]
+        assert all(r.passed for r in V.run_checks(tasks))
+        assert calls == [1, 2, 3]
 
     def test_suites_split_the_table(self, fam4):
         for suite in ("orderwise-A", "orderwise-B"):
@@ -320,6 +375,58 @@ class TestOrderwiseSystems:
             assert [(t.n, t.equation_id) for t in tasks] == [
                 (n, f"{suite}.{s}") for n in (1, 2) for s in systems
             ]
+
+    @pytest.mark.parametrize("seq, k, extra, failing", [
+        # Terms outside the parity pattern of g_n and f_n: each shows up in
+        # the t-coefficients that the rows read.
+        ("tau", 2, "t*x", [("B.10", 2, 2, None), ("TD1", 2, 1, None),
+                           ("TD3", 2, 3, "route mismatch")]),
+        ("f", 3, "t^5*y", [("B.10", 3, 3, None)]),
+    ])
+    def test_stray_terms_fail(self, fam5, seq, k, extra, failing):
+        broken = _with_stray_term(fam5, seq, k, extra)
+        tasks = V.suite_tasks("orderwise-A", broken, 3) + V.suite_tasks("orderwise-B", broken, 3)
+        reports = V.run_checks(tasks)
+        assert len(reports) == 87
+        assert [(r.equation_id, r.n, r.order_index, r.note)
+                for r in reports if not r.passed] == failing
+        assert all(r.status == "fail" for r in reports if not r.passed)
+
+    @pytest.mark.parametrize("system", list(V.ORDERWISE_SYSTEMS))
+    def test_row_times_are_disjoint(self, fam5, system):
+        started = time.perf_counter()
+        reports = V.check_orderwise(fam5, 4, system)
+        wall = time.perf_counter() - started
+        assert sum(r.elapsed for r in reports) <= wall
+
+
+class TestCheckBodies:
+    # A function named check_* or _check_* is timed and counted as one check
+    # body by perfbench/tracer.py, so a helper must not carry either prefix.
+    CHECK_BODIES = {
+        "check_toda", "check_mixed", "check_conjecture", "check_symmetries",
+        "check_su11", "check_orderwise", "_check_w_forms", "_check_a_facts",
+        "_check_q0", "_check_extremes", "_check_weyl_lock", "_check_weyl_pair",
+    }
+
+    @staticmethod
+    def _named_checks():
+        return {
+            name: fn for name, fn in vars(V).items()
+            if inspect.isfunction(fn) and fn.__module__ == V.__name__
+            and name.startswith(("check_", "_check_"))
+        }
+
+    def test_only_check_bodies_carry_the_prefix(self):
+        assert set(self._named_checks()) == self.CHECK_BODIES
+
+    def test_no_check_body_calls_another(self):
+        bodies = set(self._named_checks()) | {"ernst_residual_numeric", "jacobi_identity_check"}
+        for name in bodies:
+            tree = ast.parse(textwrap.dedent(inspect.getsource(getattr(V, name))))
+            called = {node.func.id for node in ast.walk(tree)
+                      if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+            assert not called & (bodies - {name}), name
 
 
 class TestErnstNumeric:

@@ -104,6 +104,22 @@ class TestDeterminants:
         scaled = SymMatrix((tuple(scale * e for e in m.entries[0]),) + m.entries[1:])
         assert determinant(scaled) == scale * determinant(m)
 
+    def test_first_step_divides_by_nothing(self, monkeypatch):
+        import hirotaverify.wronskian as W
+
+        divisors = []
+
+        def counting(a, b):
+            divisors.append(b)
+            return exact_divide(a, b)
+
+        exact_divide = W.exact_divide
+        monkeypatch.setattr(W, "exact_divide", counting)
+        m = wronskian_matrix(PSI, 3)
+        assert determinant(m) == det_cofactor(m)
+        # Only the second step divides, by the first pivot, and once: 3x3 leaves a 1x1 block.
+        assert divisors == [m.entries[0][0]]
+
     def test_zero_pivot_with_row_swap(self):
         from hirotaverify.laurent import ZERO, variable
 
