@@ -34,6 +34,7 @@ from __future__ import annotations
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
+from re import findall, finditer, search
 from typing import Iterable, Iterator, Mapping, NamedTuple, Union
 
 from .gaussian import GaussianRational
@@ -657,163 +658,134 @@ class ParseError(ValueError):
         self.position = position
 
 
-class _Tokens:
-    def __init__(self, text: str):
-        self.text = text
-        self.items: list[tuple[str, str, int]] = []
-        i, n = 0, len(text)
-        while i < n:
-            ch = text[i]
-            if ch.isspace():
-                i += 1
-                continue
-            if ch.isdigit():
-                j = i
-                while j < n and text[j].isdigit():
-                    j += 1
-                self.items.append(("INT", text[i:j], i))
-                i = j
-            elif ch in "+-*/^()":
-                self.items.append((ch, ch, i))
-                i += 1
-            elif ch in "txyi":
-                self.items.append(("NAME", ch, i))
-                i += 1
-            else:
-                raise ParseError(f"unexpected character {ch!r}", i)
-        self.pos = 0
+# A token is one operator or name character, or a run of digits.  Any other
+# character outside whitespace is refused up front, so none is skipped.
+_TOKEN = r"[()*/^+\-txyi]|\d+"
+_BAD_CHARACTER = r"[^\s\dtxyi()*/^+-]"
+_SIGNS = ("+", "-")
 
-    def peek(self) -> tuple[str, str, int] | None:
-        return self.items[self.pos] if self.pos < len(self.items) else None
 
-    def next(self) -> tuple[str, str, int]:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of input", len(self.text))
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str) -> tuple[str, str, int]:
-        tok = self.next()
-        if tok[0] != kind:
-            raise ParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
-        return tok
+class _TokenError(Exception):
+    """A parse failure at a token index; parse turns it into a ParseError."""
 
 
 def parse(text: str) -> LaurentPoly:
-    """Parse the canonical grammar (whitespace insignificant) into a polynomial."""
-    toks = _Tokens(text)
-    result = _parse_sum(toks)
-    left = toks.peek()
-    if left is not None:
-        raise ParseError(f"trailing input {left[1]!r}", left[2])
-    return result
+    """Parse the canonical grammar (whitespace insignificant) into a polynomial.
+
+    Each term is read into its three exponents and one scalar, and the
+    polynomial is built once from all the terms over their common
+    denominator.  An exponent outside its field, in a factor or in a term
+    with a nonzero coefficient so far, raises OverflowError.
+    """
+    bad = search(_BAD_CHARACTER, text)
+    if bad is not None:
+        raise ParseError(f"unexpected character {bad.group()!r}", bad.start())
+    toks = findall(_TOKEN, text)
+    toks.append("")  # end of input
+    try:
+        terms, i = _parse_sum(toks, 0, scalar_only=False)
+        if toks[i]:
+            raise _TokenError(f"trailing input {toks[i]!r}", i)
+    except _TokenError as exc:
+        message, i = exc.args
+        if i == len(toks) - 1:
+            message, position = "unexpected end of input", len(text)
+        else:
+            position = [m.start() for m in finditer(_TOKEN, text)][i]
+        raise ParseError(message, position) from None
+    den = lcm(*(d for _, (_, _, d) in terms))
+    re_nums: dict[int, int] = {}
+    im_nums: dict[int, int] = {}
+    for key, (a, b, d) in terms:
+        if a:
+            re_nums[key] = re_nums.get(key, 0) + a * (den // d)
+        if b:
+            im_nums[key] = im_nums.get(key, 0) + b * (den // d)
+    return LaurentPoly._make({k: v for k, v in re_nums.items() if v},
+                             {k: v for k, v in im_nums.items() if v}, den)
 
 
-def _parse_sum(toks: _Tokens) -> LaurentPoly:
-    # One polynomial from all the terms at the end: summing as we go is O(T^2).
-    terms = [_parse_signed_term(toks, allow_sign=True)]
-    while True:
-        tok = toks.peek()
-        if tok is None or tok[0] not in "+-":
-            return _sum(terms)
-        toks.next()
-        term = _parse_signed_term(toks, allow_sign=False)
-        terms.append(term if tok[0] == "+" else -term)
+# The readers below take the token list and an index, and return what they
+# read with the index after it.  A scalar is (re, im, den): (re + i*im) / den.
+# Inside parentheses only scalars are read (scalar_only).
 
-
-def _parse_signed_term(toks: _Tokens, allow_sign: bool) -> LaurentPoly:
+def _parse_sum(toks: list[str], i: int, scalar_only: bool) -> tuple[list, int]:
+    """Products joined by '+' and '-', the first with an optional sign."""
     sign = 1
-    tok = toks.peek()
-    if allow_sign and tok is not None and tok[0] in "+-":
-        toks.next()
-        if tok[0] == "-":
-            sign = -1
-    term = _parse_factor(toks)
+    if toks[i] in _SIGNS:
+        sign = -1 if toks[i] == "-" else 1
+        i += 1
+    terms = []
     while True:
-        tok = toks.peek()
-        if tok is None or tok[0] != "*":
-            break
-        toks.next()
-        term = term * _parse_factor(toks)
-    return term if sign > 0 else -term
+        key, scalar, i = _parse_product(toks, i, sign, scalar_only)
+        terms.append((key, scalar))
+        if toks[i] not in _SIGNS:
+            return terms, i
+        sign = -1 if toks[i] == "-" else 1
+        i += 1
 
 
-def _parse_factor(toks: _Tokens) -> LaurentPoly:
-    tok = toks.next()
-    kind, value, pos = tok
-    if kind == "(":
-        scalar = _parse_scalar_sum(toks)
-        toks.expect(")")
-        return constant(scalar)
-    if kind == "INT":
-        return constant(_finish_rational(toks, int(value)))
-    if kind == "NAME":
-        if value == "i":
-            return constant(GaussianRational(0, 1))
-        exponent = 1
-        nxt = toks.peek()
-        if nxt is not None and nxt[0] == "^":
-            toks.next()
-            exponent = _parse_signed_int(toks)
-        return variable(value, exponent)
-    raise ParseError(f"unexpected token {value!r}", pos)
+def _parse_product(toks: list[str], i: int, sign: int, scalar_only: bool) -> tuple:
+    """Factors joined by '*': the packed key, the scalar and the next index.
 
-
-def _parse_scalar_sum(toks: _Tokens) -> GaussianRational:
-    total = _parse_scalar_term(toks, allow_sign=True)
+    The key is None for a scalar-only product and for a zero coefficient.
+    """
+    re, im, den = sign, 0, 1
+    et = ex = ey = 0
     while True:
-        tok = toks.peek()
-        if tok is None or tok[0] not in "+-":
-            return total
-        toks.next()
-        term = _parse_scalar_term(toks, allow_sign=False)
-        total = total + term if tok[0] == "+" else total - term
-
-
-def _parse_scalar_term(toks: _Tokens, allow_sign: bool) -> GaussianRational:
-    sign = 1
-    tok = toks.peek()
-    if allow_sign and tok is not None and tok[0] in "+-":
-        toks.next()
-        if tok[0] == "-":
-            sign = -1
-    value = _parse_scalar_atom(toks)
-    while True:
-        tok = toks.peek()
-        if tok is None or tok[0] != "*":
-            break
-        toks.next()
-        value = value * _parse_scalar_atom(toks)
-    return value if sign > 0 else -value
-
-
-def _parse_scalar_atom(toks: _Tokens) -> GaussianRational:
-    kind, value, pos = toks.next()
-    if kind == "INT":
-        return GaussianRational(_finish_rational(toks, int(value)))
-    if kind == "NAME" and value == "i":
-        return GaussianRational(0, 1)
-    raise ParseError(f"expected a rational or 'i', found {value!r}", pos)
-
-
-def _finish_rational(toks: _Tokens, numerator: int) -> Fraction:
-    tok = toks.peek()
-    if tok is not None and tok[0] == "/":
-        toks.next()
-        dtok = toks.expect("INT")
-        denominator = int(dtok[1])
-        if denominator == 0:
-            raise ParseError("zero denominator", dtok[2])
-        return Fraction(numerator, denominator)
-    return Fraction(numerator)
-
-
-def _parse_signed_int(toks: _Tokens) -> int:
-    sign = 1
-    tok = toks.peek()
-    if tok is not None and tok[0] in "+-":
-        toks.next()
-        if tok[0] == "-":
-            sign = -1
-    return sign * int(toks.expect("INT")[1])
+        tok = toks[i]
+        if tok in _VAR_SLOT and not scalar_only:
+            e, i = 1, i + 1
+            if toks[i] == "^":
+                negative = toks[i + 1] == "-"
+                i += 2 if toks[i + 1] in _SIGNS else 1
+                if not toks[i].isdigit():
+                    raise _TokenError(f"expected 'INT', found {toks[i]!r}", i)
+                e, i = -int(toks[i]) if negative else int(toks[i]), i + 1
+            if not -_LIMIT <= e < _LIMIT:
+                raise OverflowError(f"{tok}^{e} is outside the exponent fields")
+            if tok == "t":
+                et += e
+                inside = -_LIMIT <= et < _LIMIT
+            elif tok == "x":
+                ex += e
+                inside = -_LIMIT <= ex < _LIMIT and -_LIMIT <= ex + ey < _LIMIT
+            else:
+                ey += e
+                inside = -_LIMIT <= ex + ey < _LIMIT
+            # The running product leaves the fields where a product of
+            # polynomials would; a zero coefficient has no term to check.
+            if not inside and (re or im):
+                raise OverflowError(f"t^{et}*x^{ex}*y^{ey} is outside the exponent fields")
+        elif tok == "(" and not scalar_only:
+            scalars, i = _parse_sum(toks, i + 1, True)
+            if toks[i] != ")":
+                raise _TokenError(f"expected ')', found {toks[i]!r}", i)
+            i += 1
+            a, b, d = 0, 0, 1
+            for _, (a2, b2, d2) in scalars:
+                a, b, d = a * d2 + a2 * d, b * d2 + b2 * d, d * d2
+            re, im, den = re * a - im * b, re * b + im * a, den * d
+        elif tok.isdigit():
+            n = int(tok)
+            re, im = re * n, im * n
+            i += 1
+            if toks[i] == "/":
+                if not toks[i + 1].isdigit():
+                    raise _TokenError(f"expected 'INT', found {toks[i + 1]!r}", i + 1)
+                d = int(toks[i + 1])
+                if d == 0:
+                    raise _TokenError("zero denominator", i + 1)
+                den *= d
+                i += 2
+        elif tok == "i":
+            re, im = -im, re
+            i += 1
+        elif scalar_only:
+            raise _TokenError(f"expected a rational or 'i', found {tok!r}", i)
+        else:
+            raise _TokenError(f"unexpected token {tok!r}", i)
+        if toks[i] != "*":
+            key = None if scalar_only or not (re or im) else _pack(et, ex, ey)
+            return key, (re, im, den), i
+        i += 1

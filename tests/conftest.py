@@ -5,8 +5,18 @@ from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
 from hirotaverify.gaussian import GaussianRational
-from hirotaverify.laurent import ZERO, LaurentPoly, Monomial
-from hirotaverify.operators import FOperator, apply_F, hirota, hirota_dst
+from hirotaverify.laurent import ZERO, LaurentPoly, Monomial, differentiate, monomial
+from hirotaverify.operators import (
+    X2_MINUS_1,
+    Y2_MINUS_1,
+    FOperator,
+    apply_F,
+    hirota,
+    hirota_dst,
+    l_minus,
+    l_plus,
+)
+from hirotaverify.verifier import star
 from hirotaverify.wronskian import TauFamily
 
 settings.register_profile(
@@ -61,11 +71,11 @@ def orderwise_oracle(
                 + ft(n - 1, n - 2 * J - 2) * gt(n + 1, n - 2 * I + 2 * J + 1)
             )
         elif system == "B1":
-            lhs = lhs + hirota("x", gt(n, n - 2 * J), ft(n, n - 2 * I + 2 * J - 1), 1)
-            lhs = lhs - hirota("x", gt(n, -n + 2 * J), ft(n, -n + 2 * I - 2 * J + 1), 1)
+            lhs = lhs + hirota("x", gt(n, n - 2 * J), ft(n, n - 2 * I + 2 * J - 1))
+            lhs = lhs - hirota("x", gt(n, -n + 2 * J), ft(n, -n + 2 * I - 2 * J + 1))
         elif system == "B2":
-            lhs = lhs + hirota("y", gt(n, n - 2 * J), ft(n, n - 2 * I + 2 * J - 1), 1)
-            lhs = lhs + hirota("y", gt(n, -n + 2 * J), ft(n, -n + 2 * I - 2 * J + 1), 1)
+            lhs = lhs + hirota("y", gt(n, n - 2 * J), ft(n, n - 2 * I + 2 * J - 1))
+            lhs = lhs + hirota("y", gt(n, -n + 2 * J), ft(n, -n + 2 * I - 2 * J + 1))
         elif system == "B3":
             lhs = lhs + apply_F(fop, gt(n, -n + 2 * J), ft(n, n - 2 * I + 2 * J - 1))
         elif system == "B4":
@@ -74,6 +84,60 @@ def orderwise_oracle(
         else:
             raise ValueError(f"unknown orderwise system {system!r}")
     return lhs, rhs
+
+
+# -- the operators and the Ernst residual in their textbook product forms -------
+
+def hirota_second(var: str, f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
+    """Second-order Hirota derivative (D^2 f) g - 2 (D f)(D g) + f (D^2 g)."""
+    df, dg = differentiate(f, var), differentiate(g, var)
+    return differentiate(df, var) * g - 2 * (df * dg) + f * differentiate(dg, var)
+
+
+def hirota_dst_oracle(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
+    """D_S D_T on (f, g) from its definition: four products, no symmetry used."""
+    pf, mf = l_plus(f), l_minus(f)
+    pg, mg = l_plus(g), l_minus(g)
+    return l_minus(pf) * g - pf * mg - mf * pg + f * l_minus(pg)
+
+
+def apply_F_oracle(fop: FOperator, a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
+    """F on (a, b) as written: second-order brackets plus derivatives of ab."""
+    ab = a * b
+    return (
+        X2_MINUS_1 * hirota_second("x", a, b)
+        + monomial(2, ex=1) * differentiate(ab, "x")
+        + Y2_MINUS_1 * hirota_second("y", a, b)
+        + monomial(2, ey=1) * differentiate(ab, "y")
+        + fop.c_n * ab
+    )
+
+
+def ernst_oracle(g: LaurentPoly, f: LaurentPoly, point: tuple) -> tuple[str, str | None]:
+    """(status, witness) of the Ernst residual of g/f at one point, by polynomial products.
+
+    p = g_x f - g f_x and q = g_y f - g f_y are built as polynomials and
+    differentiated, then every factor is evaluated at the point.
+    """
+    x0, y0, t0 = point
+    if t0.abs2() != 1:
+        return "error", "sample point violates |t| = 1"
+    gs, fs = star(g), star(f)
+    fx, fy = differentiate(f, "x"), differentiate(f, "y")
+    p = differentiate(g, "x") * f - g * fx
+    q = differentiate(g, "y") * f - g * fy
+    px, qy = differentiate(p, "x"), differentiate(q, "y")
+    fv, fsv = f.evaluate(x0, y0, t0), fs.evaluate(x0, y0, t0)
+    if fv.is_zero or fsv.is_zero:
+        return "error", "denominator vanishes at sample point"
+    gv, gsv, pv, qv, pxv, qyv, fxv, fyv = (
+        poly.evaluate(x0, y0, t0) for poly in (g, gs, p, q, px, qy, fx, fy))
+    x2m1, one_m_y2 = x0 * x0 - 1, 1 - y0 * y0
+    n_b = ((2 * x0 * pv + x2m1 * pxv) * fv - 2 * x2m1 * pv * fxv
+           + (-2 * y0 * qv + one_m_y2 * qyv) * fv - 2 * one_m_y2 * qv * fyv)
+    n_g = x2m1 * pv * pv + one_m_y2 * qv * qv
+    residual = ((gv * gsv - fv * fsv) * n_b - 2 * gsv * n_g) / (fsv * fv ** 4)
+    return ("pass", None) if residual.is_zero else ("fail", str(residual))
 
 
 # -- hypothesis strategies ----------------------------------------------------

@@ -179,8 +179,8 @@ def test_criterion_08_orderwise_systems():
             gs, fs = V.star(g), V.star(f)
             fop = FOperator(n)
             parent = {
-                "B1": hirota("x", g, f, 1) - hirota("x", gs, fs, 1),
-                "B2": hirota("y", g, f, 1) + hirota("y", gs, fs, 1),
+                "B1": hirota("x", g, f) - hirota("x", gs, fs),
+                "B2": hirota("y", g, f) + hirota("y", gs, fs),
                 "B3": apply_F(fop, gs, f),
                 "B4": apply_F(fop, gs, g) + apply_F(fop, fs, f),
             }[which]

@@ -194,13 +194,43 @@ class TestSerialization:
         p = parse("(1/2-3/4*i)*x^2*y^-1 - 2*t^3")
         assert parse(serialize(p)) == p
 
-    @pytest.mark.parametrize(
-        "bad", ["x^", "(1/2", "1/0", "x**2", "q + 1", "3/2 +", "(x)"]
-    )
+    ERROR_POSITIONS = {
+        "x^": 2, "(1/2": 4, "1/0": 2, "x**2": 2, "q + 1": 0, "3/2 +": 5, "(x)": 1,
+        "x y": 2, "1/x": 2, "x^y": 2, "(1/2))": 5, "- -x": 2, "x + -y": 4, "(1 + )": 5,
+        "t^ - ": 5, "()": 1, "  ": 2, "": 0, "(i*/2)": 3, " 3/ 0": 4,
+    }
+
+    @pytest.mark.parametrize("bad", list(ERROR_POSITIONS))
     def test_errors_carry_positions(self, bad):
         with pytest.raises(ParseError) as exc:
             parse(bad)
-        assert exc.value.position >= 0
+        assert exc.value.position == self.ERROR_POSITIONS[bad]
+
+    @pytest.mark.parametrize("text, terms", [
+        ("  3 /4 *x ^ 2\t-\ny ", [((0, 2, 0), Fraction(3, 4)), ((0, 0, 1), -1)]),
+        ("1 + 2*i - 1/2*i", [((0, 0, 0), GaussianRational(1, Fraction(3, 2)))]),
+        ("(1/2 + i)*(3 - 2*i)*x", [((0, 1, 0), GaussianRational(Fraction(7, 2), 2))]),
+        ("-(1/3*i*2)*t", [((1, 0, 0), GaussianRational(0, Fraction(-2, 3)))]),
+        ("i", [((0, 0, 0), GaussianRational(0, 1))]),
+        ("i*i*x", [((0, 1, 0), -1)]),
+        ("x*x^2*y*t^-1*x^-4", [((-1, -1, 1), 1)]),
+        ("t^-3*y^-2 + 2/6*t^-3*y^-2", [((-3, 0, -2), Fraction(4, 3))]),
+        ("x - x + 0*y", []),
+        ("+x^+2", [((0, 2, 0), 1)]),
+    ])
+    def test_grammar_cases_build_their_terms(self, text, terms):
+        expected = ZERO
+        for exps, coeff in terms:
+            expected = expected + monomial(coeff, *exps)
+        assert parse(text) == expected
+
+    def test_exponent_outside_its_field(self):
+        with pytest.raises(OverflowError):
+            parse("t^4194304")
+        with pytest.raises(OverflowError):
+            parse("x^4194303*x*(1/0)")  # raised where the product leaves the field
+        assert parse("t^4194303*t^-1") == monomial(1, et=4194302)
+        assert parse("0*t^4194303*t").is_zero
 
 
 def test_conjugate_coeffs():

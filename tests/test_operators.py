@@ -1,5 +1,6 @@
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from hirotaverify.laurent import parse, variable
 from hirotaverify.operators import (
@@ -15,7 +16,7 @@ from hirotaverify.operators import (
 )
 from hirotaverify.wronskian import build_psi
 
-from conftest import gaussians, polys, x_polys
+from conftest import apply_F_oracle, gaussians, hirota_dst_oracle, polys, x_polys
 
 X = variable("x")
 PSI = build_psi()
@@ -47,26 +48,46 @@ class TestDerivations:
 class TestHirota:
     @given(f=polys)
     def test_first_order_antisymmetry(self, f):
-        assert hirota("x", f, f, 1).is_zero
+        assert hirota("x", f, f).is_zero
 
     @given(f=polys, g=polys)
     def test_symmetry_rules(self, f, g):
-        assert hirota("x", f, g, 1) == -hirota("x", g, f, 1)
-        assert hirota("y", f, g, 2) == hirota("y", g, f, 2)
+        assert hirota("x", f, g) == -hirota("x", g, f)
         assert hirota_dst(f, g) == hirota_dst(g, f)
 
     def test_direct_definition(self):
         # D_x(x . x^2) = 1*x^2 - x*2x = -x^2
-        assert hirota("x", X, X**2, 1) == -(X**2)
+        assert hirota("x", X, X**2) == -(X**2)
 
     def test_mixed_bracket_equals_two_tau2(self, fam5):
         assert hirota_dst(PSI, PSI) == 2 * fam5.tau[2]
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
-            hirota("z", X, X, 1)
-        with pytest.raises(ValueError):
-            hirota("x", X, X, 3)
+            hirota("z", X, X)
+
+
+class TestFewerProducts:
+    """hirota_dst and apply_F against their textbook product forms."""
+
+    @given(f=polys, g=polys)
+    def test_hirota_dst_matches_four_products(self, f, g):
+        assert hirota_dst(f, g) == hirota_dst_oracle(f, g)
+        assert hirota_dst(f, f) == hirota_dst_oracle(f, f)
+
+    @given(a=polys, b=polys, n=st.integers(min_value=0, max_value=4))
+    def test_apply_F_matches_seven_products(self, a, b, n):
+        fop = FOperator(n)
+        assert apply_F(fop, a, b) == apply_F_oracle(fop, a, b)
+        assert apply_F(fop, a, a) == apply_F_oracle(fop, a, a)
+
+    def test_zero_and_real_operands(self, fam5):
+        zero = parse("0")
+        g, f = fam5.g[3], fam5.f[3]
+        for a, b in ((zero, g), (g, zero), (zero, zero), (g, g), (g, f), (PSI, PSI)):
+            assert hirota_dst(a, b) == hirota_dst_oracle(a, b)
+            assert apply_F(FOperator(3), a, b) == apply_F_oracle(FOperator(3), a, b)
+        assert hirota_dst(zero, g).is_zero and apply_F(FOperator(1), g, zero).is_zero
 
 
 class TestFOperator:

@@ -5,9 +5,11 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
 
 from hirotaverify.gaussian import GaussianRational
 from hirotaverify.laurent import (
+    ONE,
     ZERO,
     LaurentPoly,
     monomial,
@@ -20,7 +22,7 @@ from hirotaverify.report import sort_key
 from hirotaverify import verifier as V
 from hirotaverify.wronskian import TauFamily
 
-from conftest import orderwise_oracle
+from conftest import ernst_oracle, orderwise_oracle, polys
 
 
 class TestStar:
@@ -37,6 +39,19 @@ class TestStar:
     def test_involution(self, fam5):
         p = fam5.g[2] + parse("i*t")
         assert V.star(V.star(p)) == p
+
+    # tsdec1 and tsdec2 read the bracket of starred operands as the star of
+    # the bracket; these two properties are what that rests on.
+    @given(a=polys, b=polys)
+    def test_ring_homomorphism(self, a, b):
+        assert V.star(a * b) == V.star(a) * V.star(b)
+
+    @given(p=polys)
+    def test_commutes_with_derivatives(self, p):
+        from hirotaverify.operators import d_x, d_y
+
+        assert V.star(d_x(p)) == d_x(V.star(p))
+        assert V.star(d_y(p)) == d_y(V.star(p))
 
 
 class TestLatticeChecks:
@@ -179,8 +194,8 @@ class TestSu11:
             f = i * fam4.g[n] + fam4.f[n]
             gs, fs = V.star(g), V.star(f)
             fop = FOperator(n)
-            assert (hirota("x", g, f, 1) - hirota("x", gs, fs, 1)).is_zero
-            assert (hirota("y", g, f, 1) + hirota("y", gs, fs, 1)).is_zero
+            assert (hirota("x", g, f) - hirota("x", gs, fs)).is_zero
+            assert (hirota("y", g, f) + hirota("y", gs, fs)).is_zero
             assert apply_F(fop, gs, f).is_zero
             assert (apply_F(fop, gs, g) + apply_F(fop, fs, f)).is_zero
 
@@ -304,8 +319,8 @@ class TestOrderwiseNakamura:
         gs, fs = V.star(g), V.star(f)
         fop = FOperator(n)
         parents = {
-            "B1": hirota("x", g, f, 1) - hirota("x", gs, fs, 1),
-            "B2": hirota("y", g, f, 1) + hirota("y", gs, fs, 1),
+            "B1": hirota("x", g, f) - hirota("x", gs, fs),
+            "B2": hirota("y", g, f) + hirota("y", gs, fs),
             "B3": apply_F(fop, gs, f),
             "B4": apply_F(fop, gs, g) + apply_F(fop, fs, f),
         }
@@ -376,21 +391,36 @@ class TestOrderwiseSystems:
                 (n, f"{suite}.{s}") for n in (1, 2) for s in systems
             ]
 
+    OFF = "off the t^(K-2I) pattern"
+
     @pytest.mark.parametrize("seq, k, extra, failing", [
-        # Terms outside the parity pattern of g_n and f_n: each shows up in
-        # the t-coefficients that the rows read.
-        ("tau", 2, "t*x", [("B.10", 2, 2, None), ("TD1", 2, 1, None),
-                           ("TD3", 2, 3, "route mismatch")]),
-        ("f", 3, "t^5*y", [("B.10", 3, 3, None)]),
+        # Terms outside the parity pattern of g_n and f_n.  The t-coefficients
+        # the order rows read catch some; every site whose whole identity
+        # fails gains one row for the residual off the t^(K-2I) pattern.
+        ("tau", 2, "t*x", [("B.1", 2, None, OFF), ("B.10", 2, None, OFF),
+                           ("B.10", 2, 2, None), ("B.4", 2, None, OFF), ("B.7", 2, None, OFF),
+                           ("TD1", 1, None, OFF), ("TD1", 2, None, OFF), ("TD1", 2, 1, None),
+                           ("TD1", 3, None, OFF), ("TD3", 2, 3, "route mismatch"),
+                           ("TD7", 2, None, OFF), ("TD7", 3, None, OFF)]),
+        ("f", 3, "t^5*y", [("B.1", 3, None, OFF), ("B.10", 3, None, OFF),
+                           ("B.10", 3, 3, None), ("B.4", 3, None, OFF), ("B.7", 3, None, OFF),
+                           ("TD4", 2, None, OFF), ("TD4", 3, None, OFF),
+                           ("TD7", 2, None, OFF), ("TD7", 3, None, OFF)]),
     ])
     def test_stray_terms_fail(self, fam5, seq, k, extra, failing):
         broken = _with_stray_term(fam5, seq, k, extra)
         tasks = V.suite_tasks("orderwise-A", broken, 3) + V.suite_tasks("orderwise-B", broken, 3)
         reports = V.run_checks(tasks)
-        assert len(reports) == 87
+        assert len(reports) == 87 + sum(note == self.OFF for *_, note in failing)
         assert [(r.equation_id, r.n, r.order_index, r.note)
                 for r in reports if not r.passed] == failing
         assert all(r.status == "fail" for r in reports if not r.passed)
+
+    def test_off_pattern_witness(self, fam5):
+        # At n = 1 the rhs 2 tau_2 tau_0 carries 2*t*x, which no order reads.
+        broken = _with_stray_term(fam5, "tau", 2, "t*x")
+        *_, row = V.check_orderwise(broken, 1, "g")
+        assert (row.status, row.witness, row.note) == ("fail", "(-2)*t^1*x^1", self.OFF)
 
     @pytest.mark.parametrize("system", list(V.ORDERWISE_SYSTEMS))
     def test_row_times_are_disjoint(self, fam5, system):
@@ -451,6 +481,21 @@ class TestErnstNumeric:
         assert [r.passed for r in reports] == [False, True]
         assert reports[0].status == "error"
         assert "denominator" in reports[0].witness
+
+    @given(g=polys, f=polys)
+    def test_matches_product_route(self, g, f):
+        # Arbitrary operands fail at most points; status and witness must agree.
+        fam = TauFamily(n_max=1, tau=[ONE, g], f=[ONE, f])
+        reports = V.ernst_residual_numeric(fam, 1)
+        assert [(r.status, r.witness) for r in reports] == [
+            ernst_oracle(g, f, point) for point in V.DEFAULT_ERNST_POINTS]
+
+    def test_family_matches_product_route(self, fam4):
+        for n in (1, 2, 3):
+            reports = V.ernst_residual_numeric(fam4, n)
+            g, f = fam4.g[n], fam4.f[n]
+            assert [(r.status, r.witness) for r in reports] == [
+                ernst_oracle(g, f, point) for point in V.DEFAULT_ERNST_POINTS]
 
 
 class TestRunner:
