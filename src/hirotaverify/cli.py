@@ -154,8 +154,10 @@ def cmd_bench(n_max: int, stream=None) -> int:
             f"{elapsed:>10.3f}\n"
         )
     depth = family_depth_needed(_BENCH_SUITES, n_max)
-    fam = TauFamily.build(depth)
+    built = TauFamily.build(depth)
     for suite in _BENCH_SUITES:
+        # An empty site table, so that no suite reads what another computed.
+        fam = TauFamily(built.n_max, built.tau, built.f)
         started = time.perf_counter()
         reports = run_checks(suite_tasks(suite, fam, n_max))
         elapsed = time.perf_counter() - started

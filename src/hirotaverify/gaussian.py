@@ -155,11 +155,6 @@ I_UNIT = GaussianRational(0, 1)
 _I_CYCLE = (ONE, I_UNIT, GaussianRational(-1), GaussianRational(0, -1))
 
 
-def i_power(k: int) -> GaussianRational:
-    """Exact power of the imaginary unit, any integer exponent."""
-    return _I_CYCLE[k % 4]
-
-
 def minus_i_power(k: int) -> GaussianRational:
     """Exact power of -i, any integer exponent."""
     return _I_CYCLE[(-k) % 4]

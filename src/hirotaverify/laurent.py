@@ -589,19 +589,12 @@ def _quotient(a: LaurentPoly, nums: dict, b: LaurentPoly, low: list[int],
     return quotient, den
 
 
-# -- basis change between (x, y) and (u, v) ---------------------------------
+# -- basis change from (u, v) to (x, y) --------------------------------------
 #
 # u = (x+y)/2 and v = (x-y)/2.  A polynomial "in u, v" reuses the x slot for
 # u and the y slot for v.
 
 _HALF = Fraction(1, 2)
-
-
-def to_uv(p: LaurentPoly) -> LaurentPoly:
-    """Rewrite an x,y-polynomial in u, v (x -> u+v, y -> u-v)."""
-    u_plus_v = LaurentPoly({Monomial(0, 1, 0): 1, Monomial(0, 0, 1): 1})
-    u_minus_v = LaurentPoly({Monomial(0, 1, 0): 1, Monomial(0, 0, 1): -1})
-    return _subst_linear(p, u_plus_v, u_minus_v)
 
 
 def from_uv(p: LaurentPoly) -> LaurentPoly:

@@ -95,26 +95,39 @@ def _report(
 # -- bilinear identities --------------------------------------------------------
 
 class _Site:
-    """A sequence pair g, f read around site n, with F_n.
+    """A sequence pair g, f read around site n, with F_n, and the identities there.
 
     Each of g and f holds the polynomials at sites n-1, n and n+1, from the
-    family's lists or from a transformed triple.  Only the Toda and mixed
-    identities read the neighbours, so they may be None where the sequence
-    ends.  star(g_n) and star(f_n) are computed on first use, once each.
+    family or from a transformed triple.  Only the Toda and mixed identities
+    read the neighbours, so they may be None where the sequence ends.
+    star(g_n), star(f_n) and each IDENTITIES entry are computed on first use,
+    once each.
     """
 
     def __init__(self, n: int, g: Sequence, f: Sequence):
         self.n, self.fop = n, FOperator(n)
         self.g_lo, self.g, self.g_hi = g
         self.f_lo, self.f, self.f_hi = f
+        self._identities: dict[str, tuple[LaurentPoly, dict[int, int]]] = {}
 
     gs = cached_property(lambda self: star(self.g))
     fs = cached_property(lambda self: star(self.f))
 
+    def identity(self, name: str) -> tuple[LaurentPoly, dict[int, int]]:
+        """Residual lhs - rhs of one identity, and the lhs term count at each power of t."""
+        if name not in self._identities:
+            lhs, rhs = IDENTITIES[name](self)
+            counts = {m: c.term_count for m, c in lhs.t_coefficients().items()}
+            self._identities[name] = (lhs - rhs, counts)
+        return self._identities[name]
+
 
 def _family_site(fam: TauFamily, n: int) -> _Site:
-    around = lambda seq: [seq[k] if k <= fam.n_max else None for k in (n - 1, n, n + 1)]
-    return _Site(n, around(fam.g), around(fam.f))
+    """Site n of the family, made on first use and kept in its site table."""
+    if n not in fam.sites:
+        around = lambda seq: [seq[k] if k <= fam.n_max else None for k in (n - 1, n, n + 1)]
+        fam.sites[n] = _Site(n, around(fam.g), around(fam.f))
+    return fam.sites[n]
 
 
 def _with_star(h: LaurentPoly, sign: int) -> LaurentPoly:
@@ -124,7 +137,7 @@ def _with_star(h: LaurentPoly, sign: int) -> LaurentPoly:
 
 
 # Each bilinear identity once, as its (lhs, rhs) at one site.  The checks
-# report lhs - rhs, and an orderwise system reads one t-coefficient of both.
+# report lhs - rhs, and an orderwise system reads one t-coefficient of it.
 IDENTITIES: dict[str, Callable[[_Site], tuple[LaurentPoly, LaurentPoly]]] = {
     "toda.g": lambda s: (hirota_dst(s.g, s.g), 2 * (s.g_hi * s.g_lo)),
     "toda.f": lambda s: (hirota_dst(s.f, s.f), 2 * (s.f_hi * s.f_lo)),
@@ -139,8 +152,7 @@ IDENTITIES: dict[str, Callable[[_Site], tuple[LaurentPoly, LaurentPoly]]] = {
 def _identity_report(eq_id: str, name: str, site: _Site, **fields) -> CheckReport:
     """The row for one identity at one site: its residual lhs - rhs."""
     started = time.perf_counter()
-    lhs, rhs = IDENTITIES[name](site)
-    return _report(eq_id, site.n, lhs - rhs, started, **fields)
+    return _report(eq_id, site.n, site.identity(name)[0], started, **fields)
 
 
 def _require_site(n: int, last: int) -> None:
@@ -163,10 +175,10 @@ def check_mixed(fam: TauFamily, n: int) -> CheckReport:
                             term_count=fam.g[n].term_count)
 
 
-def jacobi_identity_check(n: int) -> CheckReport:
-    """Residual of the Sylvester minor identity on the (n+1) x (n+1) seed Wronskian."""
+def jacobi_identity_check(fam: TauFamily, n: int) -> CheckReport:
+    """Residual of the Sylvester minor identity that ties tau_{n-1}, tau_n and tau_{n+1}."""
     started = time.perf_counter()
-    residual = jacobi_residual(n)
+    residual = jacobi_residual(fam, n)
     return _report("jacobi", n, residual, started, term_count=residual.term_count)
 
 
@@ -321,15 +333,15 @@ def orderwise_span(n: int, system: str) -> tuple[int, int]:
 def check_orderwise(fam: TauFamily, n: int, system: str) -> list[CheckReport]:
     """Every order-I coefficient identity of one orderwise system at site n.
 
-    The system's identity is evaluated once, and order I reads the
-    coefficient of t^(K-2I) on both sides.  Orders up to D(n) are reported
+    Order I reads the coefficient of t^(K-2I) of the identity's residual,
+    taken from the family's site table.  Orders up to D(n) are reported
     directly.  Above D(n) the identity is generated from its low-order
     partner K(n) - I by y -> -y; the check then also demands that this
-    mirrored residual agree with the one read directly at order I.  The
-    identity's time goes to the I = 0 row, and every later row is timed
-    from the end of the row before it.  A residual at a t-exponent no order
-    reads makes one more failing row, under the low case id and without an
-    order, whose witness is the leading such term.
+    mirrored residual agree with the one read directly at order I.  An
+    identity evaluated here has its time on the I = 0 row, and every later
+    row is timed from the end of the row before it.  A residual at a
+    t-exponent no order reads makes one more failing row, under the low
+    case id and without an order, whose witness is the leading such term.
     """
     top, direct_end = orderwise_span(n, system)
     spec = ORDERWISE_SYSTEMS[system]
@@ -337,13 +349,12 @@ def check_orderwise(fam: TauFamily, n: int, system: str) -> list[CheckReport]:
     low_id, mid_id, mirror_id = spec.case_ids
     middle = 0 if system == "B4" else direct_end
     started = time.perf_counter()
-    lhs, rhs = (side.t_coefficients()
-                for side in IDENTITIES[spec.identity](_family_site(fam, n)))
+    whole, lhs_terms = _family_site(fam, n).identity(spec.identity)
+    by_order = whole.t_coefficients()
     residuals: list[LaurentPoly] = []
     reports = []
     for I in range(top + 1):
-        lhs_i = lhs.get(top - 2 * I, ZERO)
-        residual = lhs_i - rhs.get(top - 2 * I, ZERO)
+        residual = by_order.get(top - 2 * I, ZERO)
         residuals.append(residual)
         eq_id, note = mid_id if I == middle else low_id, None
         if I > direct_end:
@@ -351,16 +362,14 @@ def check_orderwise(fam: TauFamily, n: int, system: str) -> list[CheckReport]:
             if residual != mirrored:
                 residual, note = residual - mirrored, "route mismatch"
         reports.append(_report(eq_id, n, residual, started, order_index=I,
-                               term_count=lhs_i.term_count, note=note))
+                               term_count=lhs_terms.get(top - 2 * I, 0), note=note))
         started = time.perf_counter()
-    off_pattern = (lhs.keys() | rhs.keys()) - set(range(-top, top + 1, 2))
-    for m in sorted(off_pattern, reverse=True):
-        residual = lhs.get(m, ZERO) - rhs.get(m, ZERO)
-        if residual:
-            mono, coeff = residual.leading_term()
-            reports.append(_report(low_id, n, monomial(coeff, m, mono.ex, mono.ey), started,
-                                   note="off the t^(K-2I) pattern"))
-            break
+    off_pattern = by_order.keys() - set(range(-top, top + 1, 2))
+    if off_pattern:
+        m = max(off_pattern)
+        mono, coeff = by_order[m].leading_term()
+        reports.append(_report(low_id, n, monomial(coeff, m, mono.ex, mono.ey), started,
+                               note="off the t^(K-2I) pattern"))
     return reports
 
 
@@ -396,8 +405,8 @@ def ernst_residual_numeric(
     cannot be used (|t| != 1, or a vanishing denominator) is an "error".
     """
     _require_site(n, fam.n_max)
-    g, f = fam.g[n], fam.f[n]
-    gs, fs = star(g), star(f)
+    site = _family_site(fam, n)
+    g, f, gs, fs = site.g, site.f, site.gs, site.fs
     gx, gy, fx, fy = d_x(g), d_y(g), d_x(f), d_y(f)
     # With p = g_x f - g f_x and q = g_y f - g f_y, the g_x f_x and g_y f_y
     # terms cancel from p_x and q_y; every factor is a value at the point.
@@ -481,8 +490,8 @@ SUITES: dict[str, Suite] = {
         + _per_site("toda.f", n_max, lambda n: check_toda(fam, n, "f")))),
     "mixed": Suite(1, lambda fam, n_max: _per_site(
         "mixed", n_max, lambda n: check_mixed(fam, n))),
-    "jacobi": Suite(0, lambda fam, n_max: _per_site(
-        "jacobi", n_max, lambda n: jacobi_identity_check(n))),
+    "jacobi": Suite(1, lambda fam, n_max: _per_site(
+        "jacobi", n_max, lambda n: jacobi_identity_check(fam, n))),
     "conjecture": Suite(0, lambda fam, n_max: _per_site(
         "tsdec", n_max, lambda n: check_conjecture(fam, n))),
     "symmetries": Suite(0, lambda fam, n_max: _per_site(

@@ -12,10 +12,9 @@ from __future__ import annotations
 import os
 import re
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable
 
 from .laurent import (
     LaurentPoly,
@@ -80,21 +79,13 @@ def wronskian_matrix(seed: LaurentPoly, n: int) -> SymMatrix:
     return SymMatrix(tuple(tuple(row) for row in rows))
 
 
-def minor(m: SymMatrix, rows: Iterable[int], cols: Iterable[int]) -> SymMatrix:
-    """Submatrix with the given 0-based rows and columns deleted."""
-    drop_rows = set(rows)
-    drop_cols = set(cols)
-    if len(drop_rows) != len(drop_cols):
-        raise ValueError("must delete equally many rows and columns")
-    for idx in drop_rows | drop_cols:
+def minor(m: SymMatrix, row: int, col: int) -> SymMatrix:
+    """Submatrix with the given 0-based row and column deleted."""
+    for idx in (row, col):
         if not 0 <= idx < m.dim:
             raise IndexError(f"index {idx} out of range for dim {m.dim}")
-    kept = tuple(
-        tuple(m.entries[i][j] for j in range(m.dim) if j not in drop_cols)
-        for i in range(m.dim)
-        if i not in drop_rows
-    )
-    return SymMatrix(kept)
+    return SymMatrix(tuple(tuple(e for j, e in enumerate(entries) if j != col)
+                           for i, entries in enumerate(m.entries) if i != row))
 
 
 class DeterminantError(RuntimeError):
@@ -189,22 +180,29 @@ def leading_principal_minors(m: SymMatrix) -> list[LaurentPoly]:
     return pivots
 
 
-@dataclass
+@dataclass(frozen=True)
 class TauFamily:
-    """Cached tau and f sequences for lattice sites 0..n_max.
+    """Tau and f sequences for lattice sites 0..n_max, immutable.
 
-    g_n equals tau_n, and g is the same list as tau; f_n is the
+    g_n equals tau_n, and g is the same tuple as tau; f_n is the
     (n-1)-dimensional Wronskian determinant of the once-shifted seed
     L_plus L_minus psi, with f_1 = 1 (empty determinant) and f_0 = 0 (the
-    semi-infinite lattice cuts the chain below site zero).
+    semi-infinite lattice cuts the chain below site zero).  sites holds what
+    the checks derive from the family at each site, made on first use; no
+    entry can change under it.
     """
 
     n_max: int
-    tau: list[LaurentPoly]
-    f: list[LaurentPoly]
+    tau: tuple[LaurentPoly, ...]
+    f: tuple[LaurentPoly, ...]
+    sites: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "tau", tuple(self.tau))
+        object.__setattr__(self, "f", tuple(self.f))
 
     @property
-    def g(self) -> list[LaurentPoly]:
+    def g(self) -> tuple[LaurentPoly, ...]:
         return self.tau
 
     @classmethod
@@ -266,7 +264,10 @@ class TauFamily:
             if match is None:
                 raise ValueError(f"{path}:{lineno}: malformed cache line")
             key, k, text = match.group(1), int(match.group(2)), match.group(3)
-            found[key][k] = parse(text)
+            try:
+                found[key][k] = parse(text)
+            except OverflowError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
         n_max = max(found["tau"], default=-1)
         if n_max < 1:
             raise ValueError(f"{path}: cache holds no tau entries")
@@ -290,20 +291,18 @@ class TauFamily:
         )
 
 
-def jacobi_residual(n: int) -> LaurentPoly:
+def jacobi_residual(fam: TauFamily, n: int) -> LaurentPoly:
     """Sylvester minor identity residual on the (n+1) x (n+1) seed Wronskian.
 
     With 1-based minor notation D[i; j] deleting row i and column j, the
     residual is D[n;n] D[n+1;n+1] - D[n+1;n] D[n;n+1] - D * D[{n,n+1};{n,n+1}].
+    D, D[n+1;n+1] and D[{n,n+1};{n,n+1}] are leading principal minors, read
+    as the family's tau_{n+1}, tau_n and tau_{n-1}; the other three are
+    eliminated here.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    if not 1 <= n < fam.n_max:
+        raise ValueError(f"need 1 <= n <= {fam.n_max - 1}, got {n}")
     m = wronskian_matrix(build_psi(), n + 1)
     r, s = n - 1, n  # 0-based positions of rows/cols n and n+1
-    d = determinant(m)
-    d_rr = determinant(minor(m, {r}, {r}))
-    d_ss = determinant(minor(m, {s}, {s}))
-    d_sr = determinant(minor(m, {s}, {r}))
-    d_rs = determinant(minor(m, {r}, {s}))
-    d_both = determinant(minor(m, {r, s}, {r, s}))
-    return d_rr * d_ss - d_sr * d_rs - d * d_both
+    d_rr, d_sr, d_rs = (determinant(minor(m, i, j)) for i, j in ((r, r), (s, r), (r, s)))
+    return d_rr * fam.tau[n] - d_sr * d_rs - fam.tau[n + 1] * fam.tau[n - 1]

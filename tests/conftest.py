@@ -29,14 +29,21 @@ settings.load_profile("exact")
 
 
 @pytest.fixture(scope="session")
-def fam5() -> TauFamily:
-    """Shared tau family up to site 5; building it dominates suite startup."""
+def built5() -> TauFamily:
+    """The tau family up to site 5, built once; building it dominates suite startup."""
     return TauFamily.build(5)
 
 
-@pytest.fixture(scope="session")
-def fam4(fam5: TauFamily) -> TauFamily:
-    return TauFamily(n_max=4, tau=fam5.tau[:5], f=fam5.f[:5])
+# Each test gets its own family object over the built polynomials, so that
+# no test reads a site table another test filled.
+@pytest.fixture
+def fam5(built5: TauFamily) -> TauFamily:
+    return TauFamily(n_max=5, tau=built5.tau, f=built5.f)
+
+
+@pytest.fixture
+def fam4(built5: TauFamily) -> TauFamily:
+    return TauFamily(n_max=4, tau=built5.tau[:5], f=built5.f[:5])
 
 
 # -- the order-by-order systems written out by hand ----------------------------

@@ -30,11 +30,12 @@ _FAMILIES: dict[int, TauFamily] = {}
 
 
 def family(depth: int) -> TauFamily:
-    for have in sorted(_FAMILIES):
-        if have >= depth:
-            return _FAMILIES[have]
-    _FAMILIES[depth] = TauFamily.build(depth)
-    return _FAMILIES[depth]
+    """A family of at least the depth, over polynomials built once, with its own site table."""
+    have = next((d for d in sorted(_FAMILIES) if d >= depth), None)
+    if have is None:
+        have, _FAMILIES[depth] = depth, TauFamily.build(depth)
+    built = _FAMILIES[have]
+    return TauFamily(built.n_max, built.tau, built.f)
 
 
 def conclude(number: int, description: str, ok: bool, started: float) -> None:
@@ -61,7 +62,8 @@ def test_criterion_01_toda_suite():
 
 def test_criterion_02_jacobi_identity():
     started = time.perf_counter()
-    ok = all(jacobi_residual(n).is_zero for n in (1, 2, 3))
+    fam = family(4)
+    ok = all(jacobi_residual(fam, n).is_zero for n in (1, 2, 3))
     conclude(2, "Sylvester minor identity residual zero for n=1..3", ok, started)
 
 

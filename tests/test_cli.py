@@ -1,13 +1,14 @@
 import io
 import json
 import re
+import zlib
 
 import pytest
 
 from hirotaverify import verifier
 from hirotaverify.cli import RunConfig, cmd_bench, cmd_build, cmd_verify, main
 from hirotaverify.laurent import ONE, ExactDivisionError
-from hirotaverify.wronskian import DeterminantError, TauFamily
+from hirotaverify.wronskian import CACHE_MAGIC, CACHE_VERSION, DeterminantError, TauFamily
 
 
 def run_verify(**kwargs) -> tuple[int, str]:
@@ -71,7 +72,7 @@ class TestVerifyCommand:
         assert capsys.readouterr().err.startswith("error: ")
 
     def test_error_in_one_check_keeps_the_report(self, monkeypatch, capsys):
-        def fail(n):
+        def fail(fam, n):
             raise DeterminantError("zero pivot")
 
         monkeypatch.setattr(verifier, "jacobi_identity_check", fail)
@@ -161,8 +162,8 @@ class TestCacheContract:
 
     def test_valid_looking_wrong_cache_is_rebuilt(self, tmp_path, capsys):
         # A well-formed cache with a correct CRC, written by a faulty build.
-        fam = TauFamily.build(2)
-        fam.tau[2] = fam.tau[2] + 1
+        built = TauFamily.build(2)
+        fam = TauFamily(2, [*built.tau[:2], built.tau[2] + 1], built.f)
         cache = tmp_path / "wrong.tau"
         fam.save(cache)
         assert main(["verify", "--suite", "toda", "--n-max", "1",
@@ -170,6 +171,20 @@ class TestCacheContract:
         err = capsys.readouterr().err
         assert "rebuilding" in err and "tau_2" in err
         assert TauFamily.load(cache).tau[2] == TauFamily.build(2).tau[2]
+
+    def test_exponent_outside_its_field_is_rebuilt(self, tmp_path, capsys):
+        # The CRC matches, but the exponent does not fit the packed monomial key.
+        cache = tmp_path / "out.tau"
+        assert main(["build", "--n-max", "4", "--cache", str(cache)]) == 0
+        body = "".join("tau n=4: (1)*t^5000000\n" if line.startswith("tau n=4: ") else line
+                       for line in cache.read_text().splitlines(keepends=True)[1:])
+        cache.write_text(f"{CACHE_MAGIC} v{CACHE_VERSION} "
+                         f"crc32={zlib.crc32(body.encode()):08x}\n{body}")
+        assert main(["verify", "--suite", "toda", "--n-max", "3",
+                     "--cache", str(cache)]) == 0
+        err = capsys.readouterr().err
+        assert "rebuilding" in err and "outside the exponent fields" in err
+        assert TauFamily.load(cache).tau[4] == TauFamily.build(4).tau[4]
 
     def test_env_var_default_location(self, tmp_path, monkeypatch):
         monkeypatch.setenv("HV_CACHE_DIR", str(tmp_path))
@@ -197,13 +212,27 @@ class TestBenchCommand:
     def test_invalid_depth(self):
         assert main(["bench", "--n-max", "0"]) == 2
 
+    def test_each_suite_line_on_its_own_site_table(self, monkeypatch):
+        import hirotaverify.cli as cli
+
+        tables = []
+
+        def recording(suite, fam, n_max):
+            tables.append(fam.sites)
+            return suite_tasks(suite, fam, n_max)
+
+        suite_tasks = cli.suite_tasks
+        monkeypatch.setattr(cli, "suite_tasks", recording)
+        assert cmd_bench(2, stream=io.StringIO()) == 0
+        assert len({id(sites) for sites in tables}) == len(cli._BENCH_SUITES)
+
 
 def test_exit_code_one_on_failure(tmp_path):
     # A cache with a corrupted top tau makes the toda suite fail.
-    fam = TauFamily.build(3)
+    built = TauFamily.build(3)
     from hirotaverify.laurent import parse
 
-    fam.tau[3] = fam.tau[3] + parse("1")
+    fam = TauFamily(3, [*built.tau[:3], built.tau[3] + parse("1")], built.f)
     cache = tmp_path / "broken.tau"
     fam.save(cache)
     code, out = run_verify(n_max=2, suites=["toda"], cache_path=str(cache),

@@ -2,6 +2,7 @@ import ast
 import inspect
 import textwrap
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -428,6 +429,52 @@ class TestOrderwiseSystems:
         reports = V.check_orderwise(fam5, 4, system)
         wall = time.perf_counter() - started
         assert sum(r.elapsed for r in reports) <= wall
+
+
+class TestSiteTable:
+    def test_each_identity_evaluated_once(self, fam4, monkeypatch):
+        calls = []
+        for name, identity in V.IDENTITIES.items():
+            def counting(site, name=name, identity=identity):
+                calls.append((name, site.n))
+                return identity(site)
+
+            monkeypatch.setitem(V.IDENTITIES, name, counting)
+        suites = ("toda", "mixed", "conjecture", "orderwise-A", "orderwise-B")
+        tasks = [task for suite in suites for task in V.suite_tasks(suite, fam4, 3)]
+        assert all(r.passed for r in V.run_checks(tasks))
+        assert sorted(calls) == sorted((name, n) for name in V.IDENTITIES for n in (1, 2, 3))
+
+    def test_each_star_computed_once_per_site(self, fam4, monkeypatch):
+        stars = []
+
+        def counting(p):
+            stars.append(p)
+            return star(p)
+
+        star = V.star
+        monkeypatch.setattr(V, "star", counting)
+        suites = ("conjecture", "symmetries", "ernst-numeric", "orderwise-B")
+        tasks = [task for suite in suites for task in V.suite_tasks(suite, fam4, 3)]
+        assert all(r.passed for r in V.run_checks(tasks))
+        # tsdec1 and tsdec2 also star their brackets; g_n and f_n go in once each.
+        assert [stars.count(p) for n in (1, 2, 3) for p in (fam4.g[n], fam4.f[n])] == [1] * 6
+
+    @staticmethod
+    def _rows(reports):
+        return [replace(r, elapsed=0.0) for r in reports]
+
+    @pytest.mark.parametrize("stray", [None, "t*x"])
+    def test_all_equals_each_suite_alone(self, built5, stray):
+        # A suite reads what an earlier suite left in the table; its rows must not change.
+        fresh = lambda: TauFamily(5, [p + parse(stray) if stray and k == 2 else p
+                                      for k, p in enumerate(built5.tau)], built5.f)
+        together = self._rows(V.run_checks(V.suite_tasks("all", fresh(), 4)))
+        alone = self._rows(sorted(
+            (r for name in V.SUITE_NAMES[:-1]
+             for r in V.run_checks(V.suite_tasks(name, fresh(), 4))), key=sort_key))
+        assert together == alone
+        assert any(r.status == "fail" for r in together) == bool(stray)
 
 
 class TestCheckBodies:

@@ -55,26 +55,22 @@ class TestMatrixConstruction:
 class TestMinors:
     def test_single_deletion(self):
         m = wronskian_matrix(PSI, 2)
-        sub = minor(m, {0}, {0})
+        sub = minor(m, 0, 0)
         assert sub.dim == 1
         assert sub.entries[0][0] == m.entries[1][1]
-
-    def test_double_deletion_size(self):
-        m = wronskian_matrix(PSI, 4)
-        assert minor(m, {2, 3}, {2, 3}).dim == 2
 
     def test_out_of_range_rejected(self):
         m = wronskian_matrix(PSI, 2)
         with pytest.raises(IndexError):
-            minor(m, {5}, {0})
-        with pytest.raises(ValueError):
-            minor(m, {0, 1}, {0})
+            minor(m, 5, 0)
+        with pytest.raises(IndexError):
+            minor(m, 0, -1)
 
     def test_inner_block_gives_f3(self, fam5):
         # Deleting the first row and column of the 3x3 seed matrix leaves the
         # once-shifted 2x2 block whose determinant is f_3.
         m = wronskian_matrix(PSI, 3)
-        assert determinant(minor(m, {0}, {0})) == fam5.f[3]
+        assert determinant(minor(m, 0, 0)) == fam5.f[3]
 
 
 class TestDeterminants:
@@ -201,11 +197,18 @@ class TestTauFamily:
     def test_cofactor_build_matches(self):
         small = TauFamily.build(3)
         shifted = l_plus(l_minus(PSI))
-        assert small.tau[1:] == [det_cofactor(wronskian_matrix(PSI, k)) for k in (1, 2, 3)]
-        assert small.f[2:] == [det_cofactor(wronskian_matrix(shifted, k)) for k in (1, 2)]
+        assert small.tau[1:] == tuple(det_cofactor(wronskian_matrix(PSI, k)) for k in (1, 2, 3))
+        assert small.f[2:] == tuple(det_cofactor(wronskian_matrix(shifted, k)) for k in (1, 2))
 
     def test_g_is_tau(self, fam5):
         assert fam5.g is fam5.tau
+
+    def test_entries_cannot_change(self, fam5):
+        with pytest.raises(TypeError):
+            fam5.tau[2] = fam5.tau[2] + 1
+        with pytest.raises(AttributeError):
+            fam5.f = ()
+        assert TauFamily(2, [ONE, PSI, PSI], [ONE] * 3).tau == (ONE, PSI, PSI)
 
 
 def write_cache(path, body: str, version: int = CACHE_VERSION) -> None:
@@ -255,6 +258,12 @@ class TestCacheFile:
         with pytest.raises(ValueError, match="header"):
             TauFamily.load(path)
 
+    def test_exponent_outside_its_field(self, tmp_path):
+        path = tmp_path / "huge.tau"
+        write_cache(path, "tau n=0: 1\ntau n=1: (1)*t^5000000\nf n=0: 0\nf n=1: 1\n")
+        with pytest.raises(ValueError, match=r"huge\.tau:3: .*outside the exponent fields"):
+            TauFamily.load(path)
+
     def test_refuses_other_version(self, tmp_path):
         path = tmp_path / "future.tau"
         write_cache(path, "tau n=0: 1\ntau n=1: x\nf n=0: 0\nf n=1: 1\n",
@@ -273,17 +282,41 @@ class TestCacheFile:
 
 class TestJacobiIdentity:
     @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_residual_vanishes(self, n):
-        assert jacobi_residual(n).is_zero
+    def test_residual_vanishes(self, fam5, n):
+        assert jacobi_residual(fam5, n).is_zero
 
-    def test_residual_vanishes_at_four(self):
+    def test_residual_vanishes_at_four(self, fam5):
         # 5x5 seed matrix; the slowest single minor-identity instance kept.
-        assert jacobi_residual(4).is_zero
+        assert jacobi_residual(fam5, 4).is_zero
 
-    def test_check_report(self):
-        report = jacobi_identity_check(2)
+    def test_check_report(self, fam5):
+        report = jacobi_identity_check(fam5, 2)
         assert report.passed and report.equation_id == "jacobi" and report.n == 2
 
-    def test_invalid_site(self):
+    def test_invalid_site(self, fam5):
         with pytest.raises(ValueError):
-            jacobi_residual(0)
+            jacobi_residual(fam5, 0)
+        with pytest.raises(ValueError):
+            jacobi_residual(fam5, 5)
+
+    def test_three_eliminations_per_site(self, fam5, monkeypatch):
+        # tau_{n+1}, tau_n and tau_{n-1} are read from the family, not eliminated again.
+        import hirotaverify.wronskian as W
+
+        dims = []
+
+        def counting(m):
+            dims.append(m.dim)
+            return determinant(m)
+
+        monkeypatch.setattr(W, "determinant", counting)
+        for n in (1, 2, 3):
+            assert jacobi_identity_check(fam5, n).passed
+        assert dims == [1] * 3 + [2] * 3 + [3] * 3
+
+    def test_damaged_tau_fails_at_its_three_sites(self, fam5):
+        tau = list(fam5.tau)
+        tau[2] = tau[2] + 1
+        broken = TauFamily(fam5.n_max, tau, fam5.f)
+        assert [jacobi_identity_check(broken, n).passed for n in (1, 2, 3, 4)] == [
+            False, False, False, True]
