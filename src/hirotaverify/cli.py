@@ -14,22 +14,21 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple, Sequence
 
 from . import __version__
 from .laurent import ExactDivisionError
 from .report import CheckReport
 from .verifier import SUITE_NAMES, family_depth_needed, run_checks, suite_tasks
-from .wronskian import DeterminantError, TauFamily
+from .wronskian import DeterminantError, TauFamily, site_steps
 
 CACHE_ENV_VAR = "HV_CACHE_DIR"
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     n_max: int = 3
-    suites: list[str] = field(default_factory=lambda: ["all"])
+    suites: Sequence[str] = ("all",)
     cache_path: str | None = None
     report_format: str = "text"
     fail_fast: bool = False
@@ -140,24 +139,32 @@ _BENCH_SUITES = ("toda", "mixed", "conjecture", "symmetries", "orderwise-B")
 
 
 def cmd_bench(n_max: int, stream=None) -> int:
-    """Per-site construction timing and term counts, then per-suite timings."""
+    """Per-site construction timing and term counts, then per-suite timings.
+
+    One family is built, to the depth the suites read.  A site's build time
+    is its own elimination step in each of the two Wronskians; building the
+    matrices is timed on its own line.
+    """
     stream = stream or sys.stdout
     if n_max < 1:
         raise ValueError("n-max must be at least 1")
-    stream.write(f"{'n':>3} {'tau terms':>10} {'f terms':>9} {'build (s)':>10}\n")
-    for n in range(1, n_max + 1):
-        started = time.perf_counter()
-        fam = TauFamily.build(n)
-        elapsed = time.perf_counter() - started
-        stream.write(
-            f"{n:>3} {fam.tau[n].term_count:>10} {fam.f[n].term_count:>9} "
-            f"{elapsed:>10.3f}\n"
-        )
     depth = family_depth_needed(_BENCH_SUITES, n_max)
-    built = TauFamily.build(depth)
+    started = time.perf_counter()
+    steps = site_steps(depth)
+    stream.write(f"Wronskian matrices to n={depth}: {time.perf_counter() - started:.3f}s\n")
+    stream.write(f"{'n':>3} {'tau terms':>10} {'f terms':>9} {'build (s)':>10}\n")
+    tau, f = [], []
+    started = time.perf_counter()
+    for n, (tau_n, f_n) in enumerate(steps):
+        elapsed = time.perf_counter() - started
+        tau.append(tau_n)
+        f.append(f_n)
+        if 1 <= n <= n_max:
+            stream.write(f"{n:>3} {tau_n.term_count:>10} {f_n.term_count:>9} {elapsed:>10.3f}\n")
+        started = time.perf_counter()
     for suite in _BENCH_SUITES:
         # An empty site table, so that no suite reads what another computed.
-        fam = TauFamily(built.n_max, built.tau, built.f)
+        fam = TauFamily(depth, tau, f)
         started = time.perf_counter()
         reports = run_checks(suite_tasks(suite, fam, n_max))
         elapsed = time.perf_counter() - started

@@ -9,7 +9,7 @@ with first-order product derivatives and the constant -2 n^2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .laurent import (
     LaurentPoly,
@@ -68,15 +68,15 @@ def hirota_dst(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     return l_minus(pf) * g - pf * mg - mf * pg + f * l_minus(pg)
 
 
-@dataclass(frozen=True)
-class FOperator:
+class FOperator(NamedTuple("FOperator", [("n", int)])):
     """Bilinear deformation operator for lattice site n; its constant is -2 n^2."""
 
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 0:
+    def __new__(cls, n: int):
+        if n < 0:
             raise ValueError("operator index must be non-negative")
+        return super().__new__(cls, n)
 
     @property
     def c_n(self) -> int:

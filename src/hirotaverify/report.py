@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 
-@dataclass
-class CheckReport:
-    """Outcome of one identity check.
+class CheckReport(NamedTuple):
+    """Outcome of one identity check, immutable; _replace makes a changed copy.
 
     status is "pass" exactly when the residual polynomial was identically
     zero (or, for pointwise checks, every evaluated residual vanished),
@@ -32,7 +31,7 @@ class CheckReport:
         return self.status == "pass"
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def sort_key(report: CheckReport):

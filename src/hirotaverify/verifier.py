@@ -11,12 +11,10 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterable, Literal, NamedTuple, Sequence
 
-from . import closedform
 from .gaussian import GaussianRational, minus_i_power
 from .laurent import (
     LaurentPoly,
@@ -81,15 +79,12 @@ def _report(
     term_count: int = 0,
     note: str | None = None,
 ) -> CheckReport:
-    report = CheckReport(
-        equation_id, n, order_index=order_index, term_count=term_count,
-        elapsed=time.perf_counter() - started, note=note,
-    )
+    elapsed = time.perf_counter() - started
+    status, witness = "pass", None
     if not residual.is_zero:
         mono, coeff = residual.leading_term()
-        report.status = "fail"
-        report.witness = serialize(LaurentPoly({mono: coeff}))
-    return report
+        status, witness = "fail", serialize(LaurentPoly({mono: coeff}))
+    return CheckReport(equation_id, n, order_index, status, witness, term_count, elapsed, note)
 
 
 # -- bilinear identities --------------------------------------------------------
@@ -234,16 +229,16 @@ def check_symmetries(fam: TauFamily, n: int) -> list[CheckReport]:
 
 # -- SU(1,1) transformations --------------------------------------------------
 
-@dataclass(frozen=True)
-class Su11Params:
+class Su11Params(NamedTuple("Su11Params", [("alpha", GaussianRational),
+                                            ("beta", GaussianRational)])):
     """Transformation scalars; rejected when |alpha|^2 equals |beta|^2."""
 
-    alpha: GaussianRational
-    beta: GaussianRational
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.alpha.abs2() == self.beta.abs2():
+    def __new__(cls, alpha: GaussianRational, beta: GaussianRational):
+        if alpha.abs2() == beta.abs2():
             raise ValueError("degenerate parameters: |alpha|^2 == |beta|^2")
+        return super().__new__(cls, alpha, beta)
 
 
 def su11_transform(
@@ -283,17 +278,21 @@ def check_su11(
     """Toda, mixed and decomposition checks for one transformed pair at site n.
 
     The Toda and mixed identities need the transformed neighbours n-1, n+1,
-    so n must stay below fam.n_max.
+    so n must stay below fam.n_max.  Each row reports lhs - rhs of its
+    identity directly: no orderwise check reads a transformed site, so its
+    lhs is not split by powers of t.
     """
     _require_site(n, fam.n_max - 1)
     note = f"alpha={params.alpha}, beta={params.beta}"
     pairs = [su11_transform(fam, k, params) for k in (n - 1, n, n + 1)]
     site = _Site(n, *zip(*pairs))
-    return [
-        _identity_report(f"su11.{name}", name, site, order_index=pair_index,
-                         term_count=site.g.term_count, note=note)
-        for name in IDENTITIES
-    ]
+    reports = []
+    for name, identity in IDENTITIES.items():
+        started = time.perf_counter()
+        lhs, rhs = identity(site)
+        reports.append(_report(f"su11.{name}", n, lhs - rhs, started, order_index=pair_index,
+                               term_count=site.g.term_count, note=note))
+    return reports
 
 
 # -- order-by-order systems ---------------------------------------------------
@@ -450,8 +449,7 @@ def ernst_residual_numeric(
 
 # -- suites --------------------------------------------------------------------
 
-@dataclass
-class CheckTask:
+class CheckTask(NamedTuple):
     equation_id: str
     n: int
     run: Callable[[], CheckReport | list[CheckReport]]
@@ -464,7 +462,7 @@ def _per_site(equation_id: str, last: int, check: Callable[[int], object]) -> li
 
 def _with_g_row(tau: CheckReport) -> list[CheckReport]:
     # g_n is tau_n: one residual gives both rows, and the g row costs nothing.
-    return [tau, replace(tau, equation_id="toda.g", elapsed=0.0, note="g_n = tau_n")]
+    return [tau, tau._replace(equation_id="toda.g", elapsed=0.0, note="g_n = tau_n")]
 
 
 def _orderwise_tasks(suite: str, fam: TauFamily, n_max: int) -> list[CheckTask]:
@@ -535,8 +533,13 @@ def suite_tasks(name: str, fam: TauFamily, n_max: int) -> list[CheckTask]:
 
 
 # -- closed-form and Weyl-branch checks used by the suites ---------------------
+#
+# Each body that reads closedform imports it, so a run of the other suites
+# never loads that module.
 
 def _check_w_forms(w_max: int) -> CheckReport:
+    from . import closedform
+
     started = time.perf_counter()
     for k in range(2, w_max + 1):
         if closedform.w_formula(k) != closedform.w_recursive(k):
@@ -547,6 +550,8 @@ def _check_w_forms(w_max: int) -> CheckReport:
 
 
 def _check_a_facts() -> CheckReport:
+    from . import closedform
+
     started = time.perf_counter()
     expected = {1: 1, 2: 1, 3: 4, 4: 144}
     for k, value in expected.items():
@@ -570,6 +575,8 @@ def _check_a_facts() -> CheckReport:
 
 
 def _check_q0(n: int) -> CheckReport:
+    from . import closedform
+
     started = time.perf_counter()
     g_closed = closedform.g_q0_closed(n)
     residual = g_closed - closedform.g_q0_wronskian(n)
@@ -579,6 +586,8 @@ def _check_q0(n: int) -> CheckReport:
 
 
 def _check_extremes(fam: TauFamily, n: int) -> CheckReport:
+    from . import closedform
+
     started = time.perf_counter()
     checks = [
         (closedform.g_high(n), fam.g[n].coeff_of_t(n)),
@@ -619,6 +628,8 @@ def _check_weyl_lock(count: int, seed: int) -> CheckReport:
 
 
 def _check_weyl_pair(n: int) -> CheckReport:
+    from . import closedform
+
     started = time.perf_counter()
     g = closedform.g_q0_closed(n)
     f = closedform.f_q0_closed(n)

@@ -12,9 +12,10 @@ from __future__ import annotations
 import os
 import re
 import zlib
-from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
+from typing import Iterable, Iterator, NamedTuple
 
 from .laurent import (
     LaurentPoly,
@@ -47,16 +48,16 @@ def build_psi() -> LaurentPoly:
     )
 
 
-@dataclass(frozen=True)
-class SymMatrix:
+class SymMatrix(NamedTuple("SymMatrix", [("entries", tuple)])):
     """Immutable square matrix of Laurent polynomials."""
 
-    entries: tuple[tuple[LaurentPoly, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        for row in self.entries:
-            if len(row) != len(self.entries):
+    def __new__(cls, entries: tuple[tuple[LaurentPoly, ...], ...]):
+        for row in entries:
+            if len(row) != len(entries):
                 raise ValueError("matrix must be square")
+        return super().__new__(cls, entries)
 
     @property
     def dim(self) -> int:
@@ -116,11 +117,12 @@ def det_cofactor(m: SymMatrix) -> LaurentPoly:
     return rec(0, tuple(range(m.dim)))
 
 
-def _eliminate(m: SymMatrix) -> tuple[list[LaurentPoly], int]:
-    """One-step fraction-free (Bareiss) elimination of m.
+def _eliminate(m: SymMatrix) -> Iterator[tuple[LaurentPoly, int]]:
+    """One-step fraction-free (Bareiss) elimination of m, one step at a time.
 
-    Returns the pivots in order, the last one being the final diagonal entry,
-    and the number of row swaps made.  Every division is by the previous
+    Yields the pivots in order, the last one being the final diagonal entry,
+    each with the number of row swaps made so far; a step runs only when
+    the pivot after it is asked for.  Every division is by the previous
     pivot and is exact over an integral domain, so a failed one raises
     DeterminantError, a harness error, not a failed identity.  A zero pivot is
     swapped with the first lower row that is nonzero in its column; when
@@ -128,19 +130,18 @@ def _eliminate(m: SymMatrix) -> tuple[list[LaurentPoly], int]:
     """
     n = m.dim
     a = [list(row) for row in m.entries]
-    pivots: list[LaurentPoly] = []
     swaps = 0
     prev = None  # the first step would divide by 1
     for k in range(n):
         if a[k][k].is_zero:
             below = next((r for r in range(k + 1, n) if not a[r][k].is_zero), None)
             if below is None:
-                pivots.append(ZERO)
-                return pivots, swaps
+                yield ZERO, swaps
+                return
             a[k], a[below] = a[below], a[k]
             swaps += 1
         pivot = a[k][k]
-        pivots.append(pivot)
+        yield pivot, swaps
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 num = pivot * a[i][j] - a[i][k] * a[k][j]
@@ -154,19 +155,19 @@ def _eliminate(m: SymMatrix) -> tuple[list[LaurentPoly], int]:
                         f"inexact pivot division at step {k}"
                     ) from exc
         prev = pivot
-    return pivots, swaps
 
 
 def determinant(m: SymMatrix) -> LaurentPoly:
     """Fraction-free determinant: the last pivot, signed by the row swaps."""
     if m.dim == 0:
         return ONE
-    pivots, swaps = _eliminate(m)
-    return -pivots[-1] if swaps % 2 else pivots[-1]
+    for pivot, swaps in _eliminate(m):
+        pass
+    return -pivot if swaps % 2 else pivot
 
 
-def leading_principal_minors(m: SymMatrix) -> list[LaurentPoly]:
-    """All leading principal minor determinants from one elimination pass.
+def _leading_minors(m: SymMatrix) -> Iterator[LaurentPoly]:
+    """The leading principal minors of m, one elimination step each.
 
     Without row swaps the pivot entering step k of fraction-free elimination
     is exactly the (k+1)-dimensional leading principal minor, so a single
@@ -174,13 +175,32 @@ def leading_principal_minors(m: SymMatrix) -> list[LaurentPoly]:
     need a row swap, which invalidates the harvest: it raises
     DeterminantError.
     """
-    pivots, swaps = _eliminate(m)
-    if swaps or len(pivots) < m.dim:
-        raise DeterminantError("zero pivot: leading principal minors need a row swap")
-    return pivots
+    for k, (pivot, swaps) in enumerate(_eliminate(m)):
+        if swaps or (pivot.is_zero and k < m.dim - 1):
+            raise DeterminantError("zero pivot: leading principal minors need a row swap")
+        yield pivot
 
 
-@dataclass(frozen=True)
+def leading_principal_minors(m: SymMatrix) -> list[LaurentPoly]:
+    """All leading principal minor determinants from one elimination pass."""
+    return list(_leading_minors(m))
+
+
+def site_steps(n_max: int) -> Iterator[tuple[LaurentPoly, LaurentPoly]]:
+    """(tau_n, f_n) for n = 0..n_max, the entries of TauFamily.build(n_max).
+
+    The call builds both Wronskian matrices.  Each site is one elimination
+    step of each matrix, run only when that site is asked for, so a caller
+    can time the sites one by one.
+    """
+    if n_max < 1:
+        raise ValueError("n_max must be at least 1")
+    psi = build_psi()
+    tau = _leading_minors(wronskian_matrix(psi, n_max))
+    f = _leading_minors(wronskian_matrix(l_plus(l_minus(psi)), n_max - 1)) if n_max >= 2 else ()
+    return zip(chain([ONE], tau), chain([ZERO, ONE], f))
+
+
 class TauFamily:
     """Tau and f sequences for lattice sites 0..n_max, immutable.
 
@@ -189,17 +209,36 @@ class TauFamily:
     L_plus L_minus psi, with f_1 = 1 (empty determinant) and f_0 = 0 (the
     semi-infinite lattice cuts the chain below site zero).  sites holds what
     the checks derive from the family at each site, made on first use; no
-    entry can change under it.
+    entry can change under it.  Equality, hashing and repr read n_max, tau
+    and f only.
     """
 
-    n_max: int
-    tau: tuple[LaurentPoly, ...]
-    f: tuple[LaurentPoly, ...]
-    sites: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    __slots__ = ("n_max", "tau", "f", "sites")
 
-    def __post_init__(self):
-        object.__setattr__(self, "tau", tuple(self.tau))
-        object.__setattr__(self, "f", tuple(self.f))
+    def __init__(self, n_max: int, tau: Iterable[LaurentPoly], f: Iterable[LaurentPoly]):
+        for name, value in (("n_max", n_max), ("tau", tuple(tau)), ("f", tuple(f)),
+                            ("sites", {})):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return self.n_max, self.tau, self.f
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"TauFamily(n_max={self.n_max!r}, tau={self.tau!r}, f={self.f!r})"
 
     @property
     def g(self) -> tuple[LaurentPoly, ...]:
@@ -207,15 +246,8 @@ class TauFamily:
 
     @classmethod
     def build(cls, n_max: int) -> "TauFamily":
-        if n_max < 1:
-            raise ValueError("n_max must be at least 1")
-        psi = build_psi()
-        tau = [ONE] + leading_principal_minors(wronskian_matrix(psi, n_max))
-        f: list[LaurentPoly] = [ZERO, ONE]
-        if n_max >= 2:
-            shifted = l_plus(l_minus(psi))
-            f += leading_principal_minors(wronskian_matrix(shifted, n_max - 1))
-        return cls(n_max=n_max, tau=tau, f=f)
+        tau, f = zip(*site_steps(n_max))
+        return cls(n_max, tau, f)
 
     # -- cache file: a header holding the format version and the CRC-32 of the
     # body, then one '<tau|f> n=<k>: <polynomial>' line per entry.  A CRC finds

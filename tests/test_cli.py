@@ -1,11 +1,16 @@
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import zlib
+from pathlib import Path
 
 import pytest
 
-from hirotaverify import verifier
+import hirotaverify
+from hirotaverify import verifier, wronskian
 from hirotaverify.cli import RunConfig, cmd_bench, cmd_build, cmd_verify, main
 from hirotaverify.laurent import ONE, ExactDivisionError
 from hirotaverify.wronskian import CACHE_MAGIC, CACHE_VERSION, DeterminantError, TauFamily
@@ -225,6 +230,47 @@ class TestBenchCommand:
         monkeypatch.setattr(cli, "suite_tasks", recording)
         assert cmd_bench(2, stream=io.StringIO()) == 0
         assert len({id(sites) for sites in tables}) == len(cli._BENCH_SUITES)
+
+    def test_one_build_per_run(self, monkeypatch):
+        dims = []
+
+        def counting(seed, n):
+            dims.append(n)
+            return wronskian_matrix(seed, n)
+
+        wronskian_matrix = wronskian.wronskian_matrix
+        monkeypatch.setattr(wronskian, "wronskian_matrix", counting)
+        assert cmd_bench(2, stream=io.StringIO()) == 0
+        assert dims == [3, 2]  # the tau and f Wronskians of one depth-3 family
+
+
+class TestImportSet:
+    @staticmethod
+    def loaded(argv, tmp_path) -> set:
+        """Modules that main(argv) loads in a fresh interpreter, imports included."""
+        code = ("import sys\n"
+                "before = set(sys.modules)\n"
+                "from hirotaverify.cli import main\n"
+                f"assert main({argv!r}) == 0\n"
+                "open('loaded.txt', 'w').write(' '.join(set(sys.modules) - before))\n")
+        env = {k: v for k, v in os.environ.items() if k != "HV_CACHE_DIR"}
+        src = str(Path(hirotaverify.__file__).parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                       stdout=subprocess.DEVNULL, check=True, timeout=120)
+        return set((tmp_path / "loaded.txt").read_text().split())
+
+    @pytest.mark.parametrize("argv, closedform", [
+        (["verify", "--suite", "orderwise-A", "--n-max", "1"], False),
+        (["verify", "--suite", "orderwise-B", "--n-max", "1"], False),
+        (["build", "--n-max", "2", "--cache", "family.tau"], False),
+        (["verify", "--suite", "closedforms", "--n-max", "1"], True),
+    ], ids=["orderwise-A", "orderwise-B", "build", "closedforms"])
+    def test_run_loads_only_what_it_executes(self, argv, closedform, tmp_path):
+        loaded = self.loaded(argv, tmp_path)
+        assert "hirotaverify.cli" in loaded
+        assert not {"dataclasses", "inspect"} & loaded
+        assert ("hirotaverify.closedform" in loaded) == closedform
 
 
 def test_exit_code_one_on_failure(tmp_path):

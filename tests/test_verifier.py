@@ -2,7 +2,6 @@ import ast
 import inspect
 import textwrap
 import time
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -180,6 +179,24 @@ class TestSu11:
         params = V.Su11Params(GaussianRational(2), GaussianRational(3))
         assert all(r.passed for r in V.check_su11(fam4, 1, params))
         assert len(calls) == 3
+
+    def test_rows_need_no_t_split(self, fam4, monkeypatch):
+        # Each row is lhs - rhs as a family site reports it; no lhs is split by powers of t.
+        broken = TauFamily(4, [p + ONE if k == 2 else p for k, p in enumerate(fam4.tau)], fam4.f)
+        params = V.Su11Params(GaussianRational(1, 1), GaussianRational(0, 2))
+        site = V._Site(2, *zip(*(V.su11_transform(broken, k, params) for k in (1, 2, 3))))
+        note = f"alpha={params.alpha}, beta={params.beta}"
+        expected = [V._identity_report(f"su11.{name}", name, site, order_index=0,
+                                       term_count=site.g.term_count, note=note)
+                    for name in V.IDENTITIES]
+        splits = []
+        split = LaurentPoly.t_coefficients
+        monkeypatch.setattr(LaurentPoly, "t_coefficients", lambda p: splits.append(p) or split(p))
+        rows = V.check_su11(broken, 2, params)
+        assert splits == []
+        assert ([r._replace(elapsed=0.0) for r in rows]
+                == [r._replace(elapsed=0.0) for r in expected])
+        assert {r.status for r in rows} == {"pass", "fail"}
 
     def test_complex_pair(self, fam4):
         params = V.Su11Params(GaussianRational(1, 1), GaussianRational(0, 2))
@@ -462,7 +479,7 @@ class TestSiteTable:
 
     @staticmethod
     def _rows(reports):
-        return [replace(r, elapsed=0.0) for r in reports]
+        return [r._replace(elapsed=0.0) for r in reports]
 
     @pytest.mark.parametrize("stray", [None, "t*x"])
     def test_all_equals_each_suite_alone(self, built5, stray):
