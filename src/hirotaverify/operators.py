@@ -72,6 +72,7 @@ class FOperator(NamedTuple("FOperator", [("n", int)])):
     """Bilinear deformation operator for lattice site n; its constant is -2 n^2."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     def __new__(cls, n: int):
         if n < 0:

@@ -52,6 +52,7 @@ class SymMatrix(NamedTuple("SymMatrix", [("entries", tuple)])):
     """Immutable square matrix of Laurent polynomials."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     def __new__(cls, entries: tuple[tuple[LaurentPoly, ...], ...]):
         for row in entries:

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,8 @@ from hirotaverify.operators import (
     l_minus,
     l_plus,
 )
+from hirotaverify import verifier as V
+from hirotaverify.report import CheckReport
 from hirotaverify.verifier import star
 from hirotaverify.wronskian import TauFamily
 
@@ -145,6 +148,28 @@ def ernst_oracle(g: LaurentPoly, f: LaurentPoly, point: tuple) -> tuple[str, str
     n_g = x2m1 * pv * pv + one_m_y2 * qv * qv
     residual = ((gv * gsv - fv * fsv) * n_b - 2 * gsv * n_g) / (fsv * fv ** 4)
     return ("pass", None) if residual.is_zero else ("fail", str(residual))
+
+
+# -- the SU(1,1) rows by transforming the family ---------------------------------
+
+def su11_direct(fam: TauFamily, n: int, params: V.Su11Params,
+                pair_index: int = 0) -> list[CheckReport]:
+    """check_su11's rows by the direct route: every identity on the transformed pair.
+
+    Sites n-1, n and n+1 are transformed to g' = alpha g + beta* f and
+    f' = beta g + alpha* f, and each IDENTITIES entry is evaluated on them
+    with non-real operands, independently of the family's site table.
+    """
+    V._require_site(n, fam.n_max - 1)
+    site = V._Site(n, *zip(*(V.su11_transform(fam, k, params) for k in (n - 1, n, n + 1))))
+    note = f"alpha={params.alpha}, beta={params.beta}"
+    reports = []
+    for name, identity in V.IDENTITIES.items():
+        started = time.perf_counter()
+        lhs, rhs = identity(site)
+        reports.append(V._report(f"su11.{name}", n, lhs - rhs, started, order_index=pair_index,
+                                 term_count=site.g.term_count, note=note))
+    return reports
 
 
 # -- hypothesis strategies ----------------------------------------------------

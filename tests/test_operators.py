@@ -53,6 +53,7 @@ class TestHirota:
     @given(f=polys, g=polys)
     def test_symmetry_rules(self, f, g):
         assert hirota("x", f, g) == -hirota("x", g, f)
+        assert hirota("y", f, g) == -hirota("y", g, f)
         assert hirota_dst(f, g) == hirota_dst(g, f)
 
     def test_direct_definition(self):
@@ -96,6 +97,13 @@ class TestFOperator:
         assert FOperator(3).c_n == -18
         one = parse("1")
         assert apply_F(FOperator(1), one, one) == parse("-2")
+
+    def test_replace_and_make_check_the_index(self):
+        assert FOperator(3)._replace(n=1) == FOperator(1)
+        with pytest.raises(ValueError):
+            FOperator(3)._replace(n=-1)
+        with pytest.raises(ValueError):
+            FOperator._make([-2])
 
     def test_site_one_pair_equation(self, fam5):
         from hirotaverify.verifier import star

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from hirotaverify.gaussian import GaussianRational
 from hirotaverify.laurent import (
@@ -22,7 +23,16 @@ from hirotaverify.report import sort_key
 from hirotaverify import verifier as V
 from hirotaverify.wronskian import TauFamily
 
-from conftest import ernst_oracle, orderwise_oracle, polys
+from conftest import ernst_oracle, gaussians, orderwise_oracle, polys, su11_direct
+
+# Damaged entries (sequence, site, added term), real and non-real, for the
+# SU(1,1) rows; None is the family as built.
+SU11_DAMAGE = [None, ("tau", 2, "t*x"), ("tau", 2, "1"), ("f", 3, "t^5*y"), ("f", 2, "x*y"),
+               ("tau", 1, "i*x*t"), ("f", 2, "(2+3*i)*y^2*t^-1")]
+# Six seeded pairs and one of the shape perfbench/workloads.py draws.
+SU11_PAIRS = V.random_su11_params(6) + [V.Su11Params(
+    GaussianRational(Fraction(11, 2), Fraction(1, 2)),
+    GaussianRational(Fraction(-7, 3), Fraction(5, 3)))]
 
 
 class TestStar:
@@ -166,7 +176,8 @@ class TestSu11:
         monkeypatch.setattr(V, "su11_transform", counting)
         params = V.Su11Params(GaussianRational(2), GaussianRational(3))
         assert all(r.passed for r in V.check_su11(fam4, 2, params))
-        assert sites == [1, 2, 3]
+        # Only g'_n, for the term count: the residuals come from the family's site.
+        assert sites == [2]
 
     def test_one_dst_per_bilinear_residual(self, fam4, monkeypatch):
         calls = []
@@ -181,22 +192,55 @@ class TestSu11:
         assert len(calls) == 3
 
     def test_rows_need_no_t_split(self, fam4, monkeypatch):
-        # Each row is lhs - rhs as a family site reports it; no lhs is split by powers of t.
+        # The rows are the direct route's; the t-splits are the site table's, made once.
         broken = TauFamily(4, [p + ONE if k == 2 else p for k, p in enumerate(fam4.tau)], fam4.f)
         params = V.Su11Params(GaussianRational(1, 1), GaussianRational(0, 2))
-        site = V._Site(2, *zip(*(V.su11_transform(broken, k, params) for k in (1, 2, 3))))
-        note = f"alpha={params.alpha}, beta={params.beta}"
-        expected = [V._identity_report(f"su11.{name}", name, site, order_index=0,
-                                       term_count=site.g.term_count, note=note)
-                    for name in V.IDENTITIES]
+        expected = su11_direct(broken, 2, params)
         splits = []
         split = LaurentPoly.t_coefficients
         monkeypatch.setattr(LaurentPoly, "t_coefficients", lambda p: splits.append(p) or split(p))
         rows = V.check_su11(broken, 2, params)
-        assert splits == []
+        one_pair = len(splits)
+        for index, other in enumerate(V.random_su11_params(3), start=1):
+            V.check_su11(broken, 2, other, pair_index=index)
+        assert len(splits) == one_pair
         assert ([r._replace(elapsed=0.0) for r in rows]
                 == [r._replace(elapsed=0.0) for r in expected])
         assert {r.status for r in rows} == {"pass", "fail"}
+
+    def test_pairs_share_one_real_evaluation(self, fam4, monkeypatch):
+        # Two pairs at one site evaluate each identity once, all in real arithmetic.
+        calls, operands = [], []
+        for name, identity in V.IDENTITIES.items():
+            monkeypatch.setitem(V.IDENTITIES, name,
+                                lambda site, identity=identity: calls.append(1) or identity(site))
+        for name in ("hirota_dst", "apply_F"):
+            operator = getattr(V, name)
+            monkeypatch.setattr(V, name, lambda *args, operator=operator:
+                                operands.extend(args[-2:]) or operator(*args))
+        for index, params in enumerate(V.random_su11_params(2)):
+            assert all(r.passed for r in V.check_su11(fam4, 2, params, pair_index=index))
+        assert len(calls) == 7
+        assert operands and all(c.is_real for p in operands for _, c in p.terms())
+
+    @pytest.mark.parametrize("damage", SU11_DAMAGE, ids=str)
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_rows_match_direct_route(self, fam4, damage, n):
+        fam = fam4
+        if damage:
+            which, k, text = damage
+            seqs = {"tau": list(fam4.tau), "f": list(fam4.f)}
+            seqs[which][k] = seqs[which][k] + parse(text)
+            fam = TauFamily(4, seqs["tau"], seqs["f"])
+        rows = [r._replace(elapsed=0.0)
+                for index, params in enumerate(SU11_PAIRS)
+                for r in V.check_su11(fam, n, params, pair_index=index)]
+        direct = [r._replace(elapsed=0.0)
+                  for index, params in enumerate(SU11_PAIRS)
+                  for r in su11_direct(fam, n, params, pair_index=index)]
+        assert rows == direct
+        if damage and n == 2:  # site 2 reads sites 1..3, so every damage shows there
+            assert any(not r.passed for r in rows)
 
     def test_complex_pair(self, fam4):
         params = V.Su11Params(GaussianRational(1, 1), GaussianRational(0, 2))
@@ -217,12 +261,44 @@ class TestSu11:
             assert apply_F(fop, gs, f).is_zero
             assert (apply_F(fop, gs, g) + apply_F(fop, fs, f)).is_zero
 
+    def test_replace_and_make_check_degeneracy(self):
+        params = V.Su11Params(GaussianRational(2), GaussianRational(1, 1))
+        assert params._replace(beta=GaussianRational(1)).beta == GaussianRational(1)
+        with pytest.raises(ValueError):
+            params._replace(beta=params.alpha)
+        with pytest.raises(ValueError):
+            V.Su11Params._make([GaussianRational(1), GaussianRational(0, 1)])
+
     def test_random_admissible_generation(self):
         params = V.random_su11_params(5, seed=99)
         assert len(params) == 5
         assert params == V.random_su11_params(5, seed=99)
         for p in params:
             assert p.alpha.abs2() != p.beta.abs2()
+
+
+class TestSu11Lemmas:
+    """The facts check_su11's table of residual combinations rests on.
+
+    The polynomials have non-real coefficients and the scalars are Gaussian.
+    The symmetries of hirota, hirota_dst and apply_F, and the bilinearity of
+    apply_F, are checked in test_operators.py.
+    """
+
+    @given(a=polys, b=polys, c=polys, k=gaussians)
+    def test_hirota_brackets_bilinear(self, a, b, c, k):
+        assert hirota_dst(k * a + b, c) == k * hirota_dst(a, c) + hirota_dst(b, c)
+        for var in "xy":
+            assert hirota(var, k * a + b, c) == k * hirota(var, a, c) + hirota(var, b, c)
+
+    @given(p=polys, k=gaussians)
+    def test_star_antilinear(self, p, k):
+        assert V.star(k * p) == k.conjugate() * V.star(p)
+
+    @given(a=polys, b=polys, n=st.integers(min_value=0, max_value=4))
+    def test_star_commutes_with_F(self, a, b, n):
+        fop = FOperator(n)
+        assert V.star(apply_F(fop, a, b)) == apply_F(fop, V.star(a), V.star(b))
 
 
 def _orderwise_reports(fam, n, suite):

@@ -51,6 +51,14 @@ class TestMatrixConstruction:
         with pytest.raises(ValueError):
             wronskian_matrix(PSI, 0)
 
+    def test_replace_and_make_check_squareness(self):
+        m = SymMatrix(((ONE, ONE), (ONE, ONE)))
+        assert m._replace(entries=((ONE,),)).dim == 1
+        with pytest.raises(ValueError):
+            m._replace(entries=((ONE, ONE),))
+        with pytest.raises(ValueError):
+            SymMatrix._make([((ONE, ONE),)])
+
 
 class TestMinors:
     def test_single_deletion(self):
