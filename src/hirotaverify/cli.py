@@ -10,18 +10,18 @@ the run then exits 2 unless some identity failed.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from . import __version__
 from .laurent import ExactDivisionError
-from .report import CheckReport
-from .verifier import SUITE_NAMES, family_depth_needed, run_checks, suite_tasks
 from .wronskian import DeterminantError, TauFamily, site_steps
+
+if TYPE_CHECKING:  # the commands import the verifier when they run; build never does
+    from .report import CheckReport
 
 CACHE_ENV_VAR = "HV_CACHE_DIR"
 
@@ -34,6 +34,8 @@ class RunConfig(NamedTuple):
     fail_fast: bool = False
 
     def validate(self) -> None:
+        from .verifier import SUITE_NAMES
+
         if self.n_max < 1:
             raise ValueError("n-max must be at least 1")
         unknown = [s for s in self.suites if s not in SUITE_NAMES]
@@ -74,6 +76,8 @@ def _emit_report(config: RunConfig, reports: list[CheckReport], stream) -> None:
     errors = sum(1 for r in reports if r.status == "error")
     total_elapsed = sum(r.elapsed for r in reports)
     if config.report_format == "json":
+        import json
+
         payload = {
             "version": __version__,
             "config": {
@@ -104,6 +108,8 @@ def _emit_report(config: RunConfig, reports: list[CheckReport], stream) -> None:
 
 def cmd_verify(config: RunConfig, stream=None) -> int:
     """Run the selected suites; returns the process exit code."""
+    from .verifier import family_depth_needed, run_checks, suite_tasks
+
     stream = stream or sys.stdout
     config.validate()
     depth = family_depth_needed(config.suites, config.n_max)
@@ -145,6 +151,8 @@ def cmd_bench(n_max: int, stream=None) -> int:
     is its own elimination step in each of the two Wronskians; building the
     matrices is timed on its own line.
     """
+    from .verifier import family_depth_needed, run_checks, suite_tasks
+
     stream = stream or sys.stdout
     if n_max < 1:
         raise ValueError("n-max must be at least 1")
@@ -183,7 +191,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="run verification suites")
     verify.add_argument("--suite", action="append", default=None,
-                        help=f"suite name, repeatable; one of {', '.join(SUITE_NAMES)}")
+                        help="suite name, repeatable; 'all' (the default) runs every suite")
     verify.add_argument("--n-max", type=int, default=3)
     verify.add_argument("--cache", default=None, help="tau-family cache file")
     verify.add_argument("--format", choices=("json", "text"), default="text")

@@ -116,8 +116,9 @@ class GaussianRational:
         while k:
             if k & 1:
                 result = result * base
-            base = base * base
             k >>= 1
+            if k:  # the square after the last bit would go unused
+                base = base * base
         return result
 
     def __eq__(self, other):

@@ -32,6 +32,7 @@ public methods take and return Monomial and GaussianRational.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from re import findall, finditer, search
@@ -594,37 +595,35 @@ def _quotient(a: LaurentPoly, nums: dict, b: LaurentPoly, low: list[int],
 # u = (x+y)/2 and v = (x-y)/2.  A polynomial "in u, v" reuses the x slot for
 # u and the y slot for v.
 
-_HALF = Fraction(1, 2)
+@cache
+def _uv_row(i: int, j: int) -> tuple[int, ...]:
+    """Coefficients of (x+y)^i (x-y)^j; entry k multiplies x^k y^(i+j-k)."""
+    if i < 0 or j < 0:
+        raise ValueError("basis change requires non-negative u,v exponents")
+    if not i + j:
+        return (1,)
+    row, sign = (_uv_row(i - 1, j), 1) if i else (_uv_row(0, j - 1), -1)
+    return tuple(sign * a + b for a, b in zip((*row, 0), (0, *row)))
 
 
 def from_uv(p: LaurentPoly) -> LaurentPoly:
-    """Rewrite a u,v-polynomial back in x, y (u -> (x+y)/2, v -> (x-y)/2)."""
-    u_img = LaurentPoly({Monomial(0, 1, 0): _HALF, Monomial(0, 0, 1): _HALF})
-    v_img = LaurentPoly({Monomial(0, 1, 0): _HALF, Monomial(0, 0, 1): -_HALF})
-    return _subst_linear(p, u_img, v_img)
+    """Rewrite a u,v-polynomial in x, y: t^a u^i v^j -> t^a (x+y)^i (x-y)^j / 2^(i+j).
 
+    Every term is put over one denominator 2^top, top the largest u,v-degree.
+    """
+    top = max((sum(_unpack(k)[1:]) for k in p._keys()), default=0)
 
-def _subst_linear(p: LaurentPoly, x_image: LaurentPoly, y_image: LaurentPoly) -> LaurentPoly:
-    if p.has_negative_xy():
-        raise ValueError("basis change requires non-negative x,y exponents")
-    x_pows: dict[int, LaurentPoly] = {0: ONE}
-    y_pows: dict[int, LaurentPoly] = {0: ONE}
+    def part(nums: dict) -> dict:
+        out = {}
+        for k, v in nums.items():
+            _, i, j = _unpack(k)
+            v <<= top - i - j
+            for r, c in enumerate(_uv_row(i, j)):
+                if c:  # x^r y^(i+j-r): the key of u^i v^j plus i - r
+                    out[k + i - r] = out.get(k + i - r, 0) + v * c
+        return {k: v for k, v in out.items() if v}
 
-    def pow_of(images: dict[int, LaurentPoly], base: LaurentPoly, e: int) -> LaurentPoly:
-        got = images.get(e)
-        if got is None:
-            got = images[e] = pow_of(images, base, e - 1) * base
-        return got
-
-    terms = []
-    for mono, coeff in p.terms():
-        term = monomial(coeff, et=mono.et)
-        if mono.ex:
-            term = term * pow_of(x_pows, x_image, mono.ex)
-        if mono.ey:
-            term = term * pow_of(y_pows, y_image, mono.ey)
-        terms.append(term)
-    return _sum(terms)
+    return LaurentPoly._make(part(p._re), p._im and part(p._im), p._den << top)
 
 
 # -- canonical text form ----------------------------------------------------

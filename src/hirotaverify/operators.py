@@ -1,10 +1,11 @@
 """Differential and bilinear operators on Laurent polynomials.
 
 L_X = (x^2-1) d/dx and L_Y = (y^2-1) d/dy generate the light-cone pair
-L_plus = L_X + L_Y and L_minus = L_X - L_Y.  Hirota derivatives are the
-antisymmetrized bilinear derivatives built from any of these derivations,
-and the deformation operator F couples second-order Hirota terms in x and y
-with first-order product derivatives and the constant -2 n^2.
+L_plus = L_X + L_Y and L_minus = L_X - L_Y; l_plus and l_minus apply them in
+u = (x+y)/2, v = (x-y)/2, u in the x slot and v in the y slot.  Hirota
+derivatives are the antisymmetrized bilinear derivatives built from any of
+these derivations, and the deformation operator F couples second-order
+Hirota terms in x and y with first-order product derivatives and -2 n^2.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ from .laurent import (
 
 X2_MINUS_1 = LaurentPoly({(0, 2, 0): 1, (0, 0, 0): -1})
 Y2_MINUS_1 = LaurentPoly({(0, 0, 2): 1, (0, 0, 0): -1})
+_UV_SQUARES_MINUS_1 = LaurentPoly({(0, 2, 0): 1, (0, 0, 2): 1, (0, 0, 0): -1})
+_TWO_UV = LaurentPoly({(0, 1, 1): 2})
 
 
 def d_x(p: LaurentPoly) -> LaurentPoly:
@@ -39,11 +42,13 @@ def l_y(p: LaurentPoly) -> LaurentPoly:
 
 
 def l_plus(p: LaurentPoly) -> LaurentPoly:
-    return l_x(p) + l_y(p)
+    """L_X + L_Y in u, v: (u^2+v^2-1) d/du + 2uv d/dv."""
+    return _UV_SQUARES_MINUS_1 * differentiate(p, "x") + _TWO_UV * differentiate(p, "y")
 
 
 def l_minus(p: LaurentPoly) -> LaurentPoly:
-    return l_x(p) - l_y(p)
+    """L_X - L_Y in u, v: 2uv d/du + (u^2+v^2-1) d/dv."""
+    return _TWO_UV * differentiate(p, "x") + _UV_SQUARES_MINUS_1 * differentiate(p, "y")
 
 
 def hirota(var: str, f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
@@ -54,7 +59,7 @@ def hirota(var: str, f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
 
 
 def hirota_dst(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
-    """Mixed D_S D_T bracket on (f, g).
+    """Mixed D_S D_T bracket on x,y-polynomials (f, g), from L_X and L_Y.
 
     Four products of the operands' size; the bracket is symmetric, so for
     f == g its two cross terms are equal and two products suffice.
@@ -62,10 +67,10 @@ def hirota_dst(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     fx, fy = l_x(f), l_y(f)
     pf, mf = fx + fy, fx - fy
     if f == g:
-        return 2 * (l_minus(pf) * f - pf * mf)
+        return 2 * ((l_x(pf) - l_y(pf)) * f - pf * mf)
     gx, gy = l_x(g), l_y(g)
     pg, mg = gx + gy, gx - gy
-    return l_minus(pf) * g - pf * mg - mf * pg + f * l_minus(pg)
+    return (l_x(pf) - l_y(pf)) * g - pf * mg - mf * pg + f * (l_x(pg) - l_y(pg))
 
 
 class FOperator(NamedTuple("FOperator", [("n", int)])):

@@ -302,7 +302,7 @@ def check_su11(
         "tsdec4": lambda: s * r("tsdec4") + 2 * ac * bc * r("tsdec3") + 2 * a * b * r3s(),
     }
     fields = dict(order_index=pair_index, note=f"alpha={a}, beta={b}",
-                  term_count=su11_transform(fam, n, params)[0].term_count)
+                  term_count=(a * fam.g[n] + bc * fam.f[n]).term_count)
     reports = []
     for name, residual in combinations.items():
         started = time.perf_counter()

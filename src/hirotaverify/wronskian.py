@@ -5,6 +5,10 @@ entry is L_plus^i L_minus^j applied to the seed, built here with one operator
 application per entry.  Determinants are evaluated by fraction-free one-step
 elimination (divisions exact in the Laurent ring) with plain cofactor
 expansion kept as an independent oracle.
+
+Every Wronskian is built and eliminated in the light-cone basis u = (x+y)/2,
+v = (x-y)/2, where the seed is t v + u/t.  Each minor handed out leaves
+through one from_uv call, so TauFamily and its cache file hold x,y-polynomials.
 """
 
 from __future__ import annotations
@@ -12,7 +16,6 @@ from __future__ import annotations
 import os
 import re
 import zlib
-from fractions import Fraction
 from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
@@ -24,12 +27,11 @@ from .laurent import (
     ZERO,
     ExactDivisionError,
     exact_divide,
+    from_uv,
     parse,
     serialize,
 )
 from .operators import l_minus, l_plus
-
-_HALF = Fraction(1, 2)
 
 CACHE_MAGIC = "hirotaverify tau-family"
 CACHE_VERSION = 1
@@ -37,15 +39,8 @@ _HEADER = re.compile(rf"^{CACHE_MAGIC} v(\d+) crc32=([0-9a-f]{{8}})$")
 
 
 def build_psi() -> LaurentPoly:
-    """Seed t*(x-y)/2 + (1/t)*(x+y)/2, i.e. t*v + u/t."""
-    return LaurentPoly(
-        {
-            Monomial(1, 1, 0): _HALF,
-            Monomial(1, 0, 1): -_HALF,
-            Monomial(-1, 1, 0): _HALF,
-            Monomial(-1, 0, 1): _HALF,
-        }
-    )
+    """Seed t*v + u/t, i.e. t*(x-y)/2 + (1/t)*(x+y)/2, as a u,v-polynomial."""
+    return LaurentPoly({Monomial(1, 0, 1): 1, Monomial(-1, 1, 0): 1})
 
 
 class SymMatrix(NamedTuple("SymMatrix", [("entries", tuple)])):
@@ -191,15 +186,15 @@ def site_steps(n_max: int) -> Iterator[tuple[LaurentPoly, LaurentPoly]]:
     """(tau_n, f_n) for n = 0..n_max, the entries of TauFamily.build(n_max).
 
     The call builds both Wronskian matrices.  Each site is one elimination
-    step of each matrix, run only when that site is asked for, so a caller
-    can time the sites one by one.
+    step of each matrix, and its conversion to x,y, run only when that site
+    is asked for, so a caller can time the sites one by one.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     psi = build_psi()
     tau = _leading_minors(wronskian_matrix(psi, n_max))
     f = _leading_minors(wronskian_matrix(l_plus(l_minus(psi)), n_max - 1)) if n_max >= 2 else ()
-    return zip(chain([ONE], tau), chain([ZERO, ONE], f))
+    return zip(chain([ONE], map(from_uv, tau)), chain([ZERO, ONE], map(from_uv, f)))
 
 
 class TauFamily:
@@ -309,10 +304,11 @@ class TauFamily:
             if missing:
                 raise ValueError(f"{path}: missing {key} entries for n={missing}")
         # The CRC finds damage, not a faulty build: recompute the first sites
-        # from the seed, by cofactor expansion, and compare.
+        # from the seed, by cofactor expansion in u, v, and compare.
         m = wronskian_matrix(build_psi(), 2)
-        expected = {("tau", 0): ONE, ("tau", 1): m.entries[0][0], ("tau", 2): det_cofactor(m),
-                    ("f", 0): ZERO, ("f", 1): ONE, ("f", 2): m.entries[1][1]}
+        expected = {("tau", 0): ONE, ("tau", 1): from_uv(m.entries[0][0]),
+                    ("tau", 2): from_uv(det_cofactor(m)),
+                    ("f", 0): ZERO, ("f", 1): ONE, ("f", 2): from_uv(m.entries[1][1])}
         wrong = [f"{key}_{k}" for (key, k), poly in expected.items()
                  if k <= n_max and found[key][k] != poly]
         if wrong:
@@ -331,11 +327,12 @@ def jacobi_residual(fam: TauFamily, n: int) -> LaurentPoly:
     residual is D[n;n] D[n+1;n+1] - D[n+1;n] D[n;n+1] - D * D[{n,n+1};{n,n+1}].
     D, D[n+1;n+1] and D[{n,n+1};{n,n+1}] are leading principal minors, read
     as the family's tau_{n+1}, tau_n and tau_{n-1}; the other three are
-    eliminated here.
+    eliminated here, in u, v.
     """
     if not 1 <= n < fam.n_max:
         raise ValueError(f"need 1 <= n <= {fam.n_max - 1}, got {n}")
     m = wronskian_matrix(build_psi(), n + 1)
     r, s = n - 1, n  # 0-based positions of rows/cols n and n+1
-    d_rr, d_sr, d_rs = (determinant(minor(m, i, j)) for i, j in ((r, r), (s, r), (r, s)))
+    d_rr, d_sr, d_rs = (from_uv(determinant(minor(m, i, j)))
+                        for i, j in ((r, r), (s, r), (r, s)))
     return d_rr * fam.tau[n] - d_sr * d_rs - fam.tau[n + 1] * fam.tau[n - 1]

@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
 from hirotaverify.gaussian import GaussianRational
-from hirotaverify.laurent import ZERO, LaurentPoly, Monomial, differentiate, monomial
+from hirotaverify.laurent import ONE, ZERO, LaurentPoly, Monomial, differentiate, monomial, variable
 from hirotaverify.operators import (
     X2_MINUS_1,
     Y2_MINUS_1,
@@ -14,13 +14,13 @@ from hirotaverify.operators import (
     apply_F,
     hirota,
     hirota_dst,
-    l_minus,
-    l_plus,
+    l_x,
+    l_y,
 )
 from hirotaverify import verifier as V
 from hirotaverify.report import CheckReport
 from hirotaverify.verifier import star
-from hirotaverify.wronskian import TauFamily
+from hirotaverify.wronskian import SymMatrix, TauFamily, leading_principal_minors
 
 settings.register_profile(
     "exact",
@@ -96,6 +96,62 @@ def orderwise_oracle(
     return lhs, rhs
 
 
+# -- the Wronskian family by elimination in x, y ----------------------------------
+#
+# The library eliminates in the light-cone basis u, v and converts each minor
+# with from_uv.  This route keeps everything in x, y: the seed, the light-cone
+# pair as L_X +- L_Y, and a basis change by multiplied powers.
+
+def psi_xy() -> LaurentPoly:
+    """The seed t*(x-y)/2 + (1/t)*(x+y)/2 in x, y."""
+    half = Fraction(1, 2)
+    return LaurentPoly({Monomial(1, 1, 0): half, Monomial(1, 0, 1): -half,
+                        Monomial(-1, 1, 0): half, Monomial(-1, 0, 1): half})
+
+
+def l_plus_xy(p: LaurentPoly) -> LaurentPoly:
+    return l_x(p) + l_y(p)
+
+
+def l_minus_xy(p: LaurentPoly) -> LaurentPoly:
+    return l_x(p) - l_y(p)
+
+
+def wronskian_matrix_xy(seed: LaurentPoly, n: int) -> SymMatrix:
+    """n x n matrix with entries[i][j] = L_plus^i L_minus^j seed, every entry in x, y."""
+    rows = [[seed]]
+    for j in range(1, n):
+        rows[0].append(l_minus_xy(rows[0][j - 1]))
+    for i in range(1, n):
+        rows.append([l_plus_xy(e) for e in rows[i - 1]])
+    return SymMatrix(tuple(tuple(row) for row in rows))
+
+
+def build_xy(n_max: int) -> TauFamily:
+    """TauFamily.build(n_max) with both Wronskians eliminated in x, y."""
+    psi = psi_xy()
+    tau = leading_principal_minors(wronskian_matrix_xy(psi, n_max))
+    f = (leading_principal_minors(wronskian_matrix_xy(l_plus_xy(l_minus_xy(psi)), n_max - 1))
+         if n_max >= 2 else [])
+    return TauFamily(n_max, [ONE, *tau], [ZERO, ONE, *f])
+
+
+def subst_linear(p: LaurentPoly, x_image: LaurentPoly, y_image: LaurentPoly) -> LaurentPoly:
+    """p with x -> x_image and y -> y_image, term by term through powers of the images."""
+    if p.has_negative_xy():
+        raise ValueError("basis change requires non-negative x,y exponents")
+    total = ZERO
+    for mono, coeff in p.terms():
+        total = total + monomial(coeff, et=mono.et) * x_image ** mono.ex * y_image ** mono.ey
+    return total
+
+
+def from_uv_oracle(p: LaurentPoly) -> LaurentPoly:
+    """from_uv by substitution: u -> (x+y)/2, v -> (x-y)/2."""
+    x, y = variable("x"), variable("y")
+    return subst_linear(p, Fraction(1, 2) * (x + y), Fraction(1, 2) * (x - y))
+
+
 # -- the operators and the Ernst residual in their textbook product forms -------
 
 def hirota_second(var: str, f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
@@ -106,9 +162,9 @@ def hirota_second(var: str, f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
 
 def hirota_dst_oracle(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     """D_S D_T on (f, g) from its definition: four products, no symmetry used."""
-    pf, mf = l_plus(f), l_minus(f)
-    pg, mg = l_plus(g), l_minus(g)
-    return l_minus(pf) * g - pf * mg - mf * pg + f * l_minus(pg)
+    pf, mf = l_plus_xy(f), l_minus_xy(f)
+    pg, mg = l_plus_xy(g), l_minus_xy(g)
+    return l_minus_xy(pf) * g - pf * mg - mf * pg + f * l_minus_xy(pg)
 
 
 def apply_F_oracle(fop: FOperator, a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:

@@ -226,8 +226,8 @@ class TestBenchCommand:
             tables.append(fam.sites)
             return suite_tasks(suite, fam, n_max)
 
-        suite_tasks = cli.suite_tasks
-        monkeypatch.setattr(cli, "suite_tasks", recording)
+        suite_tasks = verifier.suite_tasks
+        monkeypatch.setattr(verifier, "suite_tasks", recording)
         assert cmd_bench(2, stream=io.StringIO()) == 0
         assert len({id(sites) for sites in tables}) == len(cli._BENCH_SUITES)
 
@@ -271,6 +271,20 @@ class TestImportSet:
         assert "hirotaverify.cli" in loaded
         assert not {"dataclasses", "inspect"} & loaded
         assert ("hirotaverify.closedform" in loaded) == closedform
+
+    def test_build_command_leaves_the_verifier_unimported(self, tmp_path):
+        # -X importtime lists on stderr every module the command imports.
+        env = {k: v for k, v in os.environ.items() if k != "HV_CACHE_DIR"}
+        src = str(Path(hirotaverify.__file__).parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        run = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "hirotaverify", "build", "--n-max", "2",
+             "--cache", "f2.tau"],
+            env=env, cwd=tmp_path, capture_output=True, text=True, check=True, timeout=120)
+        imported = {line.rsplit("|", 1)[-1].strip() for line in run.stderr.splitlines()
+                    if line.startswith("import time:")}
+        assert "hirotaverify.wronskian" in imported and (tmp_path / "f2.tau").exists()
+        assert not {"hirotaverify.verifier", "hirotaverify.report"} & imported
 
 
 def test_exit_code_one_on_failure(tmp_path):

@@ -55,6 +55,28 @@ def test_integer_powers():
     assert z**-2 == (2 * I).inverse()
 
 
+@given(z=nonzero_gaussians)
+def test_powers_are_repeated_products(z):
+    product, inverse_product = GaussianRational(1), GaussianRational(1)
+    for k in range(10):
+        assert z**k == product
+        assert z**-k == inverse_product
+        product, inverse_product = product * z, inverse_product / z
+
+
+def test_power_skips_the_unused_last_square(monkeypatch):
+    products = []
+    multiply = GaussianRational.__mul__
+
+    def counting(a, b):
+        products.append((a, b))
+        return multiply(a, b)
+
+    monkeypatch.setattr(GaussianRational, "__mul__", counting)
+    assert GaussianRational(1, 1) ** 8 == 16
+    assert len(products) == 4  # three squares, then 1 * z^8
+
+
 def test_zero_division_rejected():
     with pytest.raises(ZeroDivisionError):
         GaussianRational(0).inverse()

@@ -24,9 +24,17 @@ from hirotaverify.laurent import (
     swap_xy,
     variable,
 )
-from hirotaverify.wronskian import build_psi, TauFamily
+from hirotaverify.wronskian import TauFamily
 
-from conftest import laurent_polys, nonzero_polys, polys, xy_polys
+from conftest import (
+    from_uv_oracle,
+    laurent_polys,
+    nonzero_polys,
+    polys,
+    psi_xy,
+    wronskian_matrix_xy,
+    xy_polys,
+)
 
 X = variable("x")
 Y = variable("y")
@@ -64,7 +72,7 @@ class TestSubstitutions:
         assert q == p
 
     def test_named_examples(self):
-        psi = build_psi()
+        psi = psi_xy()
         u = parse("1/2*x + 1/2*y")
         v = parse("1/2*x + (-1/2)*y")
         assert subst_t_inverse(psi) == T * u + subst_t_inverse(T) * v
@@ -84,7 +92,7 @@ class TestDifferentiate:
 
     def test_seed_derivative_coefficients(self):
         # d/dx psi has coefficient 1/2 at t and 1/2 at 1/t.
-        dpsi = differentiate(build_psi(), "x")
+        dpsi = differentiate(psi_xy(), "x")
         assert dpsi.coeff_of_t(1) == LaurentPoly({Monomial(0, 0, 0): Fraction(1, 2)})
         assert dpsi.coeff_of_t(-1) == LaurentPoly({Monomial(0, 0, 0): Fraction(1, 2)})
 
@@ -98,7 +106,7 @@ class TestDifferentiate:
 
 class TestCoefficientExtraction:
     def test_seed_coefficients(self):
-        psi = build_psi()
+        psi = psi_xy()
         assert psi.coeff_of_t(1) == parse("1/2*x + (-1/2)*y")
         assert psi.coeff_of_t(-1) == parse("1/2*x + 1/2*y")
         assert psi.coeff_of_t(3).is_zero
@@ -133,6 +141,13 @@ class TestBasisChange:
     def test_negative_exponents_rejected(self):
         with pytest.raises(ValueError):
             from_uv(monomial(1, ex=-1))
+        with pytest.raises(ValueError):
+            from_uv(X + monomial(1, et=2, ey=-1))
+
+    @given(p=polys)
+    def test_matches_substitution(self, p):
+        # Non-real coefficients and t-exponents of both signs; u -> (x+y)/2, v -> (x-y)/2.
+        assert from_uv(p) == from_uv_oracle(p)
 
 
 class TestExactDivision:
@@ -173,9 +188,9 @@ class TestSerialization:
         assert p.coeff_of_t(-2) == LaurentPoly({Monomial(0, 0, 0): GaussianRational(0, 1)})
 
     def test_two_build_routes_serialize_identically(self, fam5):
-        from hirotaverify.wronskian import build_psi, det_cofactor, wronskian_matrix
+        from hirotaverify.wronskian import det_cofactor
 
-        direct = det_cofactor(wronskian_matrix(build_psi(), 2))
+        direct = det_cofactor(wronskian_matrix_xy(psi_xy(), 2))
         assert serialize(direct) == serialize(fam5.g[2])
 
     def test_zero(self):

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hirotaverify.laurent import parse, variable
+from hirotaverify.laurent import from_uv, parse, variable
 from hirotaverify.operators import (
     FOperator,
     apply_F,
@@ -14,12 +14,19 @@ from hirotaverify.operators import (
     l_x,
     l_y,
 )
-from hirotaverify.wronskian import build_psi
-
-from conftest import apply_F_oracle, gaussians, hirota_dst_oracle, polys, x_polys
+from conftest import (
+    apply_F_oracle,
+    gaussians,
+    hirota_dst_oracle,
+    l_minus_xy,
+    l_plus_xy,
+    polys,
+    psi_xy,
+    x_polys,
+)
 
 X = variable("x")
-PSI = build_psi()
+PSI = psi_xy()
 
 
 class TestDerivations:
@@ -28,17 +35,23 @@ class TestDerivations:
 
     def test_lplus_on_seed(self):
         expected = parse("1/2*t*x^2 + (-1/2)*t*y^2 + 1/2*t^-1*x^2 + 1/2*t^-1*y^2 - t^-1")
-        assert l_plus(PSI) == expected
+        assert l_plus_xy(PSI) == expected
 
     def test_lplus_lminus_on_seed(self):
         expected = parse(
             "t*x^3 + t*y^3 - t*x - t*y + t^-1*x^3 - t^-1*y^3 - t^-1*x + t^-1*y"
         )
-        assert l_plus(l_minus(PSI)) == expected
+        assert l_plus_xy(l_minus_xy(PSI)) == expected
 
     def test_plus_minus_relation(self):
         for p in (PSI, X**3, parse("x*y^2 + t^2")):
-            assert l_plus(p) - l_minus(p) == 2 * l_y(p)
+            assert l_plus_xy(p) - l_minus_xy(p) == 2 * l_y(p)
+
+    @given(p=polys)
+    def test_uv_pair_is_the_xy_pair(self, p):
+        # l_plus and l_minus act in u = (x+y)/2, v = (x-y)/2; read in x, y they are L_X +- L_Y.
+        assert from_uv(l_plus(p)) == l_plus_xy(from_uv(p))
+        assert from_uv(l_minus(p)) == l_minus_xy(from_uv(p))
 
     @given(p=polys)
     def test_lx_ly_commute(self, p):

@@ -175,9 +175,12 @@ class TestSu11:
         transform = V.su11_transform
         monkeypatch.setattr(V, "su11_transform", counting)
         params = V.Su11Params(GaussianRational(2), GaussianRational(3))
-        assert all(r.passed for r in V.check_su11(fam4, 2, params))
-        # Only g'_n, for the term count: the residuals come from the family's site.
-        assert sites == [2]
+        reports = V.check_su11(fam4, 2, params)
+        assert all(r.passed for r in reports)
+        # No transform: the residuals come from the family's site, and the term
+        # count is g'_n's alone, without f'_n.
+        assert sites == []
+        assert {r.term_count for r in reports} == {transform(fam4, 2, params)[0].term_count}
 
     def test_one_dst_per_bilinear_residual(self, fam4, monkeypatch):
         calls = []

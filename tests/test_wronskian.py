@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hirotaverify.laurent import ONE, parse, subst_t_inverse, subst_y_negate
+from hirotaverify.laurent import ONE, from_uv, parse, subst_t_inverse, subst_y_negate, swap_xy
 from hirotaverify.operators import hirota_dst, l_minus, l_plus
 from hirotaverify.verifier import jacobi_identity_check
 from hirotaverify.wronskian import (
@@ -22,16 +22,22 @@ from hirotaverify.wronskian import (
     wronskian_matrix,
 )
 
-PSI = build_psi()
+from conftest import build_xy, l_minus_xy, l_plus_xy, psi_xy, wronskian_matrix_xy
+
+PSI = build_psi()  # t v + u/t, u in the x slot and v in the y slot
+PSI_XY = psi_xy()
 
 
 class TestSeed:
     def test_coefficients(self):
-        assert PSI.coeff_of_t(1) == parse("1/2*x - 1/2*y")
-        assert PSI.coeff_of_t(-1) == parse("1/2*x + 1/2*y")
+        assert PSI_XY.coeff_of_t(1) == parse("1/2*x - 1/2*y")
+        assert PSI_XY.coeff_of_t(-1) == parse("1/2*x + 1/2*y")
+        assert PSI == parse("t*y + t^-1*x") and from_uv(PSI) == PSI_XY
 
     def test_t_inversion_equals_y_reflection(self):
-        assert subst_t_inverse(PSI) == subst_y_negate(PSI)
+        assert subst_t_inverse(PSI_XY) == subst_y_negate(PSI_XY)
+        # In u, v the reflection y -> -y swaps u and v.
+        assert subst_t_inverse(PSI) == swap_xy(PSI)
 
 
 class TestMatrixConstruction:
@@ -78,7 +84,7 @@ class TestMinors:
         # Deleting the first row and column of the 3x3 seed matrix leaves the
         # once-shifted 2x2 block whose determinant is f_3.
         m = wronskian_matrix(PSI, 3)
-        assert determinant(minor(m, 0, 0)) == fam5.f[3]
+        assert from_uv(determinant(minor(m, 0, 0))) == fam5.f[3]
 
 
 class TestDeterminants:
@@ -159,7 +165,7 @@ class TestDeterminants:
 class TestTauFamily:
     def test_boundary_values(self, fam5):
         assert fam5.tau[0] == ONE
-        assert fam5.g[1] == PSI
+        assert fam5.g[1] == PSI_XY
         assert fam5.f[0].is_zero
         assert fam5.f[1] == ONE
 
@@ -168,7 +174,7 @@ class TestTauFamily:
             "t*x^3 + t*y^3 - t*x - t*y + t^-1*x^3 - t^-1*y^3 - t^-1*x + t^-1*y"
         )
         assert fam5.f[2] == expected
-        assert fam5.f[2] == l_plus(l_minus(PSI))
+        assert fam5.f[2] == l_plus_xy(l_minus_xy(PSI_XY))
 
     def test_degree_bounds_exact(self, fam5):
         for n in range(1, 6):
@@ -204,9 +210,14 @@ class TestTauFamily:
 
     def test_cofactor_build_matches(self):
         small = TauFamily.build(3)
-        shifted = l_plus(l_minus(PSI))
-        assert small.tau[1:] == tuple(det_cofactor(wronskian_matrix(PSI, k)) for k in (1, 2, 3))
-        assert small.f[2:] == tuple(det_cofactor(wronskian_matrix(shifted, k)) for k in (1, 2))
+        shifted = l_plus_xy(l_minus_xy(PSI_XY))
+        assert small.tau[1:] == tuple(det_cofactor(wronskian_matrix_xy(PSI_XY, k))
+                                      for k in (1, 2, 3))
+        assert small.f[2:] == tuple(det_cofactor(wronskian_matrix_xy(shifted, k)) for k in (1, 2))
+
+    @pytest.mark.parametrize("n_max", [1, 2, 3, 4, 5])
+    def test_build_matches_xy_route(self, n_max):
+        assert TauFamily.build(n_max) == build_xy(n_max)
 
     def test_g_is_tau(self, fam5):
         assert fam5.g is fam5.tau
@@ -279,6 +290,16 @@ class TestCacheFile:
         with pytest.raises(ValueError, match="format"):
             TauFamily.load(path)
 
+    @pytest.mark.parametrize("entry", ["tau n=2", "f n=2"])
+    def test_refuses_damaged_entry_under_a_matching_crc(self, fam5, tmp_path, entry):
+        # The load check recomputes sites 0..2 in u, v and compares them in x, y.
+        path = tmp_path / "family.tau"
+        fam5.save(path)
+        body = path.read_text().split("\n", 1)[1].replace(f"{entry}: ", f"{entry}: (1)*x + ", 1)
+        write_cache(path, body)
+        with pytest.raises(ValueError, match=f"{entry.replace(' n=', '_')} disagree"):
+            TauFamily.load(path)
+
     def test_refuses_body_that_differs_from_digest(self, fam5, tmp_path):
         path = tmp_path / "family.tau"
         fam5.save(path)
@@ -296,6 +317,13 @@ class TestJacobiIdentity:
     def test_residual_vanishes_at_four(self, fam5):
         # 5x5 seed matrix; the slowest single minor-identity instance kept.
         assert jacobi_residual(fam5, 4).is_zero
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_minors_match_xy_route(self, n):
+        # The three minors the residual eliminates in u, v, against x, y eliminations.
+        m, m_xy = wronskian_matrix(PSI, n + 1), wronskian_matrix_xy(PSI_XY, n + 1)
+        for i, j in ((n - 1, n - 1), (n, n - 1), (n - 1, n)):
+            assert from_uv(determinant(minor(m, i, j))) == determinant(minor(m_xy, i, j))
 
     def test_check_report(self, fam5):
         report = jacobi_identity_check(fam5, 2)
