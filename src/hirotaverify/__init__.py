@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 
 from .gaussian import GaussianRational
 from .laurent import LaurentPoly, Monomial, parse, serialize
-from .operators import FOperator, apply_F, apply_F_weyl, hirota, hirota_dst
+from .operators import apply_F, apply_F_weyl, hirota, hirota_dst
 from .wronskian import SymMatrix, TauFamily, build_psi, determinant, wronskian_matrix
 
 __all__ = [
@@ -22,7 +22,6 @@ __all__ = [
     "Monomial",
     "parse",
     "serialize",
-    "FOperator",
     "apply_F",
     "apply_F_weyl",
     "hirota",

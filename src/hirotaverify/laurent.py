@@ -498,32 +498,24 @@ class ExactDivisionError(ArithmeticError):
 
 
 def exact_divide(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """Quotient a / b when b divides a exactly in the Laurent ring.
+    """Quotient a / b of real polynomials when b divides a exactly in the Laurent ring.
 
     Multivariate division under the canonical term order.  Exactness makes
     every quotient monomial reach at least min(a) - min(b) in each variable,
     the minima taken over the terms of each operand, so the first leading
     remainder term that b's leading term cannot reduce within that bound
     proves non-divisibility; it is reported with the outstanding remainder
-    a - q*b.  The real and imaginary numerators of a are divided apart, and
-    a failure reports the remainder of the part that failed.  A non-real b
-    is first made real, a / b = (a b') / (b b') with b' the coefficient
-    conjugate of b.
+    a - q*b.  A non-real operand raises ValueError.
     """
+    if a._im or b._im:
+        raise ValueError("exact_divide takes real polynomials only")
     if b.is_zero:
         raise ZeroDivisionError("division by the zero polynomial")
     if a.is_zero:
         return ZERO
-    if b._im is not None:
-        conj = conjugate_coeffs(b)
-        a, b = _product(a, conj), _product(b, conj)
     low = [ea - eb for ea, eb in zip(_lowest(a), _lowest(b))]
-    nums, den = _quotient(a, a._re, b, low, imaginary=False)
-    quotient = LaurentPoly._make(_times(nums, b._den), None, den * a._den)
-    if a._im:
-        nums, den = _quotient(a, a._im, b, low, imaginary=True)
-        quotient = _add(quotient, LaurentPoly._make({}, _times(nums, b._den), den * a._den), 1)
-    return quotient
+    nums, den = _quotient(a, b, low)
+    return LaurentPoly._make(_times(nums, b._den), None, den * a._den)
 
 
 def _lowest(p: LaurentPoly) -> tuple[int, int, int]:
@@ -531,9 +523,8 @@ def _lowest(p: LaurentPoly) -> tuple[int, int, int]:
     return min(ets), min(exs), min(eys)
 
 
-def _quotient(a: LaurentPoly, nums: dict, b: LaurentPoly, low: list[int],
-              imaginary: bool) -> tuple[dict, int]:
-    """Quotient numerators and their denominator: nums / (b's numerators).
+def _quotient(a: LaurentPoly, b: LaurentPoly, low: list[int]) -> tuple[dict, int]:
+    """Quotient numerators and their denominator: a's numerators / b's numerators.
 
     Heap-ordered sparse division after Monagan and Pearce, "Sparse
     polynomial division using a heap" (JSC 2011): the remainder's keys sit in
@@ -543,7 +534,7 @@ def _quotient(a: LaurentPoly, nums: dict, b: LaurentPoly, low: list[int],
     grows only when a quotient coefficient is not integral, and the
     remainder is kept in the same units.
     """
-    rem = dict(nums)
+    rem = dict(a._re)
     get = rem.get
     (lead, lead_coeff), *tail = sorted(b._re.items())
     lead_exps = _unpack(lead)
@@ -558,11 +549,9 @@ def _quotient(a: LaurentPoly, nums: dict, b: LaurentPoly, low: list[int],
             continue
         diff = [e - f for e, f in zip(_unpack(key), lead_exps)]
         if any(d < m for d, m in zip(diff, low)):
-            remainder = _checked({} if imaginary else rem, rem if imaginary else None,
-                                 den * a._den)
             raise ExactDivisionError(
                 f"not divisible: leading term {_unpack(key)} not reducible by {lead_exps}",
-                remainder,
+                _checked(rem, None, den * a._den),
             )
         q_key = _pack(*diff)
         del rem[key]

@@ -10,8 +10,6 @@ Hirota terms in x and y with first-order product derivatives and -2 n^2.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 from .laurent import (
     LaurentPoly,
     ZERO,
@@ -73,24 +71,10 @@ def hirota_dst(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     return (l_x(pf) - l_y(pf)) * g - pf * mg - mf * pg + f * (l_x(pg) - l_y(pg))
 
 
-class FOperator(NamedTuple("FOperator", [("n", int)])):
-    """Bilinear deformation operator for lattice site n; its constant is -2 n^2."""
-
-    __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
-
-    def __new__(cls, n: int):
-        if n < 0:
-            raise ValueError("operator index must be non-negative")
-        return super().__new__(cls, n)
-
-    @property
-    def c_n(self) -> int:
-        return -2 * self.n * self.n
-
-
-def apply_F(fop: FOperator, a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
+def apply_F(n: int, a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     """(x^2-1) D_x^2 (a.b) + 2x (ab)_x + (y^2-1) D_y^2 (a.b) + 2y (ab)_y + c_n ab.
+
+    F belongs to lattice site n, whose constant is c_n = -2 n^2.
 
     The first-order pieces differentiate the ordinary product ab; this is the
     reading forced by the single-variable reduction (see apply_F_weyl) and it
@@ -101,10 +85,11 @@ def apply_F(fop: FOperator, a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
 
     four products of the operands' size where the bracket form takes seven.
     """
+    c_n = -2 * n * n
     ax, ay, bx, by = d_x(a), d_y(a), d_x(b), d_y(b)
     m_a = d_x(X2_MINUS_1 * ax) + d_y(Y2_MINUS_1 * ay)
     m_b = d_x(X2_MINUS_1 * bx) + d_y(Y2_MINUS_1 * by)
-    return ((m_a + fop.c_n * a) * b + a * m_b
+    return ((m_a + c_n * a) * b + a * m_b
             - 2 * (X2_MINUS_1 * (ax * bx) + Y2_MINUS_1 * (ay * by)))
 
 

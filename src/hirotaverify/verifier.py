@@ -29,7 +29,6 @@ from .laurent import (
     swap_xy,
 )
 from .operators import (
-    FOperator,
     apply_F,
     apply_F_weyl,
     d_x,
@@ -52,9 +51,7 @@ __all__ = [
     "orderwise_span",
     "check_orderwise",
     "Su11Params",
-    "su11_transform",
     "check_su11",
-    "random_su11_params",
     "ernst_residual_numeric",
     "DEFAULT_ERNST_POINTS",
     "SUITES",
@@ -90,7 +87,7 @@ def _report(
 # -- bilinear identities --------------------------------------------------------
 
 class _Site:
-    """A sequence pair g, f read around site n, with F_n, and the identities there.
+    """A sequence pair g, f read around site n, and the identities there.
 
     Each of g and f holds the polynomials at sites n-1, n and n+1.  Only the
     Toda and mixed identities read the neighbours, so they may be None where
@@ -100,7 +97,7 @@ class _Site:
     """
 
     def __init__(self, n: int, g: Sequence, f: Sequence):
-        self.n, self.fop = n, FOperator(n)
+        self.n = n
         self.g_lo, self.g, self.g_hi = g
         self.f_lo, self.f, self.f_hi = f
         self._identities: dict[str, tuple[LaurentPoly, dict[int, int]]] = {}
@@ -139,8 +136,8 @@ IDENTITIES: dict[str, Callable[[_Site], tuple[LaurentPoly, LaurentPoly]]] = {
     "mixed": lambda s: (hirota_dst(s.f, s.g), s.f_hi * s.g_lo + s.f_lo * s.g_hi),
     "tsdec1": lambda s: (_with_star(hirota("x", s.g, s.f), -1), ZERO),
     "tsdec2": lambda s: (_with_star(hirota("y", s.g, s.f), 1), ZERO),
-    "tsdec3": lambda s: (apply_F(s.fop, s.gs, s.f), ZERO),
-    "tsdec4": lambda s: (apply_F(s.fop, s.gs, s.g) + apply_F(s.fop, s.fs, s.f), ZERO),
+    "tsdec3": lambda s: (apply_F(s.n, s.gs, s.f), ZERO),
+    "tsdec4": lambda s: (apply_F(s.n, s.gs, s.g) + apply_F(s.n, s.fs, s.f), ZERO),
 }
 
 
@@ -240,37 +237,6 @@ class Su11Params(NamedTuple("Su11Params", [("alpha", GaussianRational),
         if alpha.abs2() == beta.abs2():
             raise ValueError("degenerate parameters: |alpha|^2 == |beta|^2")
         return super().__new__(cls, alpha, beta)
-
-
-def su11_transform(
-    fam: TauFamily, n: int, params: Su11Params
-) -> tuple[LaurentPoly, LaurentPoly]:
-    """Transformed pair (alpha g + beta* f, beta g + alpha* f) at site n."""
-    if not 0 <= n <= fam.n_max:
-        raise ValueError(f"need 0 <= n <= {fam.n_max}, got {n}")
-    g, f = fam.g[n], fam.f[n]
-    gp = params.alpha * g + params.beta.conjugate() * f
-    fp = params.beta * g + params.alpha.conjugate() * f
-    return gp, fp
-
-
-def random_su11_params(count: int, seed: int = 1789) -> list[Su11Params]:
-    """Deterministic admissible parameter pairs with small Gaussian-rational parts."""
-    rng = random.Random(seed)
-
-    def scalar() -> GaussianRational:
-        return GaussianRational(
-            Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
-            Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
-        )
-
-    params: list[Su11Params] = []
-    while len(params) < count:
-        alpha, beta = scalar(), scalar()
-        if alpha.abs2() == beta.abs2():
-            continue
-        params.append(Su11Params(alpha, beta))
-    return params
 
 
 def check_su11(
@@ -635,7 +601,7 @@ def _check_weyl_lock(count: int, seed: int) -> CheckReport:
         if a.is_zero or b.is_zero:
             continue
         n = rng.randint(1, 4)
-        diff = apply_F(FOperator(n), a, b) - apply_F_weyl(n, a, b)
+        diff = apply_F(n, a, b) - apply_F_weyl(n, a, b)
         if not diff.is_zero:
             return _report("weyl.lock", n, diff, started, order_index=done)
         done += 1

@@ -3,8 +3,8 @@
 The n-th tau function is the determinant of the n x n matrix whose (i, j)
 entry is L_plus^i L_minus^j applied to the seed, built here with one operator
 application per entry.  Determinants are evaluated by fraction-free one-step
-elimination (divisions exact in the Laurent ring) with plain cofactor
-expansion kept as an independent oracle.
+elimination (divisions exact in the Laurent ring); the tests keep plain
+cofactor expansion as an independent oracle.
 
 Every Wronskian is built and eliminated in the light-cone basis u = (x+y)/2,
 v = (x-y)/2, where the seed is t v + u/t.  Each minor handed out leaves
@@ -89,30 +89,6 @@ class DeterminantError(RuntimeError):
     """Internal inconsistency: an elimination division that must be exact failed."""
 
 
-def det_cofactor(m: SymMatrix) -> LaurentPoly:
-    """Cofactor expansion with memoized minors; the reference algorithm."""
-    if m.dim == 0:
-        return ONE
-    cache: dict[tuple[int, ...], LaurentPoly] = {(): ONE}
-
-    def rec(row: int, cols: tuple[int, ...]) -> LaurentPoly:
-        got = cache.get(cols)
-        if got is not None:
-            return got
-        total = ZERO
-        for pos, col in enumerate(cols):
-            entry = m.entries[row][col]
-            if entry.is_zero:
-                continue
-            sub = rec(row + 1, cols[:pos] + cols[pos + 1 :])
-            piece = entry * sub
-            total = total + piece if pos % 2 == 0 else total - piece
-        cache[cols] = total
-        return total
-
-    return rec(0, tuple(range(m.dim)))
-
-
 def _eliminate(m: SymMatrix) -> Iterator[tuple[LaurentPoly, int]]:
     """One-step fraction-free (Bareiss) elimination of m, one step at a time.
 
@@ -177,11 +153,6 @@ def _leading_minors(m: SymMatrix) -> Iterator[LaurentPoly]:
         yield pivot
 
 
-def leading_principal_minors(m: SymMatrix) -> list[LaurentPoly]:
-    """All leading principal minor determinants from one elimination pass."""
-    return list(_leading_minors(m))
-
-
 def site_steps(n_max: int) -> Iterator[tuple[LaurentPoly, LaurentPoly]]:
     """(tau_n, f_n) for n = 0..n_max, the entries of TauFamily.build(n_max).
 
@@ -212,8 +183,11 @@ class TauFamily:
     __slots__ = ("n_max", "tau", "f", "sites")
 
     def __init__(self, n_max: int, tau: Iterable[LaurentPoly], f: Iterable[LaurentPoly]):
-        for name, value in (("n_max", n_max), ("tau", tuple(tau)), ("f", tuple(f)),
-                            ("sites", {})):
+        tau, f = tuple(tau), tuple(f)
+        if not len(tau) == len(f) == n_max + 1:
+            raise ValueError(f"n_max={n_max} needs {n_max + 1} entries of tau and f, "
+                             f"got {len(tau)} and {len(f)}")
+        for name, value in (("n_max", n_max), ("tau", tau), ("f", f), ("sites", {})):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -304,13 +278,10 @@ class TauFamily:
             if missing:
                 raise ValueError(f"{path}: missing {key} entries for n={missing}")
         # The CRC finds damage, not a faulty build: recompute the first sites
-        # from the seed, by cofactor expansion in u, v, and compare.
-        m = wronskian_matrix(build_psi(), 2)
-        expected = {("tau", 0): ONE, ("tau", 1): from_uv(m.entries[0][0]),
-                    ("tau", 2): from_uv(det_cofactor(m)),
-                    ("f", 0): ZERO, ("f", 1): ONE, ("f", 2): from_uv(m.entries[1][1])}
-        wrong = [f"{key}_{k}" for (key, k), poly in expected.items()
-                 if k <= n_max and found[key][k] != poly]
+        # from the seed and compare.
+        tau, f = zip(*site_steps(2))
+        wrong = [f"{key}_{k}" for key, seq in (("tau", tau), ("f", f))
+                 for k, poly in enumerate(seq) if k <= n_max and found[key][k] != poly]
         if wrong:
             raise ValueError(f"{path}: {', '.join(wrong)} disagree with the seed")
         return cls(

@@ -1,3 +1,4 @@
+import random
 import time
 from fractions import Fraction
 
@@ -10,7 +11,6 @@ from hirotaverify.laurent import ONE, ZERO, LaurentPoly, Monomial, differentiate
 from hirotaverify.operators import (
     X2_MINUS_1,
     Y2_MINUS_1,
-    FOperator,
     apply_F,
     hirota,
     hirota_dst,
@@ -20,7 +20,7 @@ from hirotaverify.operators import (
 from hirotaverify import verifier as V
 from hirotaverify.report import CheckReport
 from hirotaverify.verifier import star
-from hirotaverify.wronskian import SymMatrix, TauFamily, leading_principal_minors
+from hirotaverify.wronskian import SymMatrix, TauFamily, determinant
 
 settings.register_profile(
     "exact",
@@ -65,7 +65,6 @@ def orderwise_oracle(
     gt = lambda k, m: fam.g[k].coeff_of_t(m)
     ft = lambda k, m: fam.f[k].coeff_of_t(m)
     lhs, rhs = ZERO, ZERO
-    fop = FOperator(n)
     for J in range(I + 1):
         if system == "g":
             lhs = lhs + hirota_dst(gt(n, n - 2 * J), gt(n, n - 2 * I + 2 * J))
@@ -87,10 +86,10 @@ def orderwise_oracle(
             lhs = lhs + hirota("y", gt(n, n - 2 * J), ft(n, n - 2 * I + 2 * J - 1))
             lhs = lhs + hirota("y", gt(n, -n + 2 * J), ft(n, -n + 2 * I - 2 * J + 1))
         elif system == "B3":
-            lhs = lhs + apply_F(fop, gt(n, -n + 2 * J), ft(n, n - 2 * I + 2 * J - 1))
+            lhs = lhs + apply_F(n, gt(n, -n + 2 * J), ft(n, n - 2 * I + 2 * J - 1))
         elif system == "B4":
-            lhs = lhs + apply_F(fop, gt(n, -n + 2 * J), gt(n, n - 2 * I + 2 * J))
-            lhs = lhs + apply_F(fop, ft(n, -n + 2 * J + 1), ft(n, n - 2 * I + 2 * J + 1))
+            lhs = lhs + apply_F(n, gt(n, -n + 2 * J), gt(n, n - 2 * I + 2 * J))
+            lhs = lhs + apply_F(n, ft(n, -n + 2 * J + 1), ft(n, n - 2 * I + 2 * J + 1))
         else:
             raise ValueError(f"unknown orderwise system {system!r}")
     return lhs, rhs
@@ -128,12 +127,36 @@ def wronskian_matrix_xy(seed: LaurentPoly, n: int) -> SymMatrix:
 
 
 def build_xy(n_max: int) -> TauFamily:
-    """TauFamily.build(n_max) with both Wronskians eliminated in x, y."""
+    """TauFamily.build(n_max) with every Wronskian eliminated in x, y, one per site."""
     psi = psi_xy()
-    tau = leading_principal_minors(wronskian_matrix_xy(psi, n_max))
-    f = (leading_principal_minors(wronskian_matrix_xy(l_plus_xy(l_minus_xy(psi)), n_max - 1))
-         if n_max >= 2 else [])
+    shifted = l_plus_xy(l_minus_xy(psi))
+    tau = [determinant(wronskian_matrix_xy(psi, k)) for k in range(1, n_max + 1)]
+    f = [determinant(wronskian_matrix_xy(shifted, k)) for k in range(1, n_max)]
     return TauFamily(n_max, [ONE, *tau], [ZERO, ONE, *f])
+
+
+def det_cofactor(m: SymMatrix) -> LaurentPoly:
+    """Cofactor expansion with memoized minors; the reference determinant."""
+    if m.dim == 0:
+        return ONE
+    cache: dict[tuple[int, ...], LaurentPoly] = {(): ONE}
+
+    def rec(row: int, cols: tuple[int, ...]) -> LaurentPoly:
+        got = cache.get(cols)
+        if got is not None:
+            return got
+        total = ZERO
+        for pos, col in enumerate(cols):
+            entry = m.entries[row][col]
+            if entry.is_zero:
+                continue
+            sub = rec(row + 1, cols[:pos] + cols[pos + 1 :])
+            piece = entry * sub
+            total = total + piece if pos % 2 == 0 else total - piece
+        cache[cols] = total
+        return total
+
+    return rec(0, tuple(range(m.dim)))
 
 
 def subst_linear(p: LaurentPoly, x_image: LaurentPoly, y_image: LaurentPoly) -> LaurentPoly:
@@ -167,15 +190,15 @@ def hirota_dst_oracle(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     return l_minus_xy(pf) * g - pf * mg - mf * pg + f * l_minus_xy(pg)
 
 
-def apply_F_oracle(fop: FOperator, a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """F on (a, b) as written: second-order brackets plus derivatives of ab."""
+def apply_F_oracle(n: int, a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
+    """F_n on (a, b) as written: second-order brackets plus derivatives of ab, c_n = -2 n^2."""
     ab = a * b
     return (
         X2_MINUS_1 * hirota_second("x", a, b)
         + monomial(2, ex=1) * differentiate(ab, "x")
         + Y2_MINUS_1 * hirota_second("y", a, b)
         + monomial(2, ey=1) * differentiate(ab, "y")
-        + fop.c_n * ab
+        - 2 * n * n * ab
     )
 
 
@@ -208,6 +231,35 @@ def ernst_oracle(g: LaurentPoly, f: LaurentPoly, point: tuple) -> tuple[str, str
 
 # -- the SU(1,1) rows by transforming the family ---------------------------------
 
+def su11_transform(fam: TauFamily, n: int, params: V.Su11Params) -> tuple[LaurentPoly, LaurentPoly]:
+    """Transformed pair (alpha g + beta* f, beta g + alpha* f) at site n."""
+    if not 0 <= n <= fam.n_max:
+        raise ValueError(f"need 0 <= n <= {fam.n_max}, got {n}")
+    g, f = fam.g[n], fam.f[n]
+    gp = params.alpha * g + params.beta.conjugate() * f
+    fp = params.beta * g + params.alpha.conjugate() * f
+    return gp, fp
+
+
+def random_su11_params(count: int, seed: int = 1789) -> list[V.Su11Params]:
+    """Deterministic admissible parameter pairs with small Gaussian-rational parts."""
+    rng = random.Random(seed)
+
+    def scalar() -> GaussianRational:
+        return GaussianRational(
+            Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
+            Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
+        )
+
+    params: list[V.Su11Params] = []
+    while len(params) < count:
+        alpha, beta = scalar(), scalar()
+        if alpha.abs2() == beta.abs2():
+            continue
+        params.append(V.Su11Params(alpha, beta))
+    return params
+
+
 def su11_direct(fam: TauFamily, n: int, params: V.Su11Params,
                 pair_index: int = 0) -> list[CheckReport]:
     """check_su11's rows by the direct route: every identity on the transformed pair.
@@ -217,7 +269,7 @@ def su11_direct(fam: TauFamily, n: int, params: V.Su11Params,
     with non-real operands, independently of the family's site table.
     """
     V._require_site(n, fam.n_max - 1)
-    site = V._Site(n, *zip(*(V.su11_transform(fam, k, params) for k in (n - 1, n, n + 1))))
+    site = V._Site(n, *zip(*(su11_transform(fam, k, params) for k in (n - 1, n, n + 1))))
     note = f"alpha={params.alpha}, beta={params.beta}"
     reports = []
     for name, identity in V.IDENTITIES.items():
@@ -248,8 +300,10 @@ laurent_monomials = st.builds(
 )
 
 polys = st.dictionaries(monomials, gaussians, max_size=5).map(LaurentPoly)
+real_polys = st.dictionaries(
+    monomials, st.builds(GaussianRational, rationals), max_size=5
+).map(LaurentPoly)
 laurent_polys = st.dictionaries(laurent_monomials, gaussians, max_size=5).map(LaurentPoly)
-nonzero_polys = polys.filter(lambda p: not p.is_zero)
 
 xy_monomials = st.builds(
     Monomial,

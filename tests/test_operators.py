@@ -4,7 +4,6 @@ from hypothesis import strategies as st
 
 from hirotaverify.laurent import from_uv, parse, variable
 from hirotaverify.operators import (
-    FOperator,
     apply_F,
     apply_F_weyl,
     hirota,
@@ -91,62 +90,52 @@ class TestFewerProducts:
 
     @given(a=polys, b=polys, n=st.integers(min_value=0, max_value=4))
     def test_apply_F_matches_seven_products(self, a, b, n):
-        fop = FOperator(n)
-        assert apply_F(fop, a, b) == apply_F_oracle(fop, a, b)
-        assert apply_F(fop, a, a) == apply_F_oracle(fop, a, a)
+        assert apply_F(n, a, b) == apply_F_oracle(n, a, b)
+        assert apply_F(n, a, a) == apply_F_oracle(n, a, a)
 
     def test_zero_and_real_operands(self, fam5):
         zero = parse("0")
         g, f = fam5.g[3], fam5.f[3]
         for a, b in ((zero, g), (g, zero), (zero, zero), (g, g), (g, f), (PSI, PSI)):
             assert hirota_dst(a, b) == hirota_dst_oracle(a, b)
-            assert apply_F(FOperator(3), a, b) == apply_F_oracle(FOperator(3), a, b)
-        assert hirota_dst(zero, g).is_zero and apply_F(FOperator(1), g, zero).is_zero
+            assert apply_F(3, a, b) == apply_F_oracle(3, a, b)
+        assert hirota_dst(zero, g).is_zero and apply_F(1, g, zero).is_zero
 
 
 class TestFOperator:
     def test_constant_term(self):
-        assert FOperator(1).c_n == -2
-        assert FOperator(3).c_n == -18
         one = parse("1")
-        assert apply_F(FOperator(1), one, one) == parse("-2")
-
-    def test_replace_and_make_check_the_index(self):
-        assert FOperator(3)._replace(n=1) == FOperator(1)
-        with pytest.raises(ValueError):
-            FOperator(3)._replace(n=-1)
-        with pytest.raises(ValueError):
-            FOperator._make([-2])
+        assert apply_F(1, one, one) == parse("-2")
+        assert apply_F(3, one, one) == parse("-18")
 
     def test_site_one_pair_equation(self, fam5):
         from hirotaverify.verifier import star
 
         g1, f1 = fam5.g[1], fam5.f[1]
-        assert apply_F(FOperator(1), star(g1), f1).is_zero
+        assert apply_F(1, star(g1), f1).is_zero
 
     def test_site_one_sum_equation(self, fam5):
         from hirotaverify.verifier import star
 
         g1, f1 = fam5.g[1], fam5.f[1]
-        total = apply_F(FOperator(1), star(g1), g1) + apply_F(FOperator(1), star(f1), f1)
+        total = apply_F(1, star(g1), g1) + apply_F(1, star(f1), f1)
         assert total.is_zero
 
     @given(a=polys, b=polys, c=gaussians)
     def test_bilinear_and_symmetric(self, a, b, c):
-        fop = FOperator(2)
-        assert apply_F(fop, a, b) == apply_F(fop, b, a)
-        assert apply_F(fop, c * a, b) == c * apply_F(fop, a, b)
-        assert apply_F(fop, a + b, b) == apply_F(fop, a, b) + apply_F(fop, b, b)
+        assert apply_F(2, a, b) == apply_F(2, b, a)
+        assert apply_F(2, c * a, b) == c * apply_F(2, a, b)
+        assert apply_F(2, a + b, b) == apply_F(2, a, b) + apply_F(2, b, b)
 
 
 class TestWeylForm:
     def test_matches_full_operator_on_x(self):
-        assert apply_F_weyl(1, X, X) == apply_F(FOperator(1), X, X)
+        assert apply_F_weyl(1, X, X) == apply_F(1, X, X)
 
     @given(a=x_polys, b=x_polys)
     def test_matches_full_operator_random(self, a, b):
         for n in (1, 2):
-            assert apply_F_weyl(n, a, b) == apply_F(FOperator(n), a, b)
+            assert apply_F_weyl(n, a, b) == apply_F(n, a, b)
 
     def test_constant_case(self):
         one = parse("1")

@@ -1,0 +1,33 @@
+"""Every public top-level function and class in src/ has a user in src/ or perfbench/.
+
+A name counts as used when some expression in src/hirotaverify/*.py or
+perfbench/*.py reads it, as a name or an attribute, outside the definition
+itself.  Imports and __all__ entries do not count: code that only its tests
+call belongs with the tests.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "hirotaverify").glob("*.py"))
+USERS = SOURCES + sorted((ROOT / "perfbench").glob("*.py"))
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def test_every_public_definition_has_a_user():
+    definitions, readers = [], {}
+    for path in USERS:
+        for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+            owner = stmt.name if isinstance(stmt, DEFINITIONS) else None
+            if path in SOURCES and owner and not owner.startswith("_"):
+                definitions.append((path.name, owner))
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    readers.setdefault(node.id, set()).add((path.name, owner))
+                elif isinstance(node, ast.Attribute):
+                    readers.setdefault(node.attr, set()).add((path.name, owner))
+    assert SOURCES and definitions
+    unused = [f"{file}:{name}" for file, name in definitions
+              if not readers.get(name, set()) - {(file, name)}]
+    assert unused == []

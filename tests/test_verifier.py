@@ -18,19 +18,27 @@ from hirotaverify.laurent import (
     serialize,
     subst_y_negate,
 )
-from hirotaverify.operators import FOperator, apply_F, hirota, hirota_dst
+from hirotaverify.operators import apply_F, hirota, hirota_dst
 from hirotaverify.report import sort_key
 from hirotaverify import verifier as V
 from hirotaverify.wronskian import TauFamily
 
-from conftest import ernst_oracle, gaussians, orderwise_oracle, polys, su11_direct
+from conftest import (
+    ernst_oracle,
+    gaussians,
+    orderwise_oracle,
+    polys,
+    random_su11_params,
+    su11_direct,
+    su11_transform,
+)
 
 # Damaged entries (sequence, site, added term), real and non-real, for the
 # SU(1,1) rows; None is the family as built.
 SU11_DAMAGE = [None, ("tau", 2, "t*x"), ("tau", 2, "1"), ("f", 3, "t^5*y"), ("f", 2, "x*y"),
                ("tau", 1, "i*x*t"), ("f", 2, "(2+3*i)*y^2*t^-1")]
 # Six seeded pairs and one of the shape perfbench/workloads.py draws.
-SU11_PAIRS = V.random_su11_params(6) + [V.Su11Params(
+SU11_PAIRS = random_su11_params(6) + [V.Su11Params(
     GaussianRational(Fraction(11, 2), Fraction(1, 2)),
     GaussianRational(Fraction(-7, 3), Fraction(5, 3)))]
 
@@ -151,7 +159,7 @@ class TestSymmetries:
 class TestSu11:
     def test_identity_transform(self, fam5):
         params = V.Su11Params(GaussianRational(1), GaussianRational(0))
-        gp, fp = V.su11_transform(fam5, 2, params)
+        gp, fp = su11_transform(fam5, 2, params)
         assert gp == fam5.g[2] and fp == fam5.f[2]
 
     def test_degenerate_rejected(self):
@@ -165,22 +173,14 @@ class TestSu11:
         reports = V.check_su11(fam4, 2, params)
         assert all(r.passed for r in reports)
 
-    def test_transforms_only_neighbour_sites(self, fam4, monkeypatch):
-        sites = []
-
-        def counting(fam, n, params):
-            sites.append(n)
-            return transform(fam, n, params)
-
-        transform = V.su11_transform
-        monkeypatch.setattr(V, "su11_transform", counting)
+    def test_transforms_only_neighbour_sites(self, fam4):
+        # The rows read sites n-1, n and n+1 only: damage at site 4 leaves site 2
+        # alone, and the term count is g'_n's alone, without f'_n.
+        far = TauFamily(4, [*fam4.tau[:4], fam4.tau[4] + ONE], fam4.f)
         params = V.Su11Params(GaussianRational(2), GaussianRational(3))
-        reports = V.check_su11(fam4, 2, params)
+        reports = V.check_su11(far, 2, params)
         assert all(r.passed for r in reports)
-        # No transform: the residuals come from the family's site, and the term
-        # count is g'_n's alone, without f'_n.
-        assert sites == []
-        assert {r.term_count for r in reports} == {transform(fam4, 2, params)[0].term_count}
+        assert {r.term_count for r in reports} == {su11_transform(fam4, 2, params)[0].term_count}
 
     def test_one_dst_per_bilinear_residual(self, fam4, monkeypatch):
         calls = []
@@ -204,7 +204,7 @@ class TestSu11:
         monkeypatch.setattr(LaurentPoly, "t_coefficients", lambda p: splits.append(p) or split(p))
         rows = V.check_su11(broken, 2, params)
         one_pair = len(splits)
-        for index, other in enumerate(V.random_su11_params(3), start=1):
+        for index, other in enumerate(random_su11_params(3), start=1):
             V.check_su11(broken, 2, other, pair_index=index)
         assert len(splits) == one_pair
         assert ([r._replace(elapsed=0.0) for r in rows]
@@ -221,7 +221,7 @@ class TestSu11:
             operator = getattr(V, name)
             monkeypatch.setattr(V, name, lambda *args, operator=operator:
                                 operands.extend(args[-2:]) or operator(*args))
-        for index, params in enumerate(V.random_su11_params(2)):
+        for index, params in enumerate(random_su11_params(2)):
             assert all(r.passed for r in V.check_su11(fam4, 2, params, pair_index=index))
         assert len(calls) == 7
         assert operands and all(c.is_real for p in operands for _, c in p.terms())
@@ -258,11 +258,10 @@ class TestSu11:
             g = fam4.g[n] + (-i) * fam4.f[n]
             f = i * fam4.g[n] + fam4.f[n]
             gs, fs = V.star(g), V.star(f)
-            fop = FOperator(n)
             assert (hirota("x", g, f) - hirota("x", gs, fs)).is_zero
             assert (hirota("y", g, f) + hirota("y", gs, fs)).is_zero
-            assert apply_F(fop, gs, f).is_zero
-            assert (apply_F(fop, gs, g) + apply_F(fop, fs, f)).is_zero
+            assert apply_F(n, gs, f).is_zero
+            assert (apply_F(n, gs, g) + apply_F(n, fs, f)).is_zero
 
     def test_replace_and_make_check_degeneracy(self):
         params = V.Su11Params(GaussianRational(2), GaussianRational(1, 1))
@@ -273,9 +272,9 @@ class TestSu11:
             V.Su11Params._make([GaussianRational(1), GaussianRational(0, 1)])
 
     def test_random_admissible_generation(self):
-        params = V.random_su11_params(5, seed=99)
+        params = random_su11_params(5, seed=99)
         assert len(params) == 5
-        assert params == V.random_su11_params(5, seed=99)
+        assert params == random_su11_params(5, seed=99)
         for p in params:
             assert p.alpha.abs2() != p.beta.abs2()
 
@@ -300,8 +299,7 @@ class TestSu11Lemmas:
 
     @given(a=polys, b=polys, n=st.integers(min_value=0, max_value=4))
     def test_star_commutes_with_F(self, a, b, n):
-        fop = FOperator(n)
-        assert V.star(apply_F(fop, a, b)) == apply_F(fop, V.star(a), V.star(b))
+        assert V.star(apply_F(n, a, b)) == apply_F(n, V.star(a), V.star(b))
 
 
 def _orderwise_reports(fam, n, suite):
@@ -405,21 +403,20 @@ class TestOrderwiseNakamura:
         from hirotaverify.closedform import f_high, g_high, g_low
 
         lhs, _ = orderwise_oracle(fam4, 2, 0, "B3")
-        assert lhs == apply_F(FOperator(2), g_low(2), f_high(2))
+        assert lhs == apply_F(2, g_low(2), f_high(2))
         lhs, _ = orderwise_oracle(fam4, 2, 0, "B4")
-        assert lhs == apply_F(FOperator(2), g_low(2), g_high(2))
+        assert lhs == apply_F(2, g_low(2), g_high(2))
 
     @pytest.mark.parametrize("which", ["B1", "B2", "B3", "B4"])
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_weighted_sum_reproduces_parents(self, fam4, which, n):
         g, f = fam4.g[n], fam4.f[n]
         gs, fs = V.star(g), V.star(f)
-        fop = FOperator(n)
         parents = {
             "B1": hirota("x", g, f) - hirota("x", gs, fs),
             "B2": hirota("y", g, f) + hirota("y", gs, fs),
-            "B3": apply_F(fop, gs, f),
-            "B4": apply_F(fop, gs, g) + apply_F(fop, fs, f),
+            "B3": apply_F(n, gs, f),
+            "B4": apply_F(n, gs, g) + apply_F(n, fs, f),
         }
         top, _ = V.orderwise_span(n, which)
         shift = 2 * n if which == "B4" else 2 * n - 1

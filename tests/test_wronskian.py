@@ -14,15 +14,14 @@ from hirotaverify.wronskian import (
     SymMatrix,
     TauFamily,
     build_psi,
-    det_cofactor,
     determinant,
     jacobi_residual,
-    leading_principal_minors,
     minor,
+    site_steps,
     wronskian_matrix,
 )
 
-from conftest import build_xy, l_minus_xy, l_plus_xy, psi_xy, wronskian_matrix_xy
+from conftest import build_xy, det_cofactor, l_minus_xy, l_plus_xy, psi_xy, wronskian_matrix_xy
 
 PSI = build_psi()  # t v + u/t, u in the x slot and v in the y slot
 PSI_XY = psi_xy()
@@ -146,20 +145,20 @@ class TestDeterminants:
         assert determinant(m).is_zero
 
     def test_minor_harvest_matches_cofactor(self):
-        m = wronskian_matrix(PSI, 4)
-        harvested = leading_principal_minors(m)
-        assert len(harvested) == 4
-        for k, value in enumerate(harvested, start=1):
-            assert value == det_cofactor(wronskian_matrix(PSI, k))
+        harvested = [tau for tau, _ in site_steps(4)]
+        assert len(harvested) == 5
+        for k, value in enumerate(harvested[1:], start=1):
+            assert value == from_uv(det_cofactor(wronskian_matrix(PSI, k)))
 
     def test_minor_harvest_refuses_zero_pivot(self):
         from hirotaverify.laurent import ZERO, variable
+        from hirotaverify.wronskian import _leading_minors
 
         x = variable("x")
         with pytest.raises(DeterminantError):
-            leading_principal_minors(SymMatrix(((ZERO, x), (x, ONE))))
+            list(_leading_minors(SymMatrix(((ZERO, x), (x, ONE)))))
         # A zero last pivot is the full determinant, not a row swap.
-        assert leading_principal_minors(SymMatrix(((x, x), (x, x))))[-1].is_zero
+        assert list(_leading_minors(SymMatrix(((x, x), (x, x)))))[-1].is_zero
 
 
 class TestTauFamily:
@@ -207,6 +206,11 @@ class TestTauFamily:
     def test_invalid_depth(self):
         with pytest.raises(ValueError):
             TauFamily.build(0)
+
+    def test_entry_count_must_match_depth(self, fam5):
+        for tau, f in ((fam5.tau[:3], fam5.f), (fam5.tau, fam5.f[:5]), (fam5.tau, fam5.f + (ONE,))):
+            with pytest.raises(ValueError, match="n_max=5 needs 6 entries"):
+                TauFamily(5, tau, f)
 
     def test_cofactor_build_matches(self):
         small = TauFamily.build(3)
