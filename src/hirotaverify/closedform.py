@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cache
 
 from .laurent import (
     LaurentPoly,
-    Monomial,
     ONE,
     ZERO,
     differentiate,
@@ -22,21 +22,23 @@ from .laurent import (
     variable,
 )
 from .operators import X2_MINUS_1
-from .wronskian import SymMatrix, determinant
+from .wronskian import SymMatrix, _leading_minors
 
 _X = variable("x")
-_X_PLUS_1 = LaurentPoly({Monomial(0, 1, 0): 1, Monomial(0, 0, 0): 1})
-_X_MINUS_1 = LaurentPoly({Monomial(0, 1, 0): 1, Monomial(0, 0, 0): -1})
 
 
+@cache
 def w_recursive(n: int) -> LaurentPoly:
-    """W_1 = x and W_{k+1} = (x^2 - 1) dW_k/dx, returned in the variable x."""
+    """W_1 = x and W_{k+1} = (x^2 - 1) dW_k/dx in the variable x, each made once from W_k."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    w = _X
-    for _ in range(n - 1):
-        w = X2_MINUS_1 * differentiate(w, "x")
-    return w
+    return _X if n == 1 else X2_MINUS_1 * differentiate(w_recursive(n - 1), "x")
+
+
+@cache
+def _x_shift_power(shift: int, k: int) -> LaurentPoly:
+    """(x + shift)^k, each made once from the one before."""
+    return ONE if k == 0 else _x_shift_power(shift, k - 1) * (_X + shift)
 
 
 def w_formula(n: int) -> LaurentPoly:
@@ -50,7 +52,7 @@ def w_formula(n: int) -> LaurentPoly:
         )
         if weight == 0:
             continue
-        total = total + weight * (_X_PLUS_1 ** (m + 1)) * (_X_MINUS_1 ** (n - m - 1))
+        total = total + weight * _x_shift_power(1, m + 1) * _x_shift_power(-1, n - m - 1)
     return total
 
 
@@ -74,33 +76,26 @@ def f_q0_closed(n: int) -> LaurentPoly:
     return _q0_closed(n, plus=False)
 
 
+@cache
 def _q0_closed(n: int, plus: bool) -> LaurentPoly:
     if n < 1:
         raise ValueError("n must be at least 1")
-    body = _X_PLUS_1 ** n
-    body = body + (_X_MINUS_1 ** n) if plus else body - (_X_MINUS_1 ** n)
-    scale = a_coeff(n) / 2
-    return scale * (X2_MINUS_1 ** (n * (n - 1) // 2)) * body
+    body = _x_shift_power(1, n) + (1 if plus else -1) * _x_shift_power(-1, n)
+    return a_coeff(n) / 2 * (X2_MINUS_1 ** (n * (n - 1) // 2)) * body
 
 
-def g_q0_wronskian(n: int) -> LaurentPoly:
-    """Determinant route: det of the n x n Hankel matrix of W_1 .. W_{2n-1}."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    ws = [w_recursive(k) for k in range(1, 2 * n)]
-    rows = tuple(tuple(ws[i + j] for j in range(n)) for i in range(n))
-    return determinant(SymMatrix(rows))
+@cache
+def q0_wronskians(last: int) -> tuple[tuple[LaurentPoly, ...], tuple[LaurentPoly, ...]]:
+    """Determinant route for sites 1..last: (g_1..g_last), (f_1..f_last).
 
-
-def f_q0_wronskian(n: int) -> LaurentPoly:
-    """Determinant route for f_n: the Hankel matrix starting at W_3, dim n-1."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if n == 1:
-        return ONE
-    ws = [w_recursive(k) for k in range(1, 2 * n)]
-    rows = tuple(tuple(ws[i + j + 2] for j in range(n - 1)) for i in range(n - 1))
-    return determinant(SymMatrix(rows))
+    They are the leading principal minors of the Hankel matrices
+    [W_{i+j+1}] and, after f_1 = 1, [W_{i+j+3}], from one elimination each.
+    """
+    if last < 1:
+        raise ValueError("last must be at least 1")
+    minors = lambda first, dim: _leading_minors(SymMatrix(tuple(
+        tuple(w_recursive(first + i + j) for j in range(dim)) for i in range(dim))))
+    return tuple(minors(1, last)), (ONE, *minors(3, last - 1))
 
 
 def half_gamma_ratio(m: int, l: int, n: int) -> Fraction:
@@ -127,7 +122,8 @@ def half_gamma_ratio(m: int, l: int, n: int) -> Fraction:
 
 
 def _g_extreme_uv(n: int, high: bool) -> LaurentPoly:
-    # 2^{n(n-1)} A_n u^a v^b in uv slots (u in the x slot, v in the y slot).
+    # 2^{n(n-1)} A_n u^a v^b in uv slots (u in the x slot, v in the y slot);
+    # a_coeff refuses n < 0.
     a = n * (n - 1) // 2
     b = n * (n + 1) // 2
     coeff = Fraction(2 ** (n * (n - 1))) * a_coeff(n)
@@ -138,21 +134,15 @@ def _g_extreme_uv(n: int, high: bool) -> LaurentPoly:
 
 def g_high(n: int) -> LaurentPoly:
     """Coefficient of t^n in g_n, in the x,y basis."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
     return from_uv(_g_extreme_uv(n, high=True))
 
 
 def g_low(n: int) -> LaurentPoly:
     """Coefficient of t^-n in g_n (u and v exponents swapped)."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
     return from_uv(_g_extreme_uv(n, high=False))
 
 
 def _f_extreme(n: int, high: bool) -> LaurentPoly:
-    if n < 0:
-        raise ValueError("n must be non-negative")
     if n == 0:
         return ZERO
     gamma_sum = ZERO

@@ -36,7 +36,7 @@ from functools import cache
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from re import findall, finditer, search
-from typing import Iterable, Iterator, Mapping, NamedTuple, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 from .gaussian import GaussianRational
 
@@ -157,20 +157,11 @@ class LaurentPoly:
     def terms(self) -> Iterator[tuple[Monomial, GaussianRational]]:
         return ((_unpack(k), self._coeff_at(k)) for k in self._keys())
 
-    def sorted_terms(self) -> list[tuple[Monomial, GaussianRational]]:
-        return [(_unpack(k), self._coeff_at(k)) for k in sorted(self._keys())]
-
     def leading_term(self) -> tuple[Monomial, GaussianRational]:
         if self.is_zero:
             raise ValueError("zero polynomial has no leading term")
         key = min(self._keys())
         return _unpack(key), self._coeff_at(key)
-
-    def coeff(self, mono: Monomial) -> GaussianRational:
-        try:
-            return self._coeff_at(_pack(*mono))
-        except OverflowError:
-            return GaussianRational(0)
 
     def has_negative_xy(self) -> bool:
         return any(m.ex < 0 or m.ey < 0 for m in map(_unpack, self._keys()))
@@ -271,30 +262,36 @@ class LaurentPoly:
         """The x,y-polynomial multiplying t**m (zero if absent)."""
         return self.t_coefficients().get(m, ZERO)
 
-    # -- evaluation ---------------------------------------------------------
 
-    def evaluate(self, x: ScalarLike, y: ScalarLike, t: ScalarLike) -> GaussianRational:
-        """Exact value at a scalar point; negative exponents invert the base."""
-        keys = list(self._keys())
-        exps = [_unpack(k) for k in keys]
-        tables, den = [], self._den
-        for slot, value in enumerate((t, x, y)):
-            table, scale = _powers(_as_coeff(value), {m[slot] for m in exps})
-            tables.append(table)
-            den *= scale
-        t_pow, x_pow, y_pow = tables
-        re, im = self._re, self._im or {}
-        total_re = total_im = 0
-        for k, (et, ex, ey) in zip(keys, exps):
-            ar, ai = t_pow[et]
-            br, bi = x_pow[ex]
-            ar, ai = ar * br - ai * bi, ar * bi + ai * br
-            br, bi = y_pow[ey]
-            ar, ai = ar * br - ai * bi, ar * bi + ai * br
-            cr, ci = re.get(k, 0), im.get(k, 0)
-            total_re += cr * ar - ci * ai
-            total_im += cr * ai + ci * ar
-        return GaussianRational(Fraction(total_re, den), Fraction(total_im, den))
+# -- evaluation ---------------------------------------------------------------
+
+def evaluate(polys: Sequence[LaurentPoly], x: ScalarLike, y: ScalarLike,
+             t: ScalarLike) -> tuple[list[tuple[int, int]], int]:
+    """([(re_k, im_k), ...], den): polys[k] takes the exact value (re_k + i*im_k) / den.
+
+    The power tables of t, x and y are built once for all polys, and each
+    monomial is valued once.  A negative exponent inverts its base.
+    """
+    exps = {k: _unpack(k) for p in polys for k in p._keys()}
+    common = lcm(*(p._den for p in polys))
+    tables, den = [], common
+    for slot, value in enumerate((t, x, y)):
+        table, scale = _powers(_as_coeff(value), {m[slot] for m in exps.values()})
+        tables.append(table)
+        den *= scale
+    t_pow, x_pow, y_pow = tables
+    mono = {}
+    for k, (et, ex, ey) in exps.items():
+        (ar, ai), (br, bi), (cr, ci) = t_pow[et], x_pow[ex], y_pow[ey]
+        ar, ai = ar * br - ai * bi, ar * bi + ai * br
+        mono[k] = ar * cr - ai * ci, ar * ci + ai * cr
+    values = []
+    for p in polys:
+        re, im = p._re.items(), (p._im or {}).items()
+        total_re = sum(c * mono[k][0] for k, c in re) - sum(c * mono[k][1] for k, c in im)
+        total_im = sum(c * mono[k][1] for k, c in re) + sum(c * mono[k][0] for k, c in im)
+        values.append((total_re * (common // p._den), total_im * (common // p._den)))
+    return values, den
 
 
 def _powers(value: GaussianRational, exponents: set[int]) -> tuple[dict, int]:
@@ -621,13 +618,22 @@ def serialize(p: LaurentPoly) -> str:
     """Deterministic text form: '(coeff)*t^a*x^b*y^c' terms in canonical order."""
     if p.is_zero:
         return "0"
+    re, im, den = p._re, p._im or {}, p._den
+
+    def ratio(num: int) -> str:  # str(Fraction(num, den)), read off the numerators
+        g = gcd(num, den)
+        return str(num // g) if g == den else f"{num // g}/{den // g}"
+
     parts = []
-    for mono, coeff in p.sorted_terms():
-        factors = [f"({coeff})"]
-        for name, e in (("t", mono.et), ("x", mono.ex), ("y", mono.ey)):
-            if e:
-                factors.append(f"{name}^{e}")
-        parts.append("*".join(factors))
+    for key in sorted(p._keys()):
+        a, b = re.get(key, 0), im.get(key, 0)
+        text = ratio(a)
+        if b:
+            sign = "-" if b < 0 else "+" if a else ""
+            text = f"{text if a else ''}{sign}{ratio(abs(b))}*i"
+        et, ex, ey = _unpack(key)
+        parts.append(f"({text})" + "".join(
+            f"*{name}^{e}" for name, e in (("t", et), ("x", ex), ("y", ey)) if e))
     return " + ".join(parts)
 
 

@@ -85,10 +85,19 @@ def apply_F(n: int, a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
 
     four products of the operands' size where the bracket form takes seven.
     """
+    return apply_F_operands(n, F_operand(a), F_operand(b))
+
+
+def F_operand(p: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly, LaurentPoly, LaurentPoly]:
+    """(p, p_x, p_y, M p): what F reads of one operand, so it can be made once."""
+    px, py = d_x(p), d_y(p)
+    return p, px, py, d_x(X2_MINUS_1 * px) + d_y(Y2_MINUS_1 * py)
+
+
+def apply_F_operands(n: int, a: tuple, b: tuple) -> LaurentPoly:
+    """apply_F(n, a, b) on operands made by F_operand."""
+    (a, ax, ay, m_a), (b, bx, by, m_b) = a, b
     c_n = -2 * n * n
-    ax, ay, bx, by = d_x(a), d_y(a), d_x(b), d_y(b)
-    m_a = d_x(X2_MINUS_1 * ax) + d_y(Y2_MINUS_1 * ay)
-    m_b = d_x(X2_MINUS_1 * bx) + d_y(Y2_MINUS_1 * by)
     return ((m_a + c_n * a) * b + a * m_b
             - 2 * (X2_MINUS_1 * (ax * bx) + Y2_MINUS_1 * (ay * by)))
 

@@ -20,6 +20,7 @@ from .laurent import (
     LaurentPoly,
     ZERO,
     conjugate_coeffs,
+    evaluate,
     monomial,
     serialize,
     subst_t_inverse,
@@ -29,7 +30,9 @@ from .laurent import (
     swap_xy,
 )
 from .operators import (
+    F_operand,
     apply_F,
+    apply_F_operands,
     apply_F_weyl,
     d_x,
     d_y,
@@ -92,26 +95,39 @@ class _Site:
     Each of g and f holds the polynomials at sites n-1, n and n+1.  Only the
     Toda and mixed identities read the neighbours, so they may be None where
     the sequence ends.
-    star(g_n), star(f_n) and each IDENTITIES entry are computed on first use,
-    once each.
+    star(g_n), star(f_n), the F operands of all four and each IDENTITIES
+    entry are computed on first use, once each.
     """
 
     def __init__(self, n: int, g: Sequence, f: Sequence):
         self.n = n
         self.g_lo, self.g, self.g_hi = g
         self.f_lo, self.f, self.f_hi = f
-        self._identities: dict[str, tuple[LaurentPoly, dict[int, int]]] = {}
+        self._residuals: dict[str, LaurentPoly] = {}
+        self._lhs: dict[str, LaurentPoly] = {}  # kept until its counts are read
+        self._counts: dict[str, dict[int, int]] = {}
 
     gs = cached_property(lambda self: star(self.g))
     fs = cached_property(lambda self: star(self.f))
+    g_F = cached_property(lambda self: F_operand(self.g))
+    f_F = cached_property(lambda self: F_operand(self.f))
+    gs_F = cached_property(lambda self: F_operand(self.gs))
+    fs_F = cached_property(lambda self: F_operand(self.fs))
 
-    def identity(self, name: str) -> tuple[LaurentPoly, dict[int, int]]:
-        """Residual lhs - rhs of one identity, and the lhs term count at each power of t."""
-        if name not in self._identities:
+    def identity(self, name: str) -> LaurentPoly:
+        """Residual lhs - rhs of one identity."""
+        if name not in self._residuals:
             lhs, rhs = IDENTITIES[name](self)
-            counts = {m: c.term_count for m, c in lhs.t_coefficients().items()}
-            self._identities[name] = (lhs - rhs, counts)
-        return self._identities[name]
+            self._residuals[name], self._lhs[name] = lhs - rhs, lhs
+        return self._residuals[name]
+
+    def lhs_counts(self, name: str) -> dict[int, int]:
+        """The lhs term count of one identity at each power of t, split on first read."""
+        if name not in self._counts:
+            self.identity(name)
+            split = self._lhs.pop(name).t_coefficients()
+            self._counts[name] = {m: c.term_count for m, c in split.items()}
+        return self._counts[name]
 
 
 def _family_site(fam: TauFamily, n: int) -> _Site:
@@ -136,15 +152,16 @@ IDENTITIES: dict[str, Callable[[_Site], tuple[LaurentPoly, LaurentPoly]]] = {
     "mixed": lambda s: (hirota_dst(s.f, s.g), s.f_hi * s.g_lo + s.f_lo * s.g_hi),
     "tsdec1": lambda s: (_with_star(hirota("x", s.g, s.f), -1), ZERO),
     "tsdec2": lambda s: (_with_star(hirota("y", s.g, s.f), 1), ZERO),
-    "tsdec3": lambda s: (apply_F(s.n, s.gs, s.f), ZERO),
-    "tsdec4": lambda s: (apply_F(s.n, s.gs, s.g) + apply_F(s.n, s.fs, s.f), ZERO),
+    "tsdec3": lambda s: (apply_F_operands(s.n, s.gs_F, s.f_F), ZERO),
+    "tsdec4": lambda s: (apply_F_operands(s.n, s.gs_F, s.g_F)
+                         + apply_F_operands(s.n, s.fs_F, s.f_F), ZERO),
 }
 
 
 def _identity_report(eq_id: str, name: str, site: _Site, **fields) -> CheckReport:
     """The row for one identity at one site: its residual lhs - rhs."""
     started = time.perf_counter()
-    return _report(eq_id, site.n, site.identity(name)[0], started, **fields)
+    return _report(eq_id, site.n, site.identity(name), started, **fields)
 
 
 def _require_site(n: int, last: int) -> None:
@@ -256,7 +273,7 @@ def check_su11(
     a, b = params
     ac, bc = a.conjugate(), b.conjugate()
     s, d = a.abs2() + b.abs2(), a.abs2() - b.abs2()
-    r = lambda name: _family_site(fam, n).identity(name)[0]
+    r = lambda name: _family_site(fam, n).identity(name)
     r3s = cache(lambda: star(r("tsdec3")))
     combinations = {
         "toda.g": lambda: a * a * r("toda.g") + 2 * a * bc * r("mixed") + bc * bc * r("toda.f"),
@@ -329,8 +346,9 @@ def check_orderwise(fam: TauFamily, n: int, system: str) -> list[CheckReport]:
     low_id, mid_id, mirror_id = spec.case_ids
     middle = 0 if system == "B4" else direct_end
     started = time.perf_counter()
-    whole, lhs_terms = _family_site(fam, n).identity(spec.identity)
-    by_order = whole.t_coefficients()
+    site = _family_site(fam, n)
+    by_order = site.identity(spec.identity).t_coefficients()
+    lhs_terms = site.lhs_counts(spec.identity)
     residuals: list[LaurentPoly] = []
     reports = []
     for I in range(top + 1):
@@ -372,6 +390,17 @@ DEFAULT_ERNST_POINTS: tuple[tuple, ...] = (
 )
 
 
+class _GaussInt(NamedTuple):
+    """Gaussian integer re + i*im, with the ring operations of the Ernst numerator."""
+
+    re: int
+    im: int
+
+    __add__ = lambda a, b: _GaussInt(a.re + b.re, a.im + b.im)
+    __sub__ = lambda a, b: _GaussInt(a.re - b.re, a.im - b.im)
+    __mul__ = lambda a, b: _GaussInt(a.re * b.re - a.im * b.im, a.re * b.im + a.im * b.re)
+
+
 def ernst_residual_numeric(
     fam: TauFamily, n: int, samples: Sequence[tuple] = DEFAULT_ERNST_POINTS
 ) -> list[CheckReport]:
@@ -380,41 +409,41 @@ def ernst_residual_numeric(
     Uses the standard axisymmetric prolate-spheroidal form: with
     B = ((x^2-1) xi_x)_x + ((1-y^2) xi_y)_y and
     G = (x^2-1) xi_x^2 + (1-y^2) xi_y^2, the residual is
-    (xi xi* - 1) B - 2 xi* G, cleared of denominators.  Evaluation is exact
-    rational arithmetic; a passing point yields exactly zero.  A point that
-    cannot be used (|t| != 1, or a vanishing denominator) is an "error".
+    (xi xi* - 1) B - 2 xi* G, cleared of denominators.  Evaluation is exact:
+    the numerator is homogeneous of degree 6 in the values of the polynomials
+    it reads, its coefficients included, which take Gaussian-integer values
+    over one denominator, so it is tested for zero in integers.  A point
+    that cannot be used (|t| != 1, or a vanishing denominator) is an "error".
     """
     _require_site(n, fam.n_max)
     site = _family_site(fam, n)
-    g, f, gs, fs = site.g, site.f, site.gs, site.fs
-    gx, gy, fx, fy = d_x(g), d_y(g), d_x(f), d_y(f)
+    (_, gx, gy, _), (_, fx, fy, _) = site.g_F, site.f_F
     # With p = g_x f - g f_x and q = g_y f - g f_y, the g_x f_x and g_y f_y
-    # terms cancel from p_x and q_y; every factor is a value at the point.
-    numerator_polys = (g, gs, gx, gy, fx, fy, d_x(gx), d_y(gy), d_x(fx), d_y(fy))
+    # terms cancel from p_x and q_y; every factor is a value at the point,
+    # the coefficients 2x, x^2 - 1, -2y and 1 - y^2 last.
+    polys = (site.f, site.fs, site.g, site.gs, gx, gy, fx, fy, d_x(gx), d_y(gy), d_x(fx),
+             d_y(fy), monomial(2, ex=1), monomial(1, ex=2) - 1, monomial(-2, ey=1),
+             1 - monomial(1, ey=2))
 
     def outcome(x0, y0, t0) -> tuple[str, str | None]:
         if t0.abs2() != 1:
             return "error", "sample point violates |t| = 1"
-        fv = f.evaluate(x0, y0, t0)
-        fsv = fs.evaluate(x0, y0, t0)
-        if fv.is_zero or fsv.is_zero:
+        values, den = evaluate(polys, x0, y0, t0)
+        (f, fs, g, gs, gx, gy, fx, fy, gxx, gyy, fxx, fyy,
+         two_x, x2m1, minus_2y, one_m_y2) = (_GaussInt(*v) for v in values)
+        if f == (0, 0) or fs == (0, 0):
             return "error", "denominator vanishes at sample point"
-        gv, gsv, gxv, gyv, fxv, fyv, gxxv, gyyv, fxxv, fyyv = (
-            poly.evaluate(x0, y0, t0) for poly in numerator_polys)
-        pv, qv = gxv * fv - gv * fxv, gyv * fv - gv * fyv
-        pxv, qyv = gxxv * fv - gv * fxxv, gyyv * fv - gv * fyyv
-        x2m1 = x0 * x0 - 1
-        one_m_y2 = GaussianRational(1) - y0 * y0
-        n_b = (
-            (2 * x0 * pv + x2m1 * pxv) * fv
-            - 2 * x2m1 * pv * fxv
-            + (GaussianRational(-2) * y0 * qv + one_m_y2 * qyv) * fv
-            - 2 * one_m_y2 * qv * fyv
-        )
-        n_g = x2m1 * pv * pv + one_m_y2 * qv * qv
-        numerator = (gv * gsv - fv * fsv) * n_b - 2 * gsv * n_g
-        residual = numerator / (fsv * fv ** 4)
-        return ("pass", None) if residual.is_zero else ("fail", str(residual))
+        p, q = gx * f - g * fx, gy * f - g * fy
+        px, qy = gxx * f - g * fxx, gyy * f - g * fyy
+        n_b = ((two_x * p + x2m1 * px) * f - x2m1 * (p + p) * fx
+               + (minus_2y * q + one_m_y2 * qy) * f - one_m_y2 * (q + q) * fy)
+        n_g = x2m1 * p * p + one_m_y2 * q * q
+        numerator = (g * gs - f * fs) * n_b - (gs + gs) * n_g
+        if numerator == (0, 0):
+            return "pass", None
+        # The residual is (numerator / L^6) / ((fs / L) (f / L)^4).
+        scale = den * GaussianRational(*fs) * GaussianRational(*f) ** 4
+        return "fail", str(GaussianRational(*numerator) / scale)
 
     reports = []
     for idx, (x0, y0, t0) in enumerate(samples):
@@ -478,7 +507,7 @@ SUITES: dict[str, Suite] = {
     "closedforms": Suite(0, lambda fam, n_max: (
         [CheckTask("closed.W", 0, lambda: _check_w_forms(max(12, 2 * n_max + 1))),
          CheckTask("closed.A", 0, lambda: _check_a_facts())]
-        + _per_site("closed.q0", max(6, n_max), lambda n: _check_q0(n))
+        + _per_site("closed.q0", max(6, n_max), lambda n: _check_q0(n, max(6, n_max)))
         + _per_site("closed.extreme", n_max, lambda n: _check_extremes(fam, n)))),
     "weyl": Suite(0, lambda fam, n_max: (
         [CheckTask("weyl.lock", 0, lambda: _check_weyl_lock(50, seed=421))]
@@ -523,8 +552,8 @@ def _check_w_forms(w_max: int) -> CheckReport:
 
     started = time.perf_counter()
     for k in range(2, w_max + 1):
-        if closedform.w_formula(k) != closedform.w_recursive(k):
-            diff = closedform.w_formula(k) - closedform.w_recursive(k)
+        diff = closedform.w_formula(k) - closedform.w_recursive(k)
+        if not diff.is_zero:
             return _report("closed.W", k, diff, started)
     return _report("closed.W", 0, ZERO, started,
                    note=f"formula matches recursion for n=2..{w_max}")
@@ -534,35 +563,31 @@ def _check_a_facts() -> CheckReport:
     from . import closedform
 
     started = time.perf_counter()
-    expected = {1: 1, 2: 1, 3: 4, 4: 144}
-    for k, value in expected.items():
-        if closedform.a_coeff(k) != value:
-            return CheckReport("closed.A", k, status="fail",
-                               witness=f"A_{k} = {closedform.a_coeff(k)}",
-                               elapsed=time.perf_counter() - started)
-    printed_holds = []
+    a = [closedform.a_coeff(k) for k in range(7)]
+    failed = lambda k, witness: CheckReport("closed.A", k, status="fail", witness=witness,
+                                            elapsed=time.perf_counter() - started)
+    for k, value in {1: 1, 2: 1, 3: 4, 4: 144}.items():
+        if a[k] != value:
+            return failed(k, f"A_{k} = {a[k]}")
     for k in range(2, 6):
-        a_prev, a_k, a_next = (closedform.a_coeff(k - 1), closedform.a_coeff(k),
-                               closedform.a_coeff(k + 1))
-        if a_prev * a_next != k * k * a_k * a_k:
-            return CheckReport("closed.A", k, status="fail",
-                               witness="squared recursion fails",
-                               elapsed=time.perf_counter() - started)
-        printed_holds.append("holds" if a_prev * a_next == k * k * a_k else "fails")
+        if a[k - 1] * a[k + 1] != k * k * a[k] * a[k]:
+            return failed(k, "squared recursion fails")
+    unsquared = (f"{'holds' if a[k - 1] * a[k + 1] == k * k * a[k] else 'fails'} at n={k}"
+                 for k in range(2, 6))
     note = ("squared recursion A(n-1)A(n+1) = n^2 A(n)^2 holds for n=2..5; "
-            "unsquared variant " +
-            ", ".join(f"{state} at n={k}" for k, state in zip(range(2, 6), printed_holds)))
+            "unsquared variant " + ", ".join(unsquared))
     return CheckReport("closed.A", 0, elapsed=time.perf_counter() - started, note=note)
 
 
-def _check_q0(n: int) -> CheckReport:
+def _check_q0(n: int, last: int) -> CheckReport:
     from . import closedform
 
     started = time.perf_counter()
+    g_det, f_det = closedform.q0_wronskians(last)
     g_closed = closedform.g_q0_closed(n)
-    residual = g_closed - closedform.g_q0_wronskian(n)
+    residual = g_closed - g_det[n - 1]
     if residual.is_zero:
-        residual = closedform.f_q0_closed(n) - closedform.f_q0_wronskian(n)
+        residual = closedform.f_q0_closed(n) - f_det[n - 1]
     return _report("closed.q0", n, residual, started, term_count=g_closed.term_count)
 
 

@@ -156,15 +156,15 @@ def _leading_minors(m: SymMatrix) -> Iterator[LaurentPoly]:
 def site_steps(n_max: int) -> Iterator[tuple[LaurentPoly, LaurentPoly]]:
     """(tau_n, f_n) for n = 0..n_max, the entries of TauFamily.build(n_max).
 
-    The call builds both Wronskian matrices.  Each site is one elimination
-    step of each matrix, and its conversion to x,y, run only when that site
-    is asked for, so a caller can time the sites one by one.
+    L_plus and L_minus commute, so the f Wronskian is the tau Wronskian's
+    lower-right block.  Each site is one elimination step of each, and its
+    conversion to x,y, run only when asked for, so sites can be timed alone.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    psi = build_psi()
-    tau = _leading_minors(wronskian_matrix(psi, n_max))
-    f = _leading_minors(wronskian_matrix(l_plus(l_minus(psi)), n_max - 1)) if n_max >= 2 else ()
+    m = wronskian_matrix(build_psi(), n_max)
+    tau = _leading_minors(m)
+    f = _leading_minors(SymMatrix(tuple(row[1:] for row in m.entries[1:])))
     return zip(chain([ONE], map(from_uv, tau)), chain([ZERO, ONE], map(from_uv, f)))
 
 

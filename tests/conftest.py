@@ -175,6 +175,23 @@ def from_uv_oracle(p: LaurentPoly) -> LaurentPoly:
     return subst_linear(p, Fraction(1, 2) * (x + y), Fraction(1, 2) * (x - y))
 
 
+# -- the text form, term by term -------------------------------------------------
+
+def serialize_oracle(p: LaurentPoly) -> str:
+    """serialize through one Monomial and one GaussianRational per term, in the documented order."""
+    if p.is_zero:
+        return "0"
+    order = lambda term: (-term[0].et, -(term[0].ex + term[0].ey), -term[0].ex)
+    parts = []
+    for mono, coeff in sorted(p.terms(), key=order):
+        factors = [f"({coeff})"]
+        for name, e in (("t", mono.et), ("x", mono.ex), ("y", mono.ey)):
+            if e:
+                factors.append(f"{name}^{e}")
+        parts.append("*".join(factors))
+    return " + ".join(parts)
+
+
 # -- the operators and the Ernst residual in their textbook product forms -------
 
 def hirota_second(var: str, f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
@@ -202,11 +219,20 @@ def apply_F_oracle(n: int, a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     )
 
 
+def evaluate_oracle(p: LaurentPoly, x0, y0, t0) -> GaussianRational:
+    """The value of p at (x0, y0, t0), term by term in Gaussian-rational arithmetic."""
+    power = lambda base, e: base ** e if e else GaussianRational(1)
+    total = GaussianRational(0)
+    for mono, coeff in p.terms():
+        total = total + coeff * power(t0, mono.et) * power(x0, mono.ex) * power(y0, mono.ey)
+    return total
+
+
 def ernst_oracle(g: LaurentPoly, f: LaurentPoly, point: tuple) -> tuple[str, str | None]:
     """(status, witness) of the Ernst residual of g/f at one point, by polynomial products.
 
     p = g_x f - g f_x and q = g_y f - g f_y are built as polynomials and
-    differentiated, then every factor is evaluated at the point.
+    differentiated, then every factor is evaluated at the point, term by term.
     """
     x0, y0, t0 = point
     if t0.abs2() != 1:
@@ -216,11 +242,11 @@ def ernst_oracle(g: LaurentPoly, f: LaurentPoly, point: tuple) -> tuple[str, str
     p = differentiate(g, "x") * f - g * fx
     q = differentiate(g, "y") * f - g * fy
     px, qy = differentiate(p, "x"), differentiate(q, "y")
-    fv, fsv = f.evaluate(x0, y0, t0), fs.evaluate(x0, y0, t0)
+    fv, fsv = evaluate_oracle(f, *point), evaluate_oracle(fs, *point)
     if fv.is_zero or fsv.is_zero:
         return "error", "denominator vanishes at sample point"
     gv, gsv, pv, qv, pxv, qyv, fxv, fyv = (
-        poly.evaluate(x0, y0, t0) for poly in (g, gs, p, q, px, qy, fx, fy))
+        evaluate_oracle(poly, *point) for poly in (g, gs, p, q, px, qy, fx, fy))
     x2m1, one_m_y2 = x0 * x0 - 1, 1 - y0 * y0
     n_b = ((2 * x0 * pv + x2m1 * pxv) * fv - 2 * x2m1 * pv * fxv
            + (-2 * y0 * qv + one_m_y2 * qyv) * fv - 2 * one_m_y2 * qv * fyv)

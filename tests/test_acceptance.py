@@ -95,9 +95,10 @@ def test_criterion_05_closed_forms():
     ok = all(
         closedform.w_formula(n) == closedform.w_recursive(n) for n in range(2, 13)
     )
+    g_det, f_det = closedform.q0_wronskians(6)
     ok = ok and all(
-        closedform.g_q0_closed(n) == closedform.g_q0_wronskian(n)
-        and closedform.f_q0_closed(n) == closedform.f_q0_wronskian(n)
+        closedform.g_q0_closed(n) == g_det[n - 1]
+        and closedform.f_q0_closed(n) == f_det[n - 1]
         for n in range(1, 7)
     )
     ok = ok and all(

@@ -241,7 +241,7 @@ class TestBenchCommand:
         wronskian_matrix = wronskian.wronskian_matrix
         monkeypatch.setattr(wronskian, "wronskian_matrix", counting)
         assert cmd_bench(2, stream=io.StringIO()) == 0
-        assert dims == [3, 2]  # the tau and f Wronskians of one depth-3 family
+        assert dims == [3]  # the tau Wronskian of one depth-3 family; f's is its block
 
 
 class TestImportSet:

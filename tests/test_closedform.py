@@ -7,19 +7,27 @@ from hirotaverify.closedform import (
     f_high,
     f_low,
     f_q0_closed,
-    f_q0_wronskian,
     g_high,
     g_low,
     g_q0_closed,
-    g_q0_wronskian,
     half_gamma_ratio,
+    q0_wronskians,
     w_formula,
     w_recursive,
 )
-from hirotaverify.laurent import ZERO, from_uv, monomial, parse, subst_y_negate
+from hirotaverify.laurent import ONE, ZERO, from_uv, monomial, parse, subst_y_negate
 from hirotaverify.operators import hirota_dst
+from hirotaverify.wronskian import SymMatrix
+
+from conftest import det_cofactor
 
 X = parse("x")
+
+
+def hankel(first: int, dim: int) -> SymMatrix:
+    """The dim x dim Hankel matrix [W_{first+i+j}], i, j = 0..dim-1."""
+    return SymMatrix(tuple(tuple(w_recursive(first + i + j) for j in range(dim))
+                           for i in range(dim)))
 
 
 class TestWPolynomials:
@@ -66,10 +74,24 @@ class TestNonRotatingForms:
         assert g_q0_closed(2) == (X**2 - 1) * (X**2 + 1)
         assert g_q0_closed(3) == 4 * X * (X**2 - 1) ** 3 * (X**2 + 3)
 
-    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("n", range(1, 9))
     def test_matches_determinants(self, n):
-        assert g_q0_closed(n) == g_q0_wronskian(n)
-        assert f_q0_closed(n) == f_q0_wronskian(n)
+        # Every site is read from one elimination of the largest matrices.
+        g_det, f_det = q0_wronskians(8)
+        assert g_q0_closed(n) == g_det[n - 1]
+        assert f_q0_closed(n) == f_det[n - 1]
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_minors_match_cofactor_expansion(self, n):
+        g_det, f_det = q0_wronskians(5)
+        assert g_det[n - 1] == det_cofactor(hankel(1, n))
+        assert f_det[n - 1] == det_cofactor(hankel(3, n - 1))
+
+    def test_first_site_and_domain(self):
+        g_det, f_det = q0_wronskians(1)
+        assert g_det == (g_q0_closed(1),) and f_det == (ONE,)
+        with pytest.raises(ValueError):
+            q0_wronskians(0)
 
     def test_matches_unit_t_slice(self, fam5):
         # Setting t = 1 collapses the family onto the non-rotating branch.

@@ -16,6 +16,7 @@ from hirotaverify.laurent import (
     conjugate_coeffs,
     constant,
     differentiate,
+    evaluate,
     exact_divide,
     monomial,
     parse,
@@ -177,13 +178,17 @@ class TestTermWise:
         for et in range(-4, 5):
             assert terms(p.coeff_of_t(et)) == expected.get(et, {})
 
-    @given(p=any_polys, point=st.tuples(*[gaussians.filter(bool)] * 3))
-    def test_evaluate(self, p, point):
+    @given(ps=st.lists(any_polys, max_size=4), point=st.tuples(*[gaussians.filter(bool)] * 3))
+    def test_evaluate(self, ps, point):
+        # Several polynomials at once, over one positive denominator.
         x, y, t = point
-        expected = GaussianRational(0)
-        for m, c in terms(p).items():
-            expected = expected + c * ref_power(t, m.et) * ref_power(x, m.ex) * ref_power(y, m.ey)
-        assert p.evaluate(x, y, t) == expected
+        values, den = evaluate(ps, x, y, t)
+        assert den > 0 and len(values) == len(ps)
+        for p, (re, im) in zip(ps, values):
+            expected = GaussianRational(0)
+            for m, c in terms(p).items():
+                expected = expected + c * ref_power(t, m.et) * ref_power(x, m.ex) * ref_power(y, m.ey)
+            assert GaussianRational(Fraction(re, den), Fraction(im, den)) == expected
 
 
 # -- text form and hashing -------------------------------------------------------

@@ -217,7 +217,7 @@ class TestSu11:
         for name, identity in V.IDENTITIES.items():
             monkeypatch.setitem(V.IDENTITIES, name,
                                 lambda site, identity=identity: calls.append(1) or identity(site))
-        for name in ("hirota_dst", "apply_F"):
+        for name in ("hirota_dst", "F_operand"):
             operator = getattr(V, name)
             monkeypatch.setattr(V, name, lambda *args, operator=operator:
                                 operands.extend(args[-2:]) or operator(*args))
@@ -553,6 +553,30 @@ class TestSiteTable:
         # tsdec1 and tsdec2 also star their brackets; g_n and f_n go in once each.
         assert [stars.count(p) for n in (1, 2, 3) for p in (fam4.g[n], fam4.f[n])] == [1] * 6
 
+    def test_F_operands_made_once_per_site(self, fam4, monkeypatch):
+        # tsdec3 and tsdec4 read g*, f, g and f* through F: four operands, each
+        # with two first partials and the two derivatives of M, made once.
+        from hirotaverify import operators
+
+        calls = []
+        differentiate = operators.differentiate
+        monkeypatch.setattr(operators, "differentiate",
+                            lambda p, var: calls.append((p, var)) or differentiate(p, var))
+        site = V._family_site(fam4, 3)
+        assert site.identity("tsdec3").is_zero and site.identity("tsdec4").is_zero
+        assert len(calls) == len(set(calls)) == 16
+
+    def test_only_orderwise_rows_split_the_lhs(self, fam4, monkeypatch):
+        splits = []
+        split = LaurentPoly.t_coefficients
+        monkeypatch.setattr(LaurentPoly, "t_coefficients", lambda p: splits.append(p) or split(p))
+        tasks = [task for suite in ("toda", "mixed", "conjecture")
+                 for task in V.suite_tasks(suite, fam4, 3)]
+        assert all(r.passed for r in V.run_checks(tasks))
+        assert splits == []
+        assert all(r.passed for r in V.run_checks(V.suite_tasks("orderwise-B", fam4, 3)))
+        assert splits
+
     @staticmethod
     def _rows(reports):
         return [r._replace(elapsed=0.0) for r in reports]
@@ -636,6 +660,24 @@ class TestErnstNumeric:
             g, f = fam4.g[n], fam4.f[n]
             assert [(r.status, r.witness) for r in reports] == [
                 ernst_oracle(g, f, point) for point in V.DEFAULT_ERNST_POINTS]
+
+    # A point with non-real x and y, beside the default ones.
+    COMPLEX_POINT = (GaussianRational(Fraction(3, 2), Fraction(-1, 3)),
+                     GaussianRational(Fraction(1, 4), Fraction(2, 5)),
+                     GaussianRational(Fraction(-8, 17), Fraction(15, 17)))
+
+    @pytest.mark.parametrize("damage", [None, ("tau", "t*y"), ("f", "x^2")], ids=str)
+    def test_damaged_family_matches_product_route(self, fam4, damage):
+        seqs = {"tau": list(fam4.tau), "f": list(fam4.f)}
+        if damage:
+            which, text = damage
+            seqs[which][3] = seqs[which][3] + parse(text)
+        fam = TauFamily(4, seqs["tau"], seqs["f"])
+        points = [*V.DEFAULT_ERNST_POINTS, self.COMPLEX_POINT]
+        reports = V.ernst_residual_numeric(fam, 3, points)
+        expected = [ernst_oracle(fam.g[3], fam.f[3], point) for point in points]
+        assert [(r.status, r.witness) for r in reports] == expected
+        assert {status for status, _ in expected} == {"fail" if damage else "pass"}
 
 
 class TestRunner:

@@ -50,6 +50,12 @@ class TestMatrixConstruction:
         assert m.entries[0][2] == l_minus(m.entries[0][1])
         assert m.entries[2][1] == l_plus(m.entries[1][1])
 
+    def test_shifted_seed_matrix_is_lower_right_block(self):
+        # L_plus and L_minus commute, so site_steps reads the f Wronskian off tau's.
+        m = wronskian_matrix(PSI, 5)
+        shifted = wronskian_matrix(l_plus(l_minus(PSI)), 4)
+        assert shifted.entries == tuple(row[1:] for row in m.entries[1:])
+
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             SymMatrix(((ONE, ONE),))
