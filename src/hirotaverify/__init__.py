@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 from .gaussian import GaussianRational
 from .laurent import LaurentPoly, Monomial, parse, serialize
 from .operators import apply_F, apply_F_weyl, hirota, hirota_dst
-from .wronskian import SymMatrix, TauFamily, build_psi, determinant, wronskian_matrix
+from .wronskian import SymMatrix, TauFamily, build_psi, wronskian_matrix
 
 __all__ = [
     "__version__",
@@ -29,6 +29,5 @@ __all__ = [
     "SymMatrix",
     "TauFamily",
     "build_psi",
-    "determinant",
     "wronskian_matrix",
 ]

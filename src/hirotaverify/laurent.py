@@ -31,6 +31,7 @@ public methods take and return Monomial and GaussianRational.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import cache
 from heapq import heapify, heappop, heappush
@@ -257,6 +258,10 @@ class LaurentPoly:
             self._tsplit = {et: LaurentPoly._make(re, im, self._den)
                             for et, (re, im) in split.items()}
         return self._tsplit
+
+    def t_term_counts(self) -> dict[int, int]:
+        """The number of terms at each power of t, read off the keys without a split."""
+        return Counter((_T_HALF - k) >> _T_SHIFT for k in self._keys())
 
     def coeff_of_t(self, m: int) -> "LaurentPoly":
         """The x,y-polynomial multiplying t**m (zero if absent)."""

@@ -96,7 +96,9 @@ class _Site:
     Toda and mixed identities read the neighbours, so they may be None where
     the sequence ends.
     star(g_n), star(f_n), the F operands of all four and each IDENTITIES
-    entry are computed on first use, once each.
+    entry are computed on first use, once each.  An identity keeps its
+    residual and the term count of its lhs at each power of t, counted when
+    it is formed; the lhs itself is dropped.
     """
 
     def __init__(self, n: int, g: Sequence, f: Sequence):
@@ -104,7 +106,6 @@ class _Site:
         self.g_lo, self.g, self.g_hi = g
         self.f_lo, self.f, self.f_hi = f
         self._residuals: dict[str, LaurentPoly] = {}
-        self._lhs: dict[str, LaurentPoly] = {}  # kept until its counts are read
         self._counts: dict[str, dict[int, int]] = {}
 
     gs = cached_property(lambda self: star(self.g))
@@ -118,15 +119,12 @@ class _Site:
         """Residual lhs - rhs of one identity."""
         if name not in self._residuals:
             lhs, rhs = IDENTITIES[name](self)
-            self._residuals[name], self._lhs[name] = lhs - rhs, lhs
+            self._residuals[name], self._counts[name] = lhs - rhs, lhs.t_term_counts()
         return self._residuals[name]
 
     def lhs_counts(self, name: str) -> dict[int, int]:
-        """The lhs term count of one identity at each power of t, split on first read."""
-        if name not in self._counts:
-            self.identity(name)
-            split = self._lhs.pop(name).t_coefficients()
-            self._counts[name] = {m: c.term_count for m, c in split.items()}
+        """The lhs term count of one identity at each power of t."""
+        self.identity(name)
         return self._counts[name]
 
 

@@ -2,9 +2,10 @@
 
 The n-th tau function is the determinant of the n x n matrix whose (i, j)
 entry is L_plus^i L_minus^j applied to the seed, built here with one operator
-application per entry.  Determinants are evaluated by fraction-free one-step
-elimination (divisions exact in the Laurent ring); the tests keep plain
-cofactor expansion as an independent oracle.
+application per entry.  One fraction-free one-step elimination (divisions
+exact in the Laurent ring) gives every minor: its pivots are the leading
+principal minors, and its working rows the bordered minors of Sylvester's
+identity.  The tests keep plain cofactor expansion as an independent oracle.
 
 Every Wronskian is built and eliminated in the light-cone basis u = (x+y)/2,
 v = (x-y)/2, where the seed is t v + u/t.  Each minor handed out leaves
@@ -16,7 +17,7 @@ from __future__ import annotations
 import os
 import re
 import zlib
-from itertools import chain
+from itertools import chain, islice
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
@@ -76,44 +77,30 @@ def wronskian_matrix(seed: LaurentPoly, n: int) -> SymMatrix:
     return SymMatrix(tuple(tuple(row) for row in rows))
 
 
-def minor(m: SymMatrix, row: int, col: int) -> SymMatrix:
-    """Submatrix with the given 0-based row and column deleted."""
-    for idx in (row, col):
-        if not 0 <= idx < m.dim:
-            raise IndexError(f"index {idx} out of range for dim {m.dim}")
-    return SymMatrix(tuple(tuple(e for j, e in enumerate(entries) if j != col)
-                           for i, entries in enumerate(m.entries) if i != row))
-
-
 class DeterminantError(RuntimeError):
-    """Internal inconsistency: an elimination division that must be exact failed."""
+    """Internal inconsistency: a zero pivot before the last step, or an inexact division."""
 
 
-def _eliminate(m: SymMatrix) -> Iterator[tuple[LaurentPoly, int]]:
+def _eliminate(m: SymMatrix) -> Iterator[list[list[LaurentPoly]]]:
     """One-step fraction-free (Bareiss) elimination of m, one step at a time.
 
-    Yields the pivots in order, the last one being the final diagonal entry,
-    each with the number of row swaps made so far; a step runs only when
-    the pivot after it is asked for.  Every division is by the previous
-    pivot and is exact over an integral domain, so a failed one raises
-    DeterminantError, a harness error, not a failed identity.  A zero pivot is
-    swapped with the first lower row that is nonzero in its column; when
-    there is none the matrix is singular and the pivots end with that zero.
+    Yields the live working rows a before each step k; step k runs only when
+    the rows after it are asked for.  By Sylvester's identity, a[i][j] with
+    i, j >= k is then the determinant of the k x k leading block bordered by
+    row i and column j, so a[k][k] is the (k+1)-dimensional leading principal
+    minor.  Every division is by the previous pivot and is exact over an
+    integral domain, so a failed one raises DeterminantError, a harness
+    error, not a failed identity.  There are no row swaps: a zero pivot
+    before the last step raises DeterminantError too.
     """
     n = m.dim
     a = [list(row) for row in m.entries]
-    swaps = 0
     prev = None  # the first step would divide by 1
     for k in range(n):
-        if a[k][k].is_zero:
-            below = next((r for r in range(k + 1, n) if not a[r][k].is_zero), None)
-            if below is None:
-                yield ZERO, swaps
-                return
-            a[k], a[below] = a[below], a[k]
-            swaps += 1
+        yield a
         pivot = a[k][k]
-        yield pivot, swaps
+        if pivot.is_zero and k < n - 1:
+            raise DeterminantError(f"zero pivot at step {k}: elimination needs a row swap")
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 num = pivot * a[i][j] - a[i][k] * a[k][j]
@@ -129,28 +116,9 @@ def _eliminate(m: SymMatrix) -> Iterator[tuple[LaurentPoly, int]]:
         prev = pivot
 
 
-def determinant(m: SymMatrix) -> LaurentPoly:
-    """Fraction-free determinant: the last pivot, signed by the row swaps."""
-    if m.dim == 0:
-        return ONE
-    for pivot, swaps in _eliminate(m):
-        pass
-    return -pivot if swaps % 2 else pivot
-
-
 def _leading_minors(m: SymMatrix) -> Iterator[LaurentPoly]:
-    """The leading principal minors of m, one elimination step each.
-
-    Without row swaps the pivot entering step k of fraction-free elimination
-    is exactly the (k+1)-dimensional leading principal minor, so a single
-    pass yields the whole sequence.  A zero pivot before the last step would
-    need a row swap, which invalidates the harvest: it raises
-    DeterminantError.
-    """
-    for k, (pivot, swaps) in enumerate(_eliminate(m)):
-        if swaps or (pivot.is_zero and k < m.dim - 1):
-            raise DeterminantError("zero pivot: leading principal minors need a row swap")
-        yield pivot
+    """The leading principal minors of m, one elimination step each; the last is det m."""
+    return (a[k][k] for k, a in enumerate(_eliminate(m)))
 
 
 def site_steps(n_max: int) -> Iterator[tuple[LaurentPoly, LaurentPoly]]:
@@ -297,13 +265,13 @@ def jacobi_residual(fam: TauFamily, n: int) -> LaurentPoly:
     With 1-based minor notation D[i; j] deleting row i and column j, the
     residual is D[n;n] D[n+1;n+1] - D[n+1;n] D[n;n+1] - D * D[{n,n+1};{n,n+1}].
     D, D[n+1;n+1] and D[{n,n+1};{n,n+1}] are leading principal minors, read
-    as the family's tau_{n+1}, tau_n and tau_{n-1}; the other three are
-    eliminated here, in u, v.
+    as the family's tau_{n+1}, tau_n and tau_{n-1}.  The other three are the
+    (n-1)-dimensional leading block bordered by one of the last two rows and
+    one of the last two columns, read off the working rows before step n-1
+    of one elimination in u, v.
     """
     if not 1 <= n < fam.n_max:
         raise ValueError(f"need 1 <= n <= {fam.n_max - 1}, got {n}")
-    m = wronskian_matrix(build_psi(), n + 1)
-    r, s = n - 1, n  # 0-based positions of rows/cols n and n+1
-    d_rr, d_sr, d_rs = (from_uv(determinant(minor(m, i, j)))
-                        for i, j in ((r, r), (s, r), (r, s)))
+    a = next(islice(_eliminate(wronskian_matrix(build_psi(), n + 1)), n - 1, None))
+    d_rr, d_sr, d_rs = map(from_uv, (a[n][n], a[n - 1][n], a[n][n - 1]))
     return d_rr * fam.tau[n] - d_sr * d_rs - fam.tau[n + 1] * fam.tau[n - 1]

@@ -20,7 +20,7 @@ from hirotaverify.operators import (
 from hirotaverify import verifier as V
 from hirotaverify.report import CheckReport
 from hirotaverify.verifier import star
-from hirotaverify.wronskian import SymMatrix, TauFamily, determinant
+from hirotaverify.wronskian import SymMatrix, TauFamily, _leading_minors
 
 settings.register_profile(
     "exact",
@@ -127,11 +127,11 @@ def wronskian_matrix_xy(seed: LaurentPoly, n: int) -> SymMatrix:
 
 
 def build_xy(n_max: int) -> TauFamily:
-    """TauFamily.build(n_max) with every Wronskian eliminated in x, y, one per site."""
+    """TauFamily.build(n_max) with each Wronskian's leading minors eliminated in x, y."""
     psi = psi_xy()
     shifted = l_plus_xy(l_minus_xy(psi))
-    tau = [determinant(wronskian_matrix_xy(psi, k)) for k in range(1, n_max + 1)]
-    f = [determinant(wronskian_matrix_xy(shifted, k)) for k in range(1, n_max)]
+    tau = _leading_minors(wronskian_matrix_xy(psi, n_max))
+    f = _leading_minors(wronskian_matrix_xy(shifted, n_max - 1)) if n_max > 1 else ()
     return TauFamily(n_max, [ONE, *tau], [ZERO, ONE, *f])
 
 

@@ -175,6 +175,7 @@ class TestTermWise:
         for m, c in terms(p).items():
             expected.setdefault(m.et, {})[Monomial(0, m.ex, m.ey)] = c
         assert {et: terms(q) for et, q in p.t_coefficients().items()} == expected
+        assert p.t_term_counts() == {et: len(q) for et, q in expected.items()}
         for et in range(-4, 5):
             assert terms(p.coeff_of_t(et)) == expected.get(et, {})
 

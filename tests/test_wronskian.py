@@ -1,4 +1,5 @@
 import zlib
+from itertools import islice
 
 import pytest
 from hypothesis import given
@@ -13,10 +14,10 @@ from hirotaverify.wronskian import (
     DeterminantError,
     SymMatrix,
     TauFamily,
+    _eliminate,
+    _leading_minors,
     build_psi,
-    determinant,
     jacobi_residual,
-    minor,
     site_steps,
     wronskian_matrix,
 )
@@ -25,6 +26,17 @@ from conftest import build_xy, det_cofactor, l_minus_xy, l_plus_xy, psi_xy, wron
 
 PSI = build_psi()  # t v + u/t, u in the x slot and v in the y slot
 PSI_XY = psi_xy()
+
+
+def det(m: SymMatrix):
+    """The last leading principal minor of m, its determinant."""
+    return list(_leading_minors(m))[-1]
+
+
+def deleting(m: SymMatrix, row: int, col: int) -> SymMatrix:
+    """m with one 0-based row and column deleted."""
+    return SymMatrix(tuple(tuple(e for j, e in enumerate(entries) if j != col)
+                           for i, entries in enumerate(m.entries) if i != row))
 
 
 class TestSeed:
@@ -72,29 +84,16 @@ class TestMatrixConstruction:
 
 
 class TestMinors:
-    def test_single_deletion(self):
-        m = wronskian_matrix(PSI, 2)
-        sub = minor(m, 0, 0)
-        assert sub.dim == 1
-        assert sub.entries[0][0] == m.entries[1][1]
-
-    def test_out_of_range_rejected(self):
-        m = wronskian_matrix(PSI, 2)
-        with pytest.raises(IndexError):
-            minor(m, 5, 0)
-        with pytest.raises(IndexError):
-            minor(m, 0, -1)
-
     def test_inner_block_gives_f3(self, fam5):
         # Deleting the first row and column of the 3x3 seed matrix leaves the
         # once-shifted 2x2 block whose determinant is f_3.
         m = wronskian_matrix(PSI, 3)
-        assert from_uv(determinant(minor(m, 0, 0))) == fam5.f[3]
+        assert from_uv(det_cofactor(deleting(m, 0, 0))) == fam5.f[3]
 
 
 class TestDeterminants:
     def test_one_by_one(self):
-        assert determinant(wronskian_matrix(PSI, 1)) == PSI
+        assert det(wronskian_matrix(PSI, 1)) == PSI
 
     def test_nonrotating_two_by_two(self):
         from hirotaverify.closedform import w_recursive
@@ -102,22 +101,23 @@ class TestDeterminants:
         w1, w2, w3 = (w_recursive(k) for k in (1, 2, 3))
         m = SymMatrix(((w1, w2), (w2, w3)))
         x = parse("x")
-        assert determinant(m) == (x**2 - 1) * (x**2 + 1)
+        assert det(m) == (x**2 - 1) * (x**2 + 1)
 
     @pytest.mark.parametrize("dim", [2, 3, 4])
     def test_algorithms_agree(self, dim):
         m = wronskian_matrix(PSI, dim)
-        assert determinant(m) == det_cofactor(m)
+        assert det(m) == det_cofactor(m)
 
     def test_algorithms_agree_on_shifted_seed(self):
         m = wronskian_matrix(l_plus(l_minus(PSI)), 3)
-        assert determinant(m) == det_cofactor(m)
+        assert det(m) == det_cofactor(m)
 
     @given(scale=st.fractions(min_value=-3, max_value=3, max_denominator=4))
     def test_row_scaling(self, scale):
+        # The last row, so that scaling by zero leaves every earlier pivot nonzero.
         m = wronskian_matrix(PSI, 3)
-        scaled = SymMatrix((tuple(scale * e for e in m.entries[0]),) + m.entries[1:])
-        assert determinant(scaled) == scale * determinant(m)
+        scaled = SymMatrix(m.entries[:-1] + (tuple(scale * e for e in m.entries[-1]),))
+        assert det(scaled) == scale * det(m)
 
     def test_first_step_divides_by_nothing(self, monkeypatch):
         import hirotaverify.wronskian as W
@@ -131,24 +131,19 @@ class TestDeterminants:
         exact_divide = W.exact_divide
         monkeypatch.setattr(W, "exact_divide", counting)
         m = wronskian_matrix(PSI, 3)
-        assert determinant(m) == det_cofactor(m)
+        assert det(m) == det_cofactor(m)
         # Only the second step divides, by the first pivot, and once: 3x3 leaves a 1x1 block.
         assert divisors == [m.entries[0][0]]
 
-    def test_zero_pivot_with_row_swap(self):
-        from hirotaverify.laurent import ZERO, variable
-
-        x = variable("x")
-        m = SymMatrix(((ZERO, x), (x, ONE)))
-        assert determinant(m) == -(x * x)
-        assert det_cofactor(m) == -(x * x)
-
     def test_singular_column(self):
+        # Without row swaps a zero first pivot is refused, singular matrix or not.
         from hirotaverify.laurent import ZERO, variable
 
         x = variable("x")
         m = SymMatrix(((ZERO, x), (ZERO, ONE)))
-        assert determinant(m).is_zero
+        assert det_cofactor(m).is_zero
+        with pytest.raises(DeterminantError, match="zero pivot at step 0"):
+            det(m)
 
     def test_minor_harvest_matches_cofactor(self):
         harvested = [tau for tau, _ in site_steps(4)]
@@ -158,11 +153,12 @@ class TestDeterminants:
 
     def test_minor_harvest_refuses_zero_pivot(self):
         from hirotaverify.laurent import ZERO, variable
-        from hirotaverify.wronskian import _leading_minors
 
         x = variable("x")
+        minors = _leading_minors(SymMatrix(((ZERO, x), (x, ONE))))
+        assert next(minors).is_zero
         with pytest.raises(DeterminantError):
-            list(_leading_minors(SymMatrix(((ZERO, x), (x, ONE)))))
+            next(minors)
         # A zero last pivot is the full determinant, not a row swap.
         assert list(_leading_minors(SymMatrix(((x, x), (x, x)))))[-1].is_zero
 
@@ -330,10 +326,16 @@ class TestJacobiIdentity:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_minors_match_xy_route(self, n):
-        # The three minors the residual eliminates in u, v, against x, y eliminations.
+        # Before step n-1 the working rows hold D[n;n], D[n+1;n] and D[n;n+1] in
+        # their last two rows and columns: the cofactor determinant of each
+        # minor, and the same border read off an elimination in x, y.
         m, m_xy = wronskian_matrix(PSI, n + 1), wronskian_matrix_xy(PSI_XY, n + 1)
-        for i, j in ((n - 1, n - 1), (n, n - 1), (n - 1, n)):
-            assert from_uv(determinant(minor(m, i, j))) == determinant(minor(m_xy, i, j))
+        a = next(islice(_eliminate(m), n - 1, None))
+        a_xy = next(islice(_eliminate(m_xy), n - 1, None))
+        for i, j in ((n - 1, n - 1), (n, n - 1), (n - 1, n)):  # deleted row and column
+            r, c = 2 * n - 1 - i, 2 * n - 1 - j  # the bordering row and column kept
+            assert a[r][c] == det_cofactor(deleting(m, i, j))
+            assert from_uv(a[r][c]) == a_xy[r][c]
 
     def test_check_report(self, fam5):
         report = jacobi_identity_check(fam5, 2)
@@ -345,20 +347,25 @@ class TestJacobiIdentity:
         with pytest.raises(ValueError):
             jacobi_residual(fam5, 5)
 
-    def test_three_eliminations_per_site(self, fam5, monkeypatch):
-        # tau_{n+1}, tau_n and tau_{n-1} are read from the family, not eliminated again.
+    def test_one_elimination_per_site(self, fam5, monkeypatch):
+        # tau_{n+1}, tau_n and tau_{n-1} are read from the family, not eliminated
+        # again; the other three minors come from one (n+1)-dim elimination
+        # whose consumer takes n working-row states and so never runs step n-1.
         import hirotaverify.wronskian as W
 
-        dims = []
+        runs = []
+        eliminate = W._eliminate
 
         def counting(m):
-            dims.append(m.dim)
-            return determinant(m)
+            runs.append([m.dim, 0])
+            for a in eliminate(m):
+                runs[-1][1] += 1
+                yield a
 
-        monkeypatch.setattr(W, "determinant", counting)
+        monkeypatch.setattr(W, "_eliminate", counting)
         for n in (1, 2, 3):
             assert jacobi_identity_check(fam5, n).passed
-        assert dims == [1] * 3 + [2] * 3 + [3] * 3
+        assert runs == [[2, 1], [3, 2], [4, 3]]
 
     def test_damaged_tau_fails_at_its_three_sites(self, fam5):
         tau = list(fam5.tau)
