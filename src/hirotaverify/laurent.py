@@ -122,20 +122,18 @@ def _times(nums: dict | None, factor: int) -> dict | None:
 class LaurentPoly:
     """Immutable sparse polynomial; zero coefficients are never stored."""
 
-    __slots__ = ("_re", "_im", "_den", "_tsplit")
+    __slots__ = ("_re", "_im", "_den")
 
     def __init__(self, terms: Mapping | Iterable = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
         p = _sum([monomial(value, *mono) for mono, value in items])
         self._re, self._im, self._den = p._re, p._im, p._den
-        self._tsplit = None
 
     @classmethod
     def _make(cls, re: dict, im: dict | None = None, den: int = 1) -> "LaurentPoly":
         # Trusted constructor: stored-range keys, nonzero int numerators, den > 0.
         p = object.__new__(cls)
         p._re, p._im, p._den = _canonical(re, im, den)
-        p._tsplit = None
         return p
 
     # -- inspection ---------------------------------------------------------
@@ -247,25 +245,25 @@ class LaurentPoly:
     # -- t-direction --------------------------------------------------------
 
     def t_coefficients(self) -> dict[int, "LaurentPoly"]:
-        """Split into x,y-polynomials keyed by t-exponent.  Cached; do not mutate."""
-        if self._tsplit is None:
-            split: dict[int, tuple[dict, dict]] = {}
-            for part, nums in enumerate((self._re, self._im or {})):
-                for k, v in nums.items():
-                    # The et digit; adding et * R**2 to the key drops it.
-                    et = (_T_HALF - k) >> _T_SHIFT
-                    split.setdefault(et, ({}, {}))[part][k + (et << _T_SHIFT)] = v
-            self._tsplit = {et: LaurentPoly._make(re, im, self._den)
-                            for et, (re, im) in split.items()}
-        return self._tsplit
+        """Split into x,y-polynomials keyed by t-exponent."""
+        split: dict[int, tuple[dict, dict]] = {}
+        for part, nums in enumerate((self._re, self._im or {})):
+            for k, v in nums.items():
+                # The et digit; adding et * R**2 to the key drops it.
+                et = (_T_HALF - k) >> _T_SHIFT
+                split.setdefault(et, ({}, {}))[part][k + (et << _T_SHIFT)] = v
+        return {et: LaurentPoly._make(re, im, self._den) for et, (re, im) in split.items()}
 
     def t_term_counts(self) -> dict[int, int]:
         """The number of terms at each power of t, read off the keys without a split."""
         return Counter((_T_HALF - k) >> _T_SHIFT for k in self._keys())
 
     def coeff_of_t(self, m: int) -> "LaurentPoly":
-        """The x,y-polynomial multiplying t**m (zero if absent)."""
-        return self.t_coefficients().get(m, ZERO)
+        """The x,y-polynomial multiplying t**m (zero if absent), from the keys at t^m only."""
+        shift = m << _T_SHIFT
+        re, im = ({k + shift: v for k, v in nums.items() if (_T_HALF - k) >> _T_SHIFT == m}
+                  for nums in (self._re, self._im or {}))
+        return LaurentPoly._make(re, im, self._den)
 
 
 # -- evaluation ---------------------------------------------------------------

@@ -7,7 +7,16 @@ from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
 from hirotaverify.gaussian import GaussianRational
-from hirotaverify.laurent import ONE, ZERO, LaurentPoly, Monomial, differentiate, monomial, variable
+from hirotaverify.laurent import (
+    ONE,
+    ZERO,
+    LaurentPoly,
+    Monomial,
+    differentiate,
+    monomial,
+    subst_y_negate,
+    variable,
+)
 from hirotaverify.operators import (
     X2_MINUS_1,
     Y2_MINUS_1,
@@ -93,6 +102,21 @@ def orderwise_oracle(
         else:
             raise ValueError(f"unknown orderwise system {system!r}")
     return lhs, rhs
+
+
+# -- the mirror residual order by order -------------------------------------------
+
+def mirror_oracle(p: LaurentPoly) -> LaurentPoly:
+    """The mirror residual as a sum over p's t-orders m of (c_{-m} - (y -> -y) c_m) t^m.
+
+    Only the orders in p's t-support get a slot.  Where p has a t^m term and
+    no t^-m term, subst_t_inverse(p) - subst_y_negate(p) also holds c_m at
+    t^-m, which this sum lacks; the two are zero together.
+    """
+    total = ZERO
+    for m, coeff_poly in p.t_coefficients().items():
+        total = total + (p.coeff_of_t(-m) - subst_y_negate(coeff_poly)) * monomial(1, et=m)
+    return total
 
 
 # -- the Wronskian family by elimination in x, y ----------------------------------

@@ -210,9 +210,9 @@ def test_criterion_09_su11_invariance():
 
 def test_criterion_10_operator_convention_lock():
     started = time.perf_counter()
-    report = V._check_weyl_lock(50, seed=421)
-    conclude(10, "full and single-variable deformation operators agree on 50 "
-                 "random x-only inputs", report.passed, started)
+    report = V._check_weyl_lock()
+    conclude(10, "full and single-variable deformation operators agree on every "
+                 "x-only pair at n=1..4", report.passed, started)
 
 
 def test_criterion_11_determinism_and_oracle():

@@ -4,6 +4,9 @@ A name counts as used when some expression in src/hirotaverify/*.py or
 perfbench/*.py reads it, as a name or an attribute, outside the definition
 itself.  Imports and __all__ entries do not count: code that only its tests
 call belongs with the tests.
+
+No module in src/ imports random either: every row is exact, so none may
+rest on a draw.
 """
 
 import ast
@@ -31,3 +34,14 @@ def test_every_public_definition_has_a_user():
     unused = [f"{file}:{name}" for file, name in definitions
               if not readers.get(name, set()) - {(file, name)}]
     assert unused == []
+
+
+def test_no_module_imports_random():
+    for path in SOURCES:
+        imported = set()
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+        assert "random" not in imported, path.name

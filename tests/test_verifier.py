@@ -18,7 +18,7 @@ from hirotaverify.laurent import (
     serialize,
     subst_y_negate,
 )
-from hirotaverify.operators import apply_F, hirota, hirota_dst
+from hirotaverify.operators import apply_F, apply_F_weyl, d_x, hirota, hirota_dst
 from hirotaverify.report import sort_key
 from hirotaverify import verifier as V
 from hirotaverify.wronskian import TauFamily
@@ -26,6 +26,7 @@ from hirotaverify.wronskian import TauFamily
 from conftest import (
     ernst_oracle,
     gaussians,
+    mirror_oracle,
     orderwise_oracle,
     polys,
     random_su11_params,
@@ -154,6 +155,29 @@ class TestSymmetries:
         assert subst_t_times_i(g1) == minus_i_power(1) * swap_xy(g1)
         f2 = fam5.f[2]
         assert subst_t_times_i(f2) == minus_i_power(3) * swap_xy(f2)
+
+    # Damage to one site: (sequence, site, added term).  t^-7 x gives g_2 an
+    # order whose partner t^7 is absent.
+    MIRROR_DAMAGE = [("tau", 2, "t*x"), ("tau", 2, "t^-7*x"), ("f", 3, "t^5*y"),
+                     ("f", 2, "x*y"), ("tau", 1, "i*x*t"), ("f", 2, "(2+3*i)*y^2*t^-1")]
+
+    @pytest.mark.parametrize("seq, k, extra", MIRROR_DAMAGE)
+    def test_mirror_rows_match_the_orderwise_sum(self, fam4, seq, k, extra):
+        damaged = _with_stray_term(fam4, seq, k, extra)
+        rows = {r.equation_id: r for r in V.check_symmetries(damaged, k)}
+        for eq_id, p in (("mirror.g", damaged.g[k]), ("mirror.f", damaged.f[k])):
+            expected = V._report(eq_id, k, mirror_oracle(p), time.perf_counter())
+            assert rows[eq_id].status == expected.status
+            if extra != "t^-7*x":
+                assert rows[eq_id].witness == expected.witness
+        assert {rows["mirror.g"].status, rows["mirror.f"].status} == {"pass", "fail"}
+
+    def test_mirror_witness_of_an_unpartnered_order(self, fam4):
+        # The difference holds x at t^7 and -x at t^-7; the t^7 term leads.
+        damaged = _with_stray_term(fam4, "tau", 2, "t^-7*x")
+        rows = {r.equation_id: r for r in V.check_symmetries(damaged, 2)}
+        assert rows["mirror.g"].witness == "(1)*t^7*x^1"
+        assert serialize(mirror_oracle(damaged.g[2])) == "(-1)*t^-7*x^1"
 
 
 class TestSu11:
@@ -621,6 +645,36 @@ class TestCheckBodies:
             called = {node.func.id for node in ast.walk(tree)
                       if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
             assert not called & (bodies - {name}), name
+
+
+class TestWeylLock:
+    def test_passes_for_every_x_only_pair(self):
+        report = V._check_weyl_lock()
+        assert report.passed
+        assert report.note == "forms agree on every x-only pair at n=1..4"
+
+    # Each damage adds one bilinear term to the single-variable form.  The lock
+    # reports the first n and 3i + j where it shows, with its leading term.
+    @pytest.mark.parametrize("extra, failure", [
+        (lambda n, a, b: d_x(a) * d_x(b), (1, 4, "(-1)")),
+        (lambda n, a, b: monomial(1, ex=3) * d_x(d_x(a)) * d_x(d_x(b)), (1, 8, "(-4)*x^3")),
+        (lambda n, a, b: n * n * (a * b), (1, 0, "(-1)")),
+    ], ids=["a'b'", "x^3 a''b''", "n^2 ab"])
+    def test_catches_a_damaged_weyl_form(self, monkeypatch, extra, failure):
+        weyl = V.apply_F_weyl
+        monkeypatch.setattr(V, "apply_F_weyl", lambda n, a, b: weyl(n, a, b) + extra(n, a, b))
+        report = V._check_weyl_lock()
+        assert report.status == "fail"
+        assert (report.n, report.order_index, report.witness) == failure
+
+    def test_forms_agree_on_every_pair_to_degree_6(self):
+        # The x-only polynomials of degree <= 6 are the span of these monomials,
+        # so by bilinearity the 49 ordered pairs cover every pair among them.
+        xs = [monomial(1, ex=k) for k in range(7)]
+        for n in range(1, 5):
+            for a in xs:
+                for b in xs:
+                    assert apply_F(n, a, b) == apply_F_weyl(n, a, b), (n, a, b)
 
 
 class TestErnstNumeric:
