@@ -37,14 +37,17 @@ from .operators import (
     d_y,
     hirota,
     hirota_dst,
+    l_x,
+    l_y,
 )
 from .report import CheckReport, sort_key
-from .wronskian import TauFamily, jacobi_residual
+from .wronskian import TauFamily, sylvester_minors
 
 __all__ = [
     "star",
     "check_toda",
     "check_mixed",
+    "jacobi_residual",
     "jacobi_identity_check",
     "check_conjecture",
     "check_symmetries",
@@ -181,6 +184,22 @@ def check_mixed(fam: TauFamily, n: int) -> CheckReport:
                             term_count=fam.g[n].term_count)
 
 
+def jacobi_residual(fam: TauFamily, n: int) -> LaurentPoly:
+    """Sylvester's D[n;n] tau_n - D[n+1;n] D[n;n+1] - tau_{n+1} tau_{n-1}, D from sylvester_minors.
+
+    With g = tau_n and L+- = L_X +- L_Y, hirota_dst(g, g) = 2 (g L-L+ g - L+ g L- g), so
+    this is half the site's toda.g residual plus products with the derivative-rule
+    differences D[n;n] - L-L+ g, D[n+1;n] - L- g and D[n;n+1] - L+ g, zero on a built family.
+    """
+    _require_site(n, fam.n_max - 1)
+    g, (d_nn, d_sr, d_rs) = fam.tau[n], sylvester_minors(n)
+    lx, ly = l_x(g), l_y(g)
+    plus, minus = lx + ly, lx - ly
+    return (Fraction(1, 2) * _family_site(fam, n).identity("toda.g")
+            + (d_nn - (l_x(plus) - l_y(plus))) * g
+            - (d_sr - minus) * d_rs - minus * (d_rs - plus))
+
+
 def jacobi_identity_check(fam: TauFamily, n: int) -> CheckReport:
     """Residual of the Sylvester minor identity that ties tau_{n-1}, tau_n and tau_{n+1}."""
     started = time.perf_counter()
@@ -203,32 +222,25 @@ def check_symmetries(fam: TauFamily, n: int) -> list[CheckReport]:
     prop2: star equals y -> -y.
     prop3: t -> -t scales by (-1)^n on g and (-1)^{n-1} on f.
     prop4: t -> i t equals (-i)^{n^2} (swap x,y) on g and (-i)^{n^2-1} on f.
-    mirror: the t^-m coefficient is the y-reflection of the t^m coefficient.
+    mirror: the t^-m coefficient is the y-reflection of the t^m one (prop2 - prop1).
     """
     _require_site(n, fam.n_max)
-    site = _family_site(fam, n)
-    g, f = site.g, site.f
-    reports = []
-
-    def run(eq_id: str, residual_fn: Callable[[], LaurentPoly], subject: LaurentPoly):
-        started = time.perf_counter()
-        reports.append(
-            _report(eq_id, n, residual_fn(), started, term_count=subject.term_count)
-        )
-
-    run("prop1.g", lambda: site.gs - subst_t_inverse(g), g)
-    run("prop1.f", lambda: site.fs - subst_t_inverse(f), f)
-    run("prop2.g", lambda: site.gs - subst_y_negate(g), g)
-    run("prop2.f", lambda: site.fs - subst_y_negate(f), f)
-    run("prop3.g", lambda: subst_t_negate(g) - (-1) ** n * g, g)
-    run("prop3.f", lambda: subst_t_negate(f) - (-1) ** (n - 1) * f, f)
-    run("prop4.g", lambda: subst_t_times_i(g) - minus_i_power(n * n) * swap_xy(g), g)
-    run("prop4.f", lambda: subst_t_times_i(f) - minus_i_power(n * n - 1) * swap_xy(f), f)
-
-    # The t^m coefficient of the difference is c_{-m} - (y -> -y)(c_m): each order
-    # keeps its own t-slot, so distinct failures cannot cancel.
-    run("mirror.g", lambda: subst_t_inverse(g) - subst_y_negate(g), g)
-    run("mirror.f", lambda: subst_t_inverse(f) - subst_y_negate(f), f)
+    site, reports = _family_site(fam, n), []
+    for k, name in enumerate("gf"):  # f_n's matrix is one dimension smaller
+        p, res = getattr(site, name), {}
+        for prop, residual_fn in (
+            ("prop1", lambda: getattr(site, name + "s") - subst_t_inverse(p)),
+            ("prop2", lambda: getattr(site, name + "s") - subst_y_negate(p)),
+            ("prop3", lambda: subst_t_negate(p) - (-1) ** (n - k) * p),
+            ("prop4", lambda: subst_t_times_i(p) - minus_i_power(n * n - k) * swap_xy(p)),
+            # prop2 - prop1 is p(1/t) - p(-y), whose t^m coefficient is c_{-m} - (y -> -y)(c_m):
+            # each order keeps its own t-slot, so distinct failures cannot cancel.
+            ("mirror", lambda: res["prop2"] - res["prop1"]),
+        ):
+            started = time.perf_counter()
+            res[prop] = residual_fn()
+            reports.append(_report(f"{prop}.{name}", n, res[prop], started,
+                                   term_count=p.term_count))
     return reports
 
 

@@ -259,19 +259,13 @@ class TauFamily:
         )
 
 
-def jacobi_residual(fam: TauFamily, n: int) -> LaurentPoly:
-    """Sylvester minor identity residual on the (n+1) x (n+1) seed Wronskian.
+def sylvester_minors(n: int) -> tuple[LaurentPoly, LaurentPoly, LaurentPoly]:
+    """D[n;n], D[n+1;n] and D[n;n+1] of the (n+1) x (n+1) seed Wronskian, in x, y.
 
-    With 1-based minor notation D[i; j] deleting row i and column j, the
-    residual is D[n;n] D[n+1;n+1] - D[n+1;n] D[n;n+1] - D * D[{n,n+1};{n,n+1}].
-    D, D[n+1;n+1] and D[{n,n+1};{n,n+1}] are leading principal minors, read
-    as the family's tau_{n+1}, tau_n and tau_{n-1}.  The other three are the
-    (n-1)-dimensional leading block bordered by one of the last two rows and
-    one of the last two columns, read off the working rows before step n-1
-    of one elimination in u, v.
+    D[i; j] deletes row i and column j (1-based).  Each is the (n-1)-dimensional leading
+    block bordered by one of the last two rows and columns, read before elimination step n-1.
     """
-    if not 1 <= n < fam.n_max:
-        raise ValueError(f"need 1 <= n <= {fam.n_max - 1}, got {n}")
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
     a = next(islice(_eliminate(wronskian_matrix(build_psi(), n + 1)), n - 1, None))
-    d_rr, d_sr, d_rs = map(from_uv, (a[n][n], a[n - 1][n], a[n][n - 1]))
-    return d_rr * fam.tau[n] - d_sr * d_rs - fam.tau[n + 1] * fam.tau[n - 1]
+    return from_uv(a[n][n]), from_uv(a[n - 1][n]), from_uv(a[n][n - 1])

@@ -29,7 +29,7 @@ from hirotaverify.operators import (
 from hirotaverify import verifier as V
 from hirotaverify.report import CheckReport
 from hirotaverify.verifier import star
-from hirotaverify.wronskian import SymMatrix, TauFamily, _leading_minors
+from hirotaverify.wronskian import SymMatrix, TauFamily, _leading_minors, sylvester_minors
 
 settings.register_profile(
     "exact",
@@ -117,6 +117,14 @@ def mirror_oracle(p: LaurentPoly) -> LaurentPoly:
     for m, coeff_poly in p.t_coefficients().items():
         total = total + (p.coeff_of_t(-m) - subst_y_negate(coeff_poly)) * monomial(1, et=m)
     return total
+
+
+# -- Sylvester's identity by its direct formula -------------------------------------
+
+def sylvester_oracle(fam: TauFamily, n: int) -> LaurentPoly:
+    """D[n;n] tau_n - D[n+1;n] D[n;n+1] - tau_{n+1} tau_{n-1}, as three products of the minors."""
+    d_nn, d_sr, d_rs = sylvester_minors(n)
+    return d_nn * fam.tau[n] - d_sr * d_rs - fam.tau[n + 1] * fam.tau[n - 1]
 
 
 # -- the Wronskian family by elimination in x, y ----------------------------------

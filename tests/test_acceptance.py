@@ -15,12 +15,12 @@ from hirotaverify import verifier as V
 from hirotaverify.cli import RunConfig, cmd_verify
 from hirotaverify.laurent import ZERO, monomial
 from hirotaverify.operators import apply_F, hirota, hirota_dst, l_minus, l_plus
+from hirotaverify.verifier import jacobi_residual
 from hirotaverify.wronskian import (
     SymMatrix,
     TauFamily,
     _leading_minors,
     build_psi,
-    jacobi_residual,
     wronskian_matrix,
 )
 

@@ -12,7 +12,7 @@ import pytest
 import hirotaverify
 from hirotaverify import verifier, wronskian
 from hirotaverify.cli import RunConfig, cmd_bench, cmd_build, cmd_verify, main
-from hirotaverify.laurent import ONE, ExactDivisionError
+from hirotaverify.laurent import ONE, ExactDivisionError, parse
 from hirotaverify.wronskian import CACHE_MAGIC, CACHE_VERSION, DeterminantError, TauFamily
 
 
@@ -90,6 +90,19 @@ class TestVerifyCommand:
         assert rows["jacobi"]["witness"] == "DeterminantError: zero pivot"
         assert rows["mixed"]["status"] == "pass"
         assert payload["summary"]["error"] == 1
+
+    @pytest.mark.parametrize("stray", [None, "t*x"])
+    def test_jacobi_and_toda_in_either_order(self, built5, tmp_path, stray):
+        # jacobi reads the toda.g residual of the site table, whichever suite forms it.
+        # The load check recomputes sites 0..2, so the stray term goes on tau_3.
+        tau = [p + parse(stray) if stray and k == 3 else p for k, p in enumerate(built5.tau)]
+        cache = tmp_path / "f5.tau"
+        TauFamily(5, tau, built5.f).save(cache)
+        rows = lambda suites: strip_timings(json.loads(run_verify(
+            n_max=4, suites=suites, cache_path=str(cache), report_format="json")[1]))["checks"]
+        jacobi_first = rows(["jacobi", "toda"])
+        assert jacobi_first == rows(["toda", "jacobi"])
+        assert any(r["status"] == "fail" for r in jacobi_first) == bool(stray)
 
 
 class TestCacheContract:

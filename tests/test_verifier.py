@@ -18,6 +18,7 @@ from hirotaverify.laurent import (
     serialize,
     subst_y_negate,
 )
+from hirotaverify import operators
 from hirotaverify.operators import apply_F, apply_F_weyl, d_x, hirota, hirota_dst
 from hirotaverify.report import sort_key
 from hirotaverify import verifier as V
@@ -32,6 +33,7 @@ from conftest import (
     random_su11_params,
     su11_direct,
     su11_transform,
+    sylvester_oracle,
 )
 
 # Damaged entries (sequence, site, added term), real and non-real, for the
@@ -178,6 +180,57 @@ class TestSymmetries:
         rows = {r.equation_id: r for r in V.check_symmetries(damaged, 2)}
         assert rows["mirror.g"].witness == "(1)*t^7*x^1"
         assert serialize(mirror_oracle(damaged.g[2])) == "(-1)*t^-7*x^1"
+
+    def test_each_substitution_made_once_per_polynomial(self, fam5, monkeypatch):
+        # star(p) and prop1 substitute t -> 1/t, prop2 y -> -y, once per polynomial;
+        # the mirror rows read the difference of the prop2 and prop1 residuals.
+        calls = []
+        for name in ("subst_t_inverse", "subst_y_negate"):
+            subst = getattr(V, name)
+            monkeypatch.setattr(V, name, lambda p, name=name, subst=subst:
+                                calls.append(name) or subst(p))
+        assert all(r.passed for r in V.check_symmetries(fam5, 3))
+        assert (calls.count("subst_t_inverse"), calls.count("subst_y_negate")) == (4, 2)
+
+
+# Stray terms on tau_1, tau_2 or tau_3; None is the family as built.
+JACOBI_DAMAGE = [None] + [("tau", k, extra) for k in (1, 2, 3) for extra in ("1", "t^2*x", "x*y")]
+
+
+class TestJacobiReadsTheSiteTable:
+    @pytest.mark.parametrize("damage", JACOBI_DAMAGE,
+                             ids=lambda d: "built" if d is None else f"{d[0]}_{d[1]}+{d[2]}")
+    def test_residual_equals_the_direct_formula(self, fam5, damage):
+        # The same polynomial, not only the same zero test, on damaged families too.
+        fam = _with_stray_term(fam5, *damage) if damage else fam5
+        residuals = [V.jacobi_residual(fam, n) for n in (1, 2, 3, 4)]
+        assert residuals == [sylvester_oracle(fam, n) for n in (1, 2, 3, 4)]
+        assert any(not r.is_zero for r in residuals) == bool(damage)
+
+    @staticmethod
+    def _count(monkeypatch) -> tuple[list, list]:
+        """Record each IDENTITIES evaluation as (name, n) and each hirota_dst call."""
+        evaluated, brackets = [], []
+        for name, identity in list(V.IDENTITIES.items()):
+            monkeypatch.setitem(V.IDENTITIES, name, lambda s, name=name, identity=identity:
+                                evaluated.append((name, s.n)) or identity(s))
+        for module in (V, operators):
+            dst = module.hirota_dst
+            monkeypatch.setattr(module, "hirota_dst", lambda f, g, dst=dst:
+                                brackets.append(1) or dst(f, g))
+        return evaluated, brackets
+
+    def test_after_toda_reads_only_the_table(self, fam5, monkeypatch):
+        for n in (1, 2, 3, 4):
+            assert V.check_toda(fam5, n, "tau").passed
+        evaluated, brackets = self._count(monkeypatch)
+        assert all(V.jacobi_identity_check(fam5, n).passed for n in (1, 2, 3, 4))
+        assert evaluated == [] and brackets == []
+
+    def test_suite_alone_evaluates_toda_g_once_per_site(self, fam5, monkeypatch):
+        evaluated, _ = self._count(monkeypatch)
+        assert all(r.passed for r in V.run_checks(V.suite_tasks("jacobi", fam5, 4)))
+        assert evaluated == [("toda.g", n) for n in (1, 2, 3, 4)]
 
 
 class TestSu11:

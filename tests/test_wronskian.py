@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from hirotaverify.laurent import ONE, from_uv, parse, subst_t_inverse, subst_y_negate, swap_xy
 from hirotaverify.operators import hirota_dst, l_minus, l_plus
-from hirotaverify.verifier import jacobi_identity_check
+from hirotaverify.verifier import jacobi_identity_check, jacobi_residual
 from hirotaverify.wronskian import (
     CACHE_MAGIC,
     CACHE_VERSION,
@@ -17,7 +17,6 @@ from hirotaverify.wronskian import (
     _eliminate,
     _leading_minors,
     build_psi,
-    jacobi_residual,
     site_steps,
     wronskian_matrix,
 )
