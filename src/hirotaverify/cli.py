@@ -80,13 +80,7 @@ def _emit_report(config: RunConfig, reports: list[CheckReport], stream) -> None:
 
         payload = {
             "version": __version__,
-            "config": {
-                "n_max": config.n_max,
-                "suites": list(config.suites),
-                "cache_path": config.cache_path,
-                "report_format": config.report_format,
-                "fail_fast": config.fail_fast,
-            },
+            "config": {**config._asdict(), "suites": list(config.suites)},
             "checks": [r.as_dict() for r in reports],
             "summary": {"pass": passed, "fail": failed, "error": errors,
                         "elapsed_total": total_elapsed},

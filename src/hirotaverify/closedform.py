@@ -14,15 +14,17 @@ from functools import cache
 
 from .laurent import (
     LaurentPoly,
+    Monomial,
     ONE,
     ZERO,
     differentiate,
     from_uv,
     monomial,
+    subst_y_negate,
     variable,
 )
 from .operators import X2_MINUS_1
-from .wronskian import SymMatrix, _leading_minors
+from .wronskian import SymMatrix, tau_f_minors
 
 _X = variable("x")
 
@@ -88,14 +90,14 @@ def _q0_closed(n: int, plus: bool) -> LaurentPoly:
 def q0_wronskians(last: int) -> tuple[tuple[LaurentPoly, ...], tuple[LaurentPoly, ...]]:
     """Determinant route for sites 1..last: (g_1..g_last), (f_1..f_last).
 
-    They are the leading principal minors of the Hankel matrices
-    [W_{i+j+1}] and, after f_1 = 1, [W_{i+j+3}], from one elimination each.
+    They are the leading principal minors of the Hankel matrix [W_{i+j+1}]
+    and, after f_1 = 1, of its lower-right block [W_{i+j+3}].
     """
     if last < 1:
         raise ValueError("last must be at least 1")
-    minors = lambda first, dim: _leading_minors(SymMatrix(tuple(
-        tuple(w_recursive(first + i + j) for j in range(dim)) for i in range(dim))))
-    return tuple(minors(1, last)), (ONE, *minors(3, last - 1))
+    hankel = SymMatrix(tuple(tuple(w_recursive(1 + i + j) for j in range(last))
+                             for i in range(last)))
+    return tuple(zip(*tau_f_minors(hankel)))
 
 
 def half_gamma_ratio(m: int, l: int, n: int) -> Fraction:
@@ -121,39 +123,30 @@ def half_gamma_ratio(m: int, l: int, n: int) -> Fraction:
     return numerator / denominator
 
 
-def _g_extreme_uv(n: int, high: bool) -> LaurentPoly:
-    # 2^{n(n-1)} A_n u^a v^b in uv slots (u in the x slot, v in the y slot);
-    # a_coeff refuses n < 0.
-    a = n * (n - 1) // 2
-    b = n * (n + 1) // 2
+def _g_high_uv(n: int) -> LaurentPoly:
+    # 2^{n(n-1)} A_n u^{n(n-1)/2} v^{n(n+1)/2} in uv slots (u in the x slot, v in
+    # the y slot); a_coeff refuses n < 0.
     coeff = Fraction(2 ** (n * (n - 1))) * a_coeff(n)
-    if high:
-        return monomial(coeff, ex=a, ey=b)
-    return monomial(coeff, ex=b, ey=a)
+    return monomial(coeff, ex=n * (n - 1) // 2, ey=n * (n + 1) // 2)
 
 
 def g_high(n: int) -> LaurentPoly:
     """Coefficient of t^n in g_n, in the x,y basis."""
-    return from_uv(_g_extreme_uv(n, high=True))
+    return from_uv(_g_high_uv(n))
 
 
 def g_low(n: int) -> LaurentPoly:
-    """Coefficient of t^-n in g_n (u and v exponents swapped)."""
-    return from_uv(_g_extreme_uv(n, high=False))
+    """Coefficient of t^-n in g_n: g_high under y -> -y, which swaps u and v."""
+    return subst_y_negate(g_high(n))
 
 
-def _f_extreme(n: int, high: bool) -> LaurentPoly:
+def f_high(n: int) -> LaurentPoly:
+    """Coefficient of t^{n-1} in f_n: the leading g-coefficient times a Gamma sum."""
     if n == 0:
         return ZERO
-    gamma_sum = ZERO
-    for m in range(n):
-        for l in range(m + 1):
-            weight = (-1) ** (m - l) * half_gamma_ratio(m, l, n)
-            if high:
-                gamma_sum = gamma_sum + monomial(weight, ex=2 * l, ey=-2 * m - 1)
-            else:
-                gamma_sum = gamma_sum + monomial(weight, ex=-2 * m - 1, ey=2 * l)
-    product = _g_extreme_uv(n, high=high) * gamma_sum
+    weights = {Monomial(0, 2 * l, -2 * m - 1): (-1) ** (m - l) * half_gamma_ratio(m, l, n)
+               for m in range(n) for l in range(m + 1)}
+    product = _g_high_uv(n) * LaurentPoly(weights)
     if product.has_negative_xy():
         raise ArithmeticError(
             f"inverse powers failed to cancel in the order-{n} Gamma sum"
@@ -161,12 +154,6 @@ def _f_extreme(n: int, high: bool) -> LaurentPoly:
     return from_uv(product)
 
 
-def f_high(n: int) -> LaurentPoly:
-    """Coefficient of t^{n-1} in f_n: the leading g-coefficient times a Gamma sum."""
-    return _f_extreme(n, high=True)
-
-
 def f_low(n: int) -> LaurentPoly:
-    """Coefficient of t^{-n+1} in f_n, the u <-> v mirror of f_high."""
-    return _f_extreme(n, high=False)
-
+    """Coefficient of t^{-n+1} in f_n: f_high under y -> -y, which swaps u and v."""
+    return subst_y_negate(f_high(n))

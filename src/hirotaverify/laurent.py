@@ -126,7 +126,7 @@ class LaurentPoly:
 
     def __init__(self, terms: Mapping | Iterable = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
-        p = _sum([monomial(value, *mono) for mono, value in items])
+        p = _collect([(_pack(*mono), _parts(_as_coeff(value))) for mono, value in items])
         self._re, self._im, self._den = p._re, p._im, p._den
 
     @classmethod
@@ -351,15 +351,21 @@ def _add(a: LaurentPoly, b: LaurentPoly, sign: int) -> LaurentPoly:
     return LaurentPoly._make(re, im, den)
 
 
-def _sum(polys: list[LaurentPoly]) -> LaurentPoly:
-    den = lcm(*(p._den for p in polys))
+def _collect(terms: list[tuple[int | None, tuple[int, int, int]]]) -> LaurentPoly:
+    """The sum of (key, (re, im, den)) terms over the lcm of their denominators.
+
+    A term whose numerators are both zero may have key None.
+    """
+    den = lcm(*(d for _, (_, _, d) in terms))
     re: dict[int, int] = {}
     im: dict[int, int] = {}
-    for p in polys:
-        _accumulate(re, p._re, den // p._den)
-        if p._im:
-            _accumulate(im, p._im, den // p._den)
-    return LaurentPoly._make(re, im, den)
+    for key, (a, b, d) in terms:
+        if a:
+            re[key] = re.get(key, 0) + a * (den // d)
+        if b:
+            im[key] = im.get(key, 0) + b * (den // d)
+    return LaurentPoly._make({k: v for k, v in re.items() if v},
+                             {k: v for k, v in im.items() if v}, den)
 
 
 def _convolve(out: dict, x: dict, y: dict, sign: int) -> dict:
@@ -662,10 +668,10 @@ class _TokenError(Exception):
 def parse(text: str) -> LaurentPoly:
     """Parse the canonical grammar (whitespace insignificant) into a polynomial.
 
-    Each term is read into its three exponents and one scalar, and the
-    polynomial is built once from all the terms over their common
-    denominator.  An exponent outside its field, in a factor or in a term
-    with a nonzero coefficient so far, raises OverflowError.
+    Each term is read into its packed key and one scalar, and the polynomial
+    is built once from all the terms by _collect, as LaurentPoly(terms) is.
+    An exponent outside its field, in a factor or in a term with a nonzero
+    coefficient so far, raises OverflowError.
     """
     bad = search(_BAD_CHARACTER, text)
     if bad is not None:
@@ -683,16 +689,7 @@ def parse(text: str) -> LaurentPoly:
         else:
             position = [m.start() for m in finditer(_TOKEN, text)][i]
         raise ParseError(message, position) from None
-    den = lcm(*(d for _, (_, _, d) in terms))
-    re_nums: dict[int, int] = {}
-    im_nums: dict[int, int] = {}
-    for key, (a, b, d) in terms:
-        if a:
-            re_nums[key] = re_nums.get(key, 0) + a * (den // d)
-        if b:
-            im_nums[key] = im_nums.get(key, 0) + b * (den // d)
-    return LaurentPoly._make({k: v for k, v in re_nums.items() if v},
-                             {k: v for k, v in im_nums.items() if v}, den)
+    return _collect(terms)
 
 
 # The readers below take the token list and an index, and return what they

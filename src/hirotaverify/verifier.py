@@ -203,8 +203,8 @@ def jacobi_residual(fam: TauFamily, n: int) -> LaurentPoly:
 def jacobi_identity_check(fam: TauFamily, n: int) -> CheckReport:
     """Residual of the Sylvester minor identity that ties tau_{n-1}, tau_n and tau_{n+1}."""
     started = time.perf_counter()
-    residual = jacobi_residual(fam, n)
-    return _report("jacobi", n, residual, started, term_count=residual.term_count)
+    return _report("jacobi", n, jacobi_residual(fam, n), started,
+                   term_count=fam.tau[n].term_count)
 
 
 def check_conjecture(fam: TauFamily, n: int) -> list[CheckReport]:

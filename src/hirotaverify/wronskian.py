@@ -17,6 +17,7 @@ from __future__ import annotations
 import os
 import re
 import zlib
+from functools import cached_property
 from itertools import chain, islice
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
@@ -121,6 +122,13 @@ def _leading_minors(m: SymMatrix) -> Iterator[LaurentPoly]:
     return (a[k][k] for k, a in enumerate(_eliminate(m)))
 
 
+def tau_f_minors(m: SymMatrix) -> Iterator[tuple[LaurentPoly, LaurentPoly]]:
+    """(tau_k, f_k) for k = 1..dim: the leading principal minors of m and, after
+    f_1 = 1, those of its lower-right block, one elimination step of each per k."""
+    block = SymMatrix(tuple(row[1:] for row in m.entries[1:]))
+    return zip(_leading_minors(m), chain([ONE], _leading_minors(block)))
+
+
 def site_steps(n_max: int) -> Iterator[tuple[LaurentPoly, LaurentPoly]]:
     """(tau_n, f_n) for n = 0..n_max, the entries of TauFamily.build(n_max).
 
@@ -130,57 +138,37 @@ def site_steps(n_max: int) -> Iterator[tuple[LaurentPoly, LaurentPoly]]:
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    m = wronskian_matrix(build_psi(), n_max)
-    tau = _leading_minors(m)
-    f = _leading_minors(SymMatrix(tuple(row[1:] for row in m.entries[1:])))
-    return zip(chain([ONE], map(from_uv, tau)), chain([ZERO, ONE], map(from_uv, f)))
+    minors = tau_f_minors(wronskian_matrix(build_psi(), n_max))
+    return chain([(ONE, ZERO)], ((from_uv(tau), from_uv(f)) for tau, f in minors))
 
 
-class TauFamily:
+class TauFamily(NamedTuple("TauFamily", [("n_max", int), ("tau", tuple), ("f", tuple)])):
     """Tau and f sequences for lattice sites 0..n_max, immutable.
 
     g_n equals tau_n, and g is the same tuple as tau; f_n is the
     (n-1)-dimensional Wronskian determinant of the once-shifted seed
     L_plus L_minus psi, with f_1 = 1 (empty determinant) and f_0 = 0 (the
     semi-infinite lattice cuts the chain below site zero).  sites holds what
-    the checks derive from the family at each site, made on first use; no
-    entry can change under it.  Equality, hashing and repr read n_max, tau
-    and f only.
+    the checks derive from the family at each site, made on first use; it is
+    not a field, so equality, hashing and repr read n_max, tau and f only.
     """
 
-    __slots__ = ("n_max", "tau", "f", "sites")
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
+    sites = cached_property(lambda self: {})
+    g = property(lambda self: self.tau)
 
-    def __init__(self, n_max: int, tau: Iterable[LaurentPoly], f: Iterable[LaurentPoly]):
+    def __new__(cls, n_max: int, tau: Iterable[LaurentPoly], f: Iterable[LaurentPoly]):
         tau, f = tuple(tau), tuple(f)
         if not len(tau) == len(f) == n_max + 1:
             raise ValueError(f"n_max={n_max} needs {n_max + 1} entries of tau and f, "
                              f"got {len(tau)} and {len(f)}")
-        for name, value in (("n_max", n_max), ("tau", tau), ("f", f), ("sites", {})):
-            object.__setattr__(self, name, value)
+        return super().__new__(cls, n_max, tau, f)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
-
-    def _key(self) -> tuple:
-        return self.n_max, self.tau, self.f
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return f"TauFamily(n_max={self.n_max!r}, tau={self.tau!r}, f={self.f!r})"
-
-    @property
-    def g(self) -> tuple[LaurentPoly, ...]:
-        return self.tau
 
     @classmethod
     def build(cls, n_max: int) -> "TauFamily":
@@ -241,10 +229,12 @@ class TauFamily:
         n_max = max(found["tau"], default=-1)
         if n_max < 1:
             raise ValueError(f"{path}: cache holds no tau entries")
-        for key in ("tau", "f"):
-            missing = [k for k in range(n_max + 1) if k not in found[key]]
+        for key, entries in found.items():
+            # Each index the scan passes is an entry, so it stops within len(entries) + 4.
+            missing = list(islice((k for k in range(n_max + 1) if k not in entries), 4))
             if missing:
-                raise ValueError(f"{path}: missing {key} entries for n={missing}")
+                listed = ", ".join(map(str, missing[:3])) + (", ..." if len(missing) > 3 else "")
+                raise ValueError(f"{path}: missing {key} entries for n={listed}")
         # The CRC finds damage, not a faulty build: recompute the first sites
         # from the seed and compare.
         tau, f = zip(*site_steps(2))

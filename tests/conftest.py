@@ -6,6 +6,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
+from hirotaverify.closedform import a_coeff, half_gamma_ratio
 from hirotaverify.gaussian import GaussianRational
 from hirotaverify.laurent import (
     ONE,
@@ -13,6 +14,7 @@ from hirotaverify.laurent import (
     LaurentPoly,
     Monomial,
     differentiate,
+    from_uv,
     monomial,
     subst_y_negate,
     variable,
@@ -125,6 +127,24 @@ def sylvester_oracle(fam: TauFamily, n: int) -> LaurentPoly:
     """D[n;n] tau_n - D[n+1;n] D[n;n+1] - tau_{n+1} tau_{n-1}, as three products of the minors."""
     d_nn, d_sr, d_rs = sylvester_minors(n)
     return d_nn * fam.tau[n] - d_sr * d_rs - fam.tau[n + 1] * fam.tau[n - 1]
+
+
+# -- the lowest t-orders of g_n and f_n by the u <-> v swap ------------------------
+
+def low_extremes_uv_swap(n: int) -> tuple[LaurentPoly, LaurentPoly]:
+    """Coefficients of t^-n in g_n and of t^(-n+1) in f_n, built in u, v.
+
+    The u,v monomials of the highest orders with their exponents swapped:
+    2^(n(n-1)) A_n u^(n(n+1)/2) v^(n(n-1)/2) for g, and that times the Gamma
+    sum with its inverse powers on u for f, each converted once by from_uv.
+    """
+    g_uv = monomial(2 ** (n * (n - 1)) * a_coeff(n), ex=n * (n + 1) // 2, ey=n * (n - 1) // 2)
+    gamma_sum = ZERO
+    for m in range(n):
+        for l in range(m + 1):
+            weight = (-1) ** (m - l) * half_gamma_ratio(m, l, n)
+            gamma_sum = gamma_sum + monomial(weight, ex=-2 * m - 1, ey=2 * l)
+    return from_uv(g_uv), from_uv(g_uv * gamma_sum) if n else ZERO
 
 
 # -- the Wronskian family by elimination in x, y ----------------------------------

@@ -19,7 +19,7 @@ from hirotaverify.laurent import ONE, ZERO, from_uv, monomial, parse, subst_y_ne
 from hirotaverify.operators import hirota_dst
 from hirotaverify.wronskian import SymMatrix
 
-from conftest import det_cofactor
+from conftest import det_cofactor, low_extremes_uv_swap
 
 X = parse("x")
 
@@ -140,6 +140,10 @@ class TestExtremeCoefficients:
         for n in range(1, 5):
             assert g_low(n) == subst_y_negate(g_high(n))
             assert f_low(n) == subst_y_negate(f_high(n))
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_low_orders_match_the_uv_swap(self, n):
+        assert (g_low(n), f_low(n)) == low_extremes_uv_swap(n)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_highest_order_lattice_equations(self, n):

@@ -238,12 +238,18 @@ class TestSerialization:
         ("t^-3*y^-2 + 2/6*t^-3*y^-2", [((-3, 0, -2), Fraction(4, 3))]),
         ("x - x + 0*y", []),
         ("+x^+2", [((0, 2, 0), 1)]),
+        ("x*y - 1/2*x*y + (1/3 - i)*x*y + t - t + 2*i*y^2 + 3/4",
+         [((0, 1, 1), 1), ((0, 1, 1), Fraction(-1, 2)), ((0, 1, 1), GaussianRational(Fraction(1, 3), -1)),
+          ((1, 0, 0), 1), ((1, 0, 0), -1), ((0, 0, 2), GaussianRational(0, 2)),
+          ((0, 0, 0), Fraction(3, 4))]),
     ])
     def test_grammar_cases_build_their_terms(self, text, terms):
         expected = ZERO
         for exps, coeff in terms:
             expected = expected + monomial(coeff, *exps)
         assert parse(text) == expected
+        # The constructor and the parser share one term accumulator.
+        assert LaurentPoly(terms) == parse(text) and hash(LaurentPoly(terms)) == hash(parse(text))
 
     def test_exponent_outside_its_field(self):
         with pytest.raises(OverflowError):

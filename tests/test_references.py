@@ -6,7 +6,8 @@ itself.  Imports and __all__ entries do not count: code that only its tests
 call belongs with the tests.
 
 No module in src/ imports random either: every row is exact, so none may
-rest on a draw.
+rest on a draw.  Nor does one import another's private name: what two
+modules share is public.
 """
 
 import ast
@@ -45,3 +46,12 @@ def test_no_module_imports_random():
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 imported.add(node.module.split(".")[0])
         assert "random" not in imported, path.name
+
+
+def test_no_module_imports_a_private_name():
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom):
+                private = [alias.name for alias in node.names
+                           if alias.name.startswith("_") and not alias.name.endswith("__")]
+                assert private == [], f"{path.name} imports {private} from {node.module}"

@@ -18,8 +18,10 @@ from hirotaverify.wronskian import (
     _leading_minors,
     build_psi,
     site_steps,
+    tau_f_minors,
     wronskian_matrix,
 )
+from hirotaverify.closedform import w_recursive
 
 from conftest import build_xy, det_cofactor, l_minus_xy, l_plus_xy, psi_xy, wronskian_matrix_xy
 
@@ -162,6 +164,34 @@ class TestDeterminants:
         assert list(_leading_minors(SymMatrix(((x, x), (x, x)))))[-1].is_zero
 
 
+def leading(m: SymMatrix, k: int) -> SymMatrix:
+    """The k x k leading block of m."""
+    return SymMatrix(tuple(row[:k] for row in m.entries[:k]))
+
+
+class TestTauFMinors:
+    @staticmethod
+    def agree(m: SymMatrix):
+        pairs, block = list(tau_f_minors(m)), deleting(m, 0, 0)
+        tau, f = [p[0] for p in pairs], [p[1] for p in pairs]
+        assert tau == list(_leading_minors(m))
+        assert f == [ONE, *_leading_minors(block)]
+        assert tau == [det_cofactor(leading(m, k)) for k in range(1, m.dim + 1)]
+        assert f == [det_cofactor(leading(block, k)) for k in range(m.dim)]
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_seed_wronskian_in_xy(self, dim):
+        self.agree(wronskian_matrix_xy(PSI_XY, dim))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+    def test_hankel_of_w(self, dim):
+        self.agree(SymMatrix(tuple(tuple(w_recursive(1 + i + j) for j in range(dim))
+                                   for i in range(dim))))
+
+    def test_dim_one(self):
+        assert list(tau_f_minors(SymMatrix(((PSI,),)))) == [(PSI, ONE)]
+
+
 class TestTauFamily:
     def test_boundary_values(self, fam5):
         assert fam5.tau[0] == ONE
@@ -234,6 +264,25 @@ class TestTauFamily:
             fam5.f = ()
         assert TauFamily(2, [ONE, PSI, PSI], [ONE] * 3).tau == (ONE, PSI, PSI)
 
+    def test_site_table_is_no_field(self, fam5, built5):
+        fresh = TauFamily(5, built5.tau, built5.f)
+        fam5.sites[2] = "filled"
+        assert fam5 == fresh and hash(fam5) == hash(fresh) and fresh.sites == {}
+        assert fam5 == (5, built5.tau, built5.f)
+
+    @pytest.mark.parametrize("name", ["tau", "sites", "extra"])
+    def test_attributes_cannot_be_assigned_or_deleted(self, fam5, name):
+        fam5.sites[1] = "filled"
+        with pytest.raises(AttributeError):
+            setattr(fam5, name, ())
+        with pytest.raises(AttributeError):
+            delattr(fam5, name)
+        assert fam5.sites == {1: "filled"}
+
+    def test_replace_checks_the_entry_count(self, fam5):
+        with pytest.raises(ValueError, match="n_max=4 needs 5 entries"):
+            fam5._replace(n_max=4)
+
 
 def write_cache(path, body: str, version: int = CACHE_VERSION) -> None:
     """A cache file with a valid header for the given body."""
@@ -275,6 +324,13 @@ class TestCacheFile:
         write_cache(path, "tau n=0: 1\ntau n=1: x\nf n=1: 1\n")
         with pytest.raises(ValueError, match="missing f"):
             TauFamily.load(path)
+
+    def test_refusal_of_a_sparse_cache_is_bounded(self, tmp_path):
+        path = tmp_path / "sparse.tau"
+        write_cache(path, "tau n=0: 1\ntau n=1000000: 1\nf n=0: 0\n")
+        with pytest.raises(ValueError, match=r"missing tau entries for n=1, 2, 3, \.\.\.$") as exc:
+            TauFamily.load(path)
+        assert len(str(exc.value)) < 1000
 
     def test_refuses_missing_header(self, tmp_path):
         path = tmp_path / "old.tau"
