@@ -21,7 +21,7 @@ from .laurent import ExactDivisionError
 from .wronskian import DeterminantError, TauFamily, site_steps
 
 if TYPE_CHECKING:  # the commands import the verifier when they run; build never does
-    from .report import CheckReport
+    from .verifier import CheckReport
 
 CACHE_ENV_VAR = "HV_CACHE_DIR"
 

@@ -21,12 +21,11 @@ from .laurent import (
     from_uv,
     monomial,
     subst_y_negate,
-    variable,
 )
 from .operators import X2_MINUS_1
 from .wronskian import SymMatrix, tau_f_minors
 
-_X = variable("x")
+_X = monomial(1, ex=1)
 
 
 @cache

@@ -202,7 +202,7 @@ class LaurentPoly:
         if c.is_zero:
             return ZERO
         if c.im:
-            return _product(self, constant(c))
+            return _product(self, monomial(c))
         n, d = c.re.numerator, c.re.denominator
         return LaurentPoly._make(_times(self._re, n), _times(self._im, n), self._den * d)
 
@@ -325,7 +325,7 @@ def _as_poly(value) -> LaurentPoly | None:
     if isinstance(value, LaurentPoly):
         return value
     c = GaussianRational._coerce(value)
-    return None if c is None else constant(c)
+    return None if c is None else monomial(c)
 
 
 def _accumulate(out: dict, nums: dict, factor: int) -> dict:
@@ -402,25 +402,10 @@ def _product(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     return _checked({k: v for k, v in re.items() if v}, im, a._den * b._den)
 
 
-_VAR_SLOT = {"t": 0, "x": 1, "y": 2}
-
-
-def constant(value: ScalarLike) -> LaurentPoly:
-    return monomial(value)
-
-
 def monomial(coeff: ScalarLike, et: int = 0, ex: int = 0, ey: int = 0) -> LaurentPoly:
     re, im, den = _parts(_as_coeff(coeff))
     key = _pack(et, ex, ey)
     return LaurentPoly._make({key: re} if re else {}, {key: im} if im else None, den)
-
-
-def variable(name: str, power: int = 1) -> LaurentPoly:
-    if name not in _VAR_SLOT:
-        raise ValueError(f"unknown variable {name!r}")
-    exps = [0, 0, 0]
-    exps[_VAR_SLOT[name]] = power
-    return monomial(1, *exps)
 
 
 ZERO = LaurentPoly()
@@ -659,6 +644,7 @@ class ParseError(ValueError):
 _TOKEN = r"[()*/^+\-txyi]|\d+"
 _BAD_CHARACTER = r"[^\s\dtxyi()*/^+-]"
 _SIGNS = ("+", "-")
+_VARIABLES = ("t", "x", "y")  # a tuple: "" (end of input) is in every string
 
 
 class _TokenError(Exception):
@@ -721,7 +707,7 @@ def _parse_product(toks: list[str], i: int, sign: int, scalar_only: bool) -> tup
     et = ex = ey = 0
     while True:
         tok = toks[i]
-        if tok in _VAR_SLOT and not scalar_only:
+        if tok in _VARIABLES and not scalar_only:
             e, i = 1, i + 1
             if toks[i] == "^":
                 negative = toks[i + 1] == "-"

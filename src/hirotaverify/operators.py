@@ -23,14 +23,6 @@ _UV_SQUARES_MINUS_1 = LaurentPoly({(0, 2, 0): 1, (0, 0, 2): 1, (0, 0, 0): -1})
 _TWO_UV = LaurentPoly({(0, 1, 1): 2})
 
 
-def d_x(p: LaurentPoly) -> LaurentPoly:
-    return differentiate(p, "x")
-
-
-def d_y(p: LaurentPoly) -> LaurentPoly:
-    return differentiate(p, "y")
-
-
 def l_x(p: LaurentPoly) -> LaurentPoly:
     return X2_MINUS_1 * differentiate(p, "x")
 
@@ -90,8 +82,8 @@ def apply_F(n: int, a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
 
 def F_operand(p: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly, LaurentPoly, LaurentPoly]:
     """(p, p_x, p_y, M p): what F reads of one operand, so it can be made once."""
-    px, py = d_x(p), d_y(p)
-    return p, px, py, d_x(X2_MINUS_1 * px) + d_y(Y2_MINUS_1 * py)
+    px, py = differentiate(p, "x"), differentiate(p, "y")
+    return p, px, py, differentiate(X2_MINUS_1 * px, "x") + differentiate(Y2_MINUS_1 * py, "y")
 
 
 def apply_F_operands(n: int, a: tuple, b: tuple) -> LaurentPoly:

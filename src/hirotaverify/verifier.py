@@ -19,6 +19,7 @@ from .laurent import (
     LaurentPoly,
     ZERO,
     conjugate_coeffs,
+    differentiate,
     evaluate,
     monomial,
     serialize,
@@ -33,17 +34,15 @@ from .operators import (
     apply_F,
     apply_F_operands,
     apply_F_weyl,
-    d_x,
-    d_y,
     hirota,
     hirota_dst,
     l_x,
     l_y,
 )
-from .report import CheckReport, sort_key
 from .wronskian import TauFamily, sylvester_minors
 
 __all__ = [
+    "CheckReport",
     "star",
     "check_toda",
     "check_mixed",
@@ -65,6 +64,41 @@ __all__ = [
     "run_checks",
     "family_depth_needed",
 ]
+
+
+class CheckReport(NamedTuple):
+    """Outcome of one identity check, immutable; _replace makes a changed copy.
+
+    status is "pass" exactly when the residual polynomial was identically
+    zero (or, for pointwise checks, every evaluated residual vanished),
+    "fail" when it was not, and "error" when the check could not be carried
+    out (a harness exception or an unusable sample point).  witness holds
+    the leading residual term in canonical text form when a check fails, and
+    the cause of an error.  order_index carries the Laurent order I where
+    one applies.
+    """
+
+    equation_id: str
+    n: int
+    order_index: int | None = None
+    status: str = "pass"
+    witness: str | None = None
+    term_count: int = 0
+    elapsed: float = 0.0
+    note: str | None = None
+
+    @property
+    def passed(self) -> bool:
+        return self.status == "pass"
+
+    def as_dict(self) -> dict:
+        return self._asdict()
+
+
+def sort_key(report: CheckReport):
+    """Deterministic report order: (equation_id, n, order_index)."""
+    idx = -1 if report.order_index is None else report.order_index
+    return (report.equation_id, report.n, idx)
 
 
 def star(p: LaurentPoly) -> LaurentPoly:
@@ -130,8 +164,14 @@ class _Site:
         return self._counts[name]
 
 
-def _family_site(fam: TauFamily, n: int) -> _Site:
-    """Site n of the family, made on first use and kept in its site table."""
+def _family_site(fam: TauFamily, n: int, reach: int = 0) -> _Site:
+    """Site n of the family, made on first use and kept in its site table.
+
+    A check at site n reads the family up to site n + reach, so n must lie
+    in 1..fam.n_max - reach; ValueError otherwise, before anything is made.
+    """
+    if not 1 <= n <= fam.n_max - reach:
+        raise ValueError(f"need 1 <= n <= {fam.n_max - reach}, got {n}")
     if n not in fam.sites:
         around = lambda seq: [seq[k] if k <= fam.n_max else None for k in (n - 1, n, n + 1)]
         fam.sites[n] = _Site(n, around(fam.g), around(fam.f))
@@ -164,23 +204,16 @@ def _identity_report(eq_id: str, name: str, site: _Site, **fields) -> CheckRepor
     return _report(eq_id, site.n, site.identity(name), started, **fields)
 
 
-def _require_site(n: int, last: int) -> None:
-    if not 1 <= n <= last:
-        raise ValueError(f"need 1 <= n <= {last}, got {n}")
-
-
 def check_toda(fam: TauFamily, n: int, which: Literal["tau", "f"] = "tau") -> CheckReport:
     """Residual of D_S D_T a_n . a_n - 2 a_{n+1} a_{n-1} for a in {tau, f}."""
-    _require_site(n, fam.n_max - 1)
-    site = _family_site(fam, n)
+    site = _family_site(fam, n, 1)
     name, subject = {"tau": ("toda.g", site.g), "f": ("toda.f", site.f)}[which]
     return _identity_report(f"toda.{which}", name, site, term_count=subject.term_count)
 
 
 def check_mixed(fam: TauFamily, n: int) -> CheckReport:
     """Residual of D_S D_T f_n . g_n - f_{n+1} g_{n-1} - f_{n-1} g_{n+1}."""
-    _require_site(n, fam.n_max - 1)
-    return _identity_report("mixed", "mixed", _family_site(fam, n),
+    return _identity_report("mixed", "mixed", _family_site(fam, n, 1),
                             term_count=fam.g[n].term_count)
 
 
@@ -191,11 +224,11 @@ def jacobi_residual(fam: TauFamily, n: int) -> LaurentPoly:
     this is half the site's toda.g residual plus products with the derivative-rule
     differences D[n;n] - L-L+ g, D[n+1;n] - L- g and D[n;n+1] - L+ g, zero on a built family.
     """
-    _require_site(n, fam.n_max - 1)
-    g, (d_nn, d_sr, d_rs) = fam.tau[n], sylvester_minors(n)
+    site = _family_site(fam, n, 1)
+    g, (d_nn, d_sr, d_rs) = site.g, sylvester_minors(n)
     lx, ly = l_x(g), l_y(g)
     plus, minus = lx + ly, lx - ly
-    return (Fraction(1, 2) * _family_site(fam, n).identity("toda.g")
+    return (Fraction(1, 2) * site.identity("toda.g")
             + (d_nn - (l_x(plus) - l_y(plus))) * g
             - (d_sr - minus) * d_rs - minus * (d_rs - plus))
 
@@ -209,7 +242,6 @@ def jacobi_identity_check(fam: TauFamily, n: int) -> CheckReport:
 
 def check_conjecture(fam: TauFamily, n: int) -> list[CheckReport]:
     """The four decomposition equations for the pair (g_n, f_n)."""
-    _require_site(n, fam.n_max)
     site = _family_site(fam, n)
     return [_identity_report(name, name, site, term_count=fam.g[n].term_count)
             for name in ("tsdec1", "tsdec2", "tsdec3", "tsdec4")]
@@ -224,7 +256,6 @@ def check_symmetries(fam: TauFamily, n: int) -> list[CheckReport]:
     prop4: t -> i t equals (-i)^{n^2} (swap x,y) on g and (-i)^{n^2-1} on f.
     mirror: the t^-m coefficient is the y-reflection of the t^m one (prop2 - prop1).
     """
-    _require_site(n, fam.n_max)
     site, reports = _family_site(fam, n), []
     for k, name in enumerate("gf"):  # f_n's matrix is one dimension smaller
         p, res = getattr(site, name), {}
@@ -272,11 +303,10 @@ def check_su11(
     and suite.  The Toda and mixed identities read sites n-1 and n+1, so n
     stays below fam.n_max.
     """
-    _require_site(n, fam.n_max - 1)
+    r = _family_site(fam, n, 1).identity
     a, b = params
     ac, bc = a.conjugate(), b.conjugate()
     s, d = a.abs2() + b.abs2(), a.abs2() - b.abs2()
-    r = lambda name: _family_site(fam, n).identity(name)
     r3s = cache(lambda: star(r("tsdec3")))
     combinations = {
         "toda.g": lambda: a * a * r("toda.g") + 2 * a * bc * r("mixed") + bc * bc * r("toda.f"),
@@ -345,11 +375,10 @@ def check_orderwise(fam: TauFamily, n: int, system: str) -> list[CheckReport]:
     """
     top, direct_end = orderwise_span(n, system)
     spec = ORDERWISE_SYSTEMS[system]
-    _require_site(n, fam.n_max - SUITES[spec.suite].depth_extra)
     low_id, mid_id, mirror_id = spec.case_ids
     middle = 0 if system == "B4" else direct_end
     started = time.perf_counter()
-    site = _family_site(fam, n)
+    site = _family_site(fam, n, SUITES[spec.suite].depth_extra)
     by_order = site.identity(spec.identity).t_coefficients()
     lhs_terms = site.lhs_counts(spec.identity)
     residuals: list[LaurentPoly] = []
@@ -418,15 +447,15 @@ def ernst_residual_numeric(
     over one denominator, so it is tested for zero in integers.  A point
     that cannot be used (|t| != 1, or a vanishing denominator) is an "error".
     """
-    _require_site(n, fam.n_max)
     site = _family_site(fam, n)
     (_, gx, gy, _), (_, fx, fy, _) = site.g_F, site.f_F
     # With p = g_x f - g f_x and q = g_y f - g f_y, the g_x f_x and g_y f_y
     # terms cancel from p_x and q_y; every factor is a value at the point,
     # the coefficients 2x, x^2 - 1, -2y and 1 - y^2 last.
-    polys = (site.f, site.fs, site.g, site.gs, gx, gy, fx, fy, d_x(gx), d_y(gy), d_x(fx),
-             d_y(fy), monomial(2, ex=1), monomial(1, ex=2) - 1, monomial(-2, ey=1),
-             1 - monomial(1, ey=2))
+    polys = (site.f, site.fs, site.g, site.gs, gx, gy, fx, fy,
+             differentiate(gx, "x"), differentiate(gy, "y"), differentiate(fx, "x"),
+             differentiate(fy, "y"), monomial(2, ex=1), monomial(1, ex=2) - 1,
+             monomial(-2, ey=1), 1 - monomial(1, ey=2))
 
     def outcome(x0, y0, t0) -> tuple[str, str | None]:
         if t0.abs2() != 1:

@@ -18,7 +18,7 @@ import os
 import re
 import zlib
 from functools import cached_property
-from itertools import chain, islice
+from itertools import chain, islice, zip_longest
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
@@ -199,9 +199,10 @@ class TauFamily(NamedTuple("TauFamily", [("n_max", int), ("tau", tuple), ("f", t
     def load(cls, path: str | Path) -> "TauFamily":
         """Read a cache written by save; ValueError when it is refused.
 
-        A cache is refused when its header, version or CRC is wrong, when a
-        line is malformed or an entry missing, and when tau_0..2 or f_0..2
-        differ from their recomputation from the seed.
+        A cache is refused when its header, version or CRC is wrong, when its
+        body is not the sequence save writes (tau n=0..N, then f n=0..N, one
+        line each, N >= 1), and when tau_0..2 or f_0..2 differ from their
+        recomputation from the seed.
         """
         header, _, body = Path(path).read_bytes().partition(b"\n")
         match = _HEADER.match(header.decode("ascii", errors="replace"))
@@ -213,40 +214,28 @@ class TauFamily(NamedTuple("TauFamily", [("n_max", int), ("tau", tuple), ("f", t
             )
         if f"{zlib.crc32(body):08x}" != match.group(2):
             raise ValueError(f"{path}: cache body does not match its CRC-32")
-        pattern = re.compile(r"^(tau|f) n=(\d+): (.*)$")
-        found: dict[str, dict[int, LaurentPoly]] = {"tau": {}, "f": {}}
-        for lineno, line in enumerate(body.decode().splitlines(), start=2):
-            if not line.strip():
-                continue
-            match = pattern.match(line)
-            if match is None:
-                raise ValueError(f"{path}:{lineno}: malformed cache line")
-            key, k, text = match.group(1), int(match.group(2)), match.group(3)
+        lines = body.decode().splitlines()
+        # N from the line count; a short, long or reordered body fails at its first wrong line.
+        n_max = max(1, len(lines) // 2 - 1)
+        prefixes = [f"{key} n={k}: " for key in ("tau", "f") for k in range(n_max + 1)]
+        entries = []
+        for lineno, (prefix, line) in enumerate(zip_longest(prefixes, lines), start=2):
+            if prefix is None or line is None or not line.startswith(prefix):
+                expected = "the end of the cache" if prefix is None else repr(prefix)
+                raise ValueError(f"{path}:{lineno}: expected {expected}")
             try:
-                found[key][k] = parse(text)
+                entries.append(parse(line[len(prefix):]))
             except OverflowError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc
-        n_max = max(found["tau"], default=-1)
-        if n_max < 1:
-            raise ValueError(f"{path}: cache holds no tau entries")
-        for key, entries in found.items():
-            # Each index the scan passes is an entry, so it stops within len(entries) + 4.
-            missing = list(islice((k for k in range(n_max + 1) if k not in entries), 4))
-            if missing:
-                listed = ", ".join(map(str, missing[:3])) + (", ..." if len(missing) > 3 else "")
-                raise ValueError(f"{path}: missing {key} entries for n={listed}")
+        fam = cls(n_max, entries[:n_max + 1], entries[n_max + 1:])
         # The CRC finds damage, not a faulty build: recompute the first sites
         # from the seed and compare.
         tau, f = zip(*site_steps(2))
-        wrong = [f"{key}_{k}" for key, seq in (("tau", tau), ("f", f))
-                 for k, poly in enumerate(seq) if k <= n_max and found[key][k] != poly]
+        wrong = [f"{key}_{k}" for key, built, read in (("tau", tau, fam.tau), ("f", f, fam.f))
+                 for k, (poly, got) in enumerate(zip(built, read)) if poly != got]
         if wrong:
             raise ValueError(f"{path}: {', '.join(wrong)} disagree with the seed")
-        return cls(
-            n_max=n_max,
-            tau=[found["tau"][k] for k in range(n_max + 1)],
-            f=[found["f"][k] for k in range(n_max + 1)],
-        )
+        return fam
 
 
 def sylvester_minors(n: int) -> tuple[LaurentPoly, LaurentPoly, LaurentPoly]:

@@ -17,7 +17,6 @@ from hirotaverify.laurent import (
     from_uv,
     monomial,
     subst_y_negate,
-    variable,
 )
 from hirotaverify.operators import (
     X2_MINUS_1,
@@ -29,8 +28,7 @@ from hirotaverify.operators import (
     l_y,
 )
 from hirotaverify import verifier as V
-from hirotaverify.report import CheckReport
-from hirotaverify.verifier import star
+from hirotaverify.verifier import CheckReport, star
 from hirotaverify.wronskian import SymMatrix, TauFamily, _leading_minors, sylvester_minors
 
 settings.register_profile(
@@ -223,7 +221,7 @@ def subst_linear(p: LaurentPoly, x_image: LaurentPoly, y_image: LaurentPoly) -> 
 
 def from_uv_oracle(p: LaurentPoly) -> LaurentPoly:
     """from_uv by substitution: u -> (x+y)/2, v -> (x-y)/2."""
-    x, y = variable("x"), variable("y")
+    x, y = monomial(1, ex=1), monomial(1, ey=1)
     return subst_linear(p, Fraction(1, 2) * (x + y), Fraction(1, 2) * (x - y))
 
 
@@ -346,7 +344,7 @@ def su11_direct(fam: TauFamily, n: int, params: V.Su11Params,
     f' = beta g + alpha* f, and each IDENTITIES entry is evaluated on them
     with non-real operands, independently of the family's site table.
     """
-    V._require_site(n, fam.n_max - 1)
+    V._family_site(fam, n, 1)
     site = V._Site(n, *zip(*(su11_transform(fam, k, params) for k in (n - 1, n, n + 1))))
     note = f"alpha={params.alpha}, beta={params.beta}"
     reports = []

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hirotaverify.laurent import from_uv, parse, variable
+from hirotaverify.laurent import from_uv, monomial, parse
 from hirotaverify.operators import (
     apply_F,
     apply_F_weyl,
@@ -24,7 +24,7 @@ from conftest import (
     x_polys,
 )
 
-X = variable("x")
+X = monomial(1, ex=1)
 PSI = psi_xy()
 
 
@@ -151,6 +151,6 @@ class TestWeylForm:
 
     def test_non_x_input_rejected(self):
         with pytest.raises(ValueError):
-            apply_F_weyl(1, X + variable("y") * X, X)
+            apply_F_weyl(1, X + monomial(1, ey=1) * X, X)
         with pytest.raises(ValueError):
-            apply_F_weyl(1, X, variable("t"))
+            apply_F_weyl(1, X, monomial(1, et=1))

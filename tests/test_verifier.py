@@ -13,14 +13,14 @@ from hirotaverify.laurent import (
     ONE,
     ZERO,
     LaurentPoly,
+    differentiate,
     monomial,
     parse,
     serialize,
     subst_y_negate,
 )
 from hirotaverify import operators
-from hirotaverify.operators import apply_F, apply_F_weyl, d_x, hirota, hirota_dst
-from hirotaverify.report import sort_key
+from hirotaverify.operators import apply_F, apply_F_weyl, hirota, hirota_dst
 from hirotaverify import verifier as V
 from hirotaverify.wronskian import TauFamily
 
@@ -69,10 +69,8 @@ class TestStar:
 
     @given(p=polys)
     def test_commutes_with_derivatives(self, p):
-        from hirotaverify.operators import d_x, d_y
-
-        assert V.star(d_x(p)) == d_x(V.star(p))
-        assert V.star(d_y(p)) == d_y(V.star(p))
+        for var in ("x", "y"):
+            assert V.star(differentiate(p, var)) == differentiate(V.star(p), var)
 
 
 class TestLatticeChecks:
@@ -666,9 +664,38 @@ class TestSiteTable:
         together = self._rows(V.run_checks(V.suite_tasks("all", fresh(), 4)))
         alone = self._rows(sorted(
             (r for name in V.SUITE_NAMES[:-1]
-             for r in V.run_checks(V.suite_tasks(name, fresh(), 4))), key=sort_key))
+             for r in V.run_checks(V.suite_tasks(name, fresh(), 4))), key=V.sort_key))
         assert together == alone
         assert any(r.status == "fail" for r in together) == bool(stray)
+
+    @pytest.mark.parametrize("n, reach", [(0, 0), (-2, 0), (5, 0), (4, 1)])
+    def test_refuses_a_site_it_cannot_serve(self, fam4, n, reach):
+        with pytest.raises(ValueError, match=rf"need 1 <= n <= {4 - reach}, got {n}$"):
+            V._family_site(fam4, n, reach)
+        assert fam4.sites == {}
+
+    # Each public per-site check, with the last site it serves on a depth-4 family.
+    CHECKS = {
+        "toda.tau": (lambda fam, n: V.check_toda(fam, n, "tau"), 3),
+        "toda.f": (lambda fam, n: V.check_toda(fam, n, "f"), 3),
+        "mixed": (lambda fam, n: V.check_mixed(fam, n), 3),
+        "jacobi": (lambda fam, n: V.jacobi_residual(fam, n), 3),
+        "conjecture": (lambda fam, n: V.check_conjecture(fam, n), 4),
+        "symmetries": (lambda fam, n: V.check_symmetries(fam, n), 4),
+        "su11": (lambda fam, n: V.check_su11(fam, n, SU11_PAIRS[0]), 3),
+        "orderwise-A": (lambda fam, n: V.check_orderwise(fam, n, "g"), 3),
+        "orderwise-B": (lambda fam, n: V.check_orderwise(fam, n, "B1"), 4),
+        "ernst": (lambda fam, n: V.ernst_residual_numeric(fam, n), 4),
+    }
+
+    @pytest.mark.parametrize("past_last", [False, True])
+    @pytest.mark.parametrize("check", CHECKS)
+    def test_checks_refuse_sites_outside_the_family(self, fam4, check, past_last):
+        run, last = self.CHECKS[check]
+        n = last + 1 if past_last else 0
+        with pytest.raises(ValueError, match=rf"need 1 <= n <= {last}, got {n}$"):
+            run(fam4, n)
+        assert fam4.sites == {}
 
 
 class TestCheckBodies:
@@ -709,8 +736,9 @@ class TestWeylLock:
     # Each damage adds one bilinear term to the single-variable form.  The lock
     # reports the first n and 3i + j where it shows, with its leading term.
     @pytest.mark.parametrize("extra, failure", [
-        (lambda n, a, b: d_x(a) * d_x(b), (1, 4, "(-1)")),
-        (lambda n, a, b: monomial(1, ex=3) * d_x(d_x(a)) * d_x(d_x(b)), (1, 8, "(-4)*x^3")),
+        (lambda n, a, b: differentiate(a, "x") * differentiate(b, "x"), (1, 4, "(-1)")),
+        (lambda n, a, b: monomial(1, ex=3) * differentiate(differentiate(a, "x"), "x")
+         * differentiate(differentiate(b, "x"), "x"), (1, 8, "(-4)*x^3")),
         (lambda n, a, b: n * n * (a * b), (1, 0, "(-1)")),
     ], ids=["a'b'", "x^3 a''b''", "n^2 ab"])
     def test_catches_a_damaged_weyl_form(self, monkeypatch, extra, failure):
@@ -838,4 +866,4 @@ class TestRunner:
 
     def test_sort_key_shape(self, fam4):
         report = V.check_mixed(fam4, 1)
-        assert sort_key(report) == ("mixed", 1, -1)
+        assert V.sort_key(report) == ("mixed", 1, -1)

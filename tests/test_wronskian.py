@@ -138,9 +138,9 @@ class TestDeterminants:
 
     def test_singular_column(self):
         # Without row swaps a zero first pivot is refused, singular matrix or not.
-        from hirotaverify.laurent import ZERO, variable
+        from hirotaverify.laurent import ZERO, monomial
 
-        x = variable("x")
+        x = monomial(1, ex=1)
         m = SymMatrix(((ZERO, x), (ZERO, ONE)))
         assert det_cofactor(m).is_zero
         with pytest.raises(DeterminantError, match="zero pivot at step 0"):
@@ -153,9 +153,9 @@ class TestDeterminants:
             assert value == from_uv(det_cofactor(wronskian_matrix(PSI, k)))
 
     def test_minor_harvest_refuses_zero_pivot(self):
-        from hirotaverify.laurent import ZERO, variable
+        from hirotaverify.laurent import ZERO, monomial
 
-        x = variable("x")
+        x = monomial(1, ex=1)
         minors = _leading_minors(SymMatrix(((ZERO, x), (x, ONE))))
         assert next(minors).is_zero
         with pytest.raises(DeterminantError):
@@ -316,26 +316,42 @@ class TestCacheFile:
     def test_malformed_line(self, tmp_path):
         path = tmp_path / "bad.tau"
         write_cache(path, "tau n=0: 1\nnot a record\n")
-        with pytest.raises(ValueError, match="malformed"):
+        with pytest.raises(ValueError, match=r"bad\.tau:3: "):
             TauFamily.load(path)
 
     def test_missing_entries(self, tmp_path):
         path = tmp_path / "gap.tau"
         write_cache(path, "tau n=0: 1\ntau n=1: x\nf n=1: 1\n")
-        with pytest.raises(ValueError, match="missing f"):
+        with pytest.raises(ValueError, match=r"gap\.tau:4: expected 'f n=0: '$"):
             TauFamily.load(path)
 
     def test_refusal_of_a_sparse_cache_is_bounded(self, tmp_path):
         path = tmp_path / "sparse.tau"
         write_cache(path, "tau n=0: 1\ntau n=1000000: 1\nf n=0: 0\n")
-        with pytest.raises(ValueError, match=r"missing tau entries for n=1, 2, 3, \.\.\.$") as exc:
+        with pytest.raises(ValueError, match=r"sparse\.tau:3: expected 'tau n=1: '$") as exc:
             TauFamily.load(path)
         assert len(str(exc.value)) < 1000
+
+    # CRC-valid bodies that are not the sequence save writes, each refused at its first
+    # wrong line; every one of them loaded as TauFamily.build(3) when lines were a bag.
+    @pytest.mark.parametrize("change, refusal", [
+        (lambda lines: lines[:4] + lines[3:], "6: expected 'f n=0: '"),
+        (lambda lines: lines + ["f n=7: (1)*x^1"], "10: expected the end of the cache"),
+        (lambda lines: lines[4:] + lines[:4], "2: expected 'tau n=0: '"),
+        (lambda lines: lines[:2] + [""] + lines[2:], "4: expected 'tau n=2: '"),
+    ], ids=["repeated tau n=3", "extra f n=7", "f before tau", "blank line"])
+    def test_refuses_a_body_out_of_written_order(self, built5, tmp_path, change, refusal):
+        path = tmp_path / "family.tau"
+        TauFamily(3, built5.tau[:4], built5.f[:4]).save(path)
+        lines = path.read_text().splitlines()[1:]
+        write_cache(path, "".join(f"{line}\n" for line in change(lines)))
+        with pytest.raises(ValueError, match=rf"family\.tau:{refusal}$"):
+            TauFamily.load(path)
 
     def test_refuses_missing_header(self, tmp_path):
         path = tmp_path / "old.tau"
         path.write_text("tau n=0: 1\ntau n=1: x\ng n=0: 1\ng n=1: x\nf n=0: 0\nf n=1: 1\n")
-        with pytest.raises(ValueError, match="header"):
+        with pytest.raises(ValueError, match=r"old\.tau: no tau-family cache header$"):
             TauFamily.load(path)
 
     def test_exponent_outside_its_field(self, tmp_path):
