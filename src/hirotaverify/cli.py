@@ -102,15 +102,15 @@ def _emit_report(config: RunConfig, reports: list[CheckReport], stream) -> None:
 
 def cmd_verify(config: RunConfig, stream=None) -> int:
     """Run the selected suites; returns the process exit code."""
-    from .verifier import family_depth_needed, run_checks, suite_tasks
+    from .verifier import SUITES, family_depth_needed, run_checks, suite_tasks
 
     stream = stream or sys.stdout
     config.validate()
     depth = family_depth_needed(config.suites, config.n_max)
     fam = _obtain_family(depth, config.cache_path)
-    tasks = []
-    for suite in config.suites:
-        tasks.extend(suite_tasks(suite, fam, config.n_max))
+    # Each suite once, where it is first named; "all" names every suite.
+    suites = dict.fromkeys(s for name in config.suites for s in (SUITES if name == "all" else [name]))
+    tasks = [task for suite in suites for task in suite_tasks(suite, fam, config.n_max)]
     reports = run_checks(tasks, fail_fast=config.fail_fast)
     _emit_report(config, reports, stream)
     statuses = {r.status for r in reports}

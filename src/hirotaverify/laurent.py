@@ -10,23 +10,23 @@ x-exponent descending; serialization, leading terms and the division
 algorithm all use this order, which makes text output deterministic and
 equality purely structural.
 
-Inside, a polynomial keeps integer numerators over one positive denominator
-that shares no factor with all of them:
+Inside, a polynomial keeps one map of nonzero integer numerators over one
+positive denominator that shares no factor with all of them:
 
-    re: {key: int},  im: {key: int} or None,  den: int
+    nums: {key: int},  den: int
 
-and the coefficient at a key is (re[key] + i*im[key]) / den.  The imaginary
-map exists only when some coefficient is not real.  A key packs a monomial
-into one int,
+A key packs a monomial and a power of i into one int,
 
-    key = -(et * R**2 + (ex + ey) * R + ex),    R = 2**24,
+    key = -3 * (et * R**2 + (ex + ey) * R + ex) + e,    R = 2**24,  e in {0, 1},
 
-which is linear, so adding two keys multiplies their monomials, and whose
-integer order is the canonical term order: the leading term has the smallest
-key.  Each of et, ex + ey and ex must lie in [-2**22, 2**22).  A sum of two
-such keys still decodes exactly, so every operation that can leave that
-range checks its result and raises OverflowError instead of wrapping.  The
-public methods take and return Monomial and GaussianRational.
+so the numerator at e = 0 is the real part of the monomial's coefficient
+and the one at e = 1 its imaginary part, each over den.  The key is linear,
+so adding two keys multiplies their monomials and their powers of i, and
+its integer order is the canonical term order: the leading term has the
+smallest key.  Each of et, ex + ey and ex must lie in [-2**22, 2**22).  A
+sum of two such keys still decodes exactly, so every operation that can
+leave that range checks its result and raises OverflowError instead of
+wrapping.  The public methods take and return Monomial and GaussianRational.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import cache
 from heapq import heapify, heappop, heappush
+from itertools import chain
 from math import gcd, lcm
 from re import findall, finditer, search
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
@@ -50,23 +51,34 @@ class Monomial(NamedTuple):
     ey: int
 
 
-# -- packed monomial keys -----------------------------------------------------
+# -- packed keys ----------------------------------------------------------------
 #
-# A key holds three balanced base-R digits (et, ex + ey, ex), negated.  Stored
-# digits lie in [-_LIMIT, _LIMIT); the sum of two stored keys has digits in
-# [-2*_LIMIT, 2*_LIMIT), which _unpack still reads exactly, and
-# (_BIAS - key) & _OUTSIDE is nonzero exactly when such a key has left the
-# stored range.
+# A key is 3 * m + e.  m holds three balanced base-R digits (et, ex + ey, ex),
+# negated, and e is the i digit.  Stored digits of m lie in [-_LIMIT, _LIMIT)
+# and a stored e is 0 or 1; the sum of two stored keys has digits of m in
+# [-2*_LIMIT, 2*_LIMIT), which _unpack still reads exactly, and e <= 2, which
+# key // 3 and key % 3 still separate.  (_BIAS - key // 3) & _OUTSIDE is
+# nonzero exactly when such a key has left the stored range: a digit out of
+# range sets a bit of its field above the low 23, or borrows from the top
+# field, setting its top bit.  The masks are positive, since & on a negative
+# int is slower in CPython.
 
 _BITS = 24
 _RADIX = 1 << _BITS
 _DIGIT_HALF = _RADIX >> 1
 _DIGIT_MASK = _RADIX - 1
 _LIMIT = _RADIX >> 2
-_BIAS = _LIMIT * (1 + _RADIX + _RADIX * _RADIX)
-_OUTSIDE = ~((2 * _LIMIT - 1) * (1 + _RADIX + _RADIX * _RADIX))
+_DIGITS = 1 + _RADIX + _RADIX * _RADIX
+_FIELDS = (1 << 3 * _BITS) - 1
+_BIAS = _LIMIT * _DIGITS
+_OUTSIDE = _FIELDS - (2 * _LIMIT - 1) * _DIGITS
+_HALF_BIAS = (_LIMIT >> 1) * _DIGITS
+_HALF_OUTSIDE = _FIELDS - (_LIMIT - 1) * _DIGITS
 _T_SHIFT = 2 * _BITS
 _T_HALF = 1 << (_T_SHIFT - 1)
+_T_UNIT = 3 << _T_SHIFT  # a key's step per power of t
+_I = 1  # key + _I holds the imaginary part of the coefficient at key
+_i_digit = (3).__rmod__  # key -> e
 
 
 def _pack(et: int, ex: int, ey: int) -> int:
@@ -74,15 +86,22 @@ def _pack(et: int, ex: int, ey: int) -> int:
     s = ex + ey
     if not (-_LIMIT <= et < _LIMIT and -_LIMIT <= s < _LIMIT and -_LIMIT <= ex < _LIMIT):
         raise OverflowError(f"t^{et}*x^{ex}*y^{ey} is outside the exponent fields")
-    return -((et << _T_SHIFT) + (s << _BITS) + ex)
+    return -3 * ((et << _T_SHIFT) + (s << _BITS) + ex)
 
 
 def _unpack(key: int) -> Monomial:
-    v = -key
+    v = -(key // 3)
     ex = ((v + _DIGIT_HALF) & _DIGIT_MASK) - _DIGIT_HALF
     v = (v - ex) >> _BITS
     s = ((v + _DIGIT_HALF) & _DIGIT_MASK) - _DIGIT_HALF
     return Monomial((v - s) >> _BITS, ex, s - ex)
+
+
+def _monomial_keys(nums: dict):
+    """Each monomial's real-part key once, whichever of its parts are stored."""
+    if any(map(_i_digit, nums)):
+        return {k - k % 3 for k in nums}
+    return nums.keys()
 
 
 def _as_coeff(value: ScalarLike) -> GaussianRational:
@@ -99,71 +118,56 @@ def _parts(c: GaussianRational) -> tuple[int, int, int]:
             c.im.numerator * (den // c.im.denominator), den)
 
 
-def _canonical(re: dict, im: dict | None, den: int) -> tuple[dict, dict | None, int]:
-    """Divide out the factor den shares with every numerator; an empty im becomes None."""
-    im = im or None
-    if den != 1:
-        g = den
-        for nums in (re, im or {}):
-            for v in nums.values():
-                g = gcd(g, v)
-                if g == 1:
-                    return re, im, den
-        re = {k: v // g for k, v in re.items()}
-        im = im and {k: v // g for k, v in im.items()}
-        den //= g
-    return re, im, den
-
-
-def _times(nums: dict | None, factor: int) -> dict | None:
-    return None if nums is None else {k: v * factor for k, v in nums.items()}
+def _times(nums: dict, factor: int) -> dict:
+    return {k: v * factor for k, v in nums.items()}
 
 
 class LaurentPoly:
     """Immutable sparse polynomial; zero coefficients are never stored."""
 
-    __slots__ = ("_re", "_im", "_den")
+    __slots__ = ("_nums", "_den")
 
     def __init__(self, terms: Mapping | Iterable = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
         p = _collect([(_pack(*mono), _parts(_as_coeff(value))) for mono, value in items])
-        self._re, self._im, self._den = p._re, p._im, p._den
+        self._nums, self._den = p._nums, p._den
 
     @classmethod
-    def _make(cls, re: dict, im: dict | None = None, den: int = 1) -> "LaurentPoly":
+    def _make(cls, nums: dict, den: int = 1) -> "LaurentPoly":
         # Trusted constructor: stored-range keys, nonzero int numerators, den > 0.
+        g = gcd(den, *nums.values()) if den != 1 else 1
+        if g != 1:  # the factor den shares with every numerator
+            nums, den = {k: v // g for k, v in nums.items()}, den // g
         p = object.__new__(cls)
-        p._re, p._im, p._den = _canonical(re, im, den)
+        p._nums, p._den = nums, den
         return p
 
     # -- inspection ---------------------------------------------------------
 
-    def _keys(self):
-        return self._re.keys() | self._im.keys() if self._im else self._re.keys()
-
     def _coeff_at(self, key: int) -> GaussianRational:
-        im = self._im.get(key, 0) if self._im else 0
-        return GaussianRational(Fraction(self._re.get(key, 0), self._den), Fraction(im, self._den))
+        """The coefficient of the monomial whose real-part key is key."""
+        get, den = self._nums.get, self._den
+        return GaussianRational(Fraction(get(key, 0), den), Fraction(get(key + _I, 0), den))
 
     @property
     def is_zero(self) -> bool:
-        return not self._re and self._im is None
+        return not self._nums
 
     @property
     def term_count(self) -> int:
-        return len(self._keys())
+        return len(_monomial_keys(self._nums))
 
     def terms(self) -> Iterator[tuple[Monomial, GaussianRational]]:
-        return ((_unpack(k), self._coeff_at(k)) for k in self._keys())
+        return ((_unpack(k), self._coeff_at(k)) for k in _monomial_keys(self._nums))
 
     def leading_term(self) -> tuple[Monomial, GaussianRational]:
         if self.is_zero:
             raise ValueError("zero polynomial has no leading term")
-        key = min(self._keys())
+        key = min(_monomial_keys(self._nums))
         return _unpack(key), self._coeff_at(key)
 
     def has_negative_xy(self) -> bool:
-        return any(m.ex < 0 or m.ey < 0 for m in map(_unpack, self._keys()))
+        return any(m.ex < 0 or m.ey < 0 for m in map(_unpack, self._nums))
 
     # -- ring operations ----------------------------------------------------
 
@@ -185,7 +189,7 @@ class LaurentPoly:
         return (-self) + other
 
     def __neg__(self):
-        return LaurentPoly._make(_times(self._re, -1), _times(self._im, -1), self._den)
+        return LaurentPoly._make(_times(self._nums, -1), self._den)
 
     def __mul__(self, other):
         if isinstance(other, LaurentPoly):
@@ -203,8 +207,7 @@ class LaurentPoly:
             return ZERO
         if c.im:
             return _product(self, monomial(c))
-        n, d = c.re.numerator, c.re.denominator
-        return LaurentPoly._make(_times(self._re, n), _times(self._im, n), self._den * d)
+        return LaurentPoly._make(_times(self._nums, c.re.numerator), self._den * c.re.denominator)
 
     def __pow__(self, exponent: int) -> "LaurentPoly":
         if not isinstance(exponent, int) or exponent < 0:
@@ -224,14 +227,13 @@ class LaurentPoly:
         other = _as_poly(other)
         if other is None:
             return NotImplemented
-        return self._den == other._den and self._re == other._re and self._im == other._im
+        return self._den == other._den and self._nums == other._nums
 
     def __hash__(self):
-        if self.term_count <= 1 and not any(self._keys()):
+        if self._nums.keys() <= {0, _I}:
             # Zero or a constant equals its scalar, so it hashes like it.
             return hash(self._coeff_at(0))
-        return hash((self._den, frozenset(self._re.items()),
-                     frozenset(self._im.items()) if self._im else None))
+        return hash((self._den, frozenset(self._nums.items())))
 
     def __bool__(self):
         return not self.is_zero
@@ -246,24 +248,23 @@ class LaurentPoly:
 
     def t_coefficients(self) -> dict[int, "LaurentPoly"]:
         """Split into x,y-polynomials keyed by t-exponent."""
-        split: dict[int, tuple[dict, dict]] = {}
-        for part, nums in enumerate((self._re, self._im or {})):
-            for k, v in nums.items():
-                # The et digit; adding et * R**2 to the key drops it.
-                et = (_T_HALF - k) >> _T_SHIFT
-                split.setdefault(et, ({}, {}))[part][k + (et << _T_SHIFT)] = v
-        return {et: LaurentPoly._make(re, im, self._den) for et, (re, im) in split.items()}
+        split: dict[int, dict] = {}
+        for k, v in self._nums.items():
+            et = (_T_HALF - k // 3) >> _T_SHIFT  # the et digit
+            split.setdefault(et, {})[k + et * _T_UNIT] = v
+        return {et: LaurentPoly._make(nums, self._den) for et, nums in split.items()}
 
     def t_term_counts(self) -> dict[int, int]:
         """The number of terms at each power of t, read off the keys without a split."""
-        return Counter((_T_HALF - k) >> _T_SHIFT for k in self._keys())
+        return Counter((_T_HALF - k // 3) >> _T_SHIFT for k in _monomial_keys(self._nums))
 
     def coeff_of_t(self, m: int) -> "LaurentPoly":
         """The x,y-polynomial multiplying t**m (zero if absent), from the keys at t^m only."""
-        shift = m << _T_SHIFT
-        re, im = ({k + shift: v for k, v in nums.items() if (_T_HALF - k) >> _T_SHIFT == m}
-                  for nums in (self._re, self._im or {}))
-        return LaurentPoly._make(re, im, self._den)
+        # The keys at t^m lie within 3 * _T_HALF of the key of t^m, and all others farther.
+        center = -m * _T_UNIT
+        low, high = center - 3 * _T_HALF, center + 3 * _T_HALF
+        return LaurentPoly._make({k - center: v for k, v in self._nums.items() if low < k < high},
+                                 self._den)
 
 
 # -- evaluation ---------------------------------------------------------------
@@ -275,7 +276,7 @@ def evaluate(polys: Sequence[LaurentPoly], x: ScalarLike, y: ScalarLike,
     The power tables of t, x and y are built once for all polys, and each
     monomial is valued once.  A negative exponent inverts its base.
     """
-    exps = {k: _unpack(k) for p in polys for k in p._keys()}
+    exps = {k: _unpack(k) for p in polys for k in p._nums}
     common = lcm(*(p._den for p in polys))
     tables, den = [], common
     for slot, value in enumerate((t, x, y)):
@@ -283,17 +284,17 @@ def evaluate(polys: Sequence[LaurentPoly], x: ScalarLike, y: ScalarLike,
         tables.append(table)
         den *= scale
     t_pow, x_pow, y_pow = tables
-    mono = {}
+    mono = {}  # the value of i**e * t^et * x^ex * y^ey at each key
     for k, (et, ex, ey) in exps.items():
         (ar, ai), (br, bi), (cr, ci) = t_pow[et], x_pow[ex], y_pow[ey]
         ar, ai = ar * br - ai * bi, ar * bi + ai * br
-        mono[k] = ar * cr - ai * ci, ar * ci + ai * cr
+        ar, ai = ar * cr - ai * ci, ar * ci + ai * cr
+        mono[k] = (-ai, ar) if k % 3 else (ar, ai)
     values = []
     for p in polys:
-        re, im = p._re.items(), (p._im or {}).items()
-        total_re = sum(c * mono[k][0] for k, c in re) - sum(c * mono[k][1] for k, c in im)
-        total_im = sum(c * mono[k][1] for k, c in re) + sum(c * mono[k][0] for k, c in im)
-        values.append((total_re * (common // p._den), total_im * (common // p._den)))
+        nums, factor = p._nums.items(), common // p._den
+        values.append((sum(c * mono[k][0] for k, c in nums) * factor,
+                       sum(c * mono[k][1] for k, c in nums) * factor))
     return values, den
 
 
@@ -344,11 +345,8 @@ def _add(a: LaurentPoly, b: LaurentPoly, sign: int) -> LaurentPoly:
     """a + sign * b over the least common denominator."""
     den = a._den if a._den == b._den else lcm(a._den, b._den)
     fa, fb = den // a._den, sign * (den // b._den)
-    re = _accumulate(dict(a._re) if fa == 1 else _times(a._re, fa), b._re, fb)
-    im = None
-    if a._im or b._im:
-        im = _accumulate(_times(a._im, fa) or {}, b._im or {}, fb)
-    return LaurentPoly._make(re, im, den)
+    nums = dict(a._nums) if fa == 1 else _times(a._nums, fa)
+    return LaurentPoly._make(_accumulate(nums, b._nums, fb), den)
 
 
 def _collect(terms: list[tuple[int | None, tuple[int, int, int]]]) -> LaurentPoly:
@@ -357,55 +355,48 @@ def _collect(terms: list[tuple[int | None, tuple[int, int, int]]]) -> LaurentPol
     A term whose numerators are both zero may have key None.
     """
     den = lcm(*(d for _, (_, _, d) in terms))
-    re: dict[int, int] = {}
-    im: dict[int, int] = {}
+    nums: dict[int, int] = {}
     for key, (a, b, d) in terms:
         if a:
-            re[key] = re.get(key, 0) + a * (den // d)
+            nums[key] = nums.get(key, 0) + a * (den // d)
         if b:
-            im[key] = im.get(key, 0) + b * (den // d)
-    return LaurentPoly._make({k: v for k, v in re.items() if v},
-                             {k: v for k, v in im.items() if v}, den)
+            nums[key + _I] = nums.get(key + _I, 0) + b * (den // d)
+    return LaurentPoly._make({k: v for k, v in nums.items() if v}, den)
 
 
-def _convolve(out: dict, x: dict, y: dict, sign: int) -> dict:
-    """out += sign * x * y; entries that cancel stay as zeros."""
-    if len(x) > len(y):
-        x, y = y, x
-    get = out.get
-    pairs = list(y.items())
-    for kx, cx in x.items():
-        cx *= sign
-        for ky, cy in pairs:
-            k = kx + ky
-            out[k] = get(k, 0) + cx * cy
-    return out
-
-
-def _checked(re: dict, im: dict | None, den: int) -> LaurentPoly:
-    """The polynomial (re + i*im) / den; OverflowError if a key left the stored range."""
-    for nums in (re, im or {}):
-        for key in nums:
-            if (_BIAS - key) & _OUTSIDE:
-                raise OverflowError(f"{_unpack(key)} is outside the exponent fields")
-    return LaurentPoly._make(re, im, den)
+def _checked(nums: dict, den: int) -> LaurentPoly:
+    """The polynomial nums / den; OverflowError if a key left the stored range."""
+    for key in nums:
+        if (_BIAS - key // 3) & _OUTSIDE:
+            raise OverflowError(f"{_unpack(key)} is outside the exponent fields")
+    return LaurentPoly._make(nums, den)
 
 
 def _product(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    if a._im is None and b._im is None:
-        re, im = _convolve({}, a._re, b._re, 1), None
-    else:
-        a_im, b_im = a._im or {}, b._im or {}
-        re = _convolve(_convolve({}, a._re, b._re, 1), a_im, b_im, -1)
-        im = _convolve(_convolve({}, a._re, b_im, 1), a_im, b._re, 1)
-        im = {k: v for k, v in im.items() if v}
-    return _checked({k: v for k, v in re.items() if v}, im, a._den * b._den)
+    x, y = a._nums, b._nums
+    if len(x) > len(y):
+        x, y = y, x
+    out: dict[int, int] = {}
+    get = out.get
+    pairs = list(y.items())
+    for kx, cx in x.items():
+        for ky, cy in pairs:
+            k = kx + ky
+            out[k] = get(k, 0) + cx * cy
+    if any(map(_i_digit, x)) and any(map(_i_digit, y)):
+        # Fold each i**2 key onto the real key below it: i**2 = -1.
+        for k in [k for k in out if k % 3 == 2]:
+            out[k - 2] = get(k - 2, 0) - out.pop(k)
+    nums = {k: v for k, v in out.items() if v}
+    # Keys whose digits lie in [-_LIMIT/2, _LIMIT/2) sum to keys in the stored range.
+    for k in chain(x, y):
+        if (_HALF_BIAS - k // 3) & _HALF_OUTSIDE:
+            return _checked(nums, a._den * b._den)
+    return LaurentPoly._make(nums, a._den * b._den)
 
 
 def monomial(coeff: ScalarLike, et: int = 0, ex: int = 0, ey: int = 0) -> LaurentPoly:
-    re, im, den = _parts(_as_coeff(coeff))
-    key = _pack(et, ex, ey)
-    return LaurentPoly._make({key: re} if re else {}, {key: im} if im else None, den)
+    return _collect([(_pack(et, ex, ey), _parts(_as_coeff(coeff)))])
 
 
 ZERO = LaurentPoly()
@@ -416,40 +407,30 @@ def differentiate(p: LaurentPoly, var: str) -> LaurentPoly:
     """Formal partial derivative in x or y (term-wise power rule)."""
     if var not in ("x", "y"):
         raise ValueError("differentiate expects var 'x' or 'y'")
-    # Lowering ex lowers ex and ex + ey: the key grows by R + 1; for ey, by R.
-    step = _RADIX + 1 if var == "x" else _RADIX
-
-    def part(nums: dict) -> dict:
-        out = {}
-        for k, v in nums.items():
-            # The ex digit of the key, and for y the ex + ey digit minus it (see _unpack).
-            e = ((_DIGIT_HALF - k) & _DIGIT_MASK) - _DIGIT_HALF
-            if var == "y":
-                e = ((((-k - e) >> _BITS) + _DIGIT_HALF) & _DIGIT_MASK) - _DIGIT_HALF - e
-            if e:
-                out[k + step] = v * e
-        return out
-
-    return _checked(part(p._re), p._im and part(p._im), p._den)
+    # Lowering ex lowers ex and ex + ey: the key grows by 3 * (R + 1); for ey, by 3 * R.
+    step = 3 * (_RADIX + 1 if var == "x" else _RADIX)
+    out = {}
+    for k, c in p._nums.items():
+        # The ex digit of the key, and for y the ex + ey digit minus it (see _unpack).
+        m = k // 3
+        e = ((_DIGIT_HALF - m) & _DIGIT_MASK) - _DIGIT_HALF
+        if var == "y":
+            e = ((((-m - e) >> _BITS) + _DIGIT_HALF) & _DIGIT_MASK) - _DIGIT_HALF - e
+        if e:
+            out[k + step] = c * e
+    return _checked(out, p._den)
 
 
 # -- substitutions ----------------------------------------------------------
 
 def _transform(p: LaurentPoly, step) -> LaurentPoly:
     """Term-wise map: step(et, ex, ey) gives the new exponents and k, the coefficient gaining i**k."""
-    re, im = {}, {}
-    p_im = p._im or {}
-    for key in p._keys():
+    out = {}
+    for key, v in p._nums.items():
         exps, k = step(*_unpack(key))
-        new_key = _pack(*exps)
-        a, b = p._re.get(key, 0), p_im.get(key, 0)
-        for _ in range(k % 4):
-            a, b = -b, a
-        if a:
-            re[new_key] = a
-        if b:
-            im[new_key] = b
-    return LaurentPoly._make(re, im, p._den)
+        k += key % 3  # the power of i at the new key, modulo 4
+        out[_pack(*exps) + (k & 1)] = -v if k & 2 else v
+    return LaurentPoly._make(out, p._den)
 
 
 def subst_t_inverse(p: LaurentPoly) -> LaurentPoly:
@@ -475,7 +456,7 @@ def swap_xy(p: LaurentPoly) -> LaurentPoly:
 
 def conjugate_coeffs(p: LaurentPoly) -> LaurentPoly:
     """Conjugate every coefficient, leaving monomials alone."""
-    return LaurentPoly._make(p._re, _times(p._im, -1), p._den)
+    return LaurentPoly._make({k: -v if k % 3 else v for k, v in p._nums.items()}, p._den)
 
 
 # -- exact division ---------------------------------------------------------
@@ -498,7 +479,7 @@ def exact_divide(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     proves non-divisibility; it is reported with the outstanding remainder
     a - q*b.  A non-real operand raises ValueError.
     """
-    if a._im or b._im:
+    if any(map(_i_digit, a._nums)) or any(map(_i_digit, b._nums)):
         raise ValueError("exact_divide takes real polynomials only")
     if b.is_zero:
         raise ZeroDivisionError("division by the zero polynomial")
@@ -506,11 +487,11 @@ def exact_divide(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
         return ZERO
     low = [ea - eb for ea, eb in zip(_lowest(a), _lowest(b))]
     nums, den = _quotient(a, b, low)
-    return LaurentPoly._make(_times(nums, b._den), None, den * a._den)
+    return LaurentPoly._make(_times(nums, b._den), den * a._den)
 
 
 def _lowest(p: LaurentPoly) -> tuple[int, int, int]:
-    ets, exs, eys = zip(*map(_unpack, p._keys()))
+    ets, exs, eys = zip(*map(_unpack, p._nums))
     return min(ets), min(exs), min(eys)
 
 
@@ -525,9 +506,9 @@ def _quotient(a: LaurentPoly, b: LaurentPoly, low: list[int]) -> tuple[dict, int
     grows only when a quotient coefficient is not integral, and the
     remainder is kept in the same units.
     """
-    rem = dict(a._re)
+    rem = dict(a._nums)
     get = rem.get
-    (lead, lead_coeff), *tail = sorted(b._re.items())
+    (lead, lead_coeff), *tail = sorted(b._nums.items())
     lead_exps = _unpack(lead)
     heap = list(rem)
     heapify(heap)
@@ -542,7 +523,7 @@ def _quotient(a: LaurentPoly, b: LaurentPoly, low: list[int]) -> tuple[dict, int
         if any(d < m for d, m in zip(diff, low)):
             raise ExactDivisionError(
                 f"not divisible: leading term {_unpack(key)} not reducible by {lead_exps}",
-                _checked(rem, None, den * a._den),
+                _checked(rem, den * a._den),
             )
         q_key = _pack(*diff)
         del rem[key]
@@ -591,19 +572,16 @@ def from_uv(p: LaurentPoly) -> LaurentPoly:
 
     Every term is put over one denominator 2^top, top the largest u,v-degree.
     """
-    top = max((sum(_unpack(k)[1:]) for k in p._keys()), default=0)
-
-    def part(nums: dict) -> dict:
-        out = {}
-        for k, v in nums.items():
-            _, i, j = _unpack(k)
-            v <<= top - i - j
-            for r, c in enumerate(_uv_row(i, j)):
-                if c:  # x^r y^(i+j-r): the key of u^i v^j plus i - r
-                    out[k + i - r] = out.get(k + i - r, 0) + v * c
-        return {k: v for k, v in out.items() if v}
-
-    return LaurentPoly._make(part(p._re), p._im and part(p._im), p._den << top)
+    top = max((sum(_unpack(k)[1:]) for k in p._nums), default=0)
+    out: dict[int, int] = {}
+    for k, v in p._nums.items():
+        _, i, j = _unpack(k)
+        v <<= top - i - j
+        for r, c in enumerate(_uv_row(i, j)):
+            if c:  # x^r y^(i+j-r): the key of u^i v^j plus 3 * (i - r)
+                key = k + 3 * (i - r)
+                out[key] = out.get(key, 0) + v * c
+    return LaurentPoly._make({k: v for k, v in out.items() if v}, p._den << top)
 
 
 # -- canonical text form ----------------------------------------------------
@@ -612,15 +590,15 @@ def serialize(p: LaurentPoly) -> str:
     """Deterministic text form: '(coeff)*t^a*x^b*y^c' terms in canonical order."""
     if p.is_zero:
         return "0"
-    re, im, den = p._re, p._im or {}, p._den
+    get, den = p._nums.get, p._den
 
     def ratio(num: int) -> str:  # str(Fraction(num, den)), read off the numerators
         g = gcd(num, den)
         return str(num // g) if g == den else f"{num // g}/{den // g}"
 
     parts = []
-    for key in sorted(p._keys()):
-        a, b = re.get(key, 0), im.get(key, 0)
+    for key in sorted(_monomial_keys(p._nums)):
+        a, b = get(key, 0), get(key + _I, 0)
         text = ratio(a)
         if b:
             sign = "-" if b < 0 else "+" if a else ""

@@ -201,8 +201,8 @@ class TauFamily(NamedTuple("TauFamily", [("n_max", int), ("tau", tuple), ("f", t
 
         A cache is refused when its header, version or CRC is wrong, when its
         body is not the sequence save writes (tau n=0..N, then f n=0..N, one
-        line each, N >= 1), and when tau_0..2 or f_0..2 differ from their
-        recomputation from the seed.
+        line each, N >= 1) or a line of it does not parse, both named by line,
+        and when tau_0..2 or f_0..2 differ from their recomputation from the seed.
         """
         header, _, body = Path(path).read_bytes().partition(b"\n")
         match = _HEADER.match(header.decode("ascii", errors="replace"))
@@ -214,7 +214,8 @@ class TauFamily(NamedTuple("TauFamily", [("n_max", int), ("tau", tuple), ("f", t
             )
         if f"{zlib.crc32(body):08x}" != match.group(2):
             raise ValueError(f"{path}: cache body does not match its CRC-32")
-        lines = body.decode().splitlines()
+        # A byte that is not UTF-8 reads as U+FFFD, which no line's grammar admits.
+        lines = body.decode(errors="replace").splitlines()
         # N from the line count; a short, long or reordered body fails at its first wrong line.
         n_max = max(1, len(lines) // 2 - 1)
         prefixes = [f"{key} n={k}: " for key in ("tau", "f") for k in range(n_max + 1)]
@@ -225,7 +226,7 @@ class TauFamily(NamedTuple("TauFamily", [("n_max", int), ("tau", tuple), ("f", t
                 raise ValueError(f"{path}:{lineno}: expected {expected}")
             try:
                 entries.append(parse(line[len(prefix):]))
-            except OverflowError as exc:
+            except (OverflowError, ValueError) as exc:  # a ParseError is a ValueError
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc
         fam = cls(n_max, entries[:n_max + 1], entries[n_max + 1:])
         # The CRC finds damage, not a faulty build: recompute the first sites

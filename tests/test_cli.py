@@ -91,6 +91,14 @@ class TestVerifyCommand:
         assert rows["mixed"]["status"] == "pass"
         assert payload["summary"]["error"] == 1
 
+    @pytest.mark.parametrize("suites, alone", [(["toda", "toda"], "toda"), (["toda", "all"], "all")])
+    def test_each_selected_suite_runs_once(self, suites, alone):
+        reports = lambda names: strip_timings(json.loads(run_verify(
+            n_max=1, suites=names, report_format="json")[1]))
+        named = reports(suites)
+        assert named["config"]["suites"] == suites
+        assert named["checks"] == reports([alone])["checks"]
+
     @pytest.mark.parametrize("stray", [None, "t*x"])
     def test_jacobi_and_toda_in_either_order(self, built5, tmp_path, stray):
         # jacobi reads the toda.g residual of the site table, whichever suite forms it.

@@ -100,6 +100,14 @@ class TestAgainstReferenceMultiply:
         assert terms(a.scale(c)) == expected
         assert terms(c * a) == expected
 
+    def test_i_squared_folds_onto_the_real_part(self):
+        i = GaussianRational(0, 1)
+        assert monomial(i, et=1) * monomial(i, et=1) + monomial(1, et=2) == ZERO
+        x, i_y = monomial(1, ex=1), monomial(i, ey=1)
+        product = (x + i_y) * (x - i_y)
+        assert product == monomial(1, ex=2) + monomial(1, ey=2)
+        assert all(c.is_real for _, c in product.terms())
+
     @given(a=any_polys, e=st.integers(0, 3))
     def test_power(self, a, e):
         expected = {Monomial(0, 0, 0): GaussianRational(1)}
@@ -174,6 +182,7 @@ class TestTermWise:
             expected.setdefault(m.et, {})[Monomial(0, m.ex, m.ey)] = c
         assert {et: terms(q) for et, q in p.t_coefficients().items()} == expected
         assert p.t_term_counts() == {et: len(q) for et, q in expected.items()}
+        assert p.term_count == len(terms(p))  # a monomial with both parts counts once
         for et in range(-4, 5):
             assert terms(p.coeff_of_t(et)) == expected.get(et, {})
 
@@ -242,10 +251,11 @@ class TestExponentFields:
 
     def test_widest_exponents_survive(self):
         top = self.LIMIT - 1
-        p = monomial(3, et=top, ex=-self.LIMIT, ey=top) + monomial(1, et=-self.LIMIT)
-        assert {m for m, _ in p.terms()} == {
-            Monomial(top, -self.LIMIT, top), Monomial(-self.LIMIT, 0, 0)}
-        assert parse(serialize(p)) == p
+        for a, b in ((3, 1), (GaussianRational(3, -2), GaussianRational(0, 1))):
+            p = monomial(a, et=top, ex=-self.LIMIT, ey=top) + monomial(b, et=-self.LIMIT)
+            assert {m for m, _ in p.terms()} == {
+                Monomial(top, -self.LIMIT, top), Monomial(-self.LIMIT, 0, 0)}
+            assert parse(serialize(p)) == p
 
     def test_repeated_squaring_raises_instead_of_wrapping(self):
         with pytest.raises(OverflowError):
@@ -262,17 +272,32 @@ class TestExponentFields:
         top = monomial(1, et=half - 1)
         assert top * top == monomial(1, et=2 * half - 2)
         assert monomial(1, et=-half) * monomial(1, et=-half) == monomial(1, et=-2 * half)
+        # The same edges with non-real coefficients, whose keys carry the i digit.
+        i = GaussianRational(0, 1)
+        top = monomial(i, et=half - 1)
+        assert top * top == -monomial(1, et=2 * half - 2)
+        assert monomial(i, et=-half) * monomial(1 + i, et=-half) == monomial(i - 1, et=-2 * half)
         for a, b in ((monomial(1, et=half), monomial(1, et=half)),
                      (monomial(1, ex=self.LIMIT - 1), monomial(1, ey=1)),
-                     (monomial(1, ey=-self.LIMIT), monomial(1, ey=-1))):
+                     (monomial(1, ey=-self.LIMIT), monomial(1, ey=-1)),
+                     (monomial(i, et=half), monomial(i, et=half)),
+                     (monomial(1 + i, ex=self.LIMIT - 1), monomial(i, ey=1)),
+                     (monomial(i, ey=-self.LIMIT), monomial(1, ey=-1))):
             with pytest.raises(OverflowError):
                 a * b
 
     def test_other_operations_refuse_to_leave_the_fields(self):
+        i = GaussianRational(0, 1)
         with pytest.raises(OverflowError):
             subst_t_inverse(monomial(1, et=-self.LIMIT))
         with pytest.raises(OverflowError):
+            subst_t_inverse(monomial(i, et=-self.LIMIT))
+        with pytest.raises(OverflowError):
             differentiate(monomial(1, ex=-self.LIMIT), "x")
+        with pytest.raises(OverflowError):
+            differentiate(monomial(2 + i, ex=-self.LIMIT), "x")
+        with pytest.raises(OverflowError):
+            differentiate(monomial(i, ey=-self.LIMIT), "y")
         with pytest.raises(OverflowError):
             swap_xy(monomial(1, ex=-self.LIMIT, ey=self.LIMIT + 5))
         with pytest.raises(OverflowError):

@@ -360,6 +360,20 @@ class TestCacheFile:
         with pytest.raises(ValueError, match=r"huge\.tau:3: .*outside the exponent fields"):
             TauFamily.load(path)
 
+    # CRC-valid lines that do not parse, each refused with the path and the line.
+    @pytest.mark.parametrize("line, refusal", [
+        (b"(1)*x +", "unexpected end of input"),
+        ("(1)*x\u00e9".encode(), "unexpected character '\u00e9'"),
+        (b"(1)*x\xff", "unexpected character '\ufffd'"),
+    ], ids=["unexpected end", "non-ASCII character", "not UTF-8"])
+    def test_refuses_a_line_that_does_not_parse(self, tmp_path, line, refusal):
+        path = tmp_path / "bad.tau"
+        body = b"tau n=0: 1\ntau n=1: " + line + b"\nf n=0: 0\nf n=1: 1\n"
+        header = f"{CACHE_MAGIC} v{CACHE_VERSION} crc32={zlib.crc32(body):08x}\n"
+        path.write_bytes(header.encode() + body)
+        with pytest.raises(ValueError, match=rf"bad\.tau:3: {refusal}"):
+            TauFamily.load(path)
+
     def test_refuses_other_version(self, tmp_path):
         path = tmp_path / "future.tau"
         write_cache(path, "tau n=0: 1\ntau n=1: x\nf n=0: 0\nf n=1: 1\n",
