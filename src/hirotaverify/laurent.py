@@ -17,16 +17,17 @@ positive denominator that shares no factor with all of them:
 
 A key packs a monomial and a power of i into one int,
 
-    key = -3 * (et * R**2 + (ex + ey) * R + ex) + e,    R = 2**24,  e in {0, 1},
+    key = -3 * (et * R**2 + (ex + ey) * R + ex) + e,    R = 2**12,  e in {0, 1},
 
 so the numerator at e = 0 is the real part of the monomial's coefficient
 and the one at e = 1 its imaginary part, each over den.  The key is linear,
 so adding two keys multiplies their monomials and their powers of i, and
 its integer order is the canonical term order: the leading term has the
-smallest key.  Each of et, ex + ey and ex must lie in [-2**22, 2**22).  A
-sum of two such keys still decodes exactly, so every operation that can
-leave that range checks its result and raises OverflowError instead of
-wrapping.  The public methods take and return Monomial and GaussianRational.
+smallest key.  Each of et, ex + ey and ex must lie in [-2**10, 2**10), and a
+key is one 30-bit CPython digit while |et| <= 21.  A sum of two such keys
+still decodes exactly, so every operation that can leave that range checks
+its result and raises OverflowError instead of wrapping.  The public methods
+take and return Monomial and GaussianRational.
 """
 
 from __future__ import annotations
@@ -59,11 +60,11 @@ class Monomial(NamedTuple):
 # [-2*_LIMIT, 2*_LIMIT), which _unpack still reads exactly, and e <= 2, which
 # key // 3 and key % 3 still separate.  (_BIAS - key // 3) & _OUTSIDE is
 # nonzero exactly when such a key has left the stored range: a digit out of
-# range sets a bit of its field above the low 23, or borrows from the top
-# field, setting its top bit.  The masks are positive, since & on a negative
-# int is slower in CPython.
+# range sets a bit of its field above the low _BITS - 1, or borrows from the
+# top field, setting its top bit.  The masks are positive, since & on a
+# negative int is slower in CPython.
 
-_BITS = 24
+_BITS = 12
 _RADIX = 1 << _BITS
 _DIGIT_HALF = _RADIX >> 1
 _DIGIT_MASK = _RADIX - 1
@@ -425,11 +426,14 @@ def differentiate(p: LaurentPoly, var: str) -> LaurentPoly:
 
 def _transform(p: LaurentPoly, step) -> LaurentPoly:
     """Term-wise map: step(et, ex, ey) gives the new exponents and k, the coefficient gaining i**k."""
-    out = {}
-    for key, v in p._nums.items():
+    out, get = {}, p._nums.get
+    for key in _monomial_keys(p._nums):
         exps, k = step(*_unpack(key))
-        k += key % 3  # the power of i at the new key, modulo 4
-        out[_pack(*exps) + (k & 1)] = -v if k & 2 else v
+        new = _pack(*exps)
+        for v in (get(key), get(key + _I)):  # the real part gains i**k, the imaginary i**(k+1)
+            if v:
+                out[new + (k & 1)] = -v if k & 2 else v
+            k += 1
     return LaurentPoly._make(out, p._den)
 
 
@@ -551,16 +555,16 @@ def _quotient(a: LaurentPoly, b: LaurentPoly, low: list[int]) -> tuple[dict, int
     return quotient, den
 
 
-# -- basis change from (u, v) to (x, y) --------------------------------------
+# -- basis change between (u, v) and (x, y) -------------------------------------
 #
-# u = (x+y)/2 and v = (x-y)/2.  A polynomial "in u, v" reuses the x slot for
-# u and the y slot for v.
+# u = (x+y)/2 and v = (x-y)/2, so x = u+v and y = u-v.  A polynomial "in u, v"
+# reuses the x slot for u and the y slot for v.
 
 @cache
 def _uv_row(i: int, j: int) -> tuple[int, ...]:
     """Coefficients of (x+y)^i (x-y)^j; entry k multiplies x^k y^(i+j-k)."""
     if i < 0 or j < 0:
-        raise ValueError("basis change requires non-negative u,v exponents")
+        raise ValueError("basis change requires non-negative exponents")
     if not i + j:
         return (1,)
     row, sign = (_uv_row(i - 1, j), 1) if i else (_uv_row(0, j - 1), -1)
@@ -568,20 +572,22 @@ def _uv_row(i: int, j: int) -> tuple[int, ...]:
 
 
 def from_uv(p: LaurentPoly) -> LaurentPoly:
-    """Rewrite a u,v-polynomial in x, y: t^a u^i v^j -> t^a (x+y)^i (x-y)^j / 2^(i+j).
-
-    Every term is put over one denominator 2^top, top the largest u,v-degree.
-    """
+    """Rewrite a u,v-polynomial in x, y: t^a u^i v^j -> t^a (x+y)^i (x-y)^j / 2^(i+j)."""
     top = max((sum(_unpack(k)[1:]) for k in p._nums), default=0)
+    scaled = {k: v << (top - sum(_unpack(k)[1:])) for k, v in p._nums.items()}  # p(u/2, v/2)
+    return to_uv(LaurentPoly._make(scaled, p._den << top))
+
+
+def to_uv(p: LaurentPoly) -> LaurentPoly:
+    """Rewrite an x,y-polynomial in u, v: t^a x^i y^j -> t^a (u+v)^i (u-v)^j."""
     out: dict[int, int] = {}
     for k, v in p._nums.items():
         _, i, j = _unpack(k)
-        v <<= top - i - j
         for r, c in enumerate(_uv_row(i, j)):
-            if c:  # x^r y^(i+j-r): the key of u^i v^j plus 3 * (i - r)
+            if c:  # slot powers r and i+j-r: the key plus 3 * (i - r)
                 key = k + 3 * (i - r)
                 out[key] = out.get(key, 0) + v * c
-    return LaurentPoly._make({k: v for k, v in out.items() if v}, p._den << top)
+    return LaurentPoly._make({k: v for k, v in out.items() if v}, p._den)
 
 
 # -- canonical text form ----------------------------------------------------
@@ -617,10 +623,10 @@ class ParseError(ValueError):
         self.position = position
 
 
-# A token is one operator or name character, or a run of digits.  Any other
-# character outside whitespace is refused up front, so none is skipped.
-_TOKEN = r"[()*/^+\-txyi]|\d+"
-_BAD_CHARACTER = r"[^\s\dtxyi()*/^+-]"
+# A token is one operator or name character, or a run of ASCII digits.  Any other
+# character but a space, tab, "\n" or "\r" is refused up front, so none is skipped.
+_TOKEN = r"[()*/^+\-txyi]|[0-9]+"
+_BAD_CHARACTER = r"[^ \t\n\r0-9txyi()*/^+-]"
 _SIGNS = ("+", "-")
 _VARIABLES = ("t", "x", "y")  # a tuple: "" (end of input) is in every string
 
@@ -630,7 +636,7 @@ class _TokenError(Exception):
 
 
 def parse(text: str) -> LaurentPoly:
-    """Parse the canonical grammar (whitespace insignificant) into a polynomial.
+    """Parse the canonical grammar (spaces, tabs and line breaks insignificant).
 
     Each term is read into its packed key and one scalar, and the polynomial
     is built once from all the terms by _collect, as LaurentPoly(terms) is.

@@ -1,14 +1,17 @@
 """Differential and bilinear operators on Laurent polynomials.
 
 L_X = (x^2-1) d/dx and L_Y = (y^2-1) d/dy generate the light-cone pair
-L_plus = L_X + L_Y and L_minus = L_X - L_Y; l_plus and l_minus apply them in
-u = (x+y)/2, v = (x-y)/2, u in the x slot and v in the y slot.  Hirota
-derivatives are the antisymmetrized bilinear derivatives built from any of
-these derivations, and the deformation operator F couples second-order
-Hirota terms in x and y with first-order product derivatives and -2 n^2.
+L_plus = L_X + L_Y and L_minus = L_X - L_Y.  All but the x-only l_x and
+apply_F_weyl act in u = (x+y)/2 (the x slot) and v = (x-y)/2 (the y slot),
+where 2 d/dx = d/du + d/dv and 2 d/dy = d/du - d/dv.  Hirota derivatives are
+the antisymmetrized bilinear derivatives built from these derivations, and
+the deformation operator F couples second-order Hirota terms in x and y with
+first-order product derivatives and -2 n^2.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 from .laurent import (
     LaurentPoly,
@@ -18,49 +21,49 @@ from .laurent import (
 )
 
 X2_MINUS_1 = LaurentPoly({(0, 2, 0): 1, (0, 0, 0): -1})
-Y2_MINUS_1 = LaurentPoly({(0, 0, 2): 1, (0, 0, 0): -1})
 _UV_SQUARES_MINUS_1 = LaurentPoly({(0, 2, 0): 1, (0, 0, 2): 1, (0, 0, 0): -1})
 _TWO_UV = LaurentPoly({(0, 1, 1): 2})
+_HALF = Fraction(1, 2)
 
 
 def l_x(p: LaurentPoly) -> LaurentPoly:
     return X2_MINUS_1 * differentiate(p, "x")
 
 
-def l_y(p: LaurentPoly) -> LaurentPoly:
-    return Y2_MINUS_1 * differentiate(p, "y")
-
-
 def l_plus(p: LaurentPoly) -> LaurentPoly:
     """L_X + L_Y in u, v: (u^2+v^2-1) d/du + 2uv d/dv."""
-    return _UV_SQUARES_MINUS_1 * differentiate(p, "x") + _TWO_UV * differentiate(p, "y")
+    return _light_cone(differentiate(p, "x"), differentiate(p, "y"))
 
 
 def l_minus(p: LaurentPoly) -> LaurentPoly:
     """L_X - L_Y in u, v: 2uv d/du + (u^2+v^2-1) d/dv."""
-    return _TWO_UV * differentiate(p, "x") + _UV_SQUARES_MINUS_1 * differentiate(p, "y")
+    return _light_cone(differentiate(p, "y"), differentiate(p, "x"))
+
+
+def _light_cone(along: LaurentPoly, across: LaurentPoly) -> LaurentPoly:
+    """(u^2+v^2-1) along + 2uv across: L_plus p from (p_u, p_v), L_minus p from (p_v, p_u)."""
+    return _UV_SQUARES_MINUS_1 * along + _TWO_UV * across
 
 
 def hirota(var: str, f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     """First-order Hirota derivative D_var f.g = (D f) g - f (D g), var 'x' or 'y'."""
     if var not in ("x", "y"):
         raise ValueError(f"unknown Hirota variable {var!r}")
-    return differentiate(f, var) * g - f * differentiate(g, var)
+    twice = lambda p: differentiate(p, "x") + differentiate(p, "y") * (1 if var == "x" else -1)
+    return _HALF * (twice(f) * g - f * twice(g))
 
 
 def hirota_dst(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
-    """Mixed D_S D_T bracket on x,y-polynomials (f, g), from L_X and L_Y.
+    """Mixed D_S D_T bracket L-L+ f.g - L+f L-g - L-f L+g + f L-L+ g.
 
     Four products of the operands' size; the bracket is symmetric, so for
     f == g its two cross terms are equal and two products suffice.
     """
-    fx, fy = l_x(f), l_y(f)
-    pf, mf = fx + fy, fx - fy
+    pf, mf = l_plus(f), l_minus(f)
     if f == g:
-        return 2 * ((l_x(pf) - l_y(pf)) * f - pf * mf)
-    gx, gy = l_x(g), l_y(g)
-    pg, mg = gx + gy, gx - gy
-    return (l_x(pf) - l_y(pf)) * g - pf * mg - mf * pg + f * (l_x(pg) - l_y(pg))
+        return 2 * (l_minus(pf) * f - pf * mf)
+    pg, mg = l_plus(g), l_minus(g)
+    return l_minus(pf) * g - pf * mg - mf * pg + f * l_minus(pg)
 
 
 def apply_F(n: int, a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
@@ -73,25 +76,26 @@ def apply_F(n: int, a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     is what makes the bilinear pair equations close.  Symmetric in a and b.
     Collecting terms gives, with M p = ((x^2-1) p_x)_x + ((y^2-1) p_y)_y,
 
-        (M a + c_n a) b + a (M b) - 2 [(x^2-1) a_x b_x + (y^2-1) a_y b_y],
+        (M a + c_n a) b + a (M b) - 2 [(x^2-1) a_x b_x + (y^2-1) a_y b_y].
 
-    four products of the operands' size where the bracket form takes seven.
+    In u, v, M p = (d/du L_plus p + d/dv L_minus p) / 2 and the bracket is
+    (a_u L_plus b + a_v L_minus b) / 2: four products where the bracket form takes seven.
     """
     return apply_F_operands(n, F_operand(a), F_operand(b))
 
 
-def F_operand(p: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly, LaurentPoly, LaurentPoly]:
-    """(p, p_x, p_y, M p): what F reads of one operand, so it can be made once."""
-    px, py = differentiate(p, "x"), differentiate(p, "y")
-    return p, px, py, differentiate(X2_MINUS_1 * px, "x") + differentiate(Y2_MINUS_1 * py, "y")
+def F_operand(p: LaurentPoly) -> tuple[LaurentPoly, ...]:
+    """(p, p_u, p_v, L_plus p, L_minus p, M p): what F reads of one operand, made once."""
+    pu, pv = differentiate(p, "x"), differentiate(p, "y")
+    plus, minus = _light_cone(pu, pv), _light_cone(pv, pu)
+    return p, pu, pv, plus, minus, _HALF * (differentiate(plus, "x") + differentiate(minus, "y"))
 
 
 def apply_F_operands(n: int, a: tuple, b: tuple) -> LaurentPoly:
     """apply_F(n, a, b) on operands made by F_operand."""
-    (a, ax, ay, m_a), (b, bx, by, m_b) = a, b
+    (a, au, av, _, _, m_a), (b, _, _, plus_b, minus_b, m_b) = a, b
     c_n = -2 * n * n
-    return ((m_a + c_n * a) * b + a * m_b
-            - 2 * (X2_MINUS_1 * (ax * bx) + Y2_MINUS_1 * (ay * by)))
+    return (m_a + c_n * a) * b + a * m_b - (au * plus_b + av * minus_b)
 
 
 def apply_F_weyl(n: int, a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:

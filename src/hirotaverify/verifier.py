@@ -2,8 +2,9 @@
 
 Every check reduces a claimed identity to a residual Laurent polynomial and
 passes exactly when that residual is identically zero; failures carry the
-leading residual term as a witness.  Identities in t are verified as full
-Laurent-polynomial statements, which is stronger than the physical unit
+leading residual term, read in x, y, as a witness.  The site table and the
+operators work in u = (x+y)/2, v = (x-y)/2.  Identities in t are verified as
+full Laurent-polynomial statements, which is stronger than the physical unit
 circle slice where the rotation parameters are real.
 """
 
@@ -21,6 +22,7 @@ from .laurent import (
     conjugate_coeffs,
     differentiate,
     evaluate,
+    from_uv,
     monomial,
     serialize,
     subst_t_inverse,
@@ -28,6 +30,7 @@ from .laurent import (
     subst_t_times_i,
     subst_y_negate,
     swap_xy,
+    to_uv,
 )
 from .operators import (
     F_operand,
@@ -36,8 +39,8 @@ from .operators import (
     apply_F_weyl,
     hirota,
     hirota_dst,
-    l_x,
-    l_y,
+    l_minus,
+    l_plus,
 )
 from .wronskian import TauFamily, sylvester_minors
 
@@ -126,15 +129,15 @@ def _report(
 # -- bilinear identities --------------------------------------------------------
 
 class _Site:
-    """A sequence pair g, f read around site n, and the identities there.
+    """A sequence pair g, f read around site n in u, v, and the identities there.
 
     Each of g and f holds the polynomials at sites n-1, n and n+1.  Only the
     Toda and mixed identities read the neighbours, so they may be None where
     the sequence ends.
     star(g_n), star(f_n), the F operands of all four and each IDENTITIES
     entry are computed on first use, once each.  An identity keeps its
-    residual and the term count of its lhs at each power of t, counted when
-    it is formed; the lhs itself is dropped.
+    residual and the u,v term count of its lhs at each power of t, counted
+    when it is formed; the lhs itself is dropped.
     """
 
     def __init__(self, n: int, g: Sequence, f: Sequence):
@@ -173,8 +176,11 @@ def _family_site(fam: TauFamily, n: int, reach: int = 0) -> _Site:
     if not 1 <= n <= fam.n_max - reach:
         raise ValueError(f"need 1 <= n <= {fam.n_max - reach}, got {n}")
     if n not in fam.sites:
-        around = lambda seq: [seq[k] if k <= fam.n_max else None for k in (n - 1, n, n + 1)]
-        fam.sites[n] = _Site(n, around(fam.g), around(fam.f))
+        for name, k in ((name, k) for name in ("tau", "f") for k in range(n - 1, n + 2)):
+            if (name, k) not in fam.sites and k <= fam.n_max:  # fam.<name>[k] in u, v, made once
+                fam.sites[name, k] = to_uv(getattr(fam, name)[k])
+        around = lambda name: [fam.sites.get((name, k)) for k in (n - 1, n, n + 1)]
+        fam.sites[n] = _Site(n, around("tau"), around("f"))
     return fam.sites[n]
 
 
@@ -201,14 +207,14 @@ IDENTITIES: dict[str, Callable[[_Site], tuple[LaurentPoly, LaurentPoly]]] = {
 def _identity_report(eq_id: str, name: str, site: _Site, **fields) -> CheckReport:
     """The row for one identity at one site: its residual lhs - rhs."""
     started = time.perf_counter()
-    return _report(eq_id, site.n, site.identity(name), started, **fields)
+    return _report(eq_id, site.n, from_uv(site.identity(name)), started, **fields)
 
 
 def check_toda(fam: TauFamily, n: int, which: Literal["tau", "f"] = "tau") -> CheckReport:
     """Residual of D_S D_T a_n . a_n - 2 a_{n+1} a_{n-1} for a in {tau, f}."""
-    site = _family_site(fam, n, 1)
-    name, subject = {"tau": ("toda.g", site.g), "f": ("toda.f", site.f)}[which]
-    return _identity_report(f"toda.{which}", name, site, term_count=subject.term_count)
+    name = {"tau": "toda.g", "f": "toda.f"}[which]
+    return _identity_report(f"toda.{which}", name, _family_site(fam, n, 1),
+                            term_count=getattr(fam, which)[n].term_count)
 
 
 def check_mixed(fam: TauFamily, n: int) -> CheckReport:
@@ -226,11 +232,9 @@ def jacobi_residual(fam: TauFamily, n: int) -> LaurentPoly:
     """
     site = _family_site(fam, n, 1)
     g, (d_nn, d_sr, d_rs) = site.g, sylvester_minors(n)
-    lx, ly = l_x(g), l_y(g)
-    plus, minus = lx + ly, lx - ly
-    return (Fraction(1, 2) * site.identity("toda.g")
-            + (d_nn - (l_x(plus) - l_y(plus))) * g
-            - (d_sr - minus) * d_rs - minus * (d_rs - plus))
+    plus, minus = l_plus(g), l_minus(g)
+    return from_uv(Fraction(1, 2) * site.identity("toda.g") + (d_nn - l_minus(plus)) * g
+                   - (d_sr - minus) * d_rs - minus * (d_rs - plus))
 
 
 def jacobi_identity_check(fam: TauFamily, n: int) -> CheckReport:
@@ -251,9 +255,9 @@ def check_symmetries(fam: TauFamily, n: int) -> list[CheckReport]:
     """Structural symmetries of g_n and f_n in the t parametrization.
 
     prop1: star equals plain t -> 1/t (coefficients are real).
-    prop2: star equals y -> -y.
+    prop2: star equals y -> -y, which swaps u and v.
     prop3: t -> -t scales by (-1)^n on g and (-1)^{n-1} on f.
-    prop4: t -> i t equals (-i)^{n^2} (swap x,y) on g and (-i)^{n^2-1} on f.
+    prop4: t -> i t equals (-i)^{n^2} (swap x,y, which is v -> -v) on g and (-i)^{n^2-1} on f.
     mirror: the t^-m coefficient is the y-reflection of the t^m one (prop2 - prop1).
     """
     site, reports = _family_site(fam, n), []
@@ -261,17 +265,17 @@ def check_symmetries(fam: TauFamily, n: int) -> list[CheckReport]:
         p, res = getattr(site, name), {}
         for prop, residual_fn in (
             ("prop1", lambda: getattr(site, name + "s") - subst_t_inverse(p)),
-            ("prop2", lambda: getattr(site, name + "s") - subst_y_negate(p)),
+            ("prop2", lambda: getattr(site, name + "s") - swap_xy(p)),
             ("prop3", lambda: subst_t_negate(p) - (-1) ** (n - k) * p),
-            ("prop4", lambda: subst_t_times_i(p) - minus_i_power(n * n - k) * swap_xy(p)),
+            ("prop4", lambda: subst_t_times_i(p) - minus_i_power(n * n - k) * subst_y_negate(p)),
             # prop2 - prop1 is p(1/t) - p(-y), whose t^m coefficient is c_{-m} - (y -> -y)(c_m):
             # each order keeps its own t-slot, so distinct failures cannot cancel.
             ("mirror", lambda: res["prop2"] - res["prop1"]),
         ):
             started = time.perf_counter()
             res[prop] = residual_fn()
-            reports.append(_report(f"{prop}.{name}", n, res[prop], started,
-                                   term_count=p.term_count))
+            reports.append(_report(f"{prop}.{name}", n, from_uv(res[prop]), started,
+                                   term_count=getattr(fam, name)[n].term_count))
     return reports
 
 
@@ -322,7 +326,7 @@ def check_su11(
     reports = []
     for name, residual in combinations.items():
         started = time.perf_counter()
-        reports.append(_report(f"su11.{name}", n, residual(), started, **fields))
+        reports.append(_report(f"su11.{name}", n, from_uv(residual()), started, **fields))
     return reports
 
 
@@ -338,7 +342,7 @@ class OrderwiseSystem(NamedTuple):
 
 # Each identity expanded in t.  The order-I equation is the coefficient of
 # t^(K-2I) on both sides, and an order I above D is generated from its
-# partner K - I by y -> -y.
+# partner K - I by y -> -y, which swaps u and v.
 ORDERWISE_SYSTEMS = {
     "g": OrderwiseSystem("orderwise-A", "toda.g", 0, 0, ("TD1", "TD2", "TD3")),
     "f": OrderwiseSystem("orderwise-A", "toda.f", -2, -1, ("TD4", "TD5", "TD6")),
@@ -388,16 +392,16 @@ def check_orderwise(fam: TauFamily, n: int, system: str) -> list[CheckReport]:
         residuals.append(residual)
         eq_id, note = mid_id if I == middle else low_id, None
         if I > direct_end:
-            eq_id, mirrored = mirror_id, subst_y_negate(residuals[top - I])
+            eq_id, mirrored = mirror_id, swap_xy(residuals[top - I])
             if residual != mirrored:
                 residual, note = residual - mirrored, "route mismatch"
-        reports.append(_report(eq_id, n, residual, started, order_index=I,
+        reports.append(_report(eq_id, n, from_uv(residual), started, order_index=I,
                                term_count=lhs_terms.get(top - 2 * I, 0), note=note))
         started = time.perf_counter()
     off_pattern = by_order.keys() - set(range(-top, top + 1, 2))
     if off_pattern:
         m = max(off_pattern)
-        mono, coeff = by_order[m].leading_term()
+        mono, coeff = from_uv(by_order[m]).leading_term()
         reports.append(_report(low_id, n, monomial(coeff, m, mono.ex, mono.ey), started,
                                note="off the t^(K-2I) pattern"))
     return reports
@@ -447,20 +451,21 @@ def ernst_residual_numeric(
     over one denominator, so it is tested for zero in integers.  A point
     that cannot be used (|t| != 1, or a vanishing denominator) is an "error".
     """
-    site = _family_site(fam, n)
-    (_, gx, gy, _), (_, fx, fy, _) = site.g_F, site.f_F
+    site, half = _family_site(fam, n), Fraction(1, 2)
+    x, y = to_uv(monomial(1, ex=1)), to_uv(monomial(1, ey=1))
+    # The site's u,v-polynomials, valued at u = (x+y)/2, v = (x-y)/2; p_x, p_y = d(p, 1), d(p, -1).
+    d = lambda p, sign: half * (differentiate(p, "x") + sign * differentiate(p, "y"))
+    gx, gy, fx, fy = d(site.g, 1), d(site.g, -1), d(site.f, 1), d(site.f, -1)
     # With p = g_x f - g f_x and q = g_y f - g f_y, the g_x f_x and g_y f_y
     # terms cancel from p_x and q_y; every factor is a value at the point,
     # the coefficients 2x, x^2 - 1, -2y and 1 - y^2 last.
     polys = (site.f, site.fs, site.g, site.gs, gx, gy, fx, fy,
-             differentiate(gx, "x"), differentiate(gy, "y"), differentiate(fx, "x"),
-             differentiate(fy, "y"), monomial(2, ex=1), monomial(1, ex=2) - 1,
-             monomial(-2, ey=1), 1 - monomial(1, ey=2))
+             d(gx, 1), d(gy, -1), d(fx, 1), d(fy, -1), 2 * x, x * x - 1, -2 * y, 1 - y * y)
 
     def outcome(x0, y0, t0) -> tuple[str, str | None]:
         if t0.abs2() != 1:
             return "error", "sample point violates |t| = 1"
-        values, den = evaluate(polys, x0, y0, t0)
+        values, den = evaluate(polys, (x0 + y0) * half, (x0 - y0) * half, t0)
         (f, fs, g, gs, gx, gy, fx, fy, gxx, gyy, fxx, fyy,
          two_x, x2m1, minus_2y, one_m_y2) = (_GaussInt(*v) for v in values)
         if f == (0, 0) or fs == (0, 0):
@@ -653,9 +658,9 @@ def _check_weyl_lock() -> CheckReport:
     started = time.perf_counter()
     for n, i, j in ((n, i, j) for n in range(1, 5) for i in range(3) for j in range(3)):
         a, b = monomial(1, ex=i), monomial(1, ex=j)
-        diff = apply_F(n, a, b) - apply_F_weyl(n, a, b)
+        diff = apply_F(n, to_uv(a), to_uv(b)) - to_uv(apply_F_weyl(n, a, b))
         if not diff.is_zero:
-            return _report("weyl.lock", n, diff, started, order_index=3 * i + j)
+            return _report("weyl.lock", n, from_uv(diff), started, order_index=3 * i + j)
     return _report("weyl.lock", 0, ZERO, started, note="forms agree on every x-only pair at n=1..4")
 
 

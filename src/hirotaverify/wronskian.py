@@ -8,8 +8,8 @@ principal minors, and its working rows the bordered minors of Sylvester's
 identity.  The tests keep plain cofactor expansion as an independent oracle.
 
 Every Wronskian is built and eliminated in the light-cone basis u = (x+y)/2,
-v = (x-y)/2, where the seed is t v + u/t.  Each minor handed out leaves
-through one from_uv call, so TauFamily and its cache file hold x,y-polynomials.
+v = (x-y)/2, where the seed is t v + u/t.  Each family minor leaves through
+one from_uv call, so TauFamily and its cache file hold x,y-polynomials.
 """
 
 from __future__ import annotations
@@ -214,8 +214,8 @@ class TauFamily(NamedTuple("TauFamily", [("n_max", int), ("tau", tuple), ("f", t
             )
         if f"{zlib.crc32(body):08x}" != match.group(2):
             raise ValueError(f"{path}: cache body does not match its CRC-32")
-        # A byte that is not UTF-8 reads as U+FFFD, which no line's grammar admits.
-        lines = body.decode(errors="replace").splitlines()
+        # Only "\n" ends a line; a byte that is not UTF-8 reads as U+FFFD, which no line admits.
+        lines = body.decode(errors="replace").removesuffix("\n").split("\n")
         # N from the line count; a short, long or reordered body fails at its first wrong line.
         n_max = max(1, len(lines) // 2 - 1)
         prefixes = [f"{key} n={k}: " for key in ("tau", "f") for k in range(n_max + 1)]
@@ -240,7 +240,7 @@ class TauFamily(NamedTuple("TauFamily", [("n_max", int), ("tau", tuple), ("f", t
 
 
 def sylvester_minors(n: int) -> tuple[LaurentPoly, LaurentPoly, LaurentPoly]:
-    """D[n;n], D[n+1;n] and D[n;n+1] of the (n+1) x (n+1) seed Wronskian, in x, y.
+    """D[n;n], D[n+1;n] and D[n;n+1] of the (n+1) x (n+1) seed Wronskian, in u, v.
 
     D[i; j] deletes row i and column j (1-based).  Each is the (n-1)-dimensional leading
     block bordered by one of the last two rows and columns, read before elimination step n-1.
@@ -248,4 +248,4 @@ def sylvester_minors(n: int) -> tuple[LaurentPoly, LaurentPoly, LaurentPoly]:
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     a = next(islice(_eliminate(wronskian_matrix(build_psi(), n + 1)), n - 1, None))
-    return from_uv(a[n][n]), from_uv(a[n - 1][n]), from_uv(a[n][n - 1])
+    return a[n][n], a[n - 1][n], a[n][n - 1]

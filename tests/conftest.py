@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
 from hirotaverify.closedform import a_coeff, half_gamma_ratio
-from hirotaverify.gaussian import GaussianRational
+from hirotaverify.gaussian import GaussianRational, minus_i_power
 from hirotaverify.laurent import (
     ONE,
     ZERO,
@@ -16,17 +16,15 @@ from hirotaverify.laurent import (
     differentiate,
     from_uv,
     monomial,
+    serialize,
+    subst_t_inverse,
+    subst_t_negate,
+    subst_t_times_i,
     subst_y_negate,
+    swap_xy,
+    to_uv,
 )
-from hirotaverify.operators import (
-    X2_MINUS_1,
-    Y2_MINUS_1,
-    apply_F,
-    hirota,
-    hirota_dst,
-    l_x,
-    l_y,
-)
+from hirotaverify.operators import X2_MINUS_1, l_x
 from hirotaverify import verifier as V
 from hirotaverify.verifier import CheckReport, star
 from hirotaverify.wronskian import SymMatrix, TauFamily, _leading_minors, sylvester_minors
@@ -66,7 +64,8 @@ def orderwise_oracle(
     """Left and right side of the order-I equation of one orderwise system at site n.
 
     The paper's convolution sums over the coefficient polynomials, written
-    independently of the whole identities the verifier expands.  Out-of-range
+    independently of the whole identities the verifier expands, with the
+    x,y product forms of the operators below.  Out-of-range
     Laurent coefficients enter as zero, so one formula covers the low-order,
     middle and mirrored cases alike.  Only the coefficients that the parity
     of g_n (t^n, t^(n-2), ...) and f_n (t^(n-1), ...) allows are read.
@@ -76,29 +75,29 @@ def orderwise_oracle(
     lhs, rhs = ZERO, ZERO
     for J in range(I + 1):
         if system == "g":
-            lhs = lhs + hirota_dst(gt(n, n - 2 * J), gt(n, n - 2 * I + 2 * J))
+            lhs = lhs + hirota_dst_oracle(gt(n, n - 2 * J), gt(n, n - 2 * I + 2 * J))
             rhs = rhs + 2 * (gt(n + 1, n - 2 * J + 1) * gt(n - 1, n - 2 * I + 2 * J - 1))
         elif system == "f":
-            lhs = lhs + hirota_dst(ft(n, n - 2 * J - 1), ft(n, n - 2 * I + 2 * J - 1))
+            lhs = lhs + hirota_dst_oracle(ft(n, n - 2 * J - 1), ft(n, n - 2 * I + 2 * J - 1))
             rhs = rhs + 2 * (ft(n + 1, n - 2 * J) * ft(n - 1, n - 2 * I + 2 * J - 2))
         elif system == "mixed":
-            lhs = lhs + hirota_dst(ft(n, n - 2 * J - 1), gt(n, n - 2 * I + 2 * J))
+            lhs = lhs + hirota_dst_oracle(ft(n, n - 2 * J - 1), gt(n, n - 2 * I + 2 * J))
             rhs = (
                 rhs
                 + ft(n + 1, n - 2 * J) * gt(n - 1, n - 2 * I + 2 * J - 1)
                 + ft(n - 1, n - 2 * J - 2) * gt(n + 1, n - 2 * I + 2 * J + 1)
             )
         elif system == "B1":
-            lhs = lhs + hirota("x", gt(n, n - 2 * J), ft(n, n - 2 * I + 2 * J - 1))
-            lhs = lhs - hirota("x", gt(n, -n + 2 * J), ft(n, -n + 2 * I - 2 * J + 1))
+            lhs = lhs + hirota_xy("x", gt(n, n - 2 * J), ft(n, n - 2 * I + 2 * J - 1))
+            lhs = lhs - hirota_xy("x", gt(n, -n + 2 * J), ft(n, -n + 2 * I - 2 * J + 1))
         elif system == "B2":
-            lhs = lhs + hirota("y", gt(n, n - 2 * J), ft(n, n - 2 * I + 2 * J - 1))
-            lhs = lhs + hirota("y", gt(n, -n + 2 * J), ft(n, -n + 2 * I - 2 * J + 1))
+            lhs = lhs + hirota_xy("y", gt(n, n - 2 * J), ft(n, n - 2 * I + 2 * J - 1))
+            lhs = lhs + hirota_xy("y", gt(n, -n + 2 * J), ft(n, -n + 2 * I - 2 * J + 1))
         elif system == "B3":
-            lhs = lhs + apply_F(n, gt(n, -n + 2 * J), ft(n, n - 2 * I + 2 * J - 1))
+            lhs = lhs + apply_F_oracle(n, gt(n, -n + 2 * J), ft(n, n - 2 * I + 2 * J - 1))
         elif system == "B4":
-            lhs = lhs + apply_F(n, gt(n, -n + 2 * J), gt(n, n - 2 * I + 2 * J))
-            lhs = lhs + apply_F(n, ft(n, -n + 2 * J + 1), ft(n, n - 2 * I + 2 * J + 1))
+            lhs = lhs + apply_F_oracle(n, gt(n, -n + 2 * J), gt(n, n - 2 * I + 2 * J))
+            lhs = lhs + apply_F_oracle(n, ft(n, -n + 2 * J + 1), ft(n, n - 2 * I + 2 * J + 1))
         else:
             raise ValueError(f"unknown orderwise system {system!r}")
     return lhs, rhs
@@ -122,8 +121,8 @@ def mirror_oracle(p: LaurentPoly) -> LaurentPoly:
 # -- Sylvester's identity by its direct formula -------------------------------------
 
 def sylvester_oracle(fam: TauFamily, n: int) -> LaurentPoly:
-    """D[n;n] tau_n - D[n+1;n] D[n;n+1] - tau_{n+1} tau_{n-1}, as three products of the minors."""
-    d_nn, d_sr, d_rs = sylvester_minors(n)
+    """D[n;n] tau_n - D[n+1;n] D[n;n+1] - tau_{n+1} tau_{n-1}, as three products of the minors in x, y."""
+    d_nn, d_sr, d_rs = map(from_uv, sylvester_minors(n))
     return d_nn * fam.tau[n] - d_sr * d_rs - fam.tau[n + 1] * fam.tau[n - 1]
 
 
@@ -156,6 +155,13 @@ def psi_xy() -> LaurentPoly:
     half = Fraction(1, 2)
     return LaurentPoly({Monomial(1, 1, 0): half, Monomial(1, 0, 1): -half,
                         Monomial(-1, 1, 0): half, Monomial(-1, 0, 1): half})
+
+
+Y2_MINUS_1 = LaurentPoly({(0, 0, 2): 1, (0, 0, 0): -1})
+
+
+def l_y(p: LaurentPoly) -> LaurentPoly:
+    return Y2_MINUS_1 * differentiate(p, "y")
 
 
 def l_plus_xy(p: LaurentPoly) -> LaurentPoly:
@@ -243,6 +249,13 @@ def serialize_oracle(p: LaurentPoly) -> str:
 
 
 # -- the operators and the Ernst residual in their textbook product forms -------
+#
+# Every form here works in x, y; the library's operators work in u, v.
+
+def hirota_xy(var: str, f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
+    """First-order Hirota derivative (D f) g - f (D g), D = d/dx or d/dy."""
+    return differentiate(f, var) * g - f * differentiate(g, var)
+
 
 def hirota_second(var: str, f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     """Second-order Hirota derivative (D^2 f) g - 2 (D f)(D g) + f (D^2 g)."""
@@ -342,18 +355,112 @@ def su11_direct(fam: TauFamily, n: int, params: V.Su11Params,
 
     Sites n-1, n and n+1 are transformed to g' = alpha g + beta* f and
     f' = beta g + alpha* f, and each IDENTITIES entry is evaluated on them
-    with non-real operands, independently of the family's site table.
+    in u, v with non-real operands, independently of the family's site table.
     """
     V._family_site(fam, n, 1)
-    site = V._Site(n, *zip(*(su11_transform(fam, k, params) for k in (n - 1, n, n + 1))))
+    pairs = [su11_transform(fam, k, params) for k in (n - 1, n, n + 1)]
+    site = V._Site(n, *zip(*([to_uv(p) for p in pair] for pair in pairs)))
     note = f"alpha={params.alpha}, beta={params.beta}"
     reports = []
     for name, identity in V.IDENTITIES.items():
         started = time.perf_counter()
         lhs, rhs = identity(site)
-        reports.append(V._report(f"su11.{name}", n, lhs - rhs, started, order_index=pair_index,
-                                 term_count=site.g.term_count, note=note))
+        reports.append(V._report(f"su11.{name}", n, from_uv(lhs - rhs), started,
+                                 order_index=pair_index, term_count=pairs[1][0].term_count,
+                                 note=note))
     return reports
+
+
+# -- the identities and the rows of the site table, all in x, y ---------------------
+
+def identity_oracle(fam: TauFamily, n: int) -> dict[str, tuple[LaurentPoly, LaurentPoly]]:
+    """(lhs, rhs) of each verifier.IDENTITIES entry at site n < fam.n_max, in x, y.
+
+    Built with the x,y product forms above, not with the library's operators.
+    """
+    g, f, gs, fs = fam.g[n], fam.f[n], star(fam.g[n]), star(fam.f[n])
+    (g_lo, g_hi), (f_lo, f_hi) = (fam.g[n - 1], fam.g[n + 1]), (fam.f[n - 1], fam.f[n + 1])
+    return {
+        "toda.g": (hirota_dst_oracle(g, g), 2 * (g_hi * g_lo)),
+        "toda.f": (hirota_dst_oracle(f, f), 2 * (f_hi * f_lo)),
+        "mixed": (hirota_dst_oracle(f, g), f_hi * g_lo + f_lo * g_hi),
+        "tsdec1": (hirota_xy("x", g, f) - hirota_xy("x", gs, fs), ZERO),
+        "tsdec2": (hirota_xy("y", g, f) + hirota_xy("y", gs, fs), ZERO),
+        "tsdec3": (apply_F_oracle(n, gs, f), ZERO),
+        "tsdec4": (apply_F_oracle(n, gs, g) + apply_F_oracle(n, fs, f), ZERO),
+    }
+
+
+def row_outcome(residual: LaurentPoly) -> tuple[str, str | None]:
+    """(status, witness) of a row whose residual is the given x,y-polynomial."""
+    if residual.is_zero:
+        return "pass", None
+    mono, coeff = residual.leading_term()
+    return "fail", serialize(LaurentPoly({mono: coeff}))
+
+
+def site_rows_oracle(fam: TauFamily, n_max: int) -> list[tuple]:
+    """(equation_id, n, order_index, status, witness, note) of every row of the suites
+    that read the site table, at sites 1..n_max < fam.n_max, in report order.
+
+    Every residual is formed in x, y: the identities by identity_oracle, the
+    jacobi rows by sylvester_oracle, the symmetry rows with y -> -y and x <-> y
+    as written, the orderwise rows from the t-coefficients of the identity
+    residuals with the y -> -y mirror, and the Ernst rows by ernst_oracle.
+    """
+    rows = []
+    row = lambda eq, n, residual, index=None, note=None: rows.append(
+        (eq, n, index, *row_outcome(residual), note))
+    for n in range(1, n_max + 1):
+        res = {name: lhs - rhs for name, (lhs, rhs) in identity_oracle(fam, n).items()}
+        row("toda.tau", n, res["toda.g"])
+        row("toda.g", n, res["toda.g"], note="g_n = tau_n")
+        row("toda.f", n, res["toda.f"])
+        row("mixed", n, res["mixed"])
+        row("jacobi", n, sylvester_oracle(fam, n))
+        for name in ("tsdec1", "tsdec2", "tsdec3", "tsdec4"):
+            row(name, n, res[name])
+        for k, (name, p) in enumerate((("g", fam.g[n]), ("f", fam.f[n]))):
+            props = {"prop1": star(p) - subst_t_inverse(p), "prop2": star(p) - subst_y_negate(p),
+                     "prop3": subst_t_negate(p) - (-1) ** (n - k) * p,
+                     "prop4": subst_t_times_i(p) - minus_i_power(n * n - k) * swap_xy(p)}
+            props["mirror"] = props["prop2"] - props["prop1"]
+            for prop, residual in props.items():
+                row(f"{prop}.{name}", n, residual)
+        for system, spec in V.ORDERWISE_SYSTEMS.items():
+            top, direct_end = V.orderwise_span(n, system)
+            low, middle_id, mirror_id = spec.case_ids
+            middle = 0 if system == "B4" else direct_end
+            by_order = res[spec.identity].t_coefficients()
+            for I in range(top + 1):
+                residual, eq, note = by_order.get(top - 2 * I, ZERO), low, None
+                if I == middle:
+                    eq = middle_id
+                if I > direct_end:
+                    eq, mirrored = mirror_id, subst_y_negate(by_order.get(2 * I - top, ZERO))
+                    if residual != mirrored:
+                        residual, note = residual - mirrored, "route mismatch"
+                row(eq, n, residual, I, note)
+            off_pattern = by_order.keys() - set(range(-top, top + 1, 2))
+            if off_pattern:
+                m = max(off_pattern)
+                mono, coeff = by_order[m].leading_term()
+                row(low, n, monomial(coeff, m, mono.ex, mono.ey), note="off the t^(K-2I) pattern")
+        for index, (x0, y0, t0) in enumerate(V.DEFAULT_ERNST_POINTS):
+            rows.append(("ernst", n, index, *ernst_oracle(fam.g[n], fam.f[n], (x0, y0, t0)),
+                         f"x={x0}, y={y0}, t={t0}"))
+    return sorted(rows, key=lambda r: (r[0], r[1], -1 if r[2] is None else r[2]))
+
+
+def su11_rows_oracle(fam: TauFamily, n: int, params: V.Su11Params,
+                     pair_index: int = 0) -> list[tuple]:
+    """check_su11's (equation_id, n, order_index, status, witness, note) rows, in x, y:
+    every identity of the transformed family by identity_oracle."""
+    moved = TauFamily(fam.n_max, *zip(*(su11_transform(fam, k, params)
+                                        for k in range(fam.n_max + 1))))
+    note = f"alpha={params.alpha}, beta={params.beta}"
+    return [(f"su11.{name}", n, pair_index, *row_outcome(lhs - rhs), note)
+            for name, (lhs, rhs) in identity_oracle(moved, n).items()]
 
 
 # -- hypothesis strategies ----------------------------------------------------

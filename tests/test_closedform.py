@@ -15,7 +15,7 @@ from hirotaverify.closedform import (
     w_formula,
     w_recursive,
 )
-from hirotaverify.laurent import ONE, ZERO, from_uv, monomial, parse, subst_y_negate
+from hirotaverify.laurent import ONE, ZERO, from_uv, monomial, parse, subst_y_negate, to_uv
 from hirotaverify.operators import hirota_dst
 from hirotaverify.wronskian import SymMatrix
 
@@ -148,12 +148,13 @@ class TestExtremeCoefficients:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_highest_order_lattice_equations(self, n):
         # The extreme coefficients satisfy the top-order bilinear equations.
-        g_residual = hirota_dst(g_high(n), g_high(n)) - 2 * g_high(n + 1) * g_high(n - 1)
+        dst = lambda a, b: from_uv(hirota_dst(to_uv(a), to_uv(b)))
+        g_residual = dst(g_high(n), g_high(n)) - 2 * g_high(n + 1) * g_high(n - 1)
         assert g_residual.is_zero
-        f_residual = hirota_dst(f_high(n), f_high(n)) - 2 * f_high(n + 1) * f_high(n - 1)
+        f_residual = dst(f_high(n), f_high(n)) - 2 * f_high(n + 1) * f_high(n - 1)
         assert f_residual.is_zero
         mixed = (
-            hirota_dst(f_high(n), g_high(n))
+            dst(f_high(n), g_high(n))
             - f_high(n + 1) * g_high(n - 1)
             - f_high(n - 1) * g_high(n + 1)
         )

@@ -14,10 +14,12 @@ from hirotaverify.laurent import (
     ZERO,
     LaurentPoly,
     differentiate,
+    from_uv,
     monomial,
     parse,
     serialize,
     subst_y_negate,
+    to_uv,
 )
 from hirotaverify import operators
 from hirotaverify.operators import apply_F, apply_F_weyl, hirota, hirota_dst
@@ -27,11 +29,15 @@ from hirotaverify.wronskian import TauFamily
 from conftest import (
     ernst_oracle,
     gaussians,
+    identity_oracle,
     mirror_oracle,
     orderwise_oracle,
     polys,
     random_su11_params,
+    row_outcome,
+    site_rows_oracle,
     su11_direct,
+    su11_rows_oracle,
     su11_transform,
     sylvester_oracle,
 )
@@ -145,7 +151,7 @@ class TestSymmetries:
         star = V.star
         monkeypatch.setattr(V, "star", counting)
         assert all(r.passed for r in V.check_symmetries(fam5, 3))
-        assert stars == [fam5.g[3], fam5.f[3]]
+        assert stars == [to_uv(fam5.g[3]), to_uv(fam5.f[3])]
 
     def test_quarter_turn_small_phases(self, fam5):
         from hirotaverify.gaussian import minus_i_power
@@ -180,8 +186,8 @@ class TestSymmetries:
         assert serialize(mirror_oracle(damaged.g[2])) == "(-1)*t^-7*x^1"
 
     def test_each_substitution_made_once_per_polynomial(self, fam5, monkeypatch):
-        # star(p) and prop1 substitute t -> 1/t, prop2 y -> -y, once per polynomial;
-        # the mirror rows read the difference of the prop2 and prop1 residuals.
+        # star(p) and prop1 substitute t -> 1/t, prop4 x <-> y (v -> -v in u, v), once per
+        # polynomial; the mirror rows read the difference of the prop2 and prop1 residuals.
         calls = []
         for name in ("subst_t_inverse", "subst_y_negate"):
             subst = getattr(V, name)
@@ -332,6 +338,7 @@ class TestSu11:
         for n in (1, 2):
             g = fam4.g[n] + (-i) * fam4.f[n]
             f = i * fam4.g[n] + fam4.f[n]
+            g, f = to_uv(g), to_uv(f)
             gs, fs = V.star(g), V.star(f)
             assert (hirota("x", g, f) - hirota("x", gs, fs)).is_zero
             assert (hirota("y", g, f) + hirota("y", gs, fs)).is_zero
@@ -412,7 +419,7 @@ class TestOrderwiseToda:
         from hirotaverify.closedform import g_high
 
         lhs, rhs = orderwise_oracle(fam4, 2, 0, "g")
-        assert lhs == hirota_dst(g_high(2), g_high(2))
+        assert lhs == from_uv(hirota_dst(to_uv(g_high(2)), to_uv(g_high(2))))
         assert rhs == 2 * g_high(3) * g_high(1)
 
     @pytest.mark.parametrize("family", ["g", "f", "mixed"])
@@ -428,7 +435,7 @@ class TestOrderwiseToda:
             weight = monomial(1, et=shift - 2 * I)
             lhs_sum = lhs_sum + lhs * weight
             rhs_sum = rhs_sum + rhs * weight
-        assert lhs_sum == hirota_dst(seq_a[n], seq_b[n])
+        assert lhs_sum == from_uv(hirota_dst(to_uv(seq_a[n]), to_uv(seq_b[n])))
         if family == "mixed":
             expected = fam4.f[n + 1] * fam4.g[n - 1] + fam4.f[n - 1] * fam4.g[n + 1]
         else:
@@ -478,14 +485,14 @@ class TestOrderwiseNakamura:
         from hirotaverify.closedform import f_high, g_high, g_low
 
         lhs, _ = orderwise_oracle(fam4, 2, 0, "B3")
-        assert lhs == apply_F(2, g_low(2), f_high(2))
+        assert lhs == from_uv(apply_F(2, to_uv(g_low(2)), to_uv(f_high(2))))
         lhs, _ = orderwise_oracle(fam4, 2, 0, "B4")
-        assert lhs == apply_F(2, g_low(2), g_high(2))
+        assert lhs == from_uv(apply_F(2, to_uv(g_low(2)), to_uv(g_high(2))))
 
     @pytest.mark.parametrize("which", ["B1", "B2", "B3", "B4"])
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_weighted_sum_reproduces_parents(self, fam4, which, n):
-        g, f = fam4.g[n], fam4.f[n]
+        g, f = to_uv(fam4.g[n]), to_uv(fam4.f[n])
         gs, fs = V.star(g), V.star(f)
         parents = {
             "B1": hirota("x", g, f) - hirota("x", gs, fs),
@@ -499,21 +506,13 @@ class TestOrderwiseNakamura:
         for I in range(top + 1):
             lhs, _ = orderwise_oracle(fam4, n, I, which)
             total = total + lhs * monomial(1, et=shift - 2 * I)
-        assert total == parents[which]
+        assert total == from_uv(parents[which])
 
     def test_invalid_arguments(self, fam4):
         with pytest.raises(ValueError):
             V.check_orderwise(fam4, 2, "B9")
         with pytest.raises(ValueError):
             V.check_orderwise(fam4, 5, "B1")
-
-
-def _row_outcome(residual):
-    """(status, witness) of a row whose residual is the given polynomial."""
-    if residual.is_zero:
-        return "pass", None
-    mono, coeff = residual.leading_term()
-    return "fail", serialize(LaurentPoly({mono: coeff}))
 
 
 class TestOrderwiseSystems:
@@ -531,9 +530,9 @@ class TestOrderwiseSystems:
                 mirrored = subst_y_negate(residuals[top - I])
                 if expected != mirrored:
                     expected = expected - mirrored
-            assert (report.status, report.witness) == _row_outcome(expected), (system, n, I)
+            assert (report.status, report.witness) == row_outcome(expected), (system, n, I)
             lhs, _ = orderwise_oracle(fam5, n, I, system)
-            assert report.term_count == lhs.term_count, (system, n, I)
+            assert report.term_count == to_uv(lhs).term_count, (system, n, I)
 
     @pytest.mark.parametrize("system", list(V.ORDERWISE_SYSTEMS))
     def test_sides_computed_once_per_order(self, fam4, monkeypatch, system):
@@ -625,8 +624,9 @@ class TestSiteTable:
         suites = ("conjecture", "symmetries", "ernst-numeric", "orderwise-B")
         tasks = [task for suite in suites for task in V.suite_tasks(suite, fam4, 3)]
         assert all(r.passed for r in V.run_checks(tasks))
-        # tsdec1 and tsdec2 also star their brackets; g_n and f_n go in once each.
-        assert [stars.count(p) for n in (1, 2, 3) for p in (fam4.g[n], fam4.f[n])] == [1] * 6
+        # tsdec1 and tsdec2 also star their brackets; g_n and f_n go in once each, in u, v.
+        assert ([stars.count(to_uv(p)) for n in (1, 2, 3) for p in (fam4.g[n], fam4.f[n])]
+                == [1] * 6)
 
     def test_F_operands_made_once_per_site(self, fam4, monkeypatch):
         # tsdec3 and tsdec4 read g*, f, g and f* through F: four operands, each
@@ -698,6 +698,39 @@ class TestSiteTable:
         assert fam4.sites == {}
 
 
+class TestCrossBasis:
+    """The site table works in u, v; its rows are the rows of an x,y route."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_identities_match_the_xy_oracle(self, fam5, n):
+        site = V._family_site(fam5, n, 1)
+        for name, sides in identity_oracle(fam5, n).items():
+            assert tuple(map(from_uv, V.IDENTITIES[name](site))) == sides, name
+
+    # Site-table suites read sites 1..3 of a depth-4 family.
+    SUITES = ("toda", "mixed", "jacobi", "conjecture", "symmetries", "orderwise-A",
+              "orderwise-B", "ernst-numeric")
+
+    @staticmethod
+    def _fields(reports):
+        return [(r.equation_id, r.n, r.order_index, r.status, r.witness, r.note)
+                for r in reports]
+
+    # t^2 y^3 lies off the parity pattern of tau_3, so its rows include off-pattern ones.
+    @pytest.mark.parametrize("seq, k, extra", [("tau", 3, "2*t^-1*x^2*y + t^2*y^3"),
+                                               ("f", 2, "(2+3*i)*t^-1*y^2")])
+    def test_damaged_rows_match_the_xy_oracle(self, fam4, seq, k, extra):
+        fam = _with_stray_term(fam4, seq, k, extra)
+        rows = sorted((r for suite in self.SUITES
+                       for r in V.run_checks(V.suite_tasks(suite, fam, 3))), key=V.sort_key)
+        assert self._fields(rows) == site_rows_oracle(fam, 3)
+        assert any(r.status == "fail" for r in rows)
+        for index, params in enumerate((SU11_PAIRS[0], SU11_PAIRS[-1])):
+            for n in (1, 2, 3):
+                reports = V.check_su11(fam, n, params, pair_index=index)
+                assert self._fields(reports) == su11_rows_oracle(fam, n, params, index)
+
+
 class TestCheckBodies:
     # A function named check_* or _check_* is timed and counted as one check
     # body by perfbench/tracer.py, so a helper must not carry either prefix.
@@ -755,7 +788,7 @@ class TestWeylLock:
         for n in range(1, 5):
             for a in xs:
                 for b in xs:
-                    assert apply_F(n, a, b) == apply_F_weyl(n, a, b), (n, a, b)
+                    assert from_uv(apply_F(n, to_uv(a), to_uv(b))) == apply_F_weyl(n, a, b), (n, a, b)
 
 
 class TestErnstNumeric:

@@ -1,3 +1,4 @@
+import re
 import zlib
 from itertools import islice
 
@@ -5,7 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hirotaverify.laurent import ONE, from_uv, parse, subst_t_inverse, subst_y_negate, swap_xy
+from hirotaverify.laurent import (
+    ONE, from_uv, parse, subst_t_inverse, subst_y_negate, swap_xy, to_uv,
+)
 from hirotaverify.operators import hirota_dst, l_minus, l_plus
 from hirotaverify.verifier import jacobi_identity_check, jacobi_residual
 from hirotaverify.wronskian import (
@@ -229,7 +232,7 @@ class TestTauFamily:
 
     def test_toda_recurrence(self, fam5):
         for n in range(1, 5):
-            residual = hirota_dst(fam5.tau[n], fam5.tau[n]) - 2 * (
+            residual = from_uv(hirota_dst(to_uv(fam5.tau[n]), to_uv(fam5.tau[n]))) - 2 * (
                 fam5.tau[n + 1] * fam5.tau[n - 1]
             )
             assert residual.is_zero
@@ -372,6 +375,20 @@ class TestCacheFile:
         header = f"{CACHE_MAGIC} v{CACHE_VERSION} crc32={zlib.crc32(body):08x}\n"
         path.write_bytes(header.encode() + body)
         with pytest.raises(ValueError, match=rf"bad\.tau:3: {refusal}"):
+            TauFamily.load(path)
+
+    # Only "\n" ends a cache line.  A form feed or U+0085 at the end of the tau n=1
+    # line is refused on that line, not read as a line break that shifts the rest.
+    @pytest.mark.parametrize("line, character", [
+        (b"(1)*x\x0c", r"'\x0c'"),
+        ("(1)*x\u0085".encode(), r"'\x85'"),
+    ], ids=["form feed", "next line"])
+    def test_refuses_another_line_break_on_its_line(self, tmp_path, line, character):
+        path = tmp_path / "bad.tau"
+        body = b"tau n=0: 1\ntau n=1: " + line + b"\nf n=0: 0\nf n=1: 1\n"
+        header = f"{CACHE_MAGIC} v{CACHE_VERSION} crc32={zlib.crc32(body):08x}\n"
+        path.write_bytes(header.encode() + body)
+        with pytest.raises(ValueError, match=rf"bad\.tau:3: unexpected character {re.escape(character)}"):
             TauFamily.load(path)
 
     def test_refuses_other_version(self, tmp_path):
