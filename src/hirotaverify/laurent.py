@@ -426,14 +426,11 @@ def differentiate(p: LaurentPoly, var: str) -> LaurentPoly:
 
 def _transform(p: LaurentPoly, step) -> LaurentPoly:
     """Term-wise map: step(et, ex, ey) gives the new exponents and k, the coefficient gaining i**k."""
-    out, get = {}, p._nums.get
-    for key in _monomial_keys(p._nums):
+    out = {}
+    for key, v in p._nums.items():
         exps, k = step(*_unpack(key))
-        new = _pack(*exps)
-        for v in (get(key), get(key + _I)):  # the real part gains i**k, the imaginary i**(k+1)
-            if v:
-                out[new + (k & 1)] = -v if k & 2 else v
-            k += 1
+        k += key % 3  # the power of i at the new key, modulo 4
+        out[_pack(*exps) + (k & 1)] = -v if k & 2 else v
     return LaurentPoly._make(out, p._den)
 
 

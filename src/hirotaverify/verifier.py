@@ -176,9 +176,10 @@ def _family_site(fam: TauFamily, n: int, reach: int = 0) -> _Site:
     if not 1 <= n <= fam.n_max - reach:
         raise ValueError(f"need 1 <= n <= {fam.n_max - reach}, got {n}")
     if n not in fam.sites:
-        for name, k in ((name, k) for name in ("tau", "f") for k in range(n - 1, n + 2)):
-            if (name, k) not in fam.sites and k <= fam.n_max:  # fam.<name>[k] in u, v, made once
-                fam.sites[name, k] = to_uv(getattr(fam, name)[k])
+        for name in ("tau", "f"):
+            for k in range(n - 1, min(n + 1, fam.n_max) + 1):
+                if (name, k) not in fam.sites:  # fam.<name>[k] in u, v, made once
+                    fam.sites[name, k] = to_uv(getattr(fam, name)[k])
         around = lambda name: [fam.sites.get((name, k)) for k in (n - 1, n, n + 1)]
         fam.sites[n] = _Site(n, around("tau"), around("f"))
     return fam.sites[n]
@@ -437,6 +438,10 @@ class _GaussInt(NamedTuple):
     __mul__ = lambda a, b: _GaussInt(a.re * b.re - a.im * b.im, a.re * b.im + a.im * b.re)
 
 
+_ERNST_COEFFICIENTS = tuple(to_uv(p) for p in (  # 2x, x^2 - 1, -2y and 1 - y^2 in u, v
+    monomial(2, ex=1), monomial(1, ex=2) - 1, monomial(-2, ey=1), 1 - monomial(1, ey=2)))
+
+
 def ernst_residual_numeric(
     fam: TauFamily, n: int, samples: Sequence[tuple] = DEFAULT_ERNST_POINTS
 ) -> list[CheckReport]:
@@ -452,15 +457,14 @@ def ernst_residual_numeric(
     that cannot be used (|t| != 1, or a vanishing denominator) is an "error".
     """
     site, half = _family_site(fam, n), Fraction(1, 2)
-    x, y = to_uv(monomial(1, ex=1)), to_uv(monomial(1, ey=1))
-    # The site's u,v-polynomials, valued at u = (x+y)/2, v = (x-y)/2; p_x, p_y = d(p, 1), d(p, -1).
+    (_, gu, gv, *_), (_, fu, fv, *_) = site.g_F, site.f_F
+    # The site's u,v-polynomials, valued at u = (x+y)/2, v = (x-y)/2, where 2 d/dx = d/du + d/dv
+    # and 2 d/dy = d/du - d/dv.  With p = g_x f - g f_x and q = g_y f - g f_y, the g_x f_x and
+    # g_y f_y terms cancel from p_x and q_y; every factor is a value at the point.
+    gx, gy, fx, fy = half * (gu + gv), half * (gu - gv), half * (fu + fv), half * (fu - fv)
     d = lambda p, sign: half * (differentiate(p, "x") + sign * differentiate(p, "y"))
-    gx, gy, fx, fy = d(site.g, 1), d(site.g, -1), d(site.f, 1), d(site.f, -1)
-    # With p = g_x f - g f_x and q = g_y f - g f_y, the g_x f_x and g_y f_y
-    # terms cancel from p_x and q_y; every factor is a value at the point,
-    # the coefficients 2x, x^2 - 1, -2y and 1 - y^2 last.
     polys = (site.f, site.fs, site.g, site.gs, gx, gy, fx, fy,
-             d(gx, 1), d(gy, -1), d(fx, 1), d(fy, -1), 2 * x, x * x - 1, -2 * y, 1 - y * y)
+             d(gx, 1), d(gy, -1), d(fx, 1), d(fy, -1), *_ERNST_COEFFICIENTS)
 
     def outcome(x0, y0, t0) -> tuple[str, str | None]:
         if t0.abs2() != 1:

@@ -149,8 +149,9 @@ class TauFamily(NamedTuple("TauFamily", [("n_max", int), ("tau", tuple), ("f", t
     (n-1)-dimensional Wronskian determinant of the once-shifted seed
     L_plus L_minus psi, with f_1 = 1 (empty determinant) and f_0 = 0 (the
     semi-infinite lattice cuts the chain below site zero).  sites holds what
-    the checks derive from the family at each site, made on first use; it is
-    not a field, so equality, hashing and repr read n_max, tau and f only.
+    the checks derive from the family at each site, and each tau_k and f_k in
+    u, v under ("tau", k) and ("f", k), all made on first use; it is not a
+    field, so equality, hashing and repr read n_max, tau and f only.
     """
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
@@ -201,8 +202,8 @@ class TauFamily(NamedTuple("TauFamily", [("n_max", int), ("tau", tuple), ("f", t
 
         A cache is refused when its header, version or CRC is wrong, when its
         body is not the sequence save writes (tau n=0..N, then f n=0..N, one
-        line each, N >= 1) or a line of it does not parse, both named by line,
-        and when tau_0..2 or f_0..2 differ from their recomputation from the seed.
+        line each, N >= 1) or a line of it is not a polynomial in x, y, both
+        named by line, and when tau_0..2 or f_0..2 differ from those the seed builds.
         """
         header, _, body = Path(path).read_bytes().partition(b"\n")
         match = _HEADER.match(header.decode("ascii", errors="replace"))
@@ -228,6 +229,8 @@ class TauFamily(NamedTuple("TauFamily", [("n_max", int), ("tau", tuple), ("f", t
                 entries.append(parse(line[len(prefix):]))
             except (OverflowError, ValueError) as exc:  # a ParseError is a ValueError
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc
+            if entries[-1].has_negative_xy():  # every tau_k, f_k is a polynomial in x, y
+                raise ValueError(f"{path}:{lineno}: negative x or y exponent")
         fam = cls(n_max, entries[:n_max + 1], entries[n_max + 1:])
         # The CRC finds damage, not a faulty build: recompute the first sites
         # from the seed and compare.

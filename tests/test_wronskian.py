@@ -391,6 +391,18 @@ class TestCacheFile:
         with pytest.raises(ValueError, match=rf"bad\.tau:3: unexpected character {re.escape(character)}"):
             TauFamily.load(path)
 
+    # tau_3 and f_3 are not among the entries the load recomputes from the seed.
+    @pytest.mark.parametrize("entry, term, line", [
+        ("tau n=3", "(1)*x^-1", 5), ("f n=3", "(2)*t*y^-2", 11),
+    ], ids=["x^-1 on tau n=3", "y^-2 on f n=3"])
+    def test_refuses_a_negative_x_or_y_exponent(self, fam5, tmp_path, entry, term, line):
+        path = tmp_path / "family.tau"
+        fam5.save(path)
+        body = path.read_text().split("\n", 1)[1].replace(f"{entry}: ", f"{entry}: {term} + ", 1)
+        write_cache(path, body)
+        with pytest.raises(ValueError, match=rf"family\.tau:{line}: negative x or y exponent$"):
+            TauFamily.load(path)
+
     def test_refuses_other_version(self, tmp_path):
         path = tmp_path / "future.tau"
         write_cache(path, "tau n=0: 1\ntau n=1: x\nf n=0: 0\nf n=1: 1\n",
