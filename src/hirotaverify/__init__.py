@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 
 from .gaussian import GaussianRational
 from .laurent import LaurentPoly, Monomial, parse, serialize
-from .operators import apply_F, apply_F_weyl, hirota, hirota_dst
+from .operators import apply_F, apply_F_weyl, hirota, hirota_dst, operand
 from .wronskian import SymMatrix, TauFamily, build_psi, wronskian_matrix
 
 __all__ = [
@@ -26,6 +26,7 @@ __all__ = [
     "apply_F_weyl",
     "hirota",
     "hirota_dst",
+    "operand",
     "SymMatrix",
     "TauFamily",
     "build_psi",

@@ -3,7 +3,8 @@
 Covers the derivative-recursion polynomials W_n, their double-sum binomial
 formula, the squared-factorial coefficients A_n, the non-rotating (q = 0)
 solution pair, and the extreme Laurent coefficients of g_n and f_n whose
-rational weights come from half-integer Gamma ratios.
+rational weights come from half-integer Gamma ratios.  The extreme
+coefficients are in u = (x+y)/2 (the x slot) and v = (x-y)/2 (the y slot).
 """
 
 from __future__ import annotations
@@ -18,9 +19,8 @@ from .laurent import (
     ONE,
     ZERO,
     differentiate,
-    from_uv,
     monomial,
-    subst_y_negate,
+    swap_xy,
 )
 from .operators import X2_MINUS_1
 from .wronskian import SymMatrix, tau_f_minors
@@ -122,21 +122,15 @@ def half_gamma_ratio(m: int, l: int, n: int) -> Fraction:
     return numerator / denominator
 
 
-def _g_high_uv(n: int) -> LaurentPoly:
-    # 2^{n(n-1)} A_n u^{n(n-1)/2} v^{n(n+1)/2} in uv slots (u in the x slot, v in
-    # the y slot); a_coeff refuses n < 0.
+def g_high(n: int) -> LaurentPoly:
+    """Coefficient of t^n in g_n: 2^{n(n-1)} A_n u^{n(n-1)/2} v^{n(n+1)/2}; ValueError for n < 0."""
     coeff = Fraction(2 ** (n * (n - 1))) * a_coeff(n)
     return monomial(coeff, ex=n * (n - 1) // 2, ey=n * (n + 1) // 2)
 
 
-def g_high(n: int) -> LaurentPoly:
-    """Coefficient of t^n in g_n, in the x,y basis."""
-    return from_uv(_g_high_uv(n))
-
-
 def g_low(n: int) -> LaurentPoly:
     """Coefficient of t^-n in g_n: g_high under y -> -y, which swaps u and v."""
-    return subst_y_negate(g_high(n))
+    return swap_xy(g_high(n))
 
 
 def f_high(n: int) -> LaurentPoly:
@@ -145,14 +139,12 @@ def f_high(n: int) -> LaurentPoly:
         return ZERO
     weights = {Monomial(0, 2 * l, -2 * m - 1): (-1) ** (m - l) * half_gamma_ratio(m, l, n)
                for m in range(n) for l in range(m + 1)}
-    product = _g_high_uv(n) * LaurentPoly(weights)
+    product = g_high(n) * LaurentPoly(weights)
     if product.has_negative_xy():
-        raise ArithmeticError(
-            f"inverse powers failed to cancel in the order-{n} Gamma sum"
-        )
-    return from_uv(product)
+        raise ArithmeticError(f"inverse powers failed to cancel in the order-{n} Gamma sum")
+    return product
 
 
 def f_low(n: int) -> LaurentPoly:
     """Coefficient of t^{-n+1} in f_n: f_high under y -> -y, which swaps u and v."""
-    return subst_y_negate(f_high(n))
+    return swap_xy(f_high(n))

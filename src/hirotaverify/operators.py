@@ -6,12 +6,13 @@ apply_F_weyl act in u = (x+y)/2 (the x slot) and v = (x-y)/2 (the y slot),
 where 2 d/dx = d/du + d/dv and 2 d/dy = d/du - d/dv.  Hirota derivatives are
 the antisymmetrized bilinear derivatives built from these derivations, and
 the deformation operator F couples second-order Hirota terms in x and y with
-first-order product derivatives and -2 n^2.
+first-order product derivatives and -2 n^2.  The brackets read records (operand).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import NamedTuple
 
 from .laurent import (
     LaurentPoly,
@@ -45,28 +46,50 @@ def _light_cone(along: LaurentPoly, across: LaurentPoly) -> LaurentPoly:
     return _UV_SQUARES_MINUS_1 * along + _TWO_UV * across
 
 
-def hirota(var: str, f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
-    """First-order Hirota derivative D_var f.g = (D f) g - f (D g), var 'x' or 'y'."""
-    if var not in ("x", "y"):
-        raise ValueError(f"unknown Hirota variable {var!r}")
-    twice = lambda p: differentiate(p, "x") + differentiate(p, "y") * (1 if var == "x" else -1)
-    return _HALF * (twice(f) * g - f * twice(g))
+class Operand(NamedTuple):
+    """A u,v polynomial p with p_u, p_v, L_plus p, L_minus p, L_minus L_plus p and M p."""
+
+    p: LaurentPoly
+    pu: LaurentPoly
+    pv: LaurentPoly
+    plus: LaurentPoly
+    minus: LaurentPoly
+    minus_plus: LaurentPoly
+    m: LaurentPoly
 
 
-def hirota_dst(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
+def operand(p: LaurentPoly) -> Operand:
+    """The record of p, each field made once; M p = (d/du L_plus p + d/dv L_minus p) / 2."""
+    pu, pv = differentiate(p, "x"), differentiate(p, "y")
+    plus, minus = _light_cone(pu, pv), _light_cone(pv, pu)
+    plus_u, plus_v = differentiate(plus, "x"), differentiate(plus, "y")
+    return Operand(p, pu, pv, plus, minus, _light_cone(plus_v, plus_u),
+                   _HALF * (plus_u + differentiate(minus, "y")))
+
+
+def hirota(f: Operand, g: Operand) -> tuple[LaurentPoly, LaurentPoly]:
+    """First-order Hirota brackets (D_x f.g, D_y f.g), where D f.g = (D f) g - f (D g).
+
+    With A = f_u g - f g_u and B = f_v g - f g_v, D_x f.g = (A + B)/2 and
+    D_y f.g = (A - B)/2: four products of the operands' size for both.
+    """
+    a = f.pu * g.p - f.p * g.pu
+    b = f.pv * g.p - f.p * g.pv
+    return _HALF * (a + b), _HALF * (a - b)
+
+
+def hirota_dst(f: Operand, g: Operand) -> LaurentPoly:
     """Mixed D_S D_T bracket L-L+ f.g - L+f L-g - L-f L+g + f L-L+ g.
 
     Four products of the operands' size; the bracket is symmetric, so for
     f == g its two cross terms are equal and two products suffice.
     """
-    pf, mf = l_plus(f), l_minus(f)
-    if f == g:
-        return 2 * (l_minus(pf) * f - pf * mf)
-    pg, mg = l_plus(g), l_minus(g)
-    return l_minus(pf) * g - pf * mg - mf * pg + f * l_minus(pg)
+    if f.p == g.p:
+        return 2 * (f.minus_plus * f.p - f.plus * f.minus)
+    return f.minus_plus * g.p - f.plus * g.minus - f.minus * g.plus + f.p * g.minus_plus
 
 
-def apply_F(n: int, a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
+def apply_F(n: int, a: Operand, b: Operand) -> LaurentPoly:
     """(x^2-1) D_x^2 (a.b) + 2x (ab)_x + (y^2-1) D_y^2 (a.b) + 2y (ab)_y + c_n ab.
 
     F belongs to lattice site n, whose constant is c_n = -2 n^2.
@@ -81,21 +104,8 @@ def apply_F(n: int, a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     In u, v, M p = (d/du L_plus p + d/dv L_minus p) / 2 and the bracket is
     (a_u L_plus b + a_v L_minus b) / 2: four products where the bracket form takes seven.
     """
-    return apply_F_operands(n, F_operand(a), F_operand(b))
-
-
-def F_operand(p: LaurentPoly) -> tuple[LaurentPoly, ...]:
-    """(p, p_u, p_v, L_plus p, L_minus p, M p): what F reads of one operand, made once."""
-    pu, pv = differentiate(p, "x"), differentiate(p, "y")
-    plus, minus = _light_cone(pu, pv), _light_cone(pv, pu)
-    return p, pu, pv, plus, minus, _HALF * (differentiate(plus, "x") + differentiate(minus, "y"))
-
-
-def apply_F_operands(n: int, a: tuple, b: tuple) -> LaurentPoly:
-    """apply_F(n, a, b) on operands made by F_operand."""
-    (a, au, av, _, _, m_a), (b, _, _, plus_b, minus_b, m_b) = a, b
     c_n = -2 * n * n
-    return (m_a + c_n * a) * b + a * m_b - (au * plus_b + av * minus_b)
+    return (a.m + c_n * a.p) * b.p + a.p * b.m - (a.pu * b.plus + a.pv * b.minus)
 
 
 def apply_F_weyl(n: int, a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:

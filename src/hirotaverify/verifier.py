@@ -32,16 +32,7 @@ from .laurent import (
     swap_xy,
     to_uv,
 )
-from .operators import (
-    F_operand,
-    apply_F,
-    apply_F_operands,
-    apply_F_weyl,
-    hirota,
-    hirota_dst,
-    l_minus,
-    l_plus,
-)
+from .operators import apply_F, apply_F_weyl, hirota, hirota_dst, operand
 from .wronskian import TauFamily, sylvester_minors
 
 __all__ = [
@@ -131,28 +122,28 @@ def _report(
 class _Site:
     """A sequence pair g, f read around site n in u, v, and the identities there.
 
-    Each of g and f holds the polynomials at sites n-1, n and n+1.  Only the
-    Toda and mixed identities read the neighbours, so they may be None where
-    the sequence ends.
-    star(g_n), star(f_n), the F operands of all four and each IDENTITIES
-    entry are computed on first use, once each.  An identity keeps its
-    residual and the u,v term count of its lhs at each power of t, counted
-    when it is formed; the lhs itself is dropped.
+    The sequences are given at sites n-1, n and n+1.  Only the Toda and mixed
+    identities read the neighbours g_lo, g_hi, f_lo and f_hi, so they may be
+    None where the sequence ends.
+    The records g, f, gs and fs of g_n, f_n, star(g_n) and star(f_n), the
+    pair (D_x g.f, D_y g.f) and each IDENTITIES entry are computed on first
+    use, once each.  An identity keeps its residual and the u,v term count of
+    its lhs at each power of t, counted when it is formed; the lhs itself is
+    dropped.
     """
 
     def __init__(self, n: int, g: Sequence, f: Sequence):
         self.n = n
-        self.g_lo, self.g, self.g_hi = g
-        self.f_lo, self.f, self.f_hi = f
+        self.g_lo, self._g, self.g_hi = g
+        self.f_lo, self._f, self.f_hi = f
         self._residuals: dict[str, LaurentPoly] = {}
         self._counts: dict[str, dict[int, int]] = {}
 
-    gs = cached_property(lambda self: star(self.g))
-    fs = cached_property(lambda self: star(self.f))
-    g_F = cached_property(lambda self: F_operand(self.g))
-    f_F = cached_property(lambda self: F_operand(self.f))
-    gs_F = cached_property(lambda self: F_operand(self.gs))
-    fs_F = cached_property(lambda self: F_operand(self.fs))
+    g = cached_property(lambda self: operand(self._g))
+    f = cached_property(lambda self: operand(self._f))
+    gs = cached_property(lambda self: operand(star(self._g)))
+    fs = cached_property(lambda self: operand(star(self._f)))
+    hirota_gf = cached_property(lambda self: hirota(self.g, self.f))
 
     def identity(self, name: str) -> LaurentPoly:
         """Residual lhs - rhs of one identity."""
@@ -197,11 +188,10 @@ IDENTITIES: dict[str, Callable[[_Site], tuple[LaurentPoly, LaurentPoly]]] = {
     "toda.g": lambda s: (hirota_dst(s.g, s.g), 2 * (s.g_hi * s.g_lo)),
     "toda.f": lambda s: (hirota_dst(s.f, s.f), 2 * (s.f_hi * s.f_lo)),
     "mixed": lambda s: (hirota_dst(s.f, s.g), s.f_hi * s.g_lo + s.f_lo * s.g_hi),
-    "tsdec1": lambda s: (_with_star(hirota("x", s.g, s.f), -1), ZERO),
-    "tsdec2": lambda s: (_with_star(hirota("y", s.g, s.f), 1), ZERO),
-    "tsdec3": lambda s: (apply_F_operands(s.n, s.gs_F, s.f_F), ZERO),
-    "tsdec4": lambda s: (apply_F_operands(s.n, s.gs_F, s.g_F)
-                         + apply_F_operands(s.n, s.fs_F, s.f_F), ZERO),
+    "tsdec1": lambda s: (_with_star(s.hirota_gf[0], -1), ZERO),
+    "tsdec2": lambda s: (_with_star(s.hirota_gf[1], 1), ZERO),
+    "tsdec3": lambda s: (apply_F(s.n, s.gs, s.f), ZERO),
+    "tsdec4": lambda s: (apply_F(s.n, s.gs, s.g) + apply_F(s.n, s.fs, s.f), ZERO),
 }
 
 
@@ -233,9 +223,8 @@ def jacobi_residual(fam: TauFamily, n: int) -> LaurentPoly:
     """
     site = _family_site(fam, n, 1)
     g, (d_nn, d_sr, d_rs) = site.g, sylvester_minors(n)
-    plus, minus = l_plus(g), l_minus(g)
-    return from_uv(Fraction(1, 2) * site.identity("toda.g") + (d_nn - l_minus(plus)) * g
-                   - (d_sr - minus) * d_rs - minus * (d_rs - plus))
+    return from_uv(Fraction(1, 2) * site.identity("toda.g") + (d_nn - g.minus_plus) * g.p
+                   - (d_sr - g.minus) * d_rs - g.minus * (d_rs - g.plus))
 
 
 def jacobi_identity_check(fam: TauFamily, n: int) -> CheckReport:
@@ -263,10 +252,10 @@ def check_symmetries(fam: TauFamily, n: int) -> list[CheckReport]:
     """
     site, reports = _family_site(fam, n), []
     for k, name in enumerate("gf"):  # f_n's matrix is one dimension smaller
-        p, res = getattr(site, name), {}
+        p, res = getattr(site, name).p, {}
         for prop, residual_fn in (
-            ("prop1", lambda: getattr(site, name + "s") - subst_t_inverse(p)),
-            ("prop2", lambda: getattr(site, name + "s") - swap_xy(p)),
+            ("prop1", lambda: getattr(site, name + "s").p - subst_t_inverse(p)),
+            ("prop2", lambda: getattr(site, name + "s").p - swap_xy(p)),
             ("prop3", lambda: subst_t_negate(p) - (-1) ** (n - k) * p),
             ("prop4", lambda: subst_t_times_i(p) - minus_i_power(n * n - k) * subst_y_negate(p)),
             # prop2 - prop1 is p(1/t) - p(-y), whose t^m coefficient is c_{-m} - (y -> -y)(c_m):
@@ -457,13 +446,13 @@ def ernst_residual_numeric(
     that cannot be used (|t| != 1, or a vanishing denominator) is an "error".
     """
     site, half = _family_site(fam, n), Fraction(1, 2)
-    (_, gu, gv, *_), (_, fu, fv, *_) = site.g_F, site.f_F
     # The site's u,v-polynomials, valued at u = (x+y)/2, v = (x-y)/2, where 2 d/dx = d/du + d/dv
     # and 2 d/dy = d/du - d/dv.  With p = g_x f - g f_x and q = g_y f - g f_y, the g_x f_x and
     # g_y f_y terms cancel from p_x and q_y; every factor is a value at the point.
-    gx, gy, fx, fy = half * (gu + gv), half * (gu - gv), half * (fu + fv), half * (fu - fv)
+    xy = lambda r: (half * (r.pu + r.pv), half * (r.pu - r.pv))
+    (gx, gy), (fx, fy) = xy(site.g), xy(site.f)
     d = lambda p, sign: half * (differentiate(p, "x") + sign * differentiate(p, "y"))
-    polys = (site.f, site.fs, site.g, site.gs, gx, gy, fx, fy,
+    polys = (site.f.p, site.fs.p, site.g.p, site.gs.p, gx, gy, fx, fy,
              d(gx, 1), d(gy, -1), d(fx, 1), d(fy, -1), *_ERNST_COEFFICIENTS)
 
     def outcome(x0, y0, t0) -> tuple[str, str | None]:
@@ -636,15 +625,16 @@ def _check_extremes(fam: TauFamily, n: int) -> CheckReport:
     from . import closedform
 
     started = time.perf_counter()
+    site = _family_site(fam, n)  # g_n and f_n in u, v, as the closed forms are
     checks = [
-        (closedform.g_high(n), fam.g[n].coeff_of_t(n)),
-        (closedform.g_low(n), fam.g[n].coeff_of_t(-n)),
-        (closedform.f_high(n), fam.f[n].coeff_of_t(n - 1)),
-        (closedform.f_low(n), fam.f[n].coeff_of_t(-n + 1)),
+        (closedform.g_high(n), site.g.p.coeff_of_t(n)),
+        (closedform.g_low(n), site.g.p.coeff_of_t(-n)),
+        (closedform.f_high(n), site.f.p.coeff_of_t(n - 1)),
+        (closedform.f_low(n), site.f.p.coeff_of_t(-n + 1)),
     ]
     residual = next((closed - extracted for closed, extracted in checks
                      if closed != extracted), ZERO)
-    return _report("closed.extreme", n, residual, started, term_count=fam.g[n].term_count)
+    return _report("closed.extreme", n, from_uv(residual), started, term_count=fam.g[n].term_count)
 
 
 def _check_weyl_lock() -> CheckReport:
@@ -662,7 +652,7 @@ def _check_weyl_lock() -> CheckReport:
     started = time.perf_counter()
     for n, i, j in ((n, i, j) for n in range(1, 5) for i in range(3) for j in range(3)):
         a, b = monomial(1, ex=i), monomial(1, ex=j)
-        diff = apply_F(n, to_uv(a), to_uv(b)) - to_uv(apply_F_weyl(n, a, b))
+        diff = apply_F(n, operand(to_uv(a)), operand(to_uv(b))) - to_uv(apply_F_weyl(n, a, b))
         if not diff.is_zero:
             return _report("weyl.lock", n, from_uv(diff), started, order_index=3 * i + j)
     return _report("weyl.lock", 0, ZERO, started, note="forms agree on every x-only pair at n=1..4")

@@ -14,7 +14,7 @@ from hirotaverify import closedform
 from hirotaverify import verifier as V
 from hirotaverify.cli import RunConfig, cmd_verify
 from hirotaverify.laurent import ZERO, from_uv, monomial, to_uv
-from hirotaverify.operators import apply_F, hirota, hirota_dst, l_minus, l_plus
+from hirotaverify.operators import apply_F, hirota, hirota_dst, l_minus, l_plus, operand
 from hirotaverify.verifier import jacobi_residual
 from hirotaverify.wronskian import (
     SymMatrix,
@@ -103,16 +103,16 @@ def test_criterion_05_closed_forms():
         for n in range(1, 7)
     )
     ok = ok and all(
-        closedform.g_high(n) == fam.g[n].coeff_of_t(n)
-        and closedform.g_low(n) == fam.g[n].coeff_of_t(-n)
-        and closedform.f_high(n) == fam.f[n].coeff_of_t(n - 1)
-        and closedform.f_low(n) == fam.f[n].coeff_of_t(-n + 1)
+        from_uv(closedform.g_high(n)) == fam.g[n].coeff_of_t(n)
+        and from_uv(closedform.g_low(n)) == fam.g[n].coeff_of_t(-n)
+        and from_uv(closedform.f_high(n)) == fam.f[n].coeff_of_t(n - 1)
+        and from_uv(closedform.f_low(n)) == fam.f[n].coeff_of_t(-n + 1)
         for n in range(1, 6)
     )
     from hirotaverify.laurent import parse
 
-    ok = ok and closedform.g_high(2) == from_uv(monomial(4, ex=1, ey=3))
-    ok = ok and closedform.f_high(2) == parse("x^3 + y^3 - x - y")
+    ok = ok and from_uv(closedform.g_high(2)) == from_uv(monomial(4, ex=1, ey=3))
+    ok = ok and from_uv(closedform.f_high(2)) == parse("x^3 + y^3 - x - y")
     conclude(5, "closed forms match determinants and extracted coefficients",
              ok, started)
 
@@ -167,7 +167,7 @@ def test_criterion_08_orderwise_systems():
                 lhs, rhs = orderwise_oracle(fam, n, I, fam_name)
                 weight = monomial(1, et=shift - 2 * I)
                 lhs_sum, rhs_sum = lhs_sum + lhs * weight, rhs_sum + rhs * weight
-            g, f = to_uv(fam.g[n]), to_uv(fam.f[n])
+            g, f = operand(to_uv(fam.g[n])), operand(to_uv(fam.f[n]))
             if fam_name == "g":
                 parent_l = from_uv(hirota_dst(g, g))
                 parent_r = 2 * (fam.g[n + 1] * fam.g[n - 1])
@@ -180,10 +180,11 @@ def test_criterion_08_orderwise_systems():
             ok = ok and lhs_sum == parent_l and rhs_sum == parent_r
         for which in ("B1", "B2", "B3", "B4"):
             g, f = to_uv(fam.g[n]), to_uv(fam.f[n])
-            gs, fs = V.star(g), V.star(f)
+            g, f, gs, fs = (operand(p) for p in (g, f, V.star(g), V.star(f)))
+            (dx, dy), (dx_s, dy_s) = hirota(g, f), hirota(gs, fs)
             parent = {
-                "B1": hirota("x", g, f) - hirota("x", gs, fs),
-                "B2": hirota("y", g, f) + hirota("y", gs, fs),
+                "B1": dx - dx_s,
+                "B2": dy + dy_s,
                 "B3": apply_F(n, gs, f),
                 "B4": apply_F(n, gs, g) + apply_F(n, fs, f),
             }[which]

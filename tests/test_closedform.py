@@ -15,8 +15,8 @@ from hirotaverify.closedform import (
     w_formula,
     w_recursive,
 )
-from hirotaverify.laurent import ONE, ZERO, from_uv, monomial, parse, subst_y_negate, to_uv
-from hirotaverify.operators import hirota_dst
+from hirotaverify.laurent import ONE, ZERO, from_uv, monomial, parse, subst_y_negate
+from hirotaverify.operators import hirota_dst, operand
 from hirotaverify.wronskian import SymMatrix
 
 from conftest import det_cofactor, low_extremes_uv_swap
@@ -117,38 +117,39 @@ class TestGammaRatios:
 
 class TestExtremeCoefficients:
     def test_small_cases(self):
-        assert g_high(1) == from_uv(monomial(1, ey=1))  # v
-        assert g_low(1) == from_uv(monomial(1, ex=1))  # u
-        assert g_high(2) == from_uv(monomial(4, ex=1, ey=3))  # 4 u v^3
-        assert f_high(1) == parse("1")
-        assert f_low(1) == parse("1")
-        assert f_high(0).is_zero and g_high(0) == parse("1")
+        assert from_uv(g_high(1)) == from_uv(monomial(1, ey=1))  # v
+        assert from_uv(g_low(1)) == from_uv(monomial(1, ex=1))  # u
+        assert from_uv(g_high(2)) == from_uv(monomial(4, ex=1, ey=3))  # 4 u v^3
+        assert from_uv(f_high(1)) == parse("1")
+        assert from_uv(f_low(1)) == parse("1")
+        assert f_high(0).is_zero and from_uv(g_high(0)) == parse("1")
 
     def test_f2_anchor(self):
         # 2u(u^2 + 3v^2 - 1) equals x^3 + y^3 - x - y in the x,y basis.
-        assert f_high(2) == parse("x^3 + y^3 - x - y")
-        assert f_low(2) == parse("x^3 - y^3 - x + y")
+        assert from_uv(f_high(2)) == parse("x^3 + y^3 - x - y")
+        assert from_uv(f_low(2)) == parse("x^3 - y^3 - x + y")
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_match_extracted_coefficients(self, fam5, n):
-        assert g_high(n) == fam5.g[n].coeff_of_t(n)
-        assert g_low(n) == fam5.g[n].coeff_of_t(-n)
-        assert f_high(n) == fam5.f[n].coeff_of_t(n - 1)
-        assert f_low(n) == fam5.f[n].coeff_of_t(-n + 1)
+        assert from_uv(g_high(n)) == fam5.g[n].coeff_of_t(n)
+        assert from_uv(g_low(n)) == fam5.g[n].coeff_of_t(-n)
+        assert from_uv(f_high(n)) == fam5.f[n].coeff_of_t(n - 1)
+        assert from_uv(f_low(n)) == fam5.f[n].coeff_of_t(-n + 1)
 
     def test_mirror_pairs(self):
         for n in range(1, 5):
-            assert g_low(n) == subst_y_negate(g_high(n))
-            assert f_low(n) == subst_y_negate(f_high(n))
+            assert from_uv(g_low(n)) == subst_y_negate(from_uv(g_high(n)))
+            assert from_uv(f_low(n)) == subst_y_negate(from_uv(f_high(n)))
 
     @pytest.mark.parametrize("n", range(7))
     def test_low_orders_match_the_uv_swap(self, n):
-        assert (g_low(n), f_low(n)) == low_extremes_uv_swap(n)
+        assert (from_uv(g_low(n)), from_uv(f_low(n))) == low_extremes_uv_swap(n)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_highest_order_lattice_equations(self, n):
         # The extreme coefficients satisfy the top-order bilinear equations.
-        dst = lambda a, b: from_uv(hirota_dst(to_uv(a), to_uv(b)))
+        # The forms and the bracket are in u, v, where a residual is zero exactly when it is in x, y.
+        dst = lambda a, b: hirota_dst(operand(a), operand(b))
         g_residual = dst(g_high(n), g_high(n)) - 2 * g_high(n + 1) * g_high(n - 1)
         assert g_residual.is_zero
         f_residual = dst(f_high(n), f_high(n)) - 2 * f_high(n + 1) * f_high(n - 1)

@@ -22,7 +22,7 @@ from hirotaverify.laurent import (
     to_uv,
 )
 from hirotaverify import operators
-from hirotaverify.operators import apply_F, apply_F_weyl, hirota, hirota_dst
+from hirotaverify.operators import apply_F, apply_F_weyl, hirota, hirota_dst, operand
 from hirotaverify import verifier as V
 from hirotaverify.wronskian import TauFamily
 
@@ -298,10 +298,8 @@ class TestSu11:
         for name, identity in V.IDENTITIES.items():
             monkeypatch.setitem(V.IDENTITIES, name,
                                 lambda site, identity=identity: calls.append(1) or identity(site))
-        for name in ("hirota_dst", "F_operand"):
-            operator = getattr(V, name)
-            monkeypatch.setattr(V, name, lambda *args, operator=operator:
-                                operands.extend(args[-2:]) or operator(*args))
+        make = V.operand
+        monkeypatch.setattr(V, "operand", lambda p: operands.append(p) or make(p))
         for index, params in enumerate(random_su11_params(2)):
             assert all(r.passed for r in V.check_su11(fam4, 2, params, pair_index=index))
         assert len(calls) == 7
@@ -339,9 +337,10 @@ class TestSu11:
             g = fam4.g[n] + (-i) * fam4.f[n]
             f = i * fam4.g[n] + fam4.f[n]
             g, f = to_uv(g), to_uv(f)
-            gs, fs = V.star(g), V.star(f)
-            assert (hirota("x", g, f) - hirota("x", gs, fs)).is_zero
-            assert (hirota("y", g, f) + hirota("y", gs, fs)).is_zero
+            g, f, gs, fs = (operand(p) for p in (g, f, V.star(g), V.star(f)))
+            (dx, dy), (dx_s, dy_s) = hirota(g, f), hirota(gs, fs)
+            assert (dx - dx_s).is_zero
+            assert (dy + dy_s).is_zero
             assert apply_F(n, gs, f).is_zero
             assert (apply_F(n, gs, g) + apply_F(n, fs, f)).is_zero
 
@@ -371,9 +370,10 @@ class TestSu11Lemmas:
 
     @given(a=polys, b=polys, c=polys, k=gaussians)
     def test_hirota_brackets_bilinear(self, a, b, c, k):
-        assert hirota_dst(k * a + b, c) == k * hirota_dst(a, c) + hirota_dst(b, c)
-        for var in "xy":
-            assert hirota(var, k * a + b, c) == k * hirota(var, a, c) + hirota(var, b, c)
+        ka_b, a, b, c = operand(k * a + b), operand(a), operand(b), operand(c)
+        assert hirota_dst(ka_b, c) == k * hirota_dst(a, c) + hirota_dst(b, c)
+        for h, h_a, h_b in zip(hirota(ka_b, c), hirota(a, c), hirota(b, c)):
+            assert h == k * h_a + h_b
 
     @given(p=polys, k=gaussians)
     def test_star_antilinear(self, p, k):
@@ -381,7 +381,8 @@ class TestSu11Lemmas:
 
     @given(a=polys, b=polys, n=st.integers(min_value=0, max_value=4))
     def test_star_commutes_with_F(self, a, b, n):
-        assert V.star(apply_F(n, a, b)) == apply_F(n, V.star(a), V.star(b))
+        assert (V.star(apply_F(n, operand(a), operand(b)))
+                == apply_F(n, operand(V.star(a)), operand(V.star(b))))
 
 
 def _orderwise_reports(fam, n, suite):
@@ -419,8 +420,8 @@ class TestOrderwiseToda:
         from hirotaverify.closedform import g_high
 
         lhs, rhs = orderwise_oracle(fam4, 2, 0, "g")
-        assert lhs == from_uv(hirota_dst(to_uv(g_high(2)), to_uv(g_high(2))))
-        assert rhs == 2 * g_high(3) * g_high(1)
+        assert lhs == from_uv(hirota_dst(operand(g_high(2)), operand(g_high(2))))
+        assert rhs == 2 * from_uv(g_high(3)) * from_uv(g_high(1))
 
     @pytest.mark.parametrize("family", ["g", "f", "mixed"])
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -435,7 +436,7 @@ class TestOrderwiseToda:
             weight = monomial(1, et=shift - 2 * I)
             lhs_sum = lhs_sum + lhs * weight
             rhs_sum = rhs_sum + rhs * weight
-        assert lhs_sum == from_uv(hirota_dst(to_uv(seq_a[n]), to_uv(seq_b[n])))
+        assert lhs_sum == from_uv(hirota_dst(operand(to_uv(seq_a[n])), operand(to_uv(seq_b[n]))))
         if family == "mixed":
             expected = fam4.f[n + 1] * fam4.g[n - 1] + fam4.f[n - 1] * fam4.g[n + 1]
         else:
@@ -485,18 +486,19 @@ class TestOrderwiseNakamura:
         from hirotaverify.closedform import f_high, g_high, g_low
 
         lhs, _ = orderwise_oracle(fam4, 2, 0, "B3")
-        assert lhs == from_uv(apply_F(2, to_uv(g_low(2)), to_uv(f_high(2))))
+        assert lhs == from_uv(apply_F(2, operand(g_low(2)), operand(f_high(2))))
         lhs, _ = orderwise_oracle(fam4, 2, 0, "B4")
-        assert lhs == from_uv(apply_F(2, to_uv(g_low(2)), to_uv(g_high(2))))
+        assert lhs == from_uv(apply_F(2, operand(g_low(2)), operand(g_high(2))))
 
     @pytest.mark.parametrize("which", ["B1", "B2", "B3", "B4"])
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_weighted_sum_reproduces_parents(self, fam4, which, n):
         g, f = to_uv(fam4.g[n]), to_uv(fam4.f[n])
-        gs, fs = V.star(g), V.star(f)
+        g, f, gs, fs = (operand(p) for p in (g, f, V.star(g), V.star(f)))
+        (dx, dy), (dx_s, dy_s) = hirota(g, f), hirota(gs, fs)
         parents = {
-            "B1": hirota("x", g, f) - hirota("x", gs, fs),
-            "B2": hirota("y", g, f) + hirota("y", gs, fs),
+            "B1": dx - dx_s,
+            "B2": dy + dy_s,
             "B3": apply_F(n, gs, f),
             "B4": apply_F(n, gs, g) + apply_F(n, fs, f),
         }
@@ -629,8 +631,8 @@ class TestSiteTable:
                 == [1] * 6)
 
     def test_F_operands_made_once_per_site(self, fam4, monkeypatch):
-        # tsdec3 and tsdec4 read g*, f, g and f* through F: four operands, each
-        # with two first partials and the two derivatives of M, made once.
+        # The seven identities read g, f, g* and f* through their records, made
+        # once each: every record takes both partials of p and of L+p, and d/dv L-p.
         from hirotaverify import operators
 
         calls = []
@@ -638,8 +640,8 @@ class TestSiteTable:
         monkeypatch.setattr(operators, "differentiate",
                             lambda p, var: calls.append((p, var)) or differentiate(p, var))
         site = V._family_site(fam4, 3)
-        assert site.identity("tsdec3").is_zero and site.identity("tsdec4").is_zero
-        assert len(calls) == len(set(calls)) == 16
+        assert all(site.identity(name).is_zero for name in V.IDENTITIES)
+        assert len(calls) == len(set(calls)) == 20
 
     def test_only_orderwise_rows_split_the_lhs(self, fam4, monkeypatch):
         splits = []
@@ -788,7 +790,8 @@ class TestWeylLock:
         for n in range(1, 5):
             for a in xs:
                 for b in xs:
-                    assert from_uv(apply_F(n, to_uv(a), to_uv(b))) == apply_F_weyl(n, a, b), (n, a, b)
+                    uv = apply_F(n, operand(to_uv(a)), operand(to_uv(b)))
+                    assert from_uv(uv) == apply_F_weyl(n, a, b), (n, a, b)
 
 
 class TestErnstNumeric:

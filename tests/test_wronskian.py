@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hirotaverify.laurent import (
     ONE, from_uv, parse, subst_t_inverse, subst_y_negate, swap_xy, to_uv,
 )
-from hirotaverify.operators import hirota_dst, l_minus, l_plus
+from hirotaverify.operators import hirota_dst, l_minus, l_plus, operand
 from hirotaverify.verifier import jacobi_identity_check, jacobi_residual
 from hirotaverify.wronskian import (
     CACHE_MAGIC,
@@ -232,7 +232,8 @@ class TestTauFamily:
 
     def test_toda_recurrence(self, fam5):
         for n in range(1, 5):
-            residual = from_uv(hirota_dst(to_uv(fam5.tau[n]), to_uv(fam5.tau[n]))) - 2 * (
+            tau = operand(to_uv(fam5.tau[n]))
+            residual = from_uv(hirota_dst(tau, tau)) - 2 * (
                 fam5.tau[n + 1] * fam5.tau[n - 1]
             )
             assert residual.is_zero
