@@ -34,27 +34,31 @@ class RunConfig(NamedTuple):
     fail_fast: bool = False
 
     def validate(self) -> None:
-        from .verifier import SUITE_NAMES
-
         if self.n_max < 1:
             raise ValueError("n-max must be at least 1")
-        unknown = [s for s in self.suites if s not in SUITE_NAMES]
-        if unknown:
-            raise ValueError(f"unknown suite name(s): {', '.join(unknown)}")
         if self.report_format not in ("json", "text"):
             raise ValueError("format must be 'json' or 'text'")
 
 
-def _default_cache_path(depth: int) -> Path | None:
+def _cache_path(depth: int, cache_path: str | None) -> Path | None:
+    """The --cache path if given, else family-n<depth>.tau under HV_CACHE_DIR if set."""
+    if cache_path:
+        return Path(cache_path)
     root = os.environ.get(CACHE_ENV_VAR)
-    if not root:
-        return None
-    return Path(root) / f"family-n{depth}.tau"
+    return Path(root) / f"family-n{depth}.tau" if root else None
+
+
+def _build_and_save(depth: int, path: Path | None) -> TauFamily:
+    fam = TauFamily.build(depth)
+    if path is not None:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fam.save(path)
+    return fam
 
 
 def _obtain_family(depth: int, cache_path: str | None) -> TauFamily:
     """Load a cached family when possible; build and save it when missing, short or refused."""
-    path = Path(cache_path) if cache_path else _default_cache_path(depth)
+    path = _cache_path(depth, cache_path)
     if path is not None and path.exists():
         try:
             fam = TauFamily.load(path)
@@ -63,11 +67,7 @@ def _obtain_family(depth: int, cache_path: str | None) -> TauFamily:
         else:
             if fam.n_max >= depth:
                 return fam
-    fam = TauFamily.build(depth)
-    if path is not None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fam.save(path)
-    return fam
+    return _build_and_save(depth, path)
 
 
 def _emit_report(config: RunConfig, reports: list[CheckReport], stream) -> None:
@@ -102,16 +102,13 @@ def _emit_report(config: RunConfig, reports: list[CheckReport], stream) -> None:
 
 def cmd_verify(config: RunConfig, stream=None) -> int:
     """Run the selected suites; returns the process exit code."""
-    from .verifier import SUITES, family_depth_needed, run_checks, suite_tasks
+    from .verifier import family_depth_needed, run_checks, suite_tasks
 
     stream = stream or sys.stdout
     config.validate()
-    depth = family_depth_needed(config.suites, config.n_max)
+    depth = family_depth_needed(config.suites, config.n_max)  # refuses an unknown suite first
     fam = _obtain_family(depth, config.cache_path)
-    # Each suite once, where it is first named; "all" names every suite.
-    suites = dict.fromkeys(s for name in config.suites for s in (SUITES if name == "all" else [name]))
-    tasks = [task for suite in suites for task in suite_tasks(suite, fam, config.n_max)]
-    reports = run_checks(tasks, fail_fast=config.fail_fast)
+    reports = run_checks(suite_tasks(config.suites, fam, config.n_max), fail_fast=config.fail_fast)
     _emit_report(config, reports, stream)
     statuses = {r.status for r in reports}
     return 1 if "fail" in statuses else 2 if "error" in statuses else 0
@@ -119,15 +116,11 @@ def cmd_verify(config: RunConfig, stream=None) -> int:
 
 def cmd_build(n_max: int, cache_path: str | None, stream=None) -> int:
     stream = stream or sys.stdout
-    if n_max < 1:
-        raise ValueError("n-max must be at least 1")
-    path = Path(cache_path) if cache_path else _default_cache_path(n_max)
+    path = _cache_path(n_max, cache_path)
     if path is None:
         raise ValueError(f"no cache path given and {CACHE_ENV_VAR} is not set")
     started = time.perf_counter()
-    fam = TauFamily.build(n_max)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fam.save(path)
+    _build_and_save(n_max, path)
     stream.write(
         f"built family to n={n_max} in {time.perf_counter() - started:.2f}s, "
         f"cached at {path}\n"
@@ -168,7 +161,7 @@ def cmd_bench(n_max: int, stream=None) -> int:
         # An empty site table, so that no suite reads what another computed.
         fam = TauFamily(depth, tau, f)
         started = time.perf_counter()
-        reports = run_checks(suite_tasks(suite, fam, n_max))
+        reports = run_checks(suite_tasks([suite], fam, n_max))
         elapsed = time.perf_counter() - started
         status = "ok" if all(r.passed for r in reports) else "FAIL"
         stream.write(f"suite {suite:<12} {len(reports):>4} checks "

@@ -18,11 +18,10 @@ from .laurent import (
     Monomial,
     ONE,
     ZERO,
-    differentiate,
     monomial,
     swap_xy,
 )
-from .operators import X2_MINUS_1
+from .operators import X2_MINUS_1, l_x
 from .wronskian import SymMatrix, tau_f_minors
 
 _X = monomial(1, ex=1)
@@ -33,7 +32,7 @@ def w_recursive(n: int) -> LaurentPoly:
     """W_1 = x and W_{k+1} = (x^2 - 1) dW_k/dx in the variable x, each made once from W_k."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    return _X if n == 1 else X2_MINUS_1 * differentiate(w_recursive(n - 1), "x")
+    return _X if n == 1 else l_x(w_recursive(n - 1))
 
 
 @cache

@@ -14,12 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .laurent import (
-    LaurentPoly,
-    ZERO,
-    differentiate,
-    exact_divide,
-)
+from .laurent import LaurentPoly, differentiate, exact_divide
 
 X2_MINUS_1 = LaurentPoly({(0, 2, 0): 1, (0, 0, 0): -1})
 _UV_SQUARES_MINUS_1 = LaurentPoly({(0, 2, 0): 1, (0, 0, 2): 1, (0, 0, 0): -1})
@@ -121,8 +116,4 @@ def apply_F_weyl(n: int, a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
             raise ValueError(f"argument {name} must depend on x only")
     la, lb = l_x(a), l_x(b)
     bracket = l_x(la) * b + a * l_x(lb) - 2 * (la * lb)
-    if bracket.is_zero:
-        quotient = ZERO
-    else:
-        quotient = exact_divide(bracket, X2_MINUS_1)
-    return quotient - (2 * n * n) * (a * b)
+    return exact_divide(bracket, X2_MINUS_1) - (2 * n * n) * (a * b)

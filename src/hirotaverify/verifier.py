@@ -53,7 +53,6 @@ __all__ = [
     "ernst_residual_numeric",
     "DEFAULT_ERNST_POINTS",
     "SUITES",
-    "SUITE_NAMES",
     "suite_tasks",
     "run_checks",
     "family_depth_needed",
@@ -125,24 +124,27 @@ class _Site:
     The sequences are given at sites n-1, n and n+1.  Only the Toda and mixed
     identities read the neighbours g_lo, g_hi, f_lo and f_hi, so they may be
     None where the sequence ends.
-    The records g, f, gs and fs of g_n, f_n, star(g_n) and star(f_n), the
-    pair (D_x g.f, D_y g.f) and each IDENTITIES entry are computed on first
-    use, once each.  An identity keeps its residual and the u,v term count of
-    its lhs at each power of t, counted when it is formed; the lhs itself is
-    dropped.
+    The stars g_star and f_star of g_n and f_n, the records g, f, gs and fs
+    of g_n, f_n, g_star and f_star, the pair (D_x g.f, D_y g.f) and each
+    IDENTITIES entry are computed on first use, once each; a row that reads
+    only a polynomial reads it, not its record.  An identity keeps its
+    residual and the u,v term count of its lhs at each power of t, counted
+    when it is formed; the lhs itself is dropped.
     """
 
     def __init__(self, n: int, g: Sequence, f: Sequence):
         self.n = n
-        self.g_lo, self._g, self.g_hi = g
-        self.f_lo, self._f, self.f_hi = f
+        self.g_lo, self.g_n, self.g_hi = g
+        self.f_lo, self.f_n, self.f_hi = f
         self._residuals: dict[str, LaurentPoly] = {}
         self._counts: dict[str, dict[int, int]] = {}
 
-    g = cached_property(lambda self: operand(self._g))
-    f = cached_property(lambda self: operand(self._f))
-    gs = cached_property(lambda self: operand(star(self._g)))
-    fs = cached_property(lambda self: operand(star(self._f)))
+    g_star = cached_property(lambda self: star(self.g_n))
+    f_star = cached_property(lambda self: star(self.f_n))
+    g = cached_property(lambda self: operand(self.g_n))
+    f = cached_property(lambda self: operand(self.f_n))
+    gs = cached_property(lambda self: operand(self.g_star))
+    fs = cached_property(lambda self: operand(self.f_star))
     hirota_gf = cached_property(lambda self: hirota(self.g, self.f))
 
     def identity(self, name: str) -> LaurentPoly:
@@ -252,10 +254,10 @@ def check_symmetries(fam: TauFamily, n: int) -> list[CheckReport]:
     """
     site, reports = _family_site(fam, n), []
     for k, name in enumerate("gf"):  # f_n's matrix is one dimension smaller
-        p, res = getattr(site, name).p, {}
+        p, res = getattr(site, name + "_n"), {}
         for prop, residual_fn in (
-            ("prop1", lambda: getattr(site, name + "s").p - subst_t_inverse(p)),
-            ("prop2", lambda: getattr(site, name + "s").p - swap_xy(p)),
+            ("prop1", lambda: getattr(site, name + "_star") - subst_t_inverse(p)),
+            ("prop2", lambda: getattr(site, name + "_star") - swap_xy(p)),
             ("prop3", lambda: subst_t_negate(p) - (-1) ** (n - k) * p),
             ("prop4", lambda: subst_t_times_i(p) - minus_i_power(n * n - k) * subst_y_negate(p)),
             # prop2 - prop1 is p(1/t) - p(-y), whose t^m coefficient is c_{-m} - (y -> -y)(c_m):
@@ -390,9 +392,8 @@ def check_orderwise(fam: TauFamily, n: int, system: str) -> list[CheckReport]:
         started = time.perf_counter()
     off_pattern = by_order.keys() - set(range(-top, top + 1, 2))
     if off_pattern:
-        m = max(off_pattern)
-        mono, coeff = from_uv(by_order[m]).leading_term()
-        reports.append(_report(low_id, n, monomial(coeff, m, mono.ex, mono.ey), started,
+        m = max(off_pattern)  # every term of this residual sits at t^m
+        reports.append(_report(low_id, n, from_uv(monomial(1, m) * by_order[m]), started,
                                note="off the t^(K-2I) pattern"))
     return reports
 
@@ -452,7 +453,7 @@ def ernst_residual_numeric(
     xy = lambda r: (half * (r.pu + r.pv), half * (r.pu - r.pv))
     (gx, gy), (fx, fy) = xy(site.g), xy(site.f)
     d = lambda p, sign: half * (differentiate(p, "x") + sign * differentiate(p, "y"))
-    polys = (site.f.p, site.fs.p, site.g.p, site.gs.p, gx, gy, fx, fy,
+    polys = (site.f_n, site.f_star, site.g_n, site.g_star, gx, gy, fx, fy,
              d(gx, 1), d(gy, -1), d(fx, 1), d(fy, -1), *_ERNST_COEFFICIENTS)
 
     def outcome(x0, y0, t0) -> tuple[str, str | None]:
@@ -548,28 +549,23 @@ SUITES: dict[str, Suite] = {
         "ernst", n_max, lambda n: ernst_residual_numeric(fam, n))),
 }
 
-SUITE_NAMES = (*SUITES, "all")
-
 
 def _expand(names: Iterable[str]) -> list[str]:
-    """Suite names in order, "all" standing for every suite; ValueError on an unknown one."""
-    expanded: list[str] = []
+    """Each suite once, where first named, "all" naming every suite; ValueError on an unknown one."""
+    expanded: dict[str, None] = {}
     for name in names:
-        if name == "all":
-            expanded.extend(SUITES)
-        elif name in SUITES:
-            expanded.append(name)
-        else:
+        if name not in SUITES and name != "all":
             raise ValueError(f"unknown suite {name!r}")
-    return expanded
+        expanded.update(dict.fromkeys(SUITES if name == "all" else [name]))
+    return list(expanded)
 
 
 def family_depth_needed(suites: Iterable[str], n_max: int) -> int:
     return n_max + max((SUITES[s].depth_extra for s in _expand(suites)), default=0)
 
 
-def suite_tasks(name: str, fam: TauFamily, n_max: int) -> list[CheckTask]:
-    return [task for suite in _expand([name]) for task in SUITES[suite].tasks(fam, n_max)]
+def suite_tasks(names: Iterable[str], fam: TauFamily, n_max: int) -> list[CheckTask]:
+    return [task for suite in _expand(names) for task in SUITES[suite].tasks(fam, n_max)]
 
 
 # -- closed-form and Weyl-branch checks used by the suites ---------------------
@@ -627,10 +623,10 @@ def _check_extremes(fam: TauFamily, n: int) -> CheckReport:
     started = time.perf_counter()
     site = _family_site(fam, n)  # g_n and f_n in u, v, as the closed forms are
     checks = [
-        (closedform.g_high(n), site.g.p.coeff_of_t(n)),
-        (closedform.g_low(n), site.g.p.coeff_of_t(-n)),
-        (closedform.f_high(n), site.f.p.coeff_of_t(n - 1)),
-        (closedform.f_low(n), site.f.p.coeff_of_t(-n + 1)),
+        (closedform.g_high(n), site.g_n.coeff_of_t(n)),
+        (closedform.g_low(n), site.g_n.coeff_of_t(-n)),
+        (closedform.f_high(n), site.f_n.coeff_of_t(n - 1)),
+        (closedform.f_low(n), site.f_n.coeff_of_t(-n + 1)),
     ]
     residual = next((closed - extracted for closed, extracted in checks
                      if closed != extracted), ZERO)
@@ -650,9 +646,10 @@ def _check_weyl_lock() -> CheckReport:
     failure reports n and order_index 3i + j.
     """
     started = time.perf_counter()
+    powers = [monomial(1, ex=i) for i in range(3)]
+    records = [operand(to_uv(p)) for p in powers]
     for n, i, j in ((n, i, j) for n in range(1, 5) for i in range(3) for j in range(3)):
-        a, b = monomial(1, ex=i), monomial(1, ex=j)
-        diff = apply_F(n, operand(to_uv(a)), operand(to_uv(b))) - to_uv(apply_F_weyl(n, a, b))
+        diff = apply_F(n, records[i], records[j]) - to_uv(apply_F_weyl(n, powers[i], powers[j]))
         if not diff.is_zero:
             return _report("weyl.lock", n, from_uv(diff), started, order_index=3 * i + j)
     return _report("weyl.lock", 0, ZERO, started, note="forms agree on every x-only pair at n=1..4")

@@ -49,7 +49,7 @@ def test_criterion_01_toda_suite():
     started = time.perf_counter()
     fam = family(5)
     # The suite reports toda.g from the tau residual, since g_n is tau_n.
-    reports = V.run_checks(V.suite_tasks("toda", fam, 4))
+    reports = V.run_checks(V.suite_tasks(["toda"], fam, 4))
     ok = sorted((r.equation_id, r.n) for r in reports) == [
         (f"toda.{which}", n) for which in ("f", "g", "tau") for n in range(1, 5)
     ]

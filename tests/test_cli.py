@@ -222,6 +222,19 @@ class TestCacheContract:
         monkeypatch.delenv("HV_CACHE_DIR", raising=False)
         assert main(["build", "--n-max", "2"]) == 2
 
+    def test_unknown_suite_refused_before_any_family(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("HV_CACHE_DIR", str(tmp_path))
+        builds = []
+        monkeypatch.setattr(TauFamily, "build", classmethod(lambda cls, n: builds.append(n)))
+        assert main(["verify", "--suite", "nope", "--suite", "toda", "--n-max", "2"]) == 2
+        assert list(tmp_path.iterdir()) == [] and builds == []
+        assert "unknown suite 'nope'" in capsys.readouterr().err
+
+    def test_build_refuses_n_max_zero_before_writing(self, tmp_path):
+        cache = tmp_path / "f0.tau"
+        assert main(["build", "--n-max", "0", "--cache", str(cache)]) == 2
+        assert not cache.exists()
+
 
 class TestBenchCommand:
     def test_emits_row_per_site(self):

@@ -84,7 +84,7 @@ class TestLatticeChecks:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_toda(self, fam5, which, n):
         # check_toda has no "g" selector: the suite reports toda.g from the tau residual.
-        tasks = [task for task in V.suite_tasks("toda", fam5, 4) if task.n == n]
+        tasks = [task for task in V.suite_tasks(["toda"], fam5, 4) if task.n == n]
         rows = {r.equation_id: r for r in V.run_checks(tasks)}
         assert rows[f"toda.{which}"].passed
 
@@ -116,7 +116,7 @@ class TestLatticeChecks:
             return hirota_dst(f, g)
 
         monkeypatch.setattr(V, "hirota_dst", counting)
-        reports = V.run_checks(V.suite_tasks("toda", fam4, 3))
+        reports = V.run_checks(V.suite_tasks(["toda"], fam4, 3))
         assert len(calls) == 6
         assert [(r.equation_id, r.n) for r in reports] == [
             (which, n) for which in ("toda.f", "toda.g", "toda.tau") for n in (1, 2, 3)
@@ -233,7 +233,7 @@ class TestJacobiReadsTheSiteTable:
 
     def test_suite_alone_evaluates_toda_g_once_per_site(self, fam5, monkeypatch):
         evaluated, _ = self._count(monkeypatch)
-        assert all(r.passed for r in V.run_checks(V.suite_tasks("jacobi", fam5, 4)))
+        assert all(r.passed for r in V.run_checks(V.suite_tasks(["jacobi"], fam5, 4)))
         assert evaluated == [("toda.g", n) for n in (1, 2, 3, 4)]
 
 
@@ -548,14 +548,14 @@ class TestOrderwiseSystems:
             return identity(site)
 
         monkeypatch.setitem(V.IDENTITIES, spec.identity, counting)
-        tasks = [t for t in V.suite_tasks(spec.suite, fam4, 3)
+        tasks = [t for t in V.suite_tasks([spec.suite], fam4, 3)
                  if t.equation_id == f"{spec.suite}.{system}"]
         assert all(r.passed for r in V.run_checks(tasks))
         assert calls == [1, 2, 3]
 
     def test_suites_split_the_table(self, fam4):
         for suite in ("orderwise-A", "orderwise-B"):
-            tasks = V.suite_tasks(suite, fam4, 2)
+            tasks = V.suite_tasks([suite], fam4, 2)
             systems = [s for s, spec in V.ORDERWISE_SYSTEMS.items() if spec.suite == suite]
             assert [(t.n, t.equation_id) for t in tasks] == [
                 (n, f"{suite}.{s}") for n in (1, 2) for s in systems
@@ -579,7 +579,7 @@ class TestOrderwiseSystems:
     ])
     def test_stray_terms_fail(self, fam5, seq, k, extra, failing):
         broken = _with_stray_term(fam5, seq, k, extra)
-        tasks = V.suite_tasks("orderwise-A", broken, 3) + V.suite_tasks("orderwise-B", broken, 3)
+        tasks = V.suite_tasks(["orderwise-A", "orderwise-B"], broken, 3)
         reports = V.run_checks(tasks)
         assert len(reports) == 87 + sum(note == self.OFF for *_, note in failing)
         assert [(r.equation_id, r.n, r.order_index, r.note)
@@ -610,7 +610,7 @@ class TestSiteTable:
 
             monkeypatch.setitem(V.IDENTITIES, name, counting)
         suites = ("toda", "mixed", "conjecture", "orderwise-A", "orderwise-B")
-        tasks = [task for suite in suites for task in V.suite_tasks(suite, fam4, 3)]
+        tasks = V.suite_tasks(suites, fam4, 3)
         assert all(r.passed for r in V.run_checks(tasks))
         assert sorted(calls) == sorted((name, n) for name in V.IDENTITIES for n in (1, 2, 3))
 
@@ -624,11 +624,19 @@ class TestSiteTable:
         star = V.star
         monkeypatch.setattr(V, "star", counting)
         suites = ("conjecture", "symmetries", "ernst-numeric", "orderwise-B")
-        tasks = [task for suite in suites for task in V.suite_tasks(suite, fam4, 3)]
+        tasks = V.suite_tasks(suites, fam4, 3)
         assert all(r.passed for r in V.run_checks(tasks))
         # tsdec1 and tsdec2 also star their brackets; g_n and f_n go in once each, in u, v.
         assert ([stars.count(to_uv(p)) for n in (1, 2, 3) for p in (fam4.g[n], fam4.f[n])]
                 == [1] * 6)
+
+    def test_polynomial_rows_make_no_record(self, fam4, monkeypatch):
+        # symmetries and closed.extreme read g_n, f_n and their stars, not their records.
+        records = []
+        operand = V.operand
+        monkeypatch.setattr(V, "operand", lambda p: records.append(p) or operand(p))
+        assert all(r.passed for r in V.check_symmetries(fam4, 3) + [V._check_extremes(fam4, 3)])
+        assert records == []
 
     def test_F_operands_made_once_per_site(self, fam4, monkeypatch):
         # The seven identities read g, f, g* and f* through their records, made
@@ -647,11 +655,10 @@ class TestSiteTable:
         splits = []
         split = LaurentPoly.t_coefficients
         monkeypatch.setattr(LaurentPoly, "t_coefficients", lambda p: splits.append(p) or split(p))
-        tasks = [task for suite in ("toda", "mixed", "conjecture")
-                 for task in V.suite_tasks(suite, fam4, 3)]
+        tasks = V.suite_tasks(["toda", "mixed", "conjecture"], fam4, 3)
         assert all(r.passed for r in V.run_checks(tasks))
         assert splits == []
-        assert all(r.passed for r in V.run_checks(V.suite_tasks("orderwise-B", fam4, 3)))
+        assert all(r.passed for r in V.run_checks(V.suite_tasks(["orderwise-B"], fam4, 3)))
         assert splits
 
     @staticmethod
@@ -663,10 +670,10 @@ class TestSiteTable:
         # A suite reads what an earlier suite left in the table; its rows must not change.
         fresh = lambda: TauFamily(5, [p + parse(stray) if stray and k == 2 else p
                                       for k, p in enumerate(built5.tau)], built5.f)
-        together = self._rows(V.run_checks(V.suite_tasks("all", fresh(), 4)))
+        together = self._rows(V.run_checks(V.suite_tasks(["all"], fresh(), 4)))
         alone = self._rows(sorted(
-            (r for name in V.SUITE_NAMES[:-1]
-             for r in V.run_checks(V.suite_tasks(name, fresh(), 4))), key=V.sort_key))
+            (r for name in V.SUITES
+             for r in V.run_checks(V.suite_tasks([name], fresh(), 4))), key=V.sort_key))
         assert together == alone
         assert any(r.status == "fail" for r in together) == bool(stray)
 
@@ -724,7 +731,7 @@ class TestCrossBasis:
     def test_damaged_rows_match_the_xy_oracle(self, fam4, seq, k, extra):
         fam = _with_stray_term(fam4, seq, k, extra)
         rows = sorted((r for suite in self.SUITES
-                       for r in V.run_checks(V.suite_tasks(suite, fam, 3))), key=V.sort_key)
+                       for r in V.run_checks(V.suite_tasks([suite], fam, 3))), key=V.sort_key)
         assert self._fields(rows) == site_rows_oracle(fam, 3)
         assert any(r.status == "fail" for r in rows)
         for index, params in enumerate((SU11_PAIRS[0], SU11_PAIRS[-1])):
@@ -782,6 +789,13 @@ class TestWeylLock:
         report = V._check_weyl_lock()
         assert report.status == "fail"
         assert (report.n, report.order_index, report.witness) == failure
+
+    def test_one_record_per_monomial(self, monkeypatch):
+        records = []
+        operand = V.operand
+        monkeypatch.setattr(V, "operand", lambda p: records.append(p) or operand(p))
+        assert V._check_weyl_lock().passed
+        assert len(records) == 3
 
     def test_forms_agree_on_every_pair_to_degree_6(self):
         # The x-only polynomials of degree <= 6 are the span of these monomials,
@@ -853,7 +867,7 @@ class TestErnstNumeric:
 
 class TestRunner:
     def test_reports_sorted_and_deterministic(self, fam4):
-        tasks = V.suite_tasks("conjecture", fam4, 2)
+        tasks = V.suite_tasks(["conjecture"], fam4, 2)
         serial = V.run_checks(tasks)
         strip = lambda rs: [(r.equation_id, r.n, r.order_index, r.status) for r in rs]
         assert strip(serial) == sorted(strip(serial), key=lambda x: (x[0], x[1]))
@@ -864,7 +878,7 @@ class TestRunner:
             tau=[p + parse("1") if k == 2 else p for k, p in enumerate(fam4.tau)],
             f=fam4.f,
         )
-        tasks = V.suite_tasks("toda", broken, 3)
+        tasks = V.suite_tasks(["toda"], broken, 3)
         reports = V.run_checks(tasks, fail_fast=True)
         assert any(not r.passed for r in reports)
         assert len(reports) < len(tasks)
@@ -876,7 +890,12 @@ class TestRunner:
 
     def test_unknown_suite(self, fam4):
         with pytest.raises(ValueError):
-            V.suite_tasks("nope", fam4, 2)
+            V.suite_tasks(["nope"], fam4, 2)
+
+    def test_each_suite_listed_once_where_first_named(self, fam4):
+        ids = lambda names: [(t.equation_id, t.n) for t in V.suite_tasks(names, fam4, 2)]
+        rest = [name for name in V.SUITES if name != "toda"]
+        assert ids(["toda", "all", "toda"]) == ids(["toda"]) + ids(rest)
 
     def test_family_depth_rejects_unknown_suite(self):
         with pytest.raises(ValueError, match="nope"):
@@ -894,11 +913,10 @@ class TestRunner:
             + [(f"orderwise-B.{s}", n) for n in (1, 2) for s in ("B1", "B2", "B3", "B4")]
             + sites("ernst", 1, 2)
         )
-        tasks = V.suite_tasks("all", fam4, 2)
+        tasks = V.suite_tasks(["all"], fam4, 2)
         assert [(t.equation_id, t.n) for t in tasks] == expected
-        assert V.SUITE_NAMES[-1] == "all"
-        assert [t.equation_id for name in V.SUITE_NAMES[:-1]
-                for t in V.suite_tasks(name, fam4, 2)] == [e for e, _ in expected]
+        assert [t.equation_id for name in V.SUITES
+                for t in V.suite_tasks([name], fam4, 2)] == [e for e, _ in expected]
 
     def test_sort_key_shape(self, fam4):
         report = V.check_mixed(fam4, 1)
