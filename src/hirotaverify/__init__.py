@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 from .gaussian import GaussianRational
 from .laurent import LaurentPoly, Monomial, parse, serialize
 from .operators import apply_F, apply_F_weyl, hirota, hirota_dst, operand
-from .wronskian import SymMatrix, TauFamily, build_psi, wronskian_matrix
+from .wronskian import TauFamily, build_psi, wronskian_matrix
 
 __all__ = [
     "__version__",
@@ -27,7 +27,6 @@ __all__ = [
     "hirota",
     "hirota_dst",
     "operand",
-    "SymMatrix",
     "TauFamily",
     "build_psi",
     "wronskian_matrix",

@@ -22,7 +22,7 @@ from .laurent import (
     swap_xy,
 )
 from .operators import X2_MINUS_1, l_x
-from .wronskian import SymMatrix, tau_f_minors
+from .wronskian import tau_f_minors
 
 _X = monomial(1, ex=1)
 
@@ -93,8 +93,7 @@ def q0_wronskians(last: int) -> tuple[tuple[LaurentPoly, ...], tuple[LaurentPoly
     """
     if last < 1:
         raise ValueError("last must be at least 1")
-    hankel = SymMatrix(tuple(tuple(w_recursive(1 + i + j) for j in range(last))
-                             for i in range(last)))
+    hankel = [[w_recursive(1 + i + j) for j in range(last)] for i in range(last)]
     return tuple(zip(*tau_f_minors(hankel)))
 
 

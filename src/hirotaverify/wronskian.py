@@ -20,7 +20,7 @@ import zlib
 from functools import cached_property
 from itertools import chain, islice, zip_longest
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .laurent import (
     LaurentPoly,
@@ -38,6 +38,7 @@ from .operators import l_minus, l_plus
 CACHE_MAGIC = "hirotaverify tau-family"
 CACHE_VERSION = 1
 _HEADER = re.compile(rf"^{CACHE_MAGIC} v(\d+) crc32=([0-9a-f]{{8}})$")
+Matrix = Sequence[Sequence[LaurentPoly]]  # a square matrix, as its rows
 
 
 def build_psi() -> LaurentPoly:
@@ -45,25 +46,8 @@ def build_psi() -> LaurentPoly:
     return LaurentPoly({Monomial(1, 0, 1): 1, Monomial(-1, 1, 0): 1})
 
 
-class SymMatrix(NamedTuple("SymMatrix", [("entries", tuple)])):
-    """Immutable square matrix of Laurent polynomials."""
-
-    __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
-
-    def __new__(cls, entries: tuple[tuple[LaurentPoly, ...], ...]):
-        for row in entries:
-            if len(row) != len(entries):
-                raise ValueError("matrix must be square")
-        return super().__new__(cls, entries)
-
-    @property
-    def dim(self) -> int:
-        return len(self.entries)
-
-
-def wronskian_matrix(seed: LaurentPoly, n: int) -> SymMatrix:
-    """n x n matrix with entries[i][j] = L_plus^i L_minus^j seed.
+def wronskian_matrix(seed: LaurentPoly, n: int) -> Matrix:
+    """n x n matrix as a tuple of rows, with m[i][j] = L_plus^i L_minus^j seed.
 
     Row 0 is built by repeated L_minus from the seed and each later row by
     one L_plus per entry, so construction costs O(n^2) operator applications.
@@ -75,15 +59,15 @@ def wronskian_matrix(seed: LaurentPoly, n: int) -> SymMatrix:
         rows[0].append(l_minus(rows[0][j - 1]))
     for i in range(1, n):
         rows.append([l_plus(e) for e in rows[i - 1]])
-    return SymMatrix(tuple(tuple(row) for row in rows))
+    return tuple(map(tuple, rows))
 
 
 class DeterminantError(RuntimeError):
     """Internal inconsistency: a zero pivot before the last step, or an inexact division."""
 
 
-def _eliminate(m: SymMatrix) -> Iterator[list[list[LaurentPoly]]]:
-    """One-step fraction-free (Bareiss) elimination of m, one step at a time.
+def _eliminate(m: Matrix) -> Iterator[list[list[LaurentPoly]]]:
+    """One-step fraction-free (Bareiss) elimination of the square matrix m, one step at a time.
 
     Yields the live working rows a before each step k; step k runs only when
     the rows after it are asked for.  By Sylvester's identity, a[i][j] with
@@ -94,8 +78,8 @@ def _eliminate(m: SymMatrix) -> Iterator[list[list[LaurentPoly]]]:
     error, not a failed identity.  There are no row swaps: a zero pivot
     before the last step raises DeterminantError too.
     """
-    n = m.dim
-    a = [list(row) for row in m.entries]
+    n = len(m)
+    a = [list(row) for row in m]
     prev = None  # the first step would divide by 1
     for k in range(n):
         yield a
@@ -117,16 +101,15 @@ def _eliminate(m: SymMatrix) -> Iterator[list[list[LaurentPoly]]]:
         prev = pivot
 
 
-def _leading_minors(m: SymMatrix) -> Iterator[LaurentPoly]:
+def _leading_minors(m: Matrix) -> Iterator[LaurentPoly]:
     """The leading principal minors of m, one elimination step each; the last is det m."""
     return (a[k][k] for k, a in enumerate(_eliminate(m)))
 
 
-def tau_f_minors(m: SymMatrix) -> Iterator[tuple[LaurentPoly, LaurentPoly]]:
-    """(tau_k, f_k) for k = 1..dim: the leading principal minors of m and, after
+def tau_f_minors(m: Matrix) -> Iterator[tuple[LaurentPoly, LaurentPoly]]:
+    """(tau_k, f_k) for k = 1..len(m): the leading principal minors of m and, after
     f_1 = 1, those of its lower-right block, one elimination step of each per k."""
-    block = SymMatrix(tuple(row[1:] for row in m.entries[1:]))
-    return zip(_leading_minors(m), chain([ONE], _leading_minors(block)))
+    return zip(_leading_minors(m), chain([ONE], _leading_minors([row[1:] for row in m[1:]])))
 
 
 def site_steps(n_max: int) -> Iterator[tuple[LaurentPoly, LaurentPoly]]:
@@ -242,13 +225,15 @@ class TauFamily(NamedTuple("TauFamily", [("n_max", int), ("tau", tuple), ("f", t
         return fam
 
 
-def sylvester_minors(n: int) -> tuple[LaurentPoly, LaurentPoly, LaurentPoly]:
-    """D[n;n], D[n+1;n] and D[n;n+1] of the (n+1) x (n+1) seed Wronskian, in u, v.
+def sylvester_minors(n_max: int) -> Iterator[tuple[LaurentPoly, LaurentPoly, LaurentPoly]]:
+    """D[n;n], D[n+1;n] and D[n;n+1] of the (n+1)-dim seed Wronskian, in u, v, for n = 1..n_max.
 
     D[i; j] deletes row i and column j (1-based).  Each is the (n-1)-dimensional leading
     block bordered by one of the last two rows and columns, read before elimination step n-1.
+    A leading block eliminates as the smaller matrix does, so one elimination of the
+    (n_max+1)-dimensional matrix, read before each step, serves every n; its last step never runs.
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    a = next(islice(_eliminate(wronskian_matrix(build_psi(), n + 1)), n - 1, None))
-    return a[n][n], a[n - 1][n], a[n][n - 1]
+    if n_max < 1:
+        raise ValueError(f"need n_max >= 1, got {n_max}")
+    steps = islice(_eliminate(wronskian_matrix(build_psi(), n_max + 1)), n_max)
+    return ((a[n][n], a[n - 1][n], a[n][n - 1]) for n, a in enumerate(steps, start=1))

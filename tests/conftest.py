@@ -27,7 +27,7 @@ from hirotaverify.laurent import (
 from hirotaverify.operators import X2_MINUS_1, l_x
 from hirotaverify import verifier as V
 from hirotaverify.verifier import CheckReport, star
-from hirotaverify.wronskian import SymMatrix, TauFamily, _leading_minors, sylvester_minors
+from hirotaverify.wronskian import Matrix, TauFamily, _leading_minors, sylvester_minors
 
 settings.register_profile(
     "exact",
@@ -122,7 +122,8 @@ def mirror_oracle(p: LaurentPoly) -> LaurentPoly:
 
 def sylvester_oracle(fam: TauFamily, n: int) -> LaurentPoly:
     """D[n;n] tau_n - D[n+1;n] D[n;n+1] - tau_{n+1} tau_{n-1}, as three products of the minors in x, y."""
-    d_nn, d_sr, d_rs = map(from_uv, sylvester_minors(n))
+    *_, minors = sylvester_minors(n)  # the last triple is site n's
+    d_nn, d_sr, d_rs = map(from_uv, minors)
     return d_nn * fam.tau[n] - d_sr * d_rs - fam.tau[n + 1] * fam.tau[n - 1]
 
 
@@ -172,14 +173,14 @@ def l_minus_xy(p: LaurentPoly) -> LaurentPoly:
     return l_x(p) - l_y(p)
 
 
-def wronskian_matrix_xy(seed: LaurentPoly, n: int) -> SymMatrix:
-    """n x n matrix with entries[i][j] = L_plus^i L_minus^j seed, every entry in x, y."""
+def wronskian_matrix_xy(seed: LaurentPoly, n: int) -> Matrix:
+    """n x n matrix as rows, with m[i][j] = L_plus^i L_minus^j seed, every entry in x, y."""
     rows = [[seed]]
     for j in range(1, n):
         rows[0].append(l_minus_xy(rows[0][j - 1]))
     for i in range(1, n):
         rows.append([l_plus_xy(e) for e in rows[i - 1]])
-    return SymMatrix(tuple(tuple(row) for row in rows))
+    return tuple(map(tuple, rows))
 
 
 def build_xy(n_max: int) -> TauFamily:
@@ -191,9 +192,9 @@ def build_xy(n_max: int) -> TauFamily:
     return TauFamily(n_max, [ONE, *tau], [ZERO, ONE, *f])
 
 
-def det_cofactor(m: SymMatrix) -> LaurentPoly:
-    """Cofactor expansion with memoized minors; the reference determinant."""
-    if m.dim == 0:
+def det_cofactor(m: Matrix) -> LaurentPoly:
+    """Cofactor expansion of the square matrix m with memoized minors; the reference determinant."""
+    if len(m) == 0:
         return ONE
     cache: dict[tuple[int, ...], LaurentPoly] = {(): ONE}
 
@@ -203,7 +204,7 @@ def det_cofactor(m: SymMatrix) -> LaurentPoly:
             return got
         total = ZERO
         for pos, col in enumerate(cols):
-            entry = m.entries[row][col]
+            entry = m[row][col]
             if entry.is_zero:
                 continue
             sub = rec(row + 1, cols[:pos] + cols[pos + 1 :])
@@ -212,7 +213,7 @@ def det_cofactor(m: SymMatrix) -> LaurentPoly:
         cache[cols] = total
         return total
 
-    return rec(0, tuple(range(m.dim)))
+    return rec(0, tuple(range(len(m))))
 
 
 def subst_linear(p: LaurentPoly, x_image: LaurentPoly, y_image: LaurentPoly) -> LaurentPoly:

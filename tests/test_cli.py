@@ -77,16 +77,16 @@ class TestVerifyCommand:
         assert capsys.readouterr().err.startswith("error: ")
 
     def test_error_in_one_check_keeps_the_report(self, monkeypatch, capsys):
-        def fail(fam, n):
+        def fail(fam, n_max):
             raise DeterminantError("zero pivot")
 
-        monkeypatch.setattr(verifier, "jacobi_identity_check", fail)
+        monkeypatch.setattr(verifier, "check_jacobi", fail)
         code = main(["verify", "--suite", "jacobi", "--suite", "mixed", "--n-max", "1",
                      "--format", "json"])
         assert code == 2
         payload = json.loads(capsys.readouterr().out)
         rows = {c["equation_id"]: c for c in payload["checks"]}
-        assert rows["jacobi"]["status"] == "error"
+        assert (rows["jacobi"]["n"], rows["jacobi"]["status"]) == (0, "error")
         assert rows["jacobi"]["witness"] == "DeterminantError: zero pivot"
         assert rows["mixed"]["status"] == "pass"
         assert payload["summary"]["error"] == 1
@@ -111,6 +111,20 @@ class TestVerifyCommand:
         jacobi_first = rows(["jacobi", "toda"])
         assert jacobi_first == rows(["toda", "jacobi"])
         assert any(r["status"] == "fail" for r in jacobi_first) == bool(stray)
+
+
+    def test_fail_fast_stops_after_every_jacobi_row(self, built5, tmp_path, capsys):
+        # The jacobi suite is one task, so --fail-fast keeps all of its rows
+        # and stops before the next suite.  tau_3 enters the identity at sites 2..4.
+        tau = [p + 1 if k == 3 else p for k, p in enumerate(built5.tau)]
+        cache = tmp_path / "f5.tau"
+        TauFamily(5, tau, built5.f).save(cache)
+        code = main(["verify", "--suite", "jacobi", "--suite", "mixed", "--n-max", "4",
+                     "--fail-fast", "--cache", str(cache), "--format", "json"])
+        assert code == 1
+        rows = json.loads(capsys.readouterr().out)["checks"]
+        assert [(r["equation_id"], r["n"], r["status"]) for r in rows] == [
+            ("jacobi", n, "pass" if n == 1 else "fail") for n in (1, 2, 3, 4)]
 
 
 class TestCacheContract:

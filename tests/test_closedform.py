@@ -17,17 +17,16 @@ from hirotaverify.closedform import (
 )
 from hirotaverify.laurent import ONE, ZERO, from_uv, monomial, parse, subst_y_negate
 from hirotaverify.operators import hirota_dst, operand
-from hirotaverify.wronskian import SymMatrix
+from hirotaverify.wronskian import Matrix
 
 from conftest import det_cofactor, low_extremes_uv_swap
 
 X = parse("x")
 
 
-def hankel(first: int, dim: int) -> SymMatrix:
-    """The dim x dim Hankel matrix [W_{first+i+j}], i, j = 0..dim-1."""
-    return SymMatrix(tuple(tuple(w_recursive(first + i + j) for j in range(dim))
-                           for i in range(dim)))
+def hankel(first: int, dim: int) -> Matrix:
+    """The dim x dim Hankel matrix [W_{first+i+j}], i, j = 0..dim-1, as rows."""
+    return tuple(tuple(w_recursive(first + i + j) for j in range(dim)) for i in range(dim))
 
 
 class TestWPolynomials:

@@ -207,7 +207,7 @@ class TestJacobiReadsTheSiteTable:
     def test_residual_equals_the_direct_formula(self, fam5, damage):
         # The same polynomial, not only the same zero test, on damaged families too.
         fam = _with_stray_term(fam5, *damage) if damage else fam5
-        residuals = [V.jacobi_residual(fam, n) for n in (1, 2, 3, 4)]
+        residuals = list(V.jacobi_residuals(fam, 4))
         assert residuals == [sylvester_oracle(fam, n) for n in (1, 2, 3, 4)]
         assert any(not r.is_zero for r in residuals) == bool(damage)
 
@@ -228,7 +228,7 @@ class TestJacobiReadsTheSiteTable:
         for n in (1, 2, 3, 4):
             assert V.check_toda(fam5, n, "tau").passed
         evaluated, brackets = self._count(monkeypatch)
-        assert all(V.jacobi_identity_check(fam5, n).passed for n in (1, 2, 3, 4))
+        assert all(r.passed for r in V.check_jacobi(fam5, 4))
         assert evaluated == [] and brackets == []
 
     def test_suite_alone_evaluates_toda_g_once_per_site(self, fam5, monkeypatch):
@@ -688,7 +688,7 @@ class TestSiteTable:
         "toda.tau": (lambda fam, n: V.check_toda(fam, n, "tau"), 3),
         "toda.f": (lambda fam, n: V.check_toda(fam, n, "f"), 3),
         "mixed": (lambda fam, n: V.check_mixed(fam, n), 3),
-        "jacobi": (lambda fam, n: V.jacobi_residual(fam, n), 3),
+        "jacobi": (lambda fam, n: V.check_jacobi(fam, n), 3),
         "conjecture": (lambda fam, n: V.check_conjecture(fam, n), 4),
         "symmetries": (lambda fam, n: V.check_symmetries(fam, n), 4),
         "su11": (lambda fam, n: V.check_su11(fam, n, SU11_PAIRS[0]), 3),
@@ -744,7 +744,7 @@ class TestCheckBodies:
     # A function named check_* or _check_* is timed and counted as one check
     # body by perfbench/tracer.py, so a helper must not carry either prefix.
     CHECK_BODIES = {
-        "check_toda", "check_mixed", "check_conjecture", "check_symmetries",
+        "check_toda", "check_mixed", "check_jacobi", "check_conjecture", "check_symmetries",
         "check_su11", "check_orderwise", "_check_w_forms", "_check_a_facts",
         "_check_q0", "_check_extremes", "_check_weyl_lock", "_check_weyl_pair",
     }
@@ -761,7 +761,7 @@ class TestCheckBodies:
         assert set(self._named_checks()) == self.CHECK_BODIES
 
     def test_no_check_body_calls_another(self):
-        bodies = set(self._named_checks()) | {"ernst_residual_numeric", "jacobi_identity_check"}
+        bodies = set(self._named_checks()) | {"ernst_residual_numeric"}
         for name in bodies:
             tree = ast.parse(textwrap.dedent(inspect.getsource(getattr(V, name))))
             called = {node.func.id for node in ast.walk(tree)
@@ -883,6 +883,26 @@ class TestRunner:
         assert any(not r.passed for r in reports)
         assert len(reports) < len(tasks)
 
+    def test_first_row_carries_the_time_no_row_measured(self, fam4, monkeypatch):
+        # The site's u,v-polynomials are made before the first row's clock starts.
+        to_uv = V.to_uv
+        monkeypatch.setattr(V, "to_uv", lambda p: time.sleep(0.05) or to_uv(p))
+        fresh = TauFamily(fam4.n_max, fam4.tau, fam4.f)  # an empty site table
+        started = time.perf_counter()
+        reports = V.run_checks(V.suite_tasks(["symmetries"], fresh, 1))
+        wall = time.perf_counter() - started
+        first = next(r for r in reports if r.equation_id == "prop1.g")
+        assert first.elapsed >= 0.05
+        assert wall - 0.01 <= sum(r.elapsed for r in reports) <= wall
+
+    def test_error_row_carries_the_whole_task_time(self):
+        def slow_failure():
+            time.sleep(0.05)
+            raise RuntimeError("late")
+
+        [row] = V.run_checks([V.CheckTask("late", 0, slow_failure)])
+        assert row.status == "error" and row.elapsed >= 0.05
+
     def test_family_depth(self):
         assert V.family_depth_needed(["toda"], 3) == 4
         assert V.family_depth_needed(["conjecture"], 3) == 3
@@ -906,7 +926,7 @@ class TestRunner:
         sites = lambda eq_id, first, last: [(eq_id, n) for n in range(first, last + 1)]
         expected = (
             sites("toda.tau", 1, 2) + sites("toda.f", 1, 2) + sites("mixed", 1, 2)
-            + sites("jacobi", 1, 2) + sites("tsdec", 1, 2) + sites("symmetry", 1, 2)
+            + [("jacobi", 0)] + sites("tsdec", 1, 2) + sites("symmetry", 1, 2)
             + [("closed.W", 0), ("closed.A", 0)] + sites("closed.q0", 1, 6)
             + sites("closed.extreme", 1, 2) + [("weyl.lock", 0)] + sites("weyl.pair", 1, 3)
             + [(f"orderwise-A.{s}", n) for n in (1, 2) for s in ("g", "f", "mixed")]

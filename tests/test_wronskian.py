@@ -10,17 +10,18 @@ from hirotaverify.laurent import (
     ONE, from_uv, parse, subst_t_inverse, subst_y_negate, swap_xy, to_uv,
 )
 from hirotaverify.operators import hirota_dst, l_minus, l_plus, operand
-from hirotaverify.verifier import jacobi_identity_check, jacobi_residual
+from hirotaverify.verifier import check_jacobi, jacobi_residuals
 from hirotaverify.wronskian import (
     CACHE_MAGIC,
     CACHE_VERSION,
     DeterminantError,
-    SymMatrix,
+    Matrix,
     TauFamily,
     _eliminate,
     _leading_minors,
     build_psi,
     site_steps,
+    sylvester_minors,
     tau_f_minors,
     wronskian_matrix,
 )
@@ -32,15 +33,15 @@ PSI = build_psi()  # t v + u/t, u in the x slot and v in the y slot
 PSI_XY = psi_xy()
 
 
-def det(m: SymMatrix):
+def det(m: Matrix):
     """The last leading principal minor of m, its determinant."""
     return list(_leading_minors(m))[-1]
 
 
-def deleting(m: SymMatrix, row: int, col: int) -> SymMatrix:
+def deleting(m: Matrix, row: int, col: int) -> Matrix:
     """m with one 0-based row and column deleted."""
-    return SymMatrix(tuple(tuple(e for j, e in enumerate(entries) if j != col)
-                           for i, entries in enumerate(m.entries) if i != row))
+    return tuple(tuple(e for j, e in enumerate(entries) if j != col)
+                 for i, entries in enumerate(m) if i != row)
 
 
 class TestSeed:
@@ -58,33 +59,24 @@ class TestSeed:
 class TestMatrixConstruction:
     def test_dim_one(self):
         m = wronskian_matrix(PSI, 1)
-        assert m.dim == 1 and m.entries[0][0] == PSI
+        assert m == ((PSI,),)
 
     def test_shift_structure(self):
         m = wronskian_matrix(PSI, 3)
-        assert m.entries[1][1] == l_plus(l_minus(PSI))
-        assert m.entries[0][2] == l_minus(m.entries[0][1])
-        assert m.entries[2][1] == l_plus(m.entries[1][1])
+        assert m[1][1] == l_plus(l_minus(PSI))
+        assert m[0][2] == l_minus(m[0][1])
+        assert m[2][1] == l_plus(m[1][1])
 
     def test_shifted_seed_matrix_is_lower_right_block(self):
         # L_plus and L_minus commute, so site_steps reads the f Wronskian off tau's.
         m = wronskian_matrix(PSI, 5)
         shifted = wronskian_matrix(l_plus(l_minus(PSI)), 4)
-        assert shifted.entries == tuple(row[1:] for row in m.entries[1:])
+        assert shifted == tuple(row[1:] for row in m[1:])
 
     def test_rejects_non_square(self):
-        with pytest.raises(ValueError):
-            SymMatrix(((ONE, ONE),))
+        # Every matrix is built square; only its dimension can be refused.
         with pytest.raises(ValueError):
             wronskian_matrix(PSI, 0)
-
-    def test_replace_and_make_check_squareness(self):
-        m = SymMatrix(((ONE, ONE), (ONE, ONE)))
-        assert m._replace(entries=((ONE,),)).dim == 1
-        with pytest.raises(ValueError):
-            m._replace(entries=((ONE, ONE),))
-        with pytest.raises(ValueError):
-            SymMatrix._make([((ONE, ONE),)])
 
 
 class TestMinors:
@@ -103,7 +95,7 @@ class TestDeterminants:
         from hirotaverify.closedform import w_recursive
 
         w1, w2, w3 = (w_recursive(k) for k in (1, 2, 3))
-        m = SymMatrix(((w1, w2), (w2, w3)))
+        m = ((w1, w2), (w2, w3))
         x = parse("x")
         assert det(m) == (x**2 - 1) * (x**2 + 1)
 
@@ -120,7 +112,7 @@ class TestDeterminants:
     def test_row_scaling(self, scale):
         # The last row, so that scaling by zero leaves every earlier pivot nonzero.
         m = wronskian_matrix(PSI, 3)
-        scaled = SymMatrix(m.entries[:-1] + (tuple(scale * e for e in m.entries[-1]),))
+        scaled = m[:-1] + (tuple(scale * e for e in m[-1]),)
         assert det(scaled) == scale * det(m)
 
     def test_first_step_divides_by_nothing(self, monkeypatch):
@@ -137,14 +129,14 @@ class TestDeterminants:
         m = wronskian_matrix(PSI, 3)
         assert det(m) == det_cofactor(m)
         # Only the second step divides, by the first pivot, and once: 3x3 leaves a 1x1 block.
-        assert divisors == [m.entries[0][0]]
+        assert divisors == [m[0][0]]
 
     def test_singular_column(self):
         # Without row swaps a zero first pivot is refused, singular matrix or not.
         from hirotaverify.laurent import ZERO, monomial
 
         x = monomial(1, ex=1)
-        m = SymMatrix(((ZERO, x), (ZERO, ONE)))
+        m = ((ZERO, x), (ZERO, ONE))
         assert det_cofactor(m).is_zero
         with pytest.raises(DeterminantError, match="zero pivot at step 0"):
             det(m)
@@ -159,28 +151,28 @@ class TestDeterminants:
         from hirotaverify.laurent import ZERO, monomial
 
         x = monomial(1, ex=1)
-        minors = _leading_minors(SymMatrix(((ZERO, x), (x, ONE))))
+        minors = _leading_minors(((ZERO, x), (x, ONE)))
         assert next(minors).is_zero
         with pytest.raises(DeterminantError):
             next(minors)
         # A zero last pivot is the full determinant, not a row swap.
-        assert list(_leading_minors(SymMatrix(((x, x), (x, x)))))[-1].is_zero
+        assert list(_leading_minors(((x, x), (x, x))))[-1].is_zero
 
 
-def leading(m: SymMatrix, k: int) -> SymMatrix:
+def leading(m: Matrix, k: int) -> Matrix:
     """The k x k leading block of m."""
-    return SymMatrix(tuple(row[:k] for row in m.entries[:k]))
+    return tuple(row[:k] for row in m[:k])
 
 
 class TestTauFMinors:
     @staticmethod
-    def agree(m: SymMatrix):
+    def agree(m: Matrix):
         pairs, block = list(tau_f_minors(m)), deleting(m, 0, 0)
         tau, f = [p[0] for p in pairs], [p[1] for p in pairs]
         assert tau == list(_leading_minors(m))
         assert f == [ONE, *_leading_minors(block)]
-        assert tau == [det_cofactor(leading(m, k)) for k in range(1, m.dim + 1)]
-        assert f == [det_cofactor(leading(block, k)) for k in range(m.dim)]
+        assert tau == [det_cofactor(leading(m, k)) for k in range(1, len(m) + 1)]
+        assert f == [det_cofactor(leading(block, k)) for k in range(len(m))]
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 4])
     def test_seed_wronskian_in_xy(self, dim):
@@ -188,11 +180,10 @@ class TestTauFMinors:
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
     def test_hankel_of_w(self, dim):
-        self.agree(SymMatrix(tuple(tuple(w_recursive(1 + i + j) for j in range(dim))
-                                   for i in range(dim))))
+        self.agree(tuple(tuple(w_recursive(1 + i + j) for j in range(dim)) for i in range(dim)))
 
     def test_dim_one(self):
-        assert list(tau_f_minors(SymMatrix(((PSI,),)))) == [(PSI, ONE)]
+        assert list(tau_f_minors(((PSI,),))) == [(PSI, ONE)]
 
 
 class TestTauFamily:
@@ -433,11 +424,12 @@ class TestCacheFile:
 class TestJacobiIdentity:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_residual_vanishes(self, fam5, n):
-        assert jacobi_residual(fam5, n).is_zero
+        residuals = list(jacobi_residuals(fam5, n))
+        assert len(residuals) == n and all(r.is_zero for r in residuals)
 
     def test_residual_vanishes_at_four(self, fam5):
-        # 5x5 seed matrix; the slowest single minor-identity instance kept.
-        assert jacobi_residual(fam5, 4).is_zero
+        # 5x5 seed matrix; the slowest minor-identity instance kept.
+        assert all(r.is_zero for r in jacobi_residuals(fam5, 4))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_minors_match_xy_route(self, n):
@@ -452,39 +444,50 @@ class TestJacobiIdentity:
             assert a[r][c] == det_cofactor(deleting(m, i, j))
             assert from_uv(a[r][c]) == a_xy[r][c]
 
+    def test_minors_from_one_elimination(self):
+        # Site n's minors, read off one 5x5 elimination, are those of the (n+1)-dim matrix.
+        triples = list(sylvester_minors(4))
+        assert len(triples) == 4
+        for n, triple in enumerate(triples, start=1):
+            m = wronskian_matrix(PSI, n + 1)
+            assert triple == tuple(det_cofactor(deleting(m, i, j))
+                                   for i, j in ((n - 1, n - 1), (n, n - 1), (n - 1, n)))
+
     def test_check_report(self, fam5):
-        report = jacobi_identity_check(fam5, 2)
-        assert report.passed and report.equation_id == "jacobi" and report.n == 2
+        reports = check_jacobi(fam5, 2)
+        assert [(r.equation_id, r.n, r.status) for r in reports] == [
+            ("jacobi", 1, "pass"), ("jacobi", 2, "pass")]
 
     def test_invalid_site(self, fam5):
         with pytest.raises(ValueError):
-            jacobi_residual(fam5, 0)
+            list(jacobi_residuals(fam5, 0))
         with pytest.raises(ValueError):
-            jacobi_residual(fam5, 5)
+            list(jacobi_residuals(fam5, 5))
+        with pytest.raises(ValueError):
+            sylvester_minors(0)
 
-    def test_one_elimination_per_site(self, fam5, monkeypatch):
+    def test_one_elimination_per_run(self, fam5, monkeypatch):
         # tau_{n+1}, tau_n and tau_{n-1} are read from the family, not eliminated
-        # again; the other three minors come from one (n+1)-dim elimination
-        # whose consumer takes n working-row states and so never runs step n-1.
+        # again; the other three minors of every site come from one elimination,
+        # sized from the run's n_max, whose consumer takes n_max working-row
+        # states and so never runs its last step.
         import hirotaverify.wronskian as W
 
         runs = []
         eliminate = W._eliminate
 
         def counting(m):
-            runs.append([m.dim, 0])
+            runs.append([len(m), 0])
             for a in eliminate(m):
                 runs[-1][1] += 1
                 yield a
 
         monkeypatch.setattr(W, "_eliminate", counting)
-        for n in (1, 2, 3):
-            assert jacobi_identity_check(fam5, n).passed
-        assert runs == [[2, 1], [3, 2], [4, 3]]
+        assert all(r.passed for r in check_jacobi(fam5, 3))
+        assert runs == [[4, 3]]
 
     def test_damaged_tau_fails_at_its_three_sites(self, fam5):
         tau = list(fam5.tau)
         tau[2] = tau[2] + 1
         broken = TauFamily(fam5.n_max, tau, fam5.f)
-        assert [jacobi_identity_check(broken, n).passed for n in (1, 2, 3, 4)] == [
-            False, False, False, True]
+        assert [r.passed for r in check_jacobi(broken, 4)] == [False, False, False, True]
