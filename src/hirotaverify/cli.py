@@ -63,10 +63,12 @@ def _obtain_family(depth: int, cache_path: str | None) -> TauFamily:
         try:
             fam = TauFamily.load(path)
         except ValueError as exc:
-            print(f"note: {exc}; rebuilding the cache", file=sys.stderr)
+            reason = str(exc)
         else:
             if fam.n_max >= depth:
                 return fam
+            reason = f"{path} holds sites to n={fam.n_max}, the run reads to n={depth}"
+        print(f"note: {reason}; rebuilding the cache", file=sys.stderr)
     return _build_and_save(depth, path)
 
 

@@ -32,7 +32,6 @@ take and return Monomial and GaussianRational.
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from functools import cache
 from heapq import heapify, heappop, heappush
@@ -255,10 +254,6 @@ class LaurentPoly:
             split.setdefault(et, {})[k + et * _T_UNIT] = v
         return {et: LaurentPoly._make(nums, self._den) for et, nums in split.items()}
 
-    def t_term_counts(self) -> dict[int, int]:
-        """The number of terms at each power of t, read off the keys without a split."""
-        return Counter((_T_HALF - k // 3) >> _T_SHIFT for k in _monomial_keys(self._nums))
-
     def coeff_of_t(self, m: int) -> "LaurentPoly":
         """The x,y-polynomial multiplying t**m (zero if absent), from the keys at t^m only."""
         # The keys at t^m lie within 3 * _T_HALF of the key of t^m, and all others farther.
@@ -270,33 +265,32 @@ class LaurentPoly:
 
 # -- evaluation ---------------------------------------------------------------
 
-def evaluate(polys: Sequence[LaurentPoly], x: ScalarLike, y: ScalarLike,
-             t: ScalarLike) -> tuple[list[tuple[int, int]], int]:
-    """([(re_k, im_k), ...], den): polys[k] takes the exact value (re_k + i*im_k) / den.
+def evaluate(polys: Sequence[LaurentPoly], points: Iterable[tuple]) -> Iterator[tuple[list, int]]:
+    """([(re_k, im_k), ...], den) at each point (x, y, t): polys[k] is (re_k + i*im_k) / den.
 
-    The power tables of t, x and y are built once for all polys, and each
-    monomial is valued once.  A negative exponent inverts its base.
+    Each key is unpacked once for all points.  At each point the power tables
+    of t, x and y are built once for all polys, and each monomial is valued
+    once.  A negative exponent inverts its base.
     """
     exps = {k: _unpack(k) for p in polys for k in p._nums}
+    slots = [{m[slot] for m in exps.values()} for slot in range(3)]
     common = lcm(*(p._den for p in polys))
-    tables, den = [], common
-    for slot, value in enumerate((t, x, y)):
-        table, scale = _powers(_as_coeff(value), {m[slot] for m in exps.values()})
-        tables.append(table)
-        den *= scale
-    t_pow, x_pow, y_pow = tables
-    mono = {}  # the value of i**e * t^et * x^ex * y^ey at each key
-    for k, (et, ex, ey) in exps.items():
-        (ar, ai), (br, bi), (cr, ci) = t_pow[et], x_pow[ex], y_pow[ey]
-        ar, ai = ar * br - ai * bi, ar * bi + ai * br
-        ar, ai = ar * cr - ai * ci, ar * ci + ai * cr
-        mono[k] = (-ai, ar) if k % 3 else (ar, ai)
-    values = []
-    for p in polys:
-        nums, factor = p._nums.items(), common // p._den
-        values.append((sum(c * mono[k][0] for k, c in nums) * factor,
-                       sum(c * mono[k][1] for k, c in nums) * factor))
-    return values, den
+    for x, y, t in points:
+        (t_pow, t_den), (x_pow, x_den), (y_pow, y_den) = (
+            _powers(_as_coeff(value), exponents) for value, exponents in zip((t, x, y), slots))
+        den = common * t_den * x_den * y_den
+        mono = {}  # the value of i**e * t^et * x^ex * y^ey at each key
+        for k, (et, ex, ey) in exps.items():
+            (ar, ai), (br, bi), (cr, ci) = t_pow[et], x_pow[ex], y_pow[ey]
+            ar, ai = ar * br - ai * bi, ar * bi + ai * br
+            ar, ai = ar * cr - ai * ci, ar * ci + ai * cr
+            mono[k] = (-ai, ar) if k % 3 else (ar, ai)
+        values = []
+        for p in polys:
+            nums, factor = p._nums.items(), common // p._den
+            values.append((sum(c * mono[k][0] for k, c in nums) * factor,
+                           sum(c * mono[k][1] for k, c in nums) * factor))
+        yield values, den
 
 
 def _powers(value: GaussianRational, exponents: set[int]) -> tuple[dict, int]:

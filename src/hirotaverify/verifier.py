@@ -1,11 +1,12 @@
 """Identity-checking harness.
 
 Every check reduces a claimed identity to a residual Laurent polynomial and
-passes exactly when that residual is identically zero; failures carry the
-leading residual term, read in x, y, as a witness.  The site table and the
-operators work in u = (x+y)/2, v = (x-y)/2.  Identities in t are verified as
-full Laurent-polynomial statements, which is stronger than the physical unit
-circle slice where the rotation parameters are real.
+passes exactly when that residual is identically zero; a failure carries the
+residual's leading term, read in x, y, as a witness, and its x,y term count.
+The site table and the operators work in u = (x+y)/2, v = (x-y)/2.
+Identities in t are verified as full Laurent-polynomial statements, which is
+stronger than the physical unit circle slice where the rotation parameters
+are real.
 """
 
 from __future__ import annotations
@@ -67,8 +68,9 @@ class CheckReport(NamedTuple):
     "fail" when it was not, and "error" when the check could not be carried
     out (a harness exception or an unusable sample point).  witness holds
     the leading residual term in canonical text form when a check fails, and
-    the cause of an error.  order_index carries the Laurent order I where
-    one applies.
+    the cause of an error.  term_count is the x,y term count of a failing
+    residual polynomial, and 0 on every other row.  order_index carries the
+    Laurent order I where one applies.
     """
 
     equation_id: str
@@ -105,15 +107,16 @@ def _report(
     residual: LaurentPoly,
     started: float,
     order_index: int | None = None,
-    term_count: int = 0,
     note: str | None = None,
 ) -> CheckReport:
-    elapsed = time.perf_counter() - started
-    status, witness = "pass", None
+    """The row of a residual in u, v: a pass when it is zero, else read once in x, y."""
+    status, witness, term_count = "pass", None, 0
     if not residual.is_zero:
-        mono, coeff = residual.leading_term()
-        status, witness = "fail", serialize(LaurentPoly({mono: coeff}))
-    return CheckReport(equation_id, n, order_index, status, witness, term_count, elapsed, note)
+        xy = from_uv(residual)
+        mono, coeff = xy.leading_term()
+        status, witness, term_count = "fail", serialize(LaurentPoly({mono: coeff})), xy.term_count
+    return CheckReport(equation_id, n, order_index, status, witness, term_count,
+                       time.perf_counter() - started, note)
 
 
 # -- bilinear identities --------------------------------------------------------
@@ -127,9 +130,7 @@ class _Site:
     The stars g_star and f_star of g_n and f_n, the records g, f, gs and fs
     of g_n, f_n, g_star and f_star, the pair (D_x g.f, D_y g.f) and each
     IDENTITIES entry are computed on first use, once each; a row that reads
-    only a polynomial reads it, not its record.  An identity keeps its
-    residual and the u,v term count of its lhs at each power of t, counted
-    when it is formed; the lhs itself is dropped.
+    only a polynomial reads it, not its record.
     """
 
     def __init__(self, n: int, g: Sequence, f: Sequence):
@@ -137,7 +138,6 @@ class _Site:
         self.g_lo, self.g_n, self.g_hi = g
         self.f_lo, self.f_n, self.f_hi = f
         self._residuals: dict[str, LaurentPoly] = {}
-        self._counts: dict[str, dict[int, int]] = {}
 
     g_star = cached_property(lambda self: star(self.g_n))
     f_star = cached_property(lambda self: star(self.f_n))
@@ -150,14 +150,8 @@ class _Site:
     def identity(self, name: str) -> LaurentPoly:
         """Residual lhs - rhs of one identity."""
         if name not in self._residuals:
-            lhs, rhs = IDENTITIES[name](self)
-            self._residuals[name], self._counts[name] = lhs - rhs, lhs.t_term_counts()
+            self._residuals[name] = IDENTITIES[name](self)
         return self._residuals[name]
-
-    def lhs_counts(self, name: str) -> dict[int, int]:
-        """The lhs term count of one identity at each power of t."""
-        self.identity(name)
-        return self._counts[name]
 
 
 def _family_site(fam: TauFamily, n: int, reach: int = 0) -> _Site:
@@ -184,59 +178,57 @@ def _with_star(h: LaurentPoly, sign: int) -> LaurentPoly:
     return h + sign * star(h)
 
 
-# Each bilinear identity once, as its (lhs, rhs) at one site.  The checks
-# report lhs - rhs, and an orderwise system reads one t-coefficient of it.
-IDENTITIES: dict[str, Callable[[_Site], tuple[LaurentPoly, LaurentPoly]]] = {
-    "toda.g": lambda s: (hirota_dst(s.g, s.g), 2 * (s.g_hi * s.g_lo)),
-    "toda.f": lambda s: (hirota_dst(s.f, s.f), 2 * (s.f_hi * s.f_lo)),
-    "mixed": lambda s: (hirota_dst(s.f, s.g), s.f_hi * s.g_lo + s.f_lo * s.g_hi),
-    "tsdec1": lambda s: (_with_star(s.hirota_gf[0], -1), ZERO),
-    "tsdec2": lambda s: (_with_star(s.hirota_gf[1], 1), ZERO),
-    "tsdec3": lambda s: (apply_F(s.n, s.gs, s.f), ZERO),
-    "tsdec4": lambda s: (apply_F(s.n, s.gs, s.g) + apply_F(s.n, s.fs, s.f), ZERO),
+# Each bilinear identity once, as its residual lhs - rhs at one site.  An
+# orderwise system reads one t-coefficient of it.
+IDENTITIES: dict[str, Callable[[_Site], LaurentPoly]] = {
+    "toda.g": lambda s: hirota_dst(s.g, s.g) - 2 * (s.g_hi * s.g_lo),
+    "toda.f": lambda s: hirota_dst(s.f, s.f) - 2 * (s.f_hi * s.f_lo),
+    "mixed": lambda s: hirota_dst(s.f, s.g) - (s.f_hi * s.g_lo + s.f_lo * s.g_hi),
+    "tsdec1": lambda s: _with_star(s.hirota_gf[0], -1),
+    "tsdec2": lambda s: _with_star(s.hirota_gf[1], 1),
+    "tsdec3": lambda s: apply_F(s.n, s.gs, s.f),
+    "tsdec4": lambda s: apply_F(s.n, s.gs, s.g) + apply_F(s.n, s.fs, s.f),
 }
 
 
-def _identity_report(eq_id: str, name: str, site: _Site, **fields) -> CheckReport:
-    """The row for one identity at one site: its residual lhs - rhs."""
+def _identity_report(eq_id: str, name: str, site: _Site) -> CheckReport:
+    """The row for one identity at one site."""
     started = time.perf_counter()
-    return _report(eq_id, site.n, from_uv(site.identity(name)), started, **fields)
+    return _report(eq_id, site.n, site.identity(name), started)
 
 
 def check_toda(fam: TauFamily, n: int, which: Literal["tau", "f"] = "tau") -> CheckReport:
     """Residual of D_S D_T a_n . a_n - 2 a_{n+1} a_{n-1} for a in {tau, f}."""
     name = {"tau": "toda.g", "f": "toda.f"}[which]
-    return _identity_report(f"toda.{which}", name, _family_site(fam, n, 1),
-                            term_count=getattr(fam, which)[n].term_count)
+    return _identity_report(f"toda.{which}", name, _family_site(fam, n, 1))
 
 
 def check_mixed(fam: TauFamily, n: int) -> CheckReport:
     """Residual of D_S D_T f_n . g_n - f_{n+1} g_{n-1} - f_{n-1} g_{n+1}."""
-    return _identity_report("mixed", "mixed", _family_site(fam, n, 1),
-                            term_count=fam.g[n].term_count)
+    return _identity_report("mixed", "mixed", _family_site(fam, n, 1))
 
 
 def jacobi_residuals(fam: TauFamily, n_max: int) -> Iterator[LaurentPoly]:
     """Sylvester's D[n;n] tau_n - D[n+1;n] D[n;n+1] - tau_{n+1} tau_{n-1} at n = 1..n_max.
 
-    The D are sylvester_minors(n_max), one elimination.  With g = tau_n and L+- = L_X +- L_Y,
-    hirota_dst(g, g) = 2 (g L-L+ g - L+ g L- g), so each is half the site's toda.g residual plus
-    products with the derivative-rule differences D[n;n] - L-L+ g, D[n+1;n] - L- g and
-    D[n;n+1] - L+ g, zero on a built family.
+    The D are sylvester_minors(n_max), one elimination, and each residual is in u, v.  With
+    g = tau_n and L+- = L_X +- L_Y, hirota_dst(g, g) = 2 (g L-L+ g - L+ g L- g), so each is half
+    the site's toda.g residual plus products with the derivative-rule differences D[n;n] - L-L+ g,
+    D[n+1;n] - L- g and D[n;n+1] - L+ g, zero on a built family.
     """
     _family_site(fam, n_max, 1)  # the range check, before any elimination
     for n, (d_nn, d_sr, d_rs) in enumerate(sylvester_minors(n_max), start=1):
         site = _family_site(fam, n, 1)
         g = site.g
-        yield from_uv(Fraction(1, 2) * site.identity("toda.g") + (d_nn - g.minus_plus) * g.p
-                      - (d_sr - g.minus) * d_rs - g.minus * (d_rs - g.plus))
+        yield (Fraction(1, 2) * site.identity("toda.g") + (d_nn - g.minus_plus) * g.p
+               - (d_sr - g.minus) * d_rs - g.minus * (d_rs - g.plus))
 
 
 def check_jacobi(fam: TauFamily, n_max: int) -> list[CheckReport]:
     """The Sylvester rows at n = 1..n_max, each timed from the end of the row before it."""
     reports, started = [], time.perf_counter()
     for n, residual in enumerate(jacobi_residuals(fam, n_max), start=1):
-        reports.append(_report("jacobi", n, residual, started, term_count=fam.tau[n].term_count))
+        reports.append(_report("jacobi", n, residual, started))
         started = time.perf_counter()
     return reports
 
@@ -244,8 +236,7 @@ def check_jacobi(fam: TauFamily, n_max: int) -> list[CheckReport]:
 def check_conjecture(fam: TauFamily, n: int) -> list[CheckReport]:
     """The four decomposition equations for the pair (g_n, f_n)."""
     site = _family_site(fam, n)
-    return [_identity_report(name, name, site, term_count=fam.g[n].term_count)
-            for name in ("tsdec1", "tsdec2", "tsdec3", "tsdec4")]
+    return [_identity_report(name, name, site) for name in ("tsdec1", "tsdec2", "tsdec3", "tsdec4")]
 
 
 def check_symmetries(fam: TauFamily, n: int) -> list[CheckReport]:
@@ -271,8 +262,7 @@ def check_symmetries(fam: TauFamily, n: int) -> list[CheckReport]:
         ):
             started = time.perf_counter()
             res[prop] = residual_fn()
-            reports.append(_report(f"{prop}.{name}", n, from_uv(res[prop]), started,
-                                   term_count=getattr(fam, name)[n].term_count))
+            reports.append(_report(f"{prop}.{name}", n, res[prop], started))
     return reports
 
 
@@ -318,12 +308,11 @@ def check_su11(
         "tsdec3": lambda: ac * ac * r("tsdec3") + b * b * r3s() + ac * b * r("tsdec4"),
         "tsdec4": lambda: s * r("tsdec4") + 2 * ac * bc * r("tsdec3") + 2 * a * b * r3s(),
     }
-    fields = dict(order_index=pair_index, note=f"alpha={a}, beta={b}",
-                  term_count=(a * fam.g[n] + bc * fam.f[n]).term_count)
-    reports = []
+    note, reports = f"alpha={a}, beta={b}", []
     for name, residual in combinations.items():
         started = time.perf_counter()
-        reports.append(_report(f"su11.{name}", n, from_uv(residual()), started, **fields))
+        reports.append(_report(f"su11.{name}", n, residual(), started,
+                               order_index=pair_index, note=note))
     return reports
 
 
@@ -381,7 +370,6 @@ def check_orderwise(fam: TauFamily, n: int, system: str) -> list[CheckReport]:
     started = time.perf_counter()
     site = _family_site(fam, n, SUITES[spec.suite].depth_extra)
     by_order = site.identity(spec.identity).t_coefficients()
-    lhs_terms = site.lhs_counts(spec.identity)
     residuals: list[LaurentPoly] = []
     reports = []
     for I in range(top + 1):
@@ -392,13 +380,12 @@ def check_orderwise(fam: TauFamily, n: int, system: str) -> list[CheckReport]:
             eq_id, mirrored = mirror_id, swap_xy(residuals[top - I])
             if residual != mirrored:
                 residual, note = residual - mirrored, "route mismatch"
-        reports.append(_report(eq_id, n, from_uv(residual), started, order_index=I,
-                               term_count=lhs_terms.get(top - 2 * I, 0), note=note))
+        reports.append(_report(eq_id, n, residual, started, order_index=I, note=note))
         started = time.perf_counter()
     off_pattern = by_order.keys() - set(range(-top, top + 1, 2))
     if off_pattern:
         m = max(off_pattern)  # every term of this residual sits at t^m
-        reports.append(_report(low_id, n, from_uv(monomial(1, m) * by_order[m]), started,
+        reports.append(_report(low_id, n, monomial(1, m) * by_order[m], started,
                                note="off the t^(K-2I) pattern"))
     return reports
 
@@ -449,7 +436,7 @@ def ernst_residual_numeric(
     the numerator is homogeneous of degree 6 in the values of the polynomials
     it reads, its coefficients included, which take Gaussian-integer values
     over one denominator, so it is tested for zero in integers.  A point
-    that cannot be used (|t| != 1, or a vanishing denominator) is an "error".
+    that cannot be used (|t| != 1, never evaluated, or a vanishing denominator) is an "error".
     """
     site, half = _family_site(fam, n), Fraction(1, 2)
     # The site's u,v-polynomials, valued at u = (x+y)/2, v = (x-y)/2, where 2 d/dx = d/du + d/dv
@@ -461,10 +448,13 @@ def ernst_residual_numeric(
     polys = (site.f_n, site.f_star, site.g_n, site.g_star, gx, gy, fx, fy,
              d(gx, 1), d(gy, -1), d(fx, 1), d(fy, -1), *_ERNST_COEFFICIENTS)
 
-    def outcome(x0, y0, t0) -> tuple[str, str | None]:
+    at_points = evaluate(polys, [((x0 + y0) * half, (x0 - y0) * half, t0)
+                                 for x0, y0, t0 in samples if t0.abs2() == 1])
+
+    def outcome(t0) -> tuple[str, str | None]:
         if t0.abs2() != 1:
             return "error", "sample point violates |t| = 1"
-        values, den = evaluate(polys, (x0 + y0) * half, (x0 - y0) * half, t0)
+        values, den = next(at_points)
         (f, fs, g, gs, gx, gy, fx, fy, gxx, gyy, fxx, fyy,
          two_x, x2m1, minus_2y, one_m_y2) = (_GaussInt(*v) for v in values)
         if f == (0, 0) or fs == (0, 0):
@@ -484,7 +474,7 @@ def ernst_residual_numeric(
     reports = []
     for idx, (x0, y0, t0) in enumerate(samples):
         started = time.perf_counter()
-        status, witness = outcome(x0, y0, t0)
+        status, witness = outcome(t0)
         reports.append(
             CheckReport("ernst", n, order_index=idx, status=status, witness=witness,
                         elapsed=time.perf_counter() - started,
@@ -585,7 +575,7 @@ def _check_w_forms(w_max: int) -> CheckReport:
     for k in range(2, w_max + 1):
         diff = closedform.w_formula(k) - closedform.w_recursive(k)
         if not diff.is_zero:
-            return _report("closed.W", k, diff, started)
+            return _report("closed.W", k, to_uv(diff), started)
     return _report("closed.W", 0, ZERO, started,
                    note=f"formula matches recursion for n=2..{w_max}")
 
@@ -615,11 +605,10 @@ def _check_q0(n: int, last: int) -> CheckReport:
 
     started = time.perf_counter()
     g_det, f_det = closedform.q0_wronskians(last)
-    g_closed = closedform.g_q0_closed(n)
-    residual = g_closed - g_det[n - 1]
+    residual = closedform.g_q0_closed(n) - g_det[n - 1]
     if residual.is_zero:
         residual = closedform.f_q0_closed(n) - f_det[n - 1]
-    return _report("closed.q0", n, residual, started, term_count=g_closed.term_count)
+    return _report("closed.q0", n, to_uv(residual), started)
 
 
 def _check_extremes(fam: TauFamily, n: int) -> CheckReport:
@@ -635,7 +624,7 @@ def _check_extremes(fam: TauFamily, n: int) -> CheckReport:
     ]
     residual = next((closed - extracted for closed, extracted in checks
                      if closed != extracted), ZERO)
-    return _report("closed.extreme", n, from_uv(residual), started, term_count=fam.g[n].term_count)
+    return _report("closed.extreme", n, residual, started)
 
 
 def _check_weyl_lock() -> CheckReport:
@@ -656,7 +645,7 @@ def _check_weyl_lock() -> CheckReport:
     for n, i, j in ((n, i, j) for n in range(1, 5) for i in range(3) for j in range(3)):
         diff = apply_F(n, records[i], records[j]) - to_uv(apply_F_weyl(n, powers[i], powers[j]))
         if not diff.is_zero:
-            return _report("weyl.lock", n, from_uv(diff), started, order_index=3 * i + j)
+            return _report("weyl.lock", n, diff, started, order_index=3 * i + j)
     return _report("weyl.lock", 0, ZERO, started, note="forms agree on every x-only pair at n=1..4")
 
 
@@ -669,7 +658,7 @@ def _check_weyl_pair(n: int) -> CheckReport:
     residual = apply_F_weyl(n, g, f)
     if residual.is_zero:
         residual = apply_F_weyl(n, g, g) + apply_F_weyl(n, f, f)
-    return _report("weyl.pair", n, residual, started, term_count=g.term_count)
+    return _report("weyl.pair", n, to_uv(residual), started)
 
 
 # -- execution -----------------------------------------------------------------

@@ -365,10 +365,8 @@ def su11_direct(fam: TauFamily, n: int, params: V.Su11Params,
     reports = []
     for name, identity in V.IDENTITIES.items():
         started = time.perf_counter()
-        lhs, rhs = identity(site)
-        reports.append(V._report(f"su11.{name}", n, from_uv(lhs - rhs), started,
-                                 order_index=pair_index, term_count=pairs[1][0].term_count,
-                                 note=note))
+        reports.append(V._report(f"su11.{name}", n, identity(site), started,
+                                 order_index=pair_index, note=note))
     return reports
 
 
@@ -392,22 +390,23 @@ def identity_oracle(fam: TauFamily, n: int) -> dict[str, tuple[LaurentPoly, Laur
     }
 
 
-def row_outcome(residual: LaurentPoly) -> tuple[str, str | None]:
-    """(status, witness) of a row whose residual is the given x,y-polynomial."""
+def row_outcome(residual: LaurentPoly) -> tuple[str, str | None, int]:
+    """(status, witness, term_count) of a row whose residual is the given x,y-polynomial."""
     if residual.is_zero:
-        return "pass", None
+        return "pass", None, 0
     mono, coeff = residual.leading_term()
-    return "fail", serialize(LaurentPoly({mono: coeff}))
+    return "fail", serialize(LaurentPoly({mono: coeff})), residual.term_count
 
 
 def site_rows_oracle(fam: TauFamily, n_max: int) -> list[tuple]:
-    """(equation_id, n, order_index, status, witness, note) of every row of the suites
-    that read the site table, at sites 1..n_max < fam.n_max, in report order.
+    """(equation_id, n, order_index, status, witness, term_count, note) of every row of
+    the suites that read the site table, at sites 1..n_max < fam.n_max, in report order.
 
     Every residual is formed in x, y: the identities by identity_oracle, the
     jacobi rows by sylvester_oracle, the symmetry rows with y -> -y and x <-> y
     as written, the orderwise rows from the t-coefficients of the identity
-    residuals with the y -> -y mirror, and the Ernst rows by ernst_oracle.
+    residuals with the y -> -y mirror, and the Ernst rows, whose term_count is
+    0, by ernst_oracle.
     """
     rows = []
     row = lambda eq, n, residual, index=None, note=None: rows.append(
@@ -444,19 +443,18 @@ def site_rows_oracle(fam: TauFamily, n_max: int) -> list[tuple]:
                 row(eq, n, residual, I, note)
             off_pattern = by_order.keys() - set(range(-top, top + 1, 2))
             if off_pattern:
-                m = max(off_pattern)
-                mono, coeff = by_order[m].leading_term()
-                row(low, n, monomial(coeff, m, mono.ex, mono.ey), note="off the t^(K-2I) pattern")
+                m = max(off_pattern)  # the row's residual is the whole t^m slice
+                row(low, n, monomial(1, et=m) * by_order[m], note="off the t^(K-2I) pattern")
         for index, (x0, y0, t0) in enumerate(V.DEFAULT_ERNST_POINTS):
-            rows.append(("ernst", n, index, *ernst_oracle(fam.g[n], fam.f[n], (x0, y0, t0)),
+            rows.append(("ernst", n, index, *ernst_oracle(fam.g[n], fam.f[n], (x0, y0, t0)), 0,
                          f"x={x0}, y={y0}, t={t0}"))
     return sorted(rows, key=lambda r: (r[0], r[1], -1 if r[2] is None else r[2]))
 
 
 def su11_rows_oracle(fam: TauFamily, n: int, params: V.Su11Params,
                      pair_index: int = 0) -> list[tuple]:
-    """check_su11's (equation_id, n, order_index, status, witness, note) rows, in x, y:
-    every identity of the transformed family by identity_oracle."""
+    """check_su11's (equation_id, n, order_index, status, witness, term_count, note) rows,
+    in x, y: every identity of the transformed family by identity_oracle."""
     moved = TauFamily(fam.n_max, *zip(*(su11_transform(fam, k, params)
                                         for k in range(fam.n_max + 1))))
     note = f"alpha={params.alpha}, beta={params.beta}"

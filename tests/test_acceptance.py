@@ -157,7 +157,7 @@ def test_criterion_08_orderwise_systems():
         for system in V.ORDERWISE_SYSTEMS:
             for report in V.check_orderwise(fam, n, system):
                 lhs, rhs = orderwise_oracle(fam, n, report.order_index, system)
-                ok = ok and (lhs - rhs).is_zero and report.term_count == to_uv(lhs).term_count
+                ok = ok and (lhs - rhs).is_zero and report.term_count == (lhs - rhs).term_count
         for fam_name in ("g", "f", "mixed"):
             top, _ = V.orderwise_span(n, fam_name)
             shift = {"g": 2 * n, "f": 2 * n - 2, "mixed": 2 * n - 1}[fam_name]

@@ -165,6 +165,16 @@ class TestCacheContract:
         assert "rebuilding" in capsys.readouterr().err
         assert TauFamily.load(cache).n_max == 3
 
+    def test_short_cache_is_rebuilt_with_a_note(self, tmp_path, capsys):
+        # A valid cache that ends before the sites the run reads.
+        cache = tmp_path / "short.tau"
+        assert main(["build", "--n-max", "2", "--cache", str(cache)]) == 0
+        capsys.readouterr()
+        assert main(["verify", "--suite", "toda", "--n-max", "3", "--cache", str(cache)]) == 0
+        assert capsys.readouterr().err == (
+            f"note: {cache} holds sites to n=2, the run reads to n=4; rebuilding the cache\n")
+        assert TauFamily.load(cache).n_max == 4
+
     def test_truncated_cache_never_exits_one(self, tmp_path):
         cache = tmp_path / "out.tau"
         assert main(["build", "--n-max", "2", "--cache", str(cache)]) == 0

@@ -181,22 +181,26 @@ class TestTermWise:
         for m, c in terms(p).items():
             expected.setdefault(m.et, {})[Monomial(0, m.ex, m.ey)] = c
         assert {et: terms(q) for et, q in p.t_coefficients().items()} == expected
-        assert p.t_term_counts() == {et: len(q) for et, q in expected.items()}
+        assert ({et: q.term_count for et, q in p.t_coefficients().items()}
+                == {et: len(q) for et, q in expected.items()})
         assert p.term_count == len(terms(p))  # a monomial with both parts counts once
         for et in range(-4, 5):
             assert terms(p.coeff_of_t(et)) == expected.get(et, {})
 
-    @given(ps=st.lists(any_polys, max_size=4), point=st.tuples(*[gaussians.filter(bool)] * 3))
-    def test_evaluate(self, ps, point):
-        # Several polynomials at once, over one positive denominator.
-        x, y, t = point
-        values, den = evaluate(ps, x, y, t)
-        assert den > 0 and len(values) == len(ps)
-        for p, (re, im) in zip(ps, values):
-            expected = GaussianRational(0)
-            for m, c in terms(p).items():
-                expected = expected + c * ref_power(t, m.et) * ref_power(x, m.ex) * ref_power(y, m.ey)
-            assert GaussianRational(Fraction(re, den), Fraction(im, den)) == expected
+    @given(ps=st.lists(any_polys, max_size=4),
+           points=st.lists(st.tuples(*[gaussians.filter(bool)] * 3), max_size=3))
+    def test_evaluate(self, ps, points):
+        # Several polynomials at several points, over one positive denominator per point.
+        at_points = list(evaluate(ps, points))
+        assert len(at_points) == len(points)
+        for (x, y, t), (values, den) in zip(points, at_points):
+            assert den > 0 and len(values) == len(ps)
+            for p, (re, im) in zip(ps, values):
+                expected = GaussianRational(0)
+                for m, c in terms(p).items():
+                    expected = (expected + c * ref_power(t, m.et) * ref_power(x, m.ex)
+                                * ref_power(y, m.ey))
+                assert GaussianRational(Fraction(re, den), Fraction(im, den)) == expected
 
 
 # -- text form and hashing -------------------------------------------------------

@@ -312,7 +312,7 @@ def test_leading_term_order():
 
 def test_evaluate_exact():
     p = parse("x^2*y - t^-1")
-    [(re, im)], den = evaluate([p], Fraction(3, 2), 2, Fraction(1, 2))
+    [([(re, im)], den)] = evaluate([p], [(Fraction(3, 2), 2, Fraction(1, 2))])
     assert (Fraction(re, den), im) == (Fraction(9, 4) * 2 - 2, 0)
     with pytest.raises(ZeroDivisionError):
-        evaluate([p], 1, 1, 0)
+        list(evaluate([p], [(1, 1, 0)]))

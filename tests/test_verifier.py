@@ -172,7 +172,7 @@ class TestSymmetries:
         damaged = _with_stray_term(fam4, seq, k, extra)
         rows = {r.equation_id: r for r in V.check_symmetries(damaged, k)}
         for eq_id, p in (("mirror.g", damaged.g[k]), ("mirror.f", damaged.f[k])):
-            expected = V._report(eq_id, k, mirror_oracle(p), time.perf_counter())
+            expected = V._report(eq_id, k, to_uv(mirror_oracle(p)), time.perf_counter())
             assert rows[eq_id].status == expected.status
             if extra != "t^-7*x":
                 assert rows[eq_id].witness == expected.witness
@@ -207,8 +207,8 @@ class TestJacobiReadsTheSiteTable:
     def test_residual_equals_the_direct_formula(self, fam5, damage):
         # The same polynomial, not only the same zero test, on damaged families too.
         fam = _with_stray_term(fam5, *damage) if damage else fam5
-        residuals = list(V.jacobi_residuals(fam, 4))
-        assert residuals == [sylvester_oracle(fam, n) for n in (1, 2, 3, 4)]
+        residuals = list(V.jacobi_residuals(fam, 4))  # in u, v
+        assert [from_uv(r) for r in residuals] == [sylvester_oracle(fam, n) for n in (1, 2, 3, 4)]
         assert any(not r.is_zero for r in residuals) == bool(damage)
 
     @staticmethod
@@ -256,12 +256,12 @@ class TestSu11:
 
     def test_transforms_only_neighbour_sites(self, fam4):
         # The rows read sites n-1, n and n+1 only: damage at site 4 leaves site 2
-        # alone, and the term count is g'_n's alone, without f'_n.
+        # alone, and a passing row has no residual terms to count.
         far = TauFamily(4, [*fam4.tau[:4], fam4.tau[4] + ONE], fam4.f)
         params = V.Su11Params(GaussianRational(2), GaussianRational(3))
         reports = V.check_su11(far, 2, params)
         assert all(r.passed for r in reports)
-        assert {r.term_count for r in reports} == {su11_transform(fam4, 2, params)[0].term_count}
+        assert {r.term_count for r in reports} == {0}
 
     def test_one_dst_per_bilinear_residual(self, fam4, monkeypatch):
         calls = []
@@ -532,9 +532,8 @@ class TestOrderwiseSystems:
                 mirrored = subst_y_negate(residuals[top - I])
                 if expected != mirrored:
                     expected = expected - mirrored
-            assert (report.status, report.witness) == row_outcome(expected), (system, n, I)
-            lhs, _ = orderwise_oracle(fam5, n, I, system)
-            assert report.term_count == to_uv(lhs).term_count, (system, n, I)
+            assert ((report.status, report.witness, report.term_count)
+                    == row_outcome(expected)), (system, n, I)
 
     @pytest.mark.parametrize("system", list(V.ORDERWISE_SYSTEMS))
     def test_sides_computed_once_per_order(self, fam4, monkeypatch, system):
@@ -707,14 +706,97 @@ class TestSiteTable:
         assert fam4.sites == {}
 
 
+# Damaged families for the row contract, as (sequence, site, added term): a
+# constant on tau_3, a non-real term on f_3, a term off the parity pattern of
+# tau_2, and one on tau_2's top t-order, which breaks its mirror symmetry (a
+# route mismatch) and its closed extreme form.
+CONTRACT_DAMAGE = [None, ("tau", 3, "1"), ("f", 3, "(2+3*i)*t^-1*y^2"), ("tau", 2, "t*x"),
+                   ("tau", 2, "t^2*x")]
+
+
+@pytest.fixture(scope="class")
+def contract_families(built5):
+    # One family per damage, shared by the checks: no row depends on what fills the table.
+    fam4 = TauFamily(4, built5.tau[:5], built5.f[:5])
+    return {damage: _with_stray_term(fam4, *damage) if damage else fam4
+            for damage in CONTRACT_DAMAGE}
+
+
+class TestRowContract:
+    """A row reads its residual alone, in u, v, and once in x, y when it is not zero.
+
+    A failing row's term_count is the x,y term count of that residual and its
+    witness the x,y leading term; a passing row, and every ernst row, has
+    term_count 0.
+    """
+
+    # Every residual-reading check, and the pointwise ernst check, on sites 1..3
+    # of a depth-4 family.  A damage that reads no family damages the Weyl form.
+    CHECKS = {
+        "identities": lambda fam: (
+            [V.check_toda(fam, n, which) for n in (1, 2, 3) for which in ("tau", "f")]
+            + [V.check_mixed(fam, n) for n in (1, 2, 3)]
+            + [r for n in (1, 2, 3) for r in V.check_conjecture(fam, n)]),
+        "symmetries": lambda fam: [r for n in (1, 2, 3) for r in V.check_symmetries(fam, n)],
+        "jacobi": lambda fam: V.check_jacobi(fam, 3),
+        "orderwise": lambda fam: [r for n in (1, 2, 3) for system in V.ORDERWISE_SYSTEMS
+                                  for r in V.check_orderwise(fam, n, system)],
+        "su11": lambda fam: [r for n in (1, 2, 3)
+                             for index, params in enumerate((SU11_PAIRS[0], SU11_PAIRS[-1]))
+                             for r in V.check_su11(fam, n, params, pair_index=index)],
+        "closed.extreme": lambda fam: [V._check_extremes(fam, n) for n in (1, 2, 3)],
+        "weyl.lock": lambda fam: [V._check_weyl_lock()],
+        "ernst": lambda fam: [r for n in (1, 2, 3) for r in V.ernst_residual_numeric(fam, n)],
+    }
+    # Failing rows per damage, in the order of CHECKS.  The orderwise rows of
+    # the last three damages include route mismatches, and those of the middle
+    # three off-pattern rows.
+    FAILING = dict(zip(CONTRACT_DAMAGE, [(0, 0, 0, 0, 0, 0, 0, 0), (8, 2, 2, 9, 20, 0, 1, 3),
+                                         (8, 5, 0, 10, 20, 0, 1, 3), (9, 4, 3, 12, 26, 0, 1, 3),
+                                         (9, 3, 3, 39, 26, 1, 1, 3)]))
+
+    @pytest.mark.parametrize("check", CHECKS)
+    @pytest.mark.parametrize("damage", CONTRACT_DAMAGE,
+                             ids=lambda d: "built" if d is None else f"{d[0]}_{d[1]}+{d[2]}")
+    def test_rows_read_their_residual(self, contract_families, monkeypatch, damage, check):
+        if damage and check == "weyl.lock":
+            weyl = V.apply_F_weyl
+            monkeypatch.setattr(V, "apply_F_weyl", lambda n, a, b: weyl(n, a, b)
+                                + differentiate(a, "x") * differentiate(b, "x"))
+        residuals, report = [], V._report
+
+        def recording(eq_id, n, residual, *args, **kwargs):
+            residuals.append(residual)
+            return report(eq_id, n, residual, *args, **kwargs)
+
+        monkeypatch.setattr(V, "_report", recording)
+        rows = self.CHECKS[check](contract_families[damage])
+        failing = sum(r.status == "fail" for r in rows)
+        assert failing == self.FAILING[damage][list(self.CHECKS).index(check)]
+        if check == "orderwise" and damage:
+            k, notes = CONTRACT_DAMAGE.index(damage), {r.note for r in rows}
+            assert ("route mismatch" in notes, TestOrderwiseSystems.OFF in notes) == (k > 1, k < 4)
+        if check == "ernst":  # no residual polynomial
+            assert residuals == [] and {r.term_count for r in rows} == {0}
+            return
+        assert len(residuals) == len(rows)
+        for row, residual in zip(rows, residuals):
+            expected = ("pass", None, 0)
+            if not residual.is_zero:
+                xy = from_uv(residual)
+                mono, coeff = xy.leading_term()
+                expected = ("fail", serialize(LaurentPoly({mono: coeff})), xy.term_count)
+            assert (row.status, row.witness, row.term_count) == expected, row
+
+
 class TestCrossBasis:
     """The site table works in u, v; its rows are the rows of an x,y route."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_identities_match_the_xy_oracle(self, fam5, n):
         site = V._family_site(fam5, n, 1)
-        for name, sides in identity_oracle(fam5, n).items():
-            assert tuple(map(from_uv, V.IDENTITIES[name](site))) == sides, name
+        for name, (lhs, rhs) in identity_oracle(fam5, n).items():
+            assert from_uv(V.IDENTITIES[name](site)) == lhs - rhs, name
 
     # Site-table suites read sites 1..3 of a depth-4 family.
     SUITES = ("toda", "mixed", "jacobi", "conjecture", "symmetries", "orderwise-A",
@@ -722,7 +804,7 @@ class TestCrossBasis:
 
     @staticmethod
     def _fields(reports):
-        return [(r.equation_id, r.n, r.order_index, r.status, r.witness, r.note)
+        return [(r.equation_id, r.n, r.order_index, r.status, r.witness, r.term_count, r.note)
                 for r in reports]
 
     # t^2 y^3 lies off the parity pattern of tau_3, so its rows include off-pattern ones.
