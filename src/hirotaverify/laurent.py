@@ -43,6 +43,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 from .gaussian import GaussianRational
 
 ScalarLike = Union[int, Fraction, GaussianRational]
+_SCALARS = (int, Fraction, GaussianRational)
 
 
 class Monomial(NamedTuple):
@@ -104,18 +105,17 @@ def _monomial_keys(nums: dict):
     return nums.keys()
 
 
-def _as_coeff(value: ScalarLike) -> GaussianRational:
-    c = GaussianRational._coerce(value)
-    if c is None:
+def _parts(value: ScalarLike) -> tuple[int, int, int]:
+    """(re, im, den) with value = (re + i*im) / den and den > 0; TypeError on a non-scalar."""
+    if isinstance(value, int):
+        return value, 0, 1
+    if isinstance(value, Fraction):
+        return value.numerator, 0, value.denominator
+    if not isinstance(value, GaussianRational):
         raise TypeError(f"not a scalar coefficient: {value!r}")
-    return c
-
-
-def _parts(c: GaussianRational) -> tuple[int, int, int]:
-    """(re, im, den) with c = (re + i*im) / den and den > 0."""
-    den = lcm(c.re.denominator, c.im.denominator)
-    return (c.re.numerator * (den // c.re.denominator),
-            c.im.numerator * (den // c.im.denominator), den)
+    re, im = value.re, value.im
+    den = lcm(re.denominator, im.denominator)
+    return re.numerator * (den // re.denominator), im.numerator * (den // im.denominator), den
 
 
 def _times(nums: dict, factor: int) -> dict:
@@ -129,7 +129,7 @@ class LaurentPoly:
 
     def __init__(self, terms: Mapping | Iterable = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
-        p = _collect([(_pack(*mono), _parts(_as_coeff(value))) for mono, value in items])
+        p = _collect([(_pack(*mono), _parts(value)) for mono, value in items])
         self._nums, self._den = p._nums, p._den
 
     @classmethod
@@ -194,20 +194,19 @@ class LaurentPoly:
     def __mul__(self, other):
         if isinstance(other, LaurentPoly):
             return _product(self, other)
-        c = GaussianRational._coerce(other)
-        if c is None:
-            return NotImplemented
-        return self.scale(c)
+        if isinstance(other, _SCALARS):
+            return self.scale(other)
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def scale(self, scalar: ScalarLike) -> "LaurentPoly":
-        c = _as_coeff(scalar)
-        if c.is_zero:
+        re, im, den = _parts(scalar)
+        if im:
+            return _product(self, monomial(scalar))
+        if not re:
             return ZERO
-        if c.im:
-            return _product(self, monomial(c))
-        return LaurentPoly._make(_times(self._nums, c.re.numerator), self._den * c.re.denominator)
+        return LaurentPoly._make(_times(self._nums, re), self._den * den)
 
     def __pow__(self, exponent: int) -> "LaurentPoly":
         if not isinstance(exponent, int) or exponent < 0:
@@ -277,7 +276,7 @@ def evaluate(polys: Sequence[LaurentPoly], points: Iterable[tuple]) -> Iterator[
     common = lcm(*(p._den for p in polys))
     for x, y, t in points:
         (t_pow, t_den), (x_pow, x_den), (y_pow, y_den) = (
-            _powers(_as_coeff(value), exponents) for value, exponents in zip((t, x, y), slots))
+            _powers(value, exponents) for value, exponents in zip((t, x, y), slots))
         den = common * t_den * x_den * y_den
         mono = {}  # the value of i**e * t^et * x^ex * y^ey at each key
         for k, (et, ex, ey) in exps.items():
@@ -293,7 +292,7 @@ def evaluate(polys: Sequence[LaurentPoly], points: Iterable[tuple]) -> Iterator[
         yield values, den
 
 
-def _powers(value: GaussianRational, exponents: set[int]) -> tuple[dict, int]:
+def _powers(value: ScalarLike, exponents: set[int]) -> tuple[dict, int]:
     """value**e for each e, as Gaussian-integer pairs over one common denominator."""
     vr, vi, vd = _parts(value)
     top = max(max(exponents, default=0), 0)
@@ -320,8 +319,7 @@ def _powers(value: GaussianRational, exponents: set[int]) -> tuple[dict, int]:
 def _as_poly(value) -> LaurentPoly | None:
     if isinstance(value, LaurentPoly):
         return value
-    c = GaussianRational._coerce(value)
-    return None if c is None else monomial(c)
+    return monomial(value) if isinstance(value, _SCALARS) else None
 
 
 def _accumulate(out: dict, nums: dict, factor: int) -> dict:
@@ -391,7 +389,7 @@ def _product(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
 
 
 def monomial(coeff: ScalarLike, et: int = 0, ex: int = 0, ey: int = 0) -> LaurentPoly:
-    return _collect([(_pack(et, ex, ey), _parts(_as_coeff(coeff)))])
+    return _collect([(_pack(et, ex, ey), _parts(coeff))])
 
 
 ZERO = LaurentPoly()

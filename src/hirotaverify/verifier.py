@@ -14,7 +14,7 @@ from __future__ import annotations
 import time
 from fractions import Fraction
 from functools import cache, cached_property
-from typing import Callable, Iterable, Iterator, Literal, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .gaussian import GaussianRational, minus_i_power
 from .laurent import (
@@ -39,11 +39,9 @@ from .wronskian import TauFamily, sylvester_minors
 __all__ = [
     "CheckReport",
     "star",
-    "check_toda",
-    "check_mixed",
+    "check_identity",
     "jacobi_residuals",
     "check_jacobi",
-    "check_conjecture",
     "check_symmetries",
     "IDENTITIES",
     "ORDERWISE_SYSTEMS",
@@ -70,7 +68,8 @@ class CheckReport(NamedTuple):
     the leading residual term in canonical text form when a check fails, and
     the cause of an error.  term_count is the x,y term count of a failing
     residual polynomial, and 0 on every other row.  order_index carries the
-    Laurent order I where one applies.
+    Laurent order I where one applies.  elapsed is written by run_checks: a
+    task's whole time on its first row, and 0.0 on every other row.
     """
 
     equation_id: str
@@ -105,7 +104,6 @@ def _report(
     equation_id: str,
     n: int,
     residual: LaurentPoly,
-    started: float,
     order_index: int | None = None,
     note: str | None = None,
 ) -> CheckReport:
@@ -115,8 +113,7 @@ def _report(
         xy = from_uv(residual)
         mono, coeff = xy.leading_term()
         status, witness, term_count = "fail", serialize(LaurentPoly({mono: coeff})), xy.term_count
-    return CheckReport(equation_id, n, order_index, status, witness, term_count,
-                       time.perf_counter() - started, note)
+    return CheckReport(equation_id, n, order_index, status, witness, term_count, note=note)
 
 
 # -- bilinear identities --------------------------------------------------------
@@ -191,21 +188,14 @@ IDENTITIES: dict[str, Callable[[_Site], LaurentPoly]] = {
 }
 
 
-def _identity_report(eq_id: str, name: str, site: _Site) -> CheckReport:
-    """The row for one identity at one site."""
-    started = time.perf_counter()
-    return _report(eq_id, site.n, site.identity(name), started)
+def _reach(name: str) -> int:
+    """How many sites past n an identity reads: the Toda and mixed ones read n + 1."""
+    return 1 if name in ("toda.g", "toda.f", "mixed") else 0
 
 
-def check_toda(fam: TauFamily, n: int, which: Literal["tau", "f"] = "tau") -> CheckReport:
-    """Residual of D_S D_T a_n . a_n - 2 a_{n+1} a_{n-1} for a in {tau, f}."""
-    name = {"tau": "toda.g", "f": "toda.f"}[which]
-    return _identity_report(f"toda.{which}", name, _family_site(fam, n, 1))
-
-
-def check_mixed(fam: TauFamily, n: int) -> CheckReport:
-    """Residual of D_S D_T f_n . g_n - f_{n+1} g_{n-1} - f_{n-1} g_{n+1}."""
-    return _identity_report("mixed", "mixed", _family_site(fam, n, 1))
+def check_identity(fam: TauFamily, n: int, name: str) -> CheckReport:
+    """The row of the IDENTITIES entry name at site n, under that name."""
+    return _report(name, n, _family_site(fam, n, _reach(name)).identity(name))
 
 
 def jacobi_residuals(fam: TauFamily, n_max: int) -> Iterator[LaurentPoly]:
@@ -216,27 +206,19 @@ def jacobi_residuals(fam: TauFamily, n_max: int) -> Iterator[LaurentPoly]:
     the site's toda.g residual plus products with the derivative-rule differences D[n;n] - L-L+ g,
     D[n+1;n] - L- g and D[n;n+1] - L+ g, zero on a built family.
     """
-    _family_site(fam, n_max, 1)  # the range check, before any elimination
+    reach = _reach("toda.g")
+    _family_site(fam, n_max, reach)  # the range check, before any elimination
     for n, (d_nn, d_sr, d_rs) in enumerate(sylvester_minors(n_max), start=1):
-        site = _family_site(fam, n, 1)
+        site = _family_site(fam, n, reach)
         g = site.g
         yield (Fraction(1, 2) * site.identity("toda.g") + (d_nn - g.minus_plus) * g.p
                - (d_sr - g.minus) * d_rs - g.minus * (d_rs - g.plus))
 
 
 def check_jacobi(fam: TauFamily, n_max: int) -> list[CheckReport]:
-    """The Sylvester rows at n = 1..n_max, each timed from the end of the row before it."""
-    reports, started = [], time.perf_counter()
-    for n, residual in enumerate(jacobi_residuals(fam, n_max), start=1):
-        reports.append(_report("jacobi", n, residual, started))
-        started = time.perf_counter()
-    return reports
-
-
-def check_conjecture(fam: TauFamily, n: int) -> list[CheckReport]:
-    """The four decomposition equations for the pair (g_n, f_n)."""
-    site = _family_site(fam, n)
-    return [_identity_report(name, name, site) for name in ("tsdec1", "tsdec2", "tsdec3", "tsdec4")]
+    """The Sylvester rows at n = 1..n_max."""
+    return [_report("jacobi", n, residual)
+            for n, residual in enumerate(jacobi_residuals(fam, n_max), start=1)]
 
 
 def check_symmetries(fam: TauFamily, n: int) -> list[CheckReport]:
@@ -260,9 +242,8 @@ def check_symmetries(fam: TauFamily, n: int) -> list[CheckReport]:
             # each order keeps its own t-slot, so distinct failures cannot cancel.
             ("mirror", lambda: res["prop2"] - res["prop1"]),
         ):
-            started = time.perf_counter()
             res[prop] = residual_fn()
-            reports.append(_report(f"{prop}.{name}", n, res[prop], started))
+            reports.append(_report(f"{prop}.{name}", n, res[prop]))
     return reports
 
 
@@ -294,7 +275,7 @@ def check_su11(
     and suite.  The Toda and mixed identities read sites n-1 and n+1, so n
     stays below fam.n_max.
     """
-    r = _family_site(fam, n, 1).identity
+    r = _family_site(fam, n, max(map(_reach, IDENTITIES))).identity
     a, b = params
     ac, bc = a.conjugate(), b.conjugate()
     s, d = a.abs2() + b.abs2(), a.abs2() - b.abs2()
@@ -308,12 +289,9 @@ def check_su11(
         "tsdec3": lambda: ac * ac * r("tsdec3") + b * b * r3s() + ac * b * r("tsdec4"),
         "tsdec4": lambda: s * r("tsdec4") + 2 * ac * bc * r("tsdec3") + 2 * a * b * r3s(),
     }
-    note, reports = f"alpha={a}, beta={b}", []
-    for name, residual in combinations.items():
-        started = time.perf_counter()
-        reports.append(_report(f"su11.{name}", n, residual(), started,
-                               order_index=pair_index, note=note))
-    return reports
+    note = f"alpha={a}, beta={b}"
+    return [_report(f"su11.{name}", n, residual(), order_index=pair_index, note=note)
+            for name, residual in combinations.items()]
 
 
 # -- order-by-order systems ---------------------------------------------------
@@ -357,18 +335,16 @@ def check_orderwise(fam: TauFamily, n: int, system: str) -> list[CheckReport]:
     taken from the family's site table.  Orders up to D(n) are reported
     directly.  Above D(n) the identity is generated from its low-order
     partner K(n) - I by y -> -y; the check then also demands that this
-    mirrored residual agree with the one read directly at order I.  An
-    identity evaluated here has its time on the I = 0 row, and every later
-    row is timed from the end of the row before it.  A residual at a
-    t-exponent no order reads makes one more failing row, under the low
-    case id and without an order, whose witness is the leading such term.
+    mirrored residual agree with the one read directly at order I.  A
+    residual at a t-exponent no order reads makes one more failing row,
+    under the low case id and without an order, whose witness is the
+    leading such term.
     """
     top, direct_end = orderwise_span(n, system)
     spec = ORDERWISE_SYSTEMS[system]
     low_id, mid_id, mirror_id = spec.case_ids
     middle = 0 if system == "B4" else direct_end
-    started = time.perf_counter()
-    site = _family_site(fam, n, SUITES[spec.suite].depth_extra)
+    site = _family_site(fam, n, _reach(spec.identity))
     by_order = site.identity(spec.identity).t_coefficients()
     residuals: list[LaurentPoly] = []
     reports = []
@@ -380,12 +356,11 @@ def check_orderwise(fam: TauFamily, n: int, system: str) -> list[CheckReport]:
             eq_id, mirrored = mirror_id, swap_xy(residuals[top - I])
             if residual != mirrored:
                 residual, note = residual - mirrored, "route mismatch"
-        reports.append(_report(eq_id, n, residual, started, order_index=I, note=note))
-        started = time.perf_counter()
+        reports.append(_report(eq_id, n, residual, order_index=I, note=note))
     off_pattern = by_order.keys() - set(range(-top, top + 1, 2))
     if off_pattern:
         m = max(off_pattern)  # every term of this residual sits at t^m
-        reports.append(_report(low_id, n, monomial(1, m) * by_order[m], started,
+        reports.append(_report(low_id, n, monomial(1, m) * by_order[m],
                                note="off the t^(K-2I) pattern"))
     return reports
 
@@ -471,16 +446,8 @@ def ernst_residual_numeric(
         scale = den * GaussianRational(*fs) * GaussianRational(*f) ** 4
         return "fail", str(GaussianRational(*numerator) / scale)
 
-    reports = []
-    for idx, (x0, y0, t0) in enumerate(samples):
-        started = time.perf_counter()
-        status, witness = outcome(t0)
-        reports.append(
-            CheckReport("ernst", n, order_index=idx, status=status, witness=witness,
-                        elapsed=time.perf_counter() - started,
-                        note=f"x={x0}, y={y0}, t={t0}")
-        )
-    return reports
+    return [CheckReport("ernst", n, idx, *outcome(t0), note=f"x={x0}, y={y0}, t={t0}")
+            for idx, (x0, y0, t0) in enumerate(samples)]
 
 
 # -- suites --------------------------------------------------------------------
@@ -496,9 +463,9 @@ def _per_site(equation_id: str, last: int, check: Callable[[int], object]) -> li
     return [CheckTask(equation_id, n, lambda n=n: check(n)) for n in range(1, last + 1)]
 
 
-def _with_g_row(tau: CheckReport) -> list[CheckReport]:
-    # g_n is tau_n: one residual gives both rows, and the g row costs nothing.
-    return [tau, tau._replace(equation_id="toda.g", elapsed=0.0, note="g_n = tau_n")]
+def _with_g_row(row: CheckReport) -> list[CheckReport]:
+    # g_n is tau_n: the toda.g residual gives the toda.tau row and a copy for g.
+    return [row._replace(equation_id="toda.tau"), row._replace(note="g_n = tau_n")]
 
 
 def _orderwise_tasks(suite: str, fam: TauFamily, n_max: int) -> list[CheckTask]:
@@ -520,14 +487,15 @@ class Suite(NamedTuple):
 # names, so rebinding a name reaches the suite's calls.
 SUITES: dict[str, Suite] = {
     "toda": Suite(1, lambda fam, n_max: (
-        _per_site("toda.tau", n_max, lambda n: _with_g_row(check_toda(fam, n, "tau")))
-        + _per_site("toda.f", n_max, lambda n: check_toda(fam, n, "f")))),
+        _per_site("toda.tau", n_max, lambda n: _with_g_row(check_identity(fam, n, "toda.g")))
+        + _per_site("toda.f", n_max, lambda n: check_identity(fam, n, "toda.f")))),
     "mixed": Suite(1, lambda fam, n_max: _per_site(
-        "mixed", n_max, lambda n: check_mixed(fam, n))),
+        "mixed", n_max, lambda n: check_identity(fam, n, "mixed"))),
     "jacobi": Suite(1, lambda fam, n_max: [
         CheckTask("jacobi", 0, lambda: check_jacobi(fam, n_max))]),
-    "conjecture": Suite(0, lambda fam, n_max: _per_site(
-        "tsdec", n_max, lambda n: check_conjecture(fam, n))),
+    "conjecture": Suite(0, lambda fam, n_max: [  # site by site, one task per identity
+        CheckTask(name, n, lambda n=n, name=name: check_identity(fam, n, name))
+        for n in range(1, n_max + 1) for name in ("tsdec1", "tsdec2", "tsdec3", "tsdec4")]),
     "symmetries": Suite(0, lambda fam, n_max: _per_site(
         "symmetry", n_max, lambda n: check_symmetries(fam, n))),
     "closedforms": Suite(0, lambda fam, n_max: (
@@ -571,22 +539,18 @@ def suite_tasks(names: Iterable[str], fam: TauFamily, n_max: int) -> list[CheckT
 def _check_w_forms(w_max: int) -> CheckReport:
     from . import closedform
 
-    started = time.perf_counter()
     for k in range(2, w_max + 1):
         diff = closedform.w_formula(k) - closedform.w_recursive(k)
         if not diff.is_zero:
-            return _report("closed.W", k, to_uv(diff), started)
-    return _report("closed.W", 0, ZERO, started,
-                   note=f"formula matches recursion for n=2..{w_max}")
+            return _report("closed.W", k, to_uv(diff))
+    return _report("closed.W", 0, ZERO, note=f"formula matches recursion for n=2..{w_max}")
 
 
 def _check_a_facts() -> CheckReport:
     from . import closedform
 
-    started = time.perf_counter()
     a = [closedform.a_coeff(k) for k in range(7)]
-    failed = lambda k, witness: CheckReport("closed.A", k, status="fail", witness=witness,
-                                            elapsed=time.perf_counter() - started)
+    failed = lambda k, witness: CheckReport("closed.A", k, status="fail", witness=witness)
     for k, value in {1: 1, 2: 1, 3: 4, 4: 144}.items():
         if a[k] != value:
             return failed(k, f"A_{k} = {a[k]}")
@@ -597,24 +561,22 @@ def _check_a_facts() -> CheckReport:
                  for k in range(2, 6))
     note = ("squared recursion A(n-1)A(n+1) = n^2 A(n)^2 holds for n=2..5; "
             "unsquared variant " + ", ".join(unsquared))
-    return CheckReport("closed.A", 0, elapsed=time.perf_counter() - started, note=note)
+    return CheckReport("closed.A", 0, note=note)
 
 
 def _check_q0(n: int, last: int) -> CheckReport:
     from . import closedform
 
-    started = time.perf_counter()
     g_det, f_det = closedform.q0_wronskians(last)
     residual = closedform.g_q0_closed(n) - g_det[n - 1]
     if residual.is_zero:
         residual = closedform.f_q0_closed(n) - f_det[n - 1]
-    return _report("closed.q0", n, to_uv(residual), started)
+    return _report("closed.q0", n, to_uv(residual))
 
 
 def _check_extremes(fam: TauFamily, n: int) -> CheckReport:
     from . import closedform
 
-    started = time.perf_counter()
     site = _family_site(fam, n)  # g_n and f_n in u, v, as the closed forms are
     checks = [
         (closedform.g_high(n), site.g_n.coeff_of_t(n)),
@@ -624,7 +586,7 @@ def _check_extremes(fam: TauFamily, n: int) -> CheckReport:
     ]
     residual = next((closed - extracted for closed, extracted in checks
                      if closed != extracted), ZERO)
-    return _report("closed.extreme", n, residual, started)
+    return _report("closed.extreme", n, residual)
 
 
 def _check_weyl_lock() -> CheckReport:
@@ -639,26 +601,24 @@ def _check_weyl_lock() -> CheckReport:
     every x-only pair at each n, not only for the pairs it evaluates.  A
     failure reports n and order_index 3i + j.
     """
-    started = time.perf_counter()
     powers = [monomial(1, ex=i) for i in range(3)]
     records = [operand(to_uv(p)) for p in powers]
     for n, i, j in ((n, i, j) for n in range(1, 5) for i in range(3) for j in range(3)):
         diff = apply_F(n, records[i], records[j]) - to_uv(apply_F_weyl(n, powers[i], powers[j]))
         if not diff.is_zero:
-            return _report("weyl.lock", n, diff, started, order_index=3 * i + j)
-    return _report("weyl.lock", 0, ZERO, started, note="forms agree on every x-only pair at n=1..4")
+            return _report("weyl.lock", n, diff, order_index=3 * i + j)
+    return _report("weyl.lock", 0, ZERO, note="forms agree on every x-only pair at n=1..4")
 
 
 def _check_weyl_pair(n: int) -> CheckReport:
     from . import closedform
 
-    started = time.perf_counter()
     g = closedform.g_q0_closed(n)
     f = closedform.f_q0_closed(n)
     residual = apply_F_weyl(n, g, f)
     if residual.is_zero:
         residual = apply_F_weyl(n, g, g) + apply_F_weyl(n, f, f)
-    return _report("weyl.pair", n, to_uv(residual), started)
+    return _report("weyl.pair", n, to_uv(residual))
 
 
 # -- execution -----------------------------------------------------------------
@@ -666,9 +626,10 @@ def _check_weyl_pair(n: int) -> CheckReport:
 def run_checks(tasks: Sequence[CheckTask], fail_fast: bool = False) -> list[CheckReport]:
     """Execute tasks in order, flatten grouped results and sort them deterministically.
 
-    An exception inside one task becomes a single status="error" report for
-    that task, and the run goes on with the next one.  A task's first row also
-    carries the time that none of its rows measured, so its rows sum to its time.
+    The runner is the one clock: it times each task whole and writes that time
+    on the task's first row, so a task's rows sum to its time.  An exception
+    inside one task becomes a single status="error" report for that task, and
+    the run goes on with the next one.
     """
     reports: list[CheckReport] = []
     for task in tasks:
@@ -678,9 +639,9 @@ def run_checks(tasks: Sequence[CheckTask], fail_fast: bool = False) -> list[Chec
         except Exception as exc:
             result = CheckReport(task.equation_id, task.n, status="error",
                                  witness=f"{type(exc).__name__}: {exc}")
+        elapsed = time.perf_counter() - started
         batch = result if isinstance(result, list) else [result]
-        unmeasured = time.perf_counter() - started - sum(r.elapsed for r in batch)
-        batch[:1] = [r._replace(elapsed=r.elapsed + unmeasured) for r in batch[:1]]
+        batch[:1] = [r._replace(elapsed=elapsed) for r in batch[:1]]
         reports.extend(batch)
         if fail_fast and any(not r.passed for r in batch):
             break

@@ -1,5 +1,4 @@
 import random
-import time
 from fractions import Fraction
 
 import pytest
@@ -362,12 +361,8 @@ def su11_direct(fam: TauFamily, n: int, params: V.Su11Params,
     pairs = [su11_transform(fam, k, params) for k in (n - 1, n, n + 1)]
     site = V._Site(n, *zip(*([to_uv(p) for p in pair] for pair in pairs)))
     note = f"alpha={params.alpha}, beta={params.beta}"
-    reports = []
-    for name, identity in V.IDENTITIES.items():
-        started = time.perf_counter()
-        reports.append(V._report(f"su11.{name}", n, identity(site), started,
-                                 order_index=pair_index, note=note))
-    return reports
+    return [V._report(f"su11.{name}", n, identity(site), order_index=pair_index, note=note)
+            for name, identity in V.IDENTITIES.items()]
 
 
 # -- the identities and the rows of the site table, all in x, y ---------------------

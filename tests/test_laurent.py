@@ -60,6 +60,20 @@ class TestRingAxioms:
     def test_laurent_exponents_allowed(self, a, b):
         assert (a * b) - (b * a) == ZERO
 
+    @given(p=polys)
+    def test_each_scalar_type_acts_as_its_constant(self, p):
+        # A real scalar scales the numerators; a non-real one is multiplied as a polynomial.
+        for c in (0, -3, Fraction(-5, 6), GaussianRational(Fraction(2, 3)), GaussianRational(1, -2)):
+            assert c * p == p * c == p.scale(c) == monomial(c) * p
+            assert p + c == p + monomial(c)
+
+    def test_non_scalars_are_refused(self):
+        for bad in (1.5, "x", None):
+            with pytest.raises(TypeError, match="not a scalar coefficient"):
+                monomial(bad)
+            with pytest.raises(TypeError):
+                X * bad
+
 
 class TestSubstitutions:
     @given(p=laurent_polys)

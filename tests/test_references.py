@@ -6,8 +6,8 @@ itself.  Imports and __all__ entries do not count: code that only its tests
 call belongs with the tests.
 
 No module in src/ imports random either: every row is exact, so none may
-rest on a draw.  Nor does one import another's private name: what two
-modules share is public.
+rest on a draw.  Nor does one import another's private name, or read one
+as an attribute of a name it imported: what two modules share is public.
 """
 
 import ast
@@ -48,10 +48,26 @@ def test_no_module_imports_random():
         assert "random" not in imported, path.name
 
 
+# NamedTuple's public API carries a leading underscore.
+NAMEDTUPLE_API = {"_replace", "_asdict", "_make", "_fields"}
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
 def test_no_module_imports_a_private_name():
     for path in SOURCES:
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = set()
+        for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom):
-                private = [alias.name for alias in node.names
-                           if alias.name.startswith("_") and not alias.name.endswith("__")]
+                private = [alias.name for alias in node.names if _private(alias.name)]
                 assert private == [], f"{path.name} imports {private} from {node.module}"
+                if node.level or (node.module or "").split(".")[0] == "hirotaverify":
+                    imported.update(alias.asname or alias.name for alias in node.names)
+        read = sorted({f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
+                       if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                       and node.value.id in imported and _private(node.attr)
+                       and node.attr not in NAMEDTUPLE_API})
+        assert read == [], f"{path.name} reads {read}"

@@ -83,20 +83,20 @@ class TestLatticeChecks:
     @pytest.mark.parametrize("which", ["tau", "g", "f"])
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_toda(self, fam5, which, n):
-        # check_toda has no "g" selector: the suite reports toda.g from the tau residual.
+        # The suite reports toda.tau and its g_n = tau_n copy toda.g from one toda.g residual.
         tasks = [task for task in V.suite_tasks(["toda"], fam5, 4) if task.n == n]
         rows = {r.equation_id: r for r in V.run_checks(tasks)}
         assert rows[f"toda.{which}"].passed
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_mixed(self, fam5, n):
-        assert V.check_mixed(fam5, n).passed
+        assert V.check_identity(fam5, n, "mixed").passed
 
     def test_site_bounds(self, fam5):
         with pytest.raises(ValueError):
-            V.check_toda(fam5, 5, "tau")
+            V.check_identity(fam5, 5, "toda.g")
         with pytest.raises(ValueError):
-            V.check_mixed(fam5, 0)
+            V.check_identity(fam5, 0, "mixed")
 
     def test_failure_reports_witness(self, fam5):
         broken = TauFamily(
@@ -104,7 +104,7 @@ class TestLatticeChecks:
             tau=[fam5.tau[0], fam5.tau[1], fam5.tau[2] + parse("1")],
             f=fam5.f[:3],
         )
-        report = V.check_toda(broken, 1, "tau")
+        report = V.check_identity(broken, 1, "toda.g")
         assert not report.passed
         assert report.witness
 
@@ -127,7 +127,8 @@ class TestLatticeChecks:
 class TestConjecture:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_all_four_pass(self, fam5, n):
-        reports = V.check_conjecture(fam5, n)
+        tasks = [task for task in V.suite_tasks(["conjecture"], fam5, 4) if task.n == n]
+        reports = V.run_checks(tasks)
         assert [r.equation_id for r in reports] == [
             "tsdec1", "tsdec2", "tsdec3", "tsdec4",
         ]
@@ -172,7 +173,7 @@ class TestSymmetries:
         damaged = _with_stray_term(fam4, seq, k, extra)
         rows = {r.equation_id: r for r in V.check_symmetries(damaged, k)}
         for eq_id, p in (("mirror.g", damaged.g[k]), ("mirror.f", damaged.f[k])):
-            expected = V._report(eq_id, k, to_uv(mirror_oracle(p)), time.perf_counter())
+            expected = V._report(eq_id, k, to_uv(mirror_oracle(p)))
             assert rows[eq_id].status == expected.status
             if extra != "t^-7*x":
                 assert rows[eq_id].witness == expected.witness
@@ -226,7 +227,7 @@ class TestJacobiReadsTheSiteTable:
 
     def test_after_toda_reads_only_the_table(self, fam5, monkeypatch):
         for n in (1, 2, 3, 4):
-            assert V.check_toda(fam5, n, "tau").passed
+            assert V.check_identity(fam5, n, "toda.g").passed
         evaluated, brackets = self._count(monkeypatch)
         assert all(r.passed for r in V.check_jacobi(fam5, 4))
         assert evaluated == [] and brackets == []
@@ -684,11 +685,12 @@ class TestSiteTable:
 
     # Each public per-site check, with the last site it serves on a depth-4 family.
     CHECKS = {
-        "toda.tau": (lambda fam, n: V.check_toda(fam, n, "tau"), 3),
-        "toda.f": (lambda fam, n: V.check_toda(fam, n, "f"), 3),
-        "mixed": (lambda fam, n: V.check_mixed(fam, n), 3),
+        "toda.tau": (lambda fam, n: V.check_identity(fam, n, "toda.g"), 3),
+        "toda.f": (lambda fam, n: V.check_identity(fam, n, "toda.f"), 3),
+        "mixed": (lambda fam, n: V.check_identity(fam, n, "mixed"), 3),
         "jacobi": (lambda fam, n: V.check_jacobi(fam, n), 3),
-        "conjecture": (lambda fam, n: V.check_conjecture(fam, n), 4),
+        "conjecture": (lambda fam, n: [V.check_identity(fam, n, name)
+                                       for name in ("tsdec1", "tsdec2", "tsdec3", "tsdec4")], 4),
         "symmetries": (lambda fam, n: V.check_symmetries(fam, n), 4),
         "su11": (lambda fam, n: V.check_su11(fam, n, SU11_PAIRS[0]), 3),
         "orderwise-A": (lambda fam, n: V.check_orderwise(fam, n, "g"), 3),
@@ -733,10 +735,8 @@ class TestRowContract:
     # Every residual-reading check, and the pointwise ernst check, on sites 1..3
     # of a depth-4 family.  A damage that reads no family damages the Weyl form.
     CHECKS = {
-        "identities": lambda fam: (
-            [V.check_toda(fam, n, which) for n in (1, 2, 3) for which in ("tau", "f")]
-            + [V.check_mixed(fam, n) for n in (1, 2, 3)]
-            + [r for n in (1, 2, 3) for r in V.check_conjecture(fam, n)]),
+        "identities": lambda fam: [V.check_identity(fam, n, name)
+                                   for n in (1, 2, 3) for name in V.IDENTITIES],
         "symmetries": lambda fam: [r for n in (1, 2, 3) for r in V.check_symmetries(fam, n)],
         "jacobi": lambda fam: V.check_jacobi(fam, 3),
         "orderwise": lambda fam: [r for n in (1, 2, 3) for system in V.ORDERWISE_SYSTEMS
@@ -826,7 +826,7 @@ class TestCheckBodies:
     # A function named check_* or _check_* is timed and counted as one check
     # body by perfbench/tracer.py, so a helper must not carry either prefix.
     CHECK_BODIES = {
-        "check_toda", "check_mixed", "check_jacobi", "check_conjecture", "check_symmetries",
+        "check_identity", "check_jacobi", "check_symmetries",
         "check_su11", "check_orderwise", "_check_w_forms", "_check_a_facts",
         "_check_q0", "_check_extremes", "_check_weyl_lock", "_check_weyl_pair",
     }
@@ -985,6 +985,33 @@ class TestRunner:
         [row] = V.run_checks([V.CheckTask("late", 0, slow_failure)])
         assert row.status == "error" and row.elapsed >= 0.05
 
+    def test_every_task_times_its_first_row_alone(self, fam4):
+        # The runner is the only clock: no check body writes elapsed.
+        for task in V.suite_tasks(["all"], fam4, 3):
+            started = time.perf_counter()
+            rows = V.run_checks([task])
+            wall = time.perf_counter() - started
+            assert sum(r.elapsed > 0 for r in rows) == 1, task
+            assert wall - 0.01 <= sum(r.elapsed for r in rows) <= wall, task
+
+    def test_each_decomposition_keeps_its_own_time(self, fam4, monkeypatch):
+        tsdec4 = V.IDENTITIES["tsdec4"]
+        monkeypatch.setitem(V.IDENTITIES, "tsdec4", lambda site: time.sleep(0.05) or tsdec4(site))
+        rows = {r.equation_id: r for r in V.run_checks(V.suite_tasks(["conjecture"], fam4, 1))}
+        assert rows["tsdec4"].passed and rows["tsdec4"].elapsed >= 0.05
+        assert all(rows[f"tsdec{k}"].elapsed < 0.05 for k in (1, 2, 3))
+
+    # The identities each site-table suite checks, orderwise ones aside.
+    SUITE_IDENTITIES = {"toda": ("toda.g", "toda.f"), "mixed": ("mixed",), "jacobi": ("toda.g",),
+                        "conjecture": ("tsdec1", "tsdec2", "tsdec3", "tsdec4")}
+
+    def test_suite_depth_is_the_reach_of_its_identities(self):
+        for spec in V.ORDERWISE_SYSTEMS.values():
+            assert V._reach(spec.identity) == V.SUITES[spec.suite].depth_extra, spec
+        for suite, names in self.SUITE_IDENTITIES.items():
+            assert {V._reach(name) for name in names} == {V.SUITES[suite].depth_extra}, suite
+        assert [V.SUITES[suite].depth_extra for suite in self.SUITE_IDENTITIES] == [1, 1, 1, 0]
+
     def test_family_depth(self):
         assert V.family_depth_needed(["toda"], 3) == 4
         assert V.family_depth_needed(["conjecture"], 3) == 3
@@ -1008,7 +1035,8 @@ class TestRunner:
         sites = lambda eq_id, first, last: [(eq_id, n) for n in range(first, last + 1)]
         expected = (
             sites("toda.tau", 1, 2) + sites("toda.f", 1, 2) + sites("mixed", 1, 2)
-            + [("jacobi", 0)] + sites("tsdec", 1, 2) + sites("symmetry", 1, 2)
+            + [("jacobi", 0)] + [(f"tsdec{k}", n) for n in (1, 2) for k in (1, 2, 3, 4)]
+            + sites("symmetry", 1, 2)
             + [("closed.W", 0), ("closed.A", 0)] + sites("closed.q0", 1, 6)
             + sites("closed.extreme", 1, 2) + [("weyl.lock", 0)] + sites("weyl.pair", 1, 3)
             + [(f"orderwise-A.{s}", n) for n in (1, 2) for s in ("g", "f", "mixed")]
@@ -1021,5 +1049,5 @@ class TestRunner:
                 for t in V.suite_tasks([name], fam4, 2)] == [e for e, _ in expected]
 
     def test_sort_key_shape(self, fam4):
-        report = V.check_mixed(fam4, 1)
+        report = V.check_identity(fam4, 1, "mixed")
         assert V.sort_key(report) == ("mixed", 1, -1)
