@@ -254,12 +254,8 @@ class LaurentPoly:
         return {et: LaurentPoly._make(nums, self._den) for et, nums in split.items()}
 
     def coeff_of_t(self, m: int) -> "LaurentPoly":
-        """The x,y-polynomial multiplying t**m (zero if absent), from the keys at t^m only."""
-        # The keys at t^m lie within 3 * _T_HALF of the key of t^m, and all others farther.
-        center = -m * _T_UNIT
-        low, high = center - 3 * _T_HALF, center + 3 * _T_HALF
-        return LaurentPoly._make({k - center: v for k, v in self._nums.items() if low < k < high},
-                                 self._den)
+        """The x,y-polynomial multiplying t**m (zero if absent)."""
+        return self.t_coefficients().get(m, ZERO)
 
 
 # -- evaluation ---------------------------------------------------------------
@@ -562,8 +558,9 @@ def _uv_row(i: int, j: int) -> tuple[int, ...]:
 
 def from_uv(p: LaurentPoly) -> LaurentPoly:
     """Rewrite a u,v-polynomial in x, y: t^a u^i v^j -> t^a (x+y)^i (x-y)^j / 2^(i+j)."""
-    top = max((sum(_unpack(k)[1:]) for k in p._nums), default=0)
-    scaled = {k: v << (top - sum(_unpack(k)[1:])) for k, v in p._nums.items()}  # p(u/2, v/2)
+    degree = {k: sum(_unpack(k)[1:]) for k in p._nums}
+    top = max(degree.values(), default=0)
+    scaled = {k: v << (top - degree[k]) for k, v in p._nums.items()}  # p(u/2, v/2)
     return to_uv(LaurentPoly._make(scaled, p._den << top))
 
 

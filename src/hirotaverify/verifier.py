@@ -346,14 +346,12 @@ def check_orderwise(fam: TauFamily, n: int, system: str) -> list[CheckReport]:
     middle = 0 if system == "B4" else direct_end
     site = _family_site(fam, n, _reach(spec.identity))
     by_order = site.identity(spec.identity).t_coefficients()
-    residuals: list[LaurentPoly] = []
     reports = []
     for I in range(top + 1):
         residual = by_order.get(top - 2 * I, ZERO)
-        residuals.append(residual)
         eq_id, note = mid_id if I == middle else low_id, None
-        if I > direct_end:
-            eq_id, mirrored = mirror_id, swap_xy(residuals[top - I])
+        if I > direct_end:  # the partner K - I sits at t^(2I-K)
+            eq_id, mirrored = mirror_id, swap_xy(by_order.get(2 * I - top, ZERO))
             if residual != mirrored:
                 residual, note = residual - mirrored, "route mismatch"
         reports.append(_report(eq_id, n, residual, order_index=I, note=note))
@@ -578,11 +576,12 @@ def _check_extremes(fam: TauFamily, n: int) -> CheckReport:
     from . import closedform
 
     site = _family_site(fam, n)  # g_n and f_n in u, v, as the closed forms are
+    g, f = site.g_n.t_coefficients(), site.f_n.t_coefficients()
     checks = [
-        (closedform.g_high(n), site.g_n.coeff_of_t(n)),
-        (closedform.g_low(n), site.g_n.coeff_of_t(-n)),
-        (closedform.f_high(n), site.f_n.coeff_of_t(n - 1)),
-        (closedform.f_low(n), site.f_n.coeff_of_t(-n + 1)),
+        (closedform.g_high(n), g.get(n, ZERO)),
+        (closedform.g_low(n), g.get(-n, ZERO)),
+        (closedform.f_high(n), f.get(n - 1, ZERO)),
+        (closedform.f_low(n), f.get(1 - n, ZERO)),
     ]
     residual = next((closed - extracted for closed, extracted in checks
                      if closed != extracted), ZERO)

@@ -186,6 +186,8 @@ class TestTermWise:
         assert p.term_count == len(terms(p))  # a monomial with both parts counts once
         for et in range(-4, 5):
             assert terms(p.coeff_of_t(et)) == expected.get(et, {})
+        for et in (-2000, 2000):  # outside the stored t field
+            assert p.coeff_of_t(et).is_zero
 
     @given(ps=st.lists(any_polys, max_size=4),
            points=st.lists(st.tuples(*[gaussians.filter(bool)] * 3), max_size=3))

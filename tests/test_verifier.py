@@ -661,6 +661,16 @@ class TestSiteTable:
         assert all(r.passed for r in V.run_checks(V.suite_tasks(["orderwise-B"], fam4, 3)))
         assert splits
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_extremes_split_g_and_f_once(self, fam4, n, monkeypatch):
+        # closed.extreme reads orders ±n of g_n and ±(n-1) of f_n from one split of each.
+        splits = []
+        split = LaurentPoly.t_coefficients
+        monkeypatch.setattr(LaurentPoly, "t_coefficients", lambda p: splits.append(p) or split(p))
+        assert V._check_extremes(fam4, n).passed
+        site = V._family_site(fam4, n)
+        assert len(splits) == 2 and splits[0] is site.g_n and splits[1] is site.f_n
+
     @staticmethod
     def _rows(reports):
         return [r._replace(elapsed=0.0) for r in reports]
