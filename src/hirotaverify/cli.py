@@ -134,7 +134,7 @@ _BENCH_SUITES = ("toda", "mixed", "conjecture", "symmetries", "orderwise-B")
 
 
 def cmd_bench(n_max: int, stream=None) -> int:
-    """Per-site construction timing and term counts, then per-suite timings.
+    """Per-site construction timing and u,v term counts, then per-suite timings.
 
     One family is built, to the depth the suites read.  A site's build time
     is its own elimination step in each of the two Wronskians; building the
@@ -149,7 +149,7 @@ def cmd_bench(n_max: int, stream=None) -> int:
     started = time.perf_counter()
     steps = site_steps(depth)
     stream.write(f"Wronskian matrices to n={depth}: {time.perf_counter() - started:.3f}s\n")
-    stream.write(f"{'n':>3} {'tau terms':>10} {'f terms':>9} {'build (s)':>10}\n")
+    stream.write(f"{'n':>3} {'tau u,v terms':>14} {'f u,v terms':>12} {'build (s)':>10}\n")
     tau, f = [], []
     started = time.perf_counter()
     for n, (tau_n, f_n) in enumerate(steps):
@@ -157,7 +157,7 @@ def cmd_bench(n_max: int, stream=None) -> int:
         tau.append(tau_n)
         f.append(f_n)
         if 1 <= n <= n_max:
-            stream.write(f"{n:>3} {tau_n.term_count:>10} {f_n.term_count:>9} {elapsed:>10.3f}\n")
+            stream.write(f"{n:>3} {tau_n.term_count:>14} {f_n.term_count:>12} {elapsed:>10.3f}\n")
         started = time.perf_counter()
     for suite in _BENCH_SUITES:
         # An empty site table, so that no suite reads what another computed.

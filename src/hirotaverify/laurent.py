@@ -246,16 +246,12 @@ class LaurentPoly:
     # -- t-direction --------------------------------------------------------
 
     def t_coefficients(self) -> dict[int, "LaurentPoly"]:
-        """Split into x,y-polynomials keyed by t-exponent."""
+        """Split into t-free polynomials keyed by t-exponent."""
         split: dict[int, dict] = {}
         for k, v in self._nums.items():
             et = (_T_HALF - k // 3) >> _T_SHIFT  # the et digit
             split.setdefault(et, {})[k + et * _T_UNIT] = v
         return {et: LaurentPoly._make(nums, self._den) for et, nums in split.items()}
-
-    def coeff_of_t(self, m: int) -> "LaurentPoly":
-        """The x,y-polynomial multiplying t**m (zero if absent)."""
-        return self.t_coefficients().get(m, ZERO)
 
 
 # -- evaluation ---------------------------------------------------------------

@@ -159,13 +159,9 @@ def _family_site(fam: TauFamily, n: int, reach: int = 0) -> _Site:
     """
     if not 1 <= n <= fam.n_max - reach:
         raise ValueError(f"need 1 <= n <= {fam.n_max - reach}, got {n}")
-    if n not in fam.sites:
-        for name in ("tau", "f"):
-            for k in range(n - 1, min(n + 1, fam.n_max) + 1):
-                if (name, k) not in fam.sites:  # fam.<name>[k] in u, v, made once
-                    fam.sites[name, k] = to_uv(getattr(fam, name)[k])
-        around = lambda name: [fam.sites.get((name, k)) for k in (n - 1, n, n + 1)]
-        fam.sites[n] = _Site(n, around("tau"), around("f"))
+    if n not in fam.sites:  # sites n-1..n+1 of the family's u,v sequences, None past n_max
+        around = lambda seq: (*seq[n - 1:n + 2], None)[:3]
+        fam.sites[n] = _Site(n, around(fam.tau_uv), around(fam.f_uv))
     return fam.sites[n]
 
 

@@ -8,8 +8,9 @@ principal minors, and its working rows the bordered minors of Sylvester's
 identity.  The tests keep plain cofactor expansion as an independent oracle.
 
 Every Wronskian is built and eliminated in the light-cone basis u = (x+y)/2,
-v = (x-y)/2, where the seed is t v + u/t.  Each family minor leaves through
-one from_uv call, so TauFamily and its cache file hold x,y-polynomials.
+v = (x-y)/2, where the seed is t v + u/t.  TauFamily and its cache file hold
+the minors in u, v as the elimination makes them; the x,y readings tau, f and
+g are made by from_uv on first read.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .laurent import (
 from .operators import l_minus, l_plus
 
 CACHE_MAGIC = "hirotaverify tau-family"
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 _HEADER = re.compile(rf"^{CACHE_MAGIC} v(\d+) crc32=([0-9a-f]{{8}})$")
 Matrix = Sequence[Sequence[LaurentPoly]]  # a square matrix, as its rows
 
@@ -113,40 +114,41 @@ def tau_f_minors(m: Matrix) -> Iterator[tuple[LaurentPoly, LaurentPoly]]:
 
 
 def site_steps(n_max: int) -> Iterator[tuple[LaurentPoly, LaurentPoly]]:
-    """(tau_n, f_n) for n = 0..n_max, the entries of TauFamily.build(n_max).
+    """(tau_n, f_n) in u, v for n = 0..n_max, the entries of TauFamily.build(n_max).
 
     L_plus and L_minus commute, so the f Wronskian is the tau Wronskian's
-    lower-right block.  Each site is one elimination step of each, and its
-    conversion to x,y, run only when asked for, so sites can be timed alone.
+    lower-right block.  Each site is one elimination step of each, run only
+    when asked for, so sites can be timed alone.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    minors = tau_f_minors(wronskian_matrix(build_psi(), n_max))
-    return chain([(ONE, ZERO)], ((from_uv(tau), from_uv(f)) for tau, f in minors))
+    return chain([(ONE, ZERO)], tau_f_minors(wronskian_matrix(build_psi(), n_max)))
 
 
-class TauFamily(NamedTuple("TauFamily", [("n_max", int), ("tau", tuple), ("f", tuple)])):
-    """Tau and f sequences for lattice sites 0..n_max, immutable.
+class TauFamily(NamedTuple("TauFamily", [("n_max", int), ("tau_uv", tuple), ("f_uv", tuple)])):
+    """Tau and f sequences for lattice sites 0..n_max in u, v, immutable.
 
-    g_n equals tau_n, and g is the same tuple as tau; f_n is the
-    (n-1)-dimensional Wronskian determinant of the once-shifted seed
-    L_plus L_minus psi, with f_1 = 1 (empty determinant) and f_0 = 0 (the
-    semi-infinite lattice cuts the chain below site zero).  sites holds what
-    the checks derive from the family at each site, and each tau_k and f_k in
-    u, v under ("tau", k) and ("f", k), all made on first use; it is not a
-    field, so equality, hashing and repr read n_max, tau and f only.
+    g_n equals tau_n; f_n is the (n-1)-dimensional Wronskian determinant of
+    the once-shifted seed L_plus L_minus psi, with f_1 = 1 (empty
+    determinant) and f_0 = 0 (the semi-infinite lattice cuts the chain below
+    site zero).  tau and f are the x,y readings of tau_uv and f_uv, and g is
+    the same tuple as tau; sites holds the checks' _Site of each site n.  All
+    are made on first use and none is a field, so equality, hashing and repr
+    read n_max, tau_uv and f_uv only.
     """
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
     sites = cached_property(lambda self: {})
+    tau = cached_property(lambda self: tuple(map(from_uv, self.tau_uv)))
+    f = cached_property(lambda self: tuple(map(from_uv, self.f_uv)))
     g = property(lambda self: self.tau)
 
-    def __new__(cls, n_max: int, tau: Iterable[LaurentPoly], f: Iterable[LaurentPoly]):
-        tau, f = tuple(tau), tuple(f)
-        if not len(tau) == len(f) == n_max + 1:
+    def __new__(cls, n_max: int, tau_uv: Iterable[LaurentPoly], f_uv: Iterable[LaurentPoly]):
+        tau_uv, f_uv = tuple(tau_uv), tuple(f_uv)
+        if not len(tau_uv) == len(f_uv) == n_max + 1:
             raise ValueError(f"n_max={n_max} needs {n_max + 1} entries of tau and f, "
-                             f"got {len(tau)} and {len(f)}")
-        return super().__new__(cls, n_max, tau, f)
+                             f"got {len(tau_uv)} and {len(f_uv)}")
+        return super().__new__(cls, n_max, tau_uv, f_uv)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -160,7 +162,8 @@ class TauFamily(NamedTuple("TauFamily", [("n_max", int), ("tau", tuple), ("f", t
         return cls(n_max, tau, f)
 
     # -- cache file: a header holding the format version and the CRC-32 of the
-    # body, then one '<tau|f> n=<k>: <polynomial>' line per entry.  A CRC finds
+    # body, then one '<tau|f> n=<k>: <polynomial in u, v>' line per entry, u in
+    # the x slot and v in the y slot; v1 held x,y text.  A CRC finds
     # damage; hashlib would load OpenSSL, +3.6 MB resident in every run ------
 
     def save(self, path: str | Path) -> None:
@@ -168,7 +171,7 @@ class TauFamily(NamedTuple("TauFamily", [("n_max", int), ("tau", tuple), ("f", t
         path = Path(path)
         body = "".join(
             f"{key} n={k}: {serialize(poly)}\n"
-            for key, seq in (("tau", self.tau), ("f", self.f))
+            for key, seq in (("tau", self.tau_uv), ("f", self.f_uv))
             for k, poly in enumerate(seq)
         ).encode()
         header = f"{CACHE_MAGIC} v{CACHE_VERSION} crc32={zlib.crc32(body):08x}\n"
@@ -185,8 +188,9 @@ class TauFamily(NamedTuple("TauFamily", [("n_max", int), ("tau", tuple), ("f", t
 
         A cache is refused when its header, version or CRC is wrong, when its
         body is not the sequence save writes (tau n=0..N, then f n=0..N, one
-        line each, N >= 1) or a line of it is not a polynomial in x, y, both
+        line each, N >= 1) or a line of it is not a polynomial in u, v, both
         named by line, and when tau_0..2 or f_0..2 differ from those the seed builds.
+        A v1 cache, x,y text, is refused by its version, never read as u, v.
         """
         header, _, body = Path(path).read_bytes().partition(b"\n")
         match = _HEADER.match(header.decode("ascii", errors="replace"))
@@ -212,13 +216,13 @@ class TauFamily(NamedTuple("TauFamily", [("n_max", int), ("tau", tuple), ("f", t
                 entries.append(parse(line[len(prefix):]))
             except (OverflowError, ValueError) as exc:  # a ParseError is a ValueError
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc
-            if entries[-1].has_negative_xy():  # every tau_k, f_k is a polynomial in x, y
-                raise ValueError(f"{path}:{lineno}: negative x or y exponent")
+            if entries[-1].has_negative_xy():  # from_uv reads no negative u or v power
+                raise ValueError(f"{path}:{lineno}: negative u or v exponent")
         fam = cls(n_max, entries[:n_max + 1], entries[n_max + 1:])
         # The CRC finds damage, not a faulty build: recompute the first sites
         # from the seed and compare.
         tau, f = zip(*site_steps(2))
-        wrong = [f"{key}_{k}" for key, built, read in (("tau", tau, fam.tau), ("f", f, fam.f))
+        wrong = [f"{key}_{k}" for key, built, read in (("tau", tau, fam.tau_uv), ("f", f, fam.f_uv))
                  for k, (poly, got) in enumerate(zip(built, read)) if poly != got]
         if wrong:
             raise ValueError(f"{path}: {', '.join(wrong)} disagree with the seed")

@@ -47,12 +47,12 @@ def built5() -> TauFamily:
 # no test reads a site table another test filled.
 @pytest.fixture
 def fam5(built5: TauFamily) -> TauFamily:
-    return TauFamily(n_max=5, tau=built5.tau, f=built5.f)
+    return TauFamily(n_max=5, tau_uv=built5.tau_uv, f_uv=built5.f_uv)
 
 
 @pytest.fixture
 def fam4(built5: TauFamily) -> TauFamily:
-    return TauFamily(n_max=4, tau=built5.tau[:5], f=built5.f[:5])
+    return TauFamily(n_max=4, tau_uv=built5.tau_uv[:5], f_uv=built5.f_uv[:5])
 
 
 # -- the order-by-order systems written out by hand ----------------------------
@@ -69,8 +69,8 @@ def orderwise_oracle(
     middle and mirrored cases alike.  Only the coefficients that the parity
     of g_n (t^n, t^(n-2), ...) and f_n (t^(n-1), ...) allows are read.
     """
-    gt = lambda k, m: fam.g[k].coeff_of_t(m)
-    ft = lambda k, m: fam.f[k].coeff_of_t(m)
+    gt = lambda k, m: fam.g[k].t_coefficients().get(m, ZERO)
+    ft = lambda k, m: fam.f[k].t_coefficients().get(m, ZERO)
     lhs, rhs = ZERO, ZERO
     for J in range(I + 1):
         if system == "g":
@@ -111,9 +111,9 @@ def mirror_oracle(p: LaurentPoly) -> LaurentPoly:
     no t^-m term, subst_t_inverse(p) - subst_y_negate(p) also holds c_m at
     t^-m, which this sum lacks; the two are zero together.
     """
-    total = ZERO
-    for m, coeff_poly in p.t_coefficients().items():
-        total = total + (p.coeff_of_t(-m) - subst_y_negate(coeff_poly)) * monomial(1, et=m)
+    total, split = ZERO, p.t_coefficients()
+    for m, coeff_poly in split.items():
+        total = total + (split.get(-m, ZERO) - subst_y_negate(coeff_poly)) * monomial(1, et=m)
     return total
 
 
@@ -146,9 +146,9 @@ def low_extremes_uv_swap(n: int) -> tuple[LaurentPoly, LaurentPoly]:
 
 # -- the Wronskian family by elimination in x, y ----------------------------------
 #
-# The library eliminates in the light-cone basis u, v and converts each minor
-# with from_uv.  This route keeps everything in x, y: the seed, the light-cone
-# pair as L_X +- L_Y, and a basis change by multiplied powers.
+# The library eliminates in the light-cone basis u, v and keeps each minor
+# there.  This route keeps everything in x, y: the seed, the light-cone pair
+# as L_X +- L_Y, and a basis change by multiplied powers.
 
 def psi_xy() -> LaurentPoly:
     """The seed t*(x-y)/2 + (1/t)*(x+y)/2 in x, y."""
@@ -183,12 +183,13 @@ def wronskian_matrix_xy(seed: LaurentPoly, n: int) -> Matrix:
 
 
 def build_xy(n_max: int) -> TauFamily:
-    """TauFamily.build(n_max) with each Wronskian's leading minors eliminated in x, y."""
+    """TauFamily.build(n_max) with each Wronskian's leading minors eliminated in x, y,
+    then taken to u, v by to_uv."""
     psi = psi_xy()
     shifted = l_plus_xy(l_minus_xy(psi))
     tau = _leading_minors(wronskian_matrix_xy(psi, n_max))
     f = _leading_minors(wronskian_matrix_xy(shifted, n_max - 1)) if n_max > 1 else ()
-    return TauFamily(n_max, [ONE, *tau], [ZERO, ONE, *f])
+    return TauFamily(n_max, map(to_uv, [ONE, *tau]), map(to_uv, [ZERO, ONE, *f]))
 
 
 def det_cofactor(m: Matrix) -> LaurentPoly:
@@ -450,7 +451,7 @@ def su11_rows_oracle(fam: TauFamily, n: int, params: V.Su11Params,
                      pair_index: int = 0) -> list[tuple]:
     """check_su11's (equation_id, n, order_index, status, witness, term_count, note) rows,
     in x, y: every identity of the transformed family by identity_oracle."""
-    moved = TauFamily(fam.n_max, *zip(*(su11_transform(fam, k, params)
+    moved = TauFamily(fam.n_max, *zip(*(map(to_uv, su11_transform(fam, k, params))
                                         for k in range(fam.n_max + 1))))
     note = f"alpha={params.alpha}, beta={params.beta}"
     return [(f"su11.{name}", n, pair_index, *row_outcome(lhs - rhs), note)

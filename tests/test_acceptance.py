@@ -13,7 +13,7 @@ import time
 from hirotaverify import closedform
 from hirotaverify import verifier as V
 from hirotaverify.cli import RunConfig, cmd_verify
-from hirotaverify.laurent import ZERO, from_uv, monomial, to_uv
+from hirotaverify.laurent import ZERO, from_uv, monomial
 from hirotaverify.operators import apply_F, hirota, hirota_dst, l_minus, l_plus, operand
 from hirotaverify.verifier import jacobi_residuals
 from hirotaverify.wronskian import (
@@ -34,7 +34,7 @@ def family(depth: int) -> TauFamily:
     if have is None:
         have, _FAMILIES[depth] = depth, TauFamily.build(depth)
     built = _FAMILIES[have]
-    return TauFamily(built.n_max, built.tau, built.f)
+    return TauFamily(built.n_max, built.tau_uv, built.f_uv)
 
 
 def conclude(number: int, description: str, ok: bool, started: float) -> None:
@@ -102,10 +102,10 @@ def test_criterion_05_closed_forms():
         for n in range(1, 7)
     )
     ok = ok and all(
-        from_uv(closedform.g_high(n)) == fam.g[n].coeff_of_t(n)
-        and from_uv(closedform.g_low(n)) == fam.g[n].coeff_of_t(-n)
-        and from_uv(closedform.f_high(n)) == fam.f[n].coeff_of_t(n - 1)
-        and from_uv(closedform.f_low(n)) == fam.f[n].coeff_of_t(-n + 1)
+        from_uv(closedform.g_high(n)) == fam.g[n].t_coefficients().get(n, ZERO)
+        and from_uv(closedform.g_low(n)) == fam.g[n].t_coefficients().get(-n, ZERO)
+        and from_uv(closedform.f_high(n)) == fam.f[n].t_coefficients().get(n - 1, ZERO)
+        and from_uv(closedform.f_low(n)) == fam.f[n].t_coefficients().get(-n + 1, ZERO)
         for n in range(1, 6)
     )
     from hirotaverify.laurent import parse
@@ -166,7 +166,7 @@ def test_criterion_08_orderwise_systems():
                 lhs, rhs = orderwise_oracle(fam, n, I, fam_name)
                 weight = monomial(1, et=shift - 2 * I)
                 lhs_sum, rhs_sum = lhs_sum + lhs * weight, rhs_sum + rhs * weight
-            g, f = operand(to_uv(fam.g[n])), operand(to_uv(fam.f[n]))
+            g, f = operand(fam.tau_uv[n]), operand(fam.f_uv[n])
             if fam_name == "g":
                 parent_l = from_uv(hirota_dst(g, g))
                 parent_r = 2 * (fam.g[n + 1] * fam.g[n - 1])
@@ -178,7 +178,7 @@ def test_criterion_08_orderwise_systems():
                 parent_r = fam.f[n + 1] * fam.g[n - 1] + fam.f[n - 1] * fam.g[n + 1]
             ok = ok and lhs_sum == parent_l and rhs_sum == parent_r
         for which in ("B1", "B2", "B3", "B4"):
-            g, f = to_uv(fam.g[n]), to_uv(fam.f[n])
+            g, f = fam.tau_uv[n], fam.f_uv[n]
             g, f, gs, fs = (operand(p) for p in (g, f, V.star(g), V.star(f)))
             (dx, dy), (dx_s, dy_s) = hirota(g, f), hirota(gs, fs)
             parent = {

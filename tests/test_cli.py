@@ -10,9 +10,9 @@ from pathlib import Path
 import pytest
 
 import hirotaverify
-from hirotaverify import verifier, wronskian
+from hirotaverify import laurent, verifier, wronskian
 from hirotaverify.cli import RunConfig, cmd_bench, cmd_build, cmd_verify, main
-from hirotaverify.laurent import ONE, ExactDivisionError, parse
+from hirotaverify.laurent import ONE, ExactDivisionError, parse, serialize, to_uv
 from hirotaverify.wronskian import CACHE_MAGIC, CACHE_VERSION, DeterminantError, TauFamily
 
 
@@ -103,9 +103,10 @@ class TestVerifyCommand:
     def test_jacobi_and_toda_in_either_order(self, built5, tmp_path, stray):
         # jacobi reads the toda.g residual of the site table, whichever suite forms it.
         # The load check recomputes sites 0..2, so the stray term goes on tau_3.
-        tau = [p + parse(stray) if stray and k == 3 else p for k, p in enumerate(built5.tau)]
+        tau = [p + to_uv(parse(stray)) if stray and k == 3 else p
+               for k, p in enumerate(built5.tau_uv)]
         cache = tmp_path / "f5.tau"
-        TauFamily(5, tau, built5.f).save(cache)
+        TauFamily(5, tau, built5.f_uv).save(cache)
         rows = lambda suites: strip_timings(json.loads(run_verify(
             n_max=4, suites=suites, cache_path=str(cache), report_format="json")[1]))["checks"]
         jacobi_first = rows(["jacobi", "toda"])
@@ -116,15 +117,32 @@ class TestVerifyCommand:
     def test_fail_fast_stops_after_every_jacobi_row(self, built5, tmp_path, capsys):
         # The jacobi suite is one task, so --fail-fast keeps all of its rows
         # and stops before the next suite.  tau_3 enters the identity at sites 2..4.
-        tau = [p + 1 if k == 3 else p for k, p in enumerate(built5.tau)]
+        tau = [p + 1 if k == 3 else p for k, p in enumerate(built5.tau_uv)]
         cache = tmp_path / "f5.tau"
-        TauFamily(5, tau, built5.f).save(cache)
+        TauFamily(5, tau, built5.f_uv).save(cache)
         code = main(["verify", "--suite", "jacobi", "--suite", "mixed", "--n-max", "4",
                      "--fail-fast", "--cache", str(cache), "--format", "json"])
         assert code == 1
         rows = json.loads(capsys.readouterr().out)["checks"]
         assert [(r["equation_id"], r["n"], r["status"]) for r in rows] == [
             ("jacobi", n, "pass" if n == 1 else "fail") for n in (1, 2, 3, 4)]
+
+    def test_verify_converts_no_family_polynomial(self, tmp_path, monkeypatch, capsys):
+        # The site table reads the loaded u,v sequences as they are, and a passing
+        # row reads no residual in x, y: the run makes no basis change at all.
+        cache = tmp_path / "f4.tau"
+        assert main(["build", "--n-max", "4", "--cache", str(cache)]) == 0
+        calls = []
+        for module, name in ((laurent, "to_uv"), (laurent, "from_uv"), (wronskian, "from_uv"),
+                             (verifier, "to_uv"), (verifier, "from_uv")):
+            convert = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda p, name=name, convert=convert:
+                                calls.append(name) or convert(p))
+        suites = ["toda", "mixed", "jacobi", "conjecture", "symmetries",
+                  "orderwise-A", "orderwise-B"]
+        code, _ = run_verify(n_max=3, suites=suites, cache_path=str(cache), report_format="json")
+        assert code == 0 and "rebuilding" not in capsys.readouterr().err
+        assert calls == []
 
 
 class TestCacheContract:
@@ -176,8 +194,9 @@ class TestCacheContract:
         assert TauFamily.load(cache).n_max == 4
 
     def test_truncated_cache_never_exits_one(self, tmp_path):
+        # Depth 3: the u,v text of a depth-2 family has too few terms for 40 cuts.
         cache = tmp_path / "out.tau"
-        assert main(["build", "--n-max", "2", "--cache", str(cache)]) == 0
+        assert main(["build", "--n-max", "3", "--cache", str(cache)]) == 0
         lines = cache.read_text().splitlines(keepends=True)
         # Cuts at every line boundary, and at every term boundary of every
         # line both with and without the lines that follow.
@@ -213,14 +232,28 @@ class TestCacheContract:
     def test_valid_looking_wrong_cache_is_rebuilt(self, tmp_path, capsys):
         # A well-formed cache with a correct CRC, written by a faulty build.
         built = TauFamily.build(2)
-        fam = TauFamily(2, [*built.tau[:2], built.tau[2] + 1], built.f)
+        fam = TauFamily(2, [*built.tau_uv[:2], built.tau_uv[2] + 1], built.f_uv)
         cache = tmp_path / "wrong.tau"
         fam.save(cache)
         assert main(["verify", "--suite", "toda", "--n-max", "1",
                      "--cache", str(cache)]) == 0
         err = capsys.readouterr().err
-        assert "rebuilding" in err and "tau_2" in err
+        assert f"{cache}: tau_2 disagree with the seed; rebuilding" in err
         assert TauFamily.load(cache).tau[2] == TauFamily.build(2).tau[2]
+
+    def test_v1_cache_is_refused_and_rebuilt(self, tmp_path, capsys):
+        # A v1 cache holds the same family as x,y text, which read as u, v is another family.
+        fam = TauFamily.build(2)
+        body = "".join(f"{key} n={k}: {serialize(p)}\n"
+                       for key, seq in (("tau", fam.tau), ("f", fam.f)) for k, p in enumerate(seq))
+        cache = tmp_path / "v1.tau"
+        cache.write_text(f"{CACHE_MAGIC} v1 crc32={zlib.crc32(body.encode()):08x}\n{body}")
+        with pytest.raises(ValueError, match=r"v1\.tau: cache format v1, expected v2$"):
+            TauFamily.load(cache)
+        assert main(["verify", "--suite", "toda", "--n-max", "1", "--cache", str(cache)]) == 0
+        assert "cache format v1, expected v2; rebuilding the cache" in capsys.readouterr().err
+        assert cache.read_text().startswith(f"{CACHE_MAGIC} v2 crc32=")
+        assert TauFamily.load(cache) == fam
 
     def test_exponent_outside_its_field_is_rebuilt(self, tmp_path, capsys):
         # The CRC matches, but the exponent does not fit the packed monomial key.
@@ -268,7 +301,7 @@ class TestBenchCommand:
         rows = [line for line in out.splitlines() if re.match(r"\s+\d+\s+\d+", line)]
         assert len(rows) == 3
         first = rows[0].split()
-        assert first[:2] == ["1", "4"]  # site 1 has a four-term tau
+        assert first[:2] == ["1", "2"]  # site 1's tau, t v + u/t, has two terms in u, v
         counts = [int(r.split()[1]) for r in rows]
         assert counts == sorted(counts)
 
@@ -350,7 +383,7 @@ def test_exit_code_one_on_failure(tmp_path):
     built = TauFamily.build(3)
     from hirotaverify.laurent import parse
 
-    fam = TauFamily(3, [*built.tau[:3], built.tau[3] + parse("1")], built.f)
+    fam = TauFamily(3, [*built.tau_uv[:3], built.tau_uv[3] + parse("1")], built.f_uv)
     cache = tmp_path / "broken.tau"
     fam.save(cache)
     code, out = run_verify(n_max=2, suites=["toda"], cache_path=str(cache),

@@ -130,10 +130,10 @@ class TestExtremeCoefficients:
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_match_extracted_coefficients(self, fam5, n):
-        assert from_uv(g_high(n)) == fam5.g[n].coeff_of_t(n)
-        assert from_uv(g_low(n)) == fam5.g[n].coeff_of_t(-n)
-        assert from_uv(f_high(n)) == fam5.f[n].coeff_of_t(n - 1)
-        assert from_uv(f_low(n)) == fam5.f[n].coeff_of_t(-n + 1)
+        assert from_uv(g_high(n)) == fam5.g[n].t_coefficients().get(n, ZERO)
+        assert from_uv(g_low(n)) == fam5.g[n].t_coefficients().get(-n, ZERO)
+        assert from_uv(f_high(n)) == fam5.f[n].t_coefficients().get(n - 1, ZERO)
+        assert from_uv(f_low(n)) == fam5.f[n].t_coefficients().get(-n + 1, ZERO)
 
     def test_mirror_pairs(self):
         for n in range(1, 5):

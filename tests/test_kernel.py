@@ -185,9 +185,9 @@ class TestTermWise:
                 == {et: len(q) for et, q in expected.items()})
         assert p.term_count == len(terms(p))  # a monomial with both parts counts once
         for et in range(-4, 5):
-            assert terms(p.coeff_of_t(et)) == expected.get(et, {})
+            assert terms(p.t_coefficients().get(et, ZERO)) == expected.get(et, {})
         for et in (-2000, 2000):  # outside the stored t field
-            assert p.coeff_of_t(et).is_zero
+            assert p.t_coefficients().get(et, ZERO).is_zero
 
     @given(ps=st.lists(any_polys, max_size=4),
            points=st.lists(st.tuples(*[gaussians.filter(bool)] * 3), max_size=3))

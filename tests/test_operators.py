@@ -119,13 +119,13 @@ class TestFOperator:
     def test_site_one_pair_equation(self, fam5):
         from hirotaverify.verifier import star
 
-        g1, f1 = to_uv(fam5.g[1]), to_uv(fam5.f[1])
+        g1, f1 = fam5.tau_uv[1], fam5.f_uv[1]
         assert apply_F(1, operand(star(g1)), operand(f1)).is_zero
 
     def test_site_one_sum_equation(self, fam5):
         from hirotaverify.verifier import star
 
-        g1, f1 = to_uv(fam5.g[1]), to_uv(fam5.f[1])
+        g1, f1 = fam5.tau_uv[1], fam5.f_uv[1]
         total = (apply_F(1, operand(star(g1)), operand(g1))
                  + apply_F(1, operand(star(f1)), operand(f1)))
         assert total.is_zero

@@ -1,4 +1,5 @@
-"""Every public top-level function and class in src/ has a user in src/ or perfbench/.
+"""Every public top-level function and class in src/, and every public method and
+property of a class there, has a user in src/ or perfbench/.
 
 A name counts as used when some expression in src/hirotaverify/*.py or
 perfbench/*.py reads it, as a name or an attribute, outside the definition
@@ -19,21 +20,48 @@ USERS = SOURCES + sorted((ROOT / "perfbench").glob("*.py"))
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
+PROPERTIES = ("property", "cached_property")
+
+
+def _member(stmt) -> str | None:
+    """The name a class-body statement defines as a method or property, if any."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        return stmt.name
+    if (isinstance(stmt, ast.Assign) and isinstance(stmt.value, ast.Call)
+            and getattr(stmt.value.func, "id", None) in PROPERTIES):
+        return stmt.targets[0].id
+    return None
+
+
+def _parts(stmt) -> list:
+    """(member, node) for the parts of a top-level statement: each method and property
+    of a class body under its name, and the rest under None."""
+    if not isinstance(stmt, ast.ClassDef):
+        return [(None, stmt)]
+    head = [*stmt.bases, *stmt.keywords, *stmt.decorator_list]
+    return [(None, node) for node in head] + [(_member(part), part) for part in stmt.body]
+
+
 def test_every_public_definition_has_a_user():
+    # Definitions and reads are both placed at (file, top-level name, member name or None).
     definitions, readers = [], {}
     for path in USERS:
         for stmt in ast.parse(path.read_text(), filename=str(path)).body:
             owner = stmt.name if isinstance(stmt, DEFINITIONS) else None
             if path in SOURCES and owner and not owner.startswith("_"):
-                definitions.append((path.name, owner))
-            for node in ast.walk(stmt):
-                if isinstance(node, ast.Name):
-                    readers.setdefault(node.id, set()).add((path.name, owner))
-                elif isinstance(node, ast.Attribute):
-                    readers.setdefault(node.attr, set()).add((path.name, owner))
+                definitions.append((path.name, owner, None))
+            for member, part in _parts(stmt):
+                if path in SOURCES and member and not member.startswith("_"):
+                    definitions.append((path.name, owner, member))
+                for node in ast.walk(part):
+                    name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+                    if isinstance(node, (ast.Name, ast.Attribute)):
+                        readers.setdefault(name, set()).add((path.name, owner, member))
     assert SOURCES and definitions
-    unused = [f"{file}:{name}" for file, name in definitions
-              if not readers.get(name, set()) - {(file, name)}]
+    # A read inside a definition, a class's methods included, is not a use of it.
+    inside = lambda place, d: place[:2] == d[:2] and d[2] in (None, place[2])
+    unused = [".".join(filter(None, (f"{d[0]}:{d[1]}", d[2]))) for d in definitions
+              if all(inside(place, d) for place in readers.get(d[2] or d[1], ()))]
     assert unused == []
 
 

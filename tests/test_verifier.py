@@ -101,8 +101,8 @@ class TestLatticeChecks:
     def test_failure_reports_witness(self, fam5):
         broken = TauFamily(
             n_max=2,
-            tau=[fam5.tau[0], fam5.tau[1], fam5.tau[2] + parse("1")],
-            f=fam5.f[:3],
+            tau_uv=[fam5.tau_uv[0], fam5.tau_uv[1], fam5.tau_uv[2] + parse("1")],
+            f_uv=fam5.f_uv[:3],
         )
         report = V.check_identity(broken, 1, "toda.g")
         assert not report.passed
@@ -152,7 +152,7 @@ class TestSymmetries:
         star = V.star
         monkeypatch.setattr(V, "star", counting)
         assert all(r.passed for r in V.check_symmetries(fam5, 3))
-        assert stars == [to_uv(fam5.g[3]), to_uv(fam5.f[3])]
+        assert stars == [fam5.tau_uv[3], fam5.f_uv[3]]
 
     def test_quarter_turn_small_phases(self, fam5):
         from hirotaverify.gaussian import minus_i_power
@@ -258,7 +258,7 @@ class TestSu11:
     def test_transforms_only_neighbour_sites(self, fam4):
         # The rows read sites n-1, n and n+1 only: damage at site 4 leaves site 2
         # alone, and a passing row has no residual terms to count.
-        far = TauFamily(4, [*fam4.tau[:4], fam4.tau[4] + ONE], fam4.f)
+        far = TauFamily(4, [*fam4.tau_uv[:4], fam4.tau_uv[4] + ONE], fam4.f_uv)
         params = V.Su11Params(GaussianRational(2), GaussianRational(3))
         reports = V.check_su11(far, 2, params)
         assert all(r.passed for r in reports)
@@ -278,7 +278,8 @@ class TestSu11:
 
     def test_rows_need_no_t_split(self, fam4, monkeypatch):
         # The rows are the direct route's; the t-splits are the site table's, made once.
-        broken = TauFamily(4, [p + ONE if k == 2 else p for k, p in enumerate(fam4.tau)], fam4.f)
+        broken = TauFamily(4, [p + ONE if k == 2 else p for k, p in enumerate(fam4.tau_uv)],
+                           fam4.f_uv)
         params = V.Su11Params(GaussianRational(1, 1), GaussianRational(0, 2))
         expected = su11_direct(broken, 2, params)
         splits = []
@@ -312,8 +313,8 @@ class TestSu11:
         fam = fam4
         if damage:
             which, k, text = damage
-            seqs = {"tau": list(fam4.tau), "f": list(fam4.f)}
-            seqs[which][k] = seqs[which][k] + parse(text)
+            seqs = {"tau": list(fam4.tau_uv), "f": list(fam4.f_uv)}
+            seqs[which][k] = seqs[which][k] + to_uv(parse(text))
             fam = TauFamily(4, seqs["tau"], seqs["f"])
         rows = [r._replace(elapsed=0.0)
                 for index, params in enumerate(SU11_PAIRS)
@@ -398,10 +399,10 @@ def _label(fam, n, system, I):
 
 
 def _with_stray_term(fam, seq, k, extra):
-    """A copy of fam with the term extra added to tau_k or f_k."""
-    add = lambda name: [p + parse(extra) if (name, i) == (seq, k) else p
-                        for i, p in enumerate(getattr(fam, name))]
-    return TauFamily(n_max=fam.n_max, tau=add("tau"), f=add("f"))
+    """A copy of fam with the x,y term extra added to tau_k or f_k, as its u,v image."""
+    add = lambda name: [p + to_uv(parse(extra)) if (name, i) == (seq, k) else p
+                        for i, p in enumerate(getattr(fam, name + "_uv"))]
+    return TauFamily(n_max=fam.n_max, tau_uv=add("tau"), f_uv=add("f"))
 
 
 class TestOrderwiseToda:
@@ -494,7 +495,7 @@ class TestOrderwiseNakamura:
     @pytest.mark.parametrize("which", ["B1", "B2", "B3", "B4"])
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_weighted_sum_reproduces_parents(self, fam4, which, n):
-        g, f = to_uv(fam4.g[n]), to_uv(fam4.f[n])
+        g, f = fam4.tau_uv[n], fam4.f_uv[n]
         g, f, gs, fs = (operand(p) for p in (g, f, V.star(g), V.star(f)))
         (dx, dy), (dx_s, dy_s) = hirota(g, f), hirota(gs, fs)
         parents = {
@@ -678,8 +679,8 @@ class TestSiteTable:
     @pytest.mark.parametrize("stray", [None, "t*x"])
     def test_all_equals_each_suite_alone(self, built5, stray):
         # A suite reads what an earlier suite left in the table; its rows must not change.
-        fresh = lambda: TauFamily(5, [p + parse(stray) if stray and k == 2 else p
-                                      for k, p in enumerate(built5.tau)], built5.f)
+        fresh = lambda: TauFamily(5, [p + to_uv(parse(stray)) if stray and k == 2 else p
+                                      for k, p in enumerate(built5.tau_uv)], built5.f_uv)
         together = self._rows(V.run_checks(V.suite_tasks(["all"], fresh(), 4)))
         alone = self._rows(sorted(
             (r for name in V.SUITES
@@ -729,7 +730,7 @@ CONTRACT_DAMAGE = [None, ("tau", 3, "1"), ("f", 3, "(2+3*i)*t^-1*y^2"), ("tau", 
 @pytest.fixture(scope="class")
 def contract_families(built5):
     # One family per damage, shared by the checks: no row depends on what fills the table.
-    fam4 = TauFamily(4, built5.tau[:5], built5.f[:5])
+    fam4 = TauFamily(4, built5.tau_uv[:5], built5.f_uv[:5])
     return {damage: _with_stray_term(fam4, *damage) if damage else fam4
             for damage in CONTRACT_DAMAGE}
 
@@ -926,7 +927,7 @@ class TestErnstNumeric:
     @given(g=polys, f=polys)
     def test_matches_product_route(self, g, f):
         # Arbitrary operands fail at most points; status and witness must agree.
-        fam = TauFamily(n_max=1, tau=[ONE, g], f=[ONE, f])
+        fam = TauFamily(n_max=1, tau_uv=[ONE, to_uv(g)], f_uv=[ONE, to_uv(f)])
         reports = V.ernst_residual_numeric(fam, 1)
         assert [(r.status, r.witness) for r in reports] == [
             ernst_oracle(g, f, point) for point in V.DEFAULT_ERNST_POINTS]
@@ -945,10 +946,10 @@ class TestErnstNumeric:
 
     @pytest.mark.parametrize("damage", [None, ("tau", "t*y"), ("f", "x^2")], ids=str)
     def test_damaged_family_matches_product_route(self, fam4, damage):
-        seqs = {"tau": list(fam4.tau), "f": list(fam4.f)}
+        seqs = {"tau": list(fam4.tau_uv), "f": list(fam4.f_uv)}
         if damage:
             which, text = damage
-            seqs[which][3] = seqs[which][3] + parse(text)
+            seqs[which][3] = seqs[which][3] + to_uv(parse(text))
         fam = TauFamily(4, seqs["tau"], seqs["f"])
         points = [*V.DEFAULT_ERNST_POINTS, self.COMPLEX_POINT]
         reports = V.ernst_residual_numeric(fam, 3, points)
@@ -967,8 +968,8 @@ class TestRunner:
     def test_fail_fast_stops_early(self, fam4):
         broken = TauFamily(
             n_max=4,
-            tau=[p + parse("1") if k == 2 else p for k, p in enumerate(fam4.tau)],
-            f=fam4.f,
+            tau_uv=[p + parse("1") if k == 2 else p for k, p in enumerate(fam4.tau_uv)],
+            f_uv=fam4.f_uv,
         )
         tasks = V.suite_tasks(["toda"], broken, 3)
         reports = V.run_checks(tasks, fail_fast=True)
@@ -976,10 +977,10 @@ class TestRunner:
         assert len(reports) < len(tasks)
 
     def test_first_row_carries_the_time_no_row_measured(self, fam4, monkeypatch):
-        # The site's u,v-polynomials are made before the first row's clock starts.
-        to_uv = V.to_uv
-        monkeypatch.setattr(V, "to_uv", lambda p: time.sleep(0.05) or to_uv(p))
-        fresh = TauFamily(fam4.n_max, fam4.tau, fam4.f)  # an empty site table
+        # The site's stars are made inside the first task, so its first row carries their time.
+        star = V.star
+        monkeypatch.setattr(V, "star", lambda p: time.sleep(0.05) or star(p))
+        fresh = TauFamily(fam4.n_max, fam4.tau_uv, fam4.f_uv)  # an empty site table
         started = time.perf_counter()
         reports = V.run_checks(V.suite_tasks(["symmetries"], fresh, 1))
         wall = time.perf_counter() - started

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hirotaverify.laurent import (
-    ONE, from_uv, parse, subst_t_inverse, subst_y_negate, swap_xy, to_uv,
+    ONE, ZERO, from_uv, parse, subst_t_inverse, subst_y_negate, swap_xy,
 )
 from hirotaverify.operators import hirota_dst, l_minus, l_plus, operand
 from hirotaverify.verifier import check_jacobi, jacobi_residuals
@@ -46,8 +46,8 @@ def deleting(m: Matrix, row: int, col: int) -> Matrix:
 
 class TestSeed:
     def test_coefficients(self):
-        assert PSI_XY.coeff_of_t(1) == parse("1/2*x - 1/2*y")
-        assert PSI_XY.coeff_of_t(-1) == parse("1/2*x + 1/2*y")
+        assert PSI_XY.t_coefficients().get(1, ZERO) == parse("1/2*x - 1/2*y")
+        assert PSI_XY.t_coefficients().get(-1, ZERO) == parse("1/2*x + 1/2*y")
         assert PSI == parse("t*y + t^-1*x") and from_uv(PSI) == PSI_XY
 
     def test_t_inversion_equals_y_reflection(self):
@@ -144,8 +144,8 @@ class TestDeterminants:
     def test_minor_harvest_matches_cofactor(self):
         harvested = [tau for tau, _ in site_steps(4)]
         assert len(harvested) == 5
-        for k, value in enumerate(harvested[1:], start=1):
-            assert value == from_uv(det_cofactor(wronskian_matrix(PSI, k)))
+        for k, value in enumerate(harvested[1:], start=1):  # in u, v, as eliminated
+            assert value == det_cofactor(wronskian_matrix(PSI, k))
 
     def test_minor_harvest_refuses_zero_pivot(self):
         from hirotaverify.laurent import ZERO, monomial
@@ -217,13 +217,13 @@ class TestTauFamily:
         for n in range(1, 6):
             for m in range(-n, n + 1):
                 if (n - m) % 2:
-                    assert fam5.g[n].coeff_of_t(m).is_zero
+                    assert fam5.g[n].t_coefficients().get(m, ZERO).is_zero
                 if (n - m) % 2 == 0:
-                    assert fam5.f[n].coeff_of_t(m).is_zero
+                    assert fam5.f[n].t_coefficients().get(m, ZERO).is_zero
 
     def test_toda_recurrence(self, fam5):
         for n in range(1, 5):
-            tau = operand(to_uv(fam5.tau[n]))
+            tau = operand(fam5.tau_uv[n])
             residual = from_uv(hirota_dst(tau, tau)) - 2 * (
                 fam5.tau[n + 1] * fam5.tau[n - 1]
             )
@@ -234,7 +234,8 @@ class TestTauFamily:
             TauFamily.build(0)
 
     def test_entry_count_must_match_depth(self, fam5):
-        for tau, f in ((fam5.tau[:3], fam5.f), (fam5.tau, fam5.f[:5]), (fam5.tau, fam5.f + (ONE,))):
+        tau, f = fam5.tau_uv, fam5.f_uv
+        for tau, f in ((tau[:3], f), (tau, f[:5]), (tau, f + (ONE,))):
             with pytest.raises(ValueError, match="n_max=5 needs 6 entries"):
                 TauFamily(5, tau, f)
 
@@ -255,17 +256,20 @@ class TestTauFamily:
     def test_entries_cannot_change(self, fam5):
         with pytest.raises(TypeError):
             fam5.tau[2] = fam5.tau[2] + 1
+        with pytest.raises(TypeError):
+            fam5.tau_uv[2] = fam5.tau_uv[2] + 1
         with pytest.raises(AttributeError):
             fam5.f = ()
-        assert TauFamily(2, [ONE, PSI, PSI], [ONE] * 3).tau == (ONE, PSI, PSI)
+        fam = TauFamily(2, [ONE, PSI, PSI], [ONE] * 3)
+        assert fam.tau_uv == (ONE, PSI, PSI) and fam.tau == (ONE, PSI_XY, PSI_XY)
 
     def test_site_table_is_no_field(self, fam5, built5):
-        fresh = TauFamily(5, built5.tau, built5.f)
+        fresh = TauFamily(5, built5.tau_uv, built5.f_uv)
         fam5.sites[2] = "filled"
         assert fam5 == fresh and hash(fam5) == hash(fresh) and fresh.sites == {}
-        assert fam5 == (5, built5.tau, built5.f)
+        assert fam5 == (5, built5.tau_uv, built5.f_uv)
 
-    @pytest.mark.parametrize("name", ["tau", "sites", "extra"])
+    @pytest.mark.parametrize("name", ["tau", "tau_uv", "sites", "extra"])
     def test_attributes_cannot_be_assigned_or_deleted(self, fam5, name):
         fam5.sites[1] = "filled"
         with pytest.raises(AttributeError):
@@ -290,6 +294,7 @@ class TestCacheFile:
         fam5.save(path)
         loaded = TauFamily.load(path)
         assert loaded.n_max == fam5.n_max
+        assert loaded == fam5
         assert loaded.tau == fam5.tau
         assert loaded.g == fam5.g
         assert loaded.f == fam5.f
@@ -337,7 +342,7 @@ class TestCacheFile:
     ], ids=["repeated tau n=3", "extra f n=7", "f before tau", "blank line"])
     def test_refuses_a_body_out_of_written_order(self, built5, tmp_path, change, refusal):
         path = tmp_path / "family.tau"
-        TauFamily(3, built5.tau[:4], built5.f[:4]).save(path)
+        TauFamily(3, built5.tau_uv[:4], built5.f_uv[:4]).save(path)
         lines = path.read_text().splitlines()[1:]
         write_cache(path, "".join(f"{line}\n" for line in change(lines)))
         with pytest.raises(ValueError, match=rf"family\.tau:{refusal}$"):
@@ -392,7 +397,7 @@ class TestCacheFile:
         fam5.save(path)
         body = path.read_text().split("\n", 1)[1].replace(f"{entry}: ", f"{entry}: {term} + ", 1)
         write_cache(path, body)
-        with pytest.raises(ValueError, match=rf"family\.tau:{line}: negative x or y exponent$"):
+        with pytest.raises(ValueError, match=rf"family\.tau:{line}: negative u or v exponent$"):
             TauFamily.load(path)
 
     def test_refuses_other_version(self, tmp_path):
@@ -404,10 +409,12 @@ class TestCacheFile:
 
     @pytest.mark.parametrize("entry", ["tau n=2", "f n=2"])
     def test_refuses_damaged_entry_under_a_matching_crc(self, fam5, tmp_path, entry):
-        # The load check recomputes sites 0..2 in u, v and compares them in x, y.
+        # The load check recomputes sites 0..2 in u, v and compares them in u, v.
+        # The stray is x = u + v.
         path = tmp_path / "family.tau"
         fam5.save(path)
-        body = path.read_text().split("\n", 1)[1].replace(f"{entry}: ", f"{entry}: (1)*x + ", 1)
+        body = path.read_text().split("\n", 1)[1]
+        body = body.replace(f"{entry}: ", f"{entry}: (1)*x + (1)*y + ", 1)
         write_cache(path, body)
         with pytest.raises(ValueError, match=f"{entry.replace(' n=', '_')} disagree"):
             TauFamily.load(path)
@@ -487,7 +494,7 @@ class TestJacobiIdentity:
         assert runs == [[4, 3]]
 
     def test_damaged_tau_fails_at_its_three_sites(self, fam5):
-        tau = list(fam5.tau)
-        tau[2] = tau[2] + 1
-        broken = TauFamily(fam5.n_max, tau, fam5.f)
+        tau = list(fam5.tau_uv)
+        tau[2] = tau[2] + 1  # 1 in x, y is 1 in u, v
+        broken = TauFamily(fam5.n_max, tau, fam5.f_uv)
         assert [r.passed for r in check_jacobi(broken, 4)] == [False, False, False, True]
