@@ -104,13 +104,14 @@ def _emit_report(config: RunConfig, reports: list[CheckReport], stream) -> None:
 
 def cmd_verify(config: RunConfig, stream=None) -> int:
     """Run the selected suites; returns the process exit code."""
-    from .verifier import family_depth_needed, run_checks, suite_tasks
+    from .verifier import run_checks, suite_tasks
 
     stream = stream or sys.stdout
     config.validate()
-    depth = family_depth_needed(config.suites, config.n_max)  # refuses an unknown suite first
-    fam = _obtain_family(depth, config.cache_path)
-    reports = run_checks(suite_tasks(config.suites, fam, config.n_max), fail_fast=config.fail_fast)
+    tasks = suite_tasks(config.suites, config.n_max)  # refuses an unknown suite first
+    depth = max(task.reads for task in tasks)  # a run that reads no family obtains none
+    fam = _obtain_family(depth, config.cache_path) if depth else None
+    reports = run_checks(tasks, fam, fail_fast=config.fail_fast)
     _emit_report(config, reports, stream)
     statuses = {r.status for r in reports}
     return 1 if "fail" in statuses else 2 if "error" in statuses else 0
@@ -140,12 +141,13 @@ def cmd_bench(n_max: int, stream=None) -> int:
     is its own elimination step in each of the two Wronskians; building the
     matrices is timed on its own line.
     """
-    from .verifier import family_depth_needed, run_checks, suite_tasks
+    from .verifier import run_checks, suite_tasks
 
     stream = stream or sys.stdout
     if n_max < 1:
         raise ValueError("n-max must be at least 1")
-    depth = family_depth_needed(_BENCH_SUITES, n_max)
+    tasks = {suite: suite_tasks([suite], n_max) for suite in _BENCH_SUITES}
+    depth = max(task.reads for batch in tasks.values() for task in batch)
     started = time.perf_counter()
     steps = site_steps(depth)
     stream.write(f"Wronskian matrices to n={depth}: {time.perf_counter() - started:.3f}s\n")
@@ -161,8 +163,7 @@ def cmd_bench(n_max: int, stream=None) -> int:
         started = time.perf_counter()
     for suite in _BENCH_SUITES:
         # An empty site table, so that no suite reads what another computed.
-        fam = TauFamily(depth, tau, f)
-        reports = run_checks(suite_tasks([suite], fam, n_max))
+        reports = run_checks(tasks[suite], TauFamily(depth, tau_uv=tau, f_uv=f))
         elapsed = sum(r.elapsed for r in reports)  # the runner's clock, as verify's elapsed_total
         status = "ok" if all(r.passed for r in reports) else "FAIL"
         stream.write(f"suite {suite:<12} {len(reports):>4} checks "

@@ -46,12 +46,10 @@ def w_formula(n: int) -> LaurentPoly:
     if n < 2:
         raise ValueError("the closed formula needs n >= 2")
     total = ZERO
-    for m in range(n - 1):
+    for m in range(n - 1):  # each weight is the Eulerian number <n-1, m>, at least 1
         weight = sum(
             (-1) ** l * (m - l + 1) ** (n - 1) * math.comb(n, l) for l in range(m + 1)
         )
-        if weight == 0:
-            continue
         total = total + weight * _x_shift_power(1, m + 1) * _x_shift_power(-1, n - m - 1)
     return total
 

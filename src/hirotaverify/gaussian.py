@@ -99,12 +99,6 @@ class GaussianRational:
             return NotImplemented
         return self * other.inverse()
 
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other * self.inverse()
-
     def __pow__(self, exponent: int) -> "GaussianRational":
         if not isinstance(exponent, int):
             return NotImplemented

@@ -50,11 +50,10 @@ __all__ = [
     "Su11Params",
     "check_su11",
     "ernst_residual_numeric",
-    "DEFAULT_ERNST_POINTS",
+    "ERNST_POINTS",
     "SUITES",
     "suite_tasks",
     "run_checks",
-    "family_depth_needed",
 ]
 
 
@@ -361,9 +360,10 @@ def check_orderwise(fam: TauFamily, n: int, system: str) -> list[CheckReport]:
 
 # -- numeric spot-check of the complex-potential equation ----------------------
 
-# Points are (x, y, t) with |t| = 1 exactly so that t -> 1/t matches complex
-# conjugation; rational unit-circle values come from Pythagorean triples.
-DEFAULT_ERNST_POINTS: tuple[tuple, ...] = (
+# Points are (x, y, t) with real x, y and |t| = 1 exactly, so that t -> 1/t
+# matches complex conjugation; rational unit-circle values come from
+# Pythagorean triples.
+ERNST_POINTS: tuple[tuple, ...] = (
     (GaussianRational(2), GaussianRational(Fraction(1, 2)), GaussianRational(1)),
     (
         GaussianRational(Fraction(3, 2)),
@@ -393,10 +393,8 @@ _ERNST_COEFFICIENTS = tuple(to_uv(p) for p in (  # 2x, x^2 - 1, -2y and 1 - y^2 
     monomial(2, ex=1), monomial(1, ex=2) - 1, monomial(-2, ey=1), 1 - monomial(1, ey=2)))
 
 
-def ernst_residual_numeric(
-    fam: TauFamily, n: int, samples: Sequence[tuple] = DEFAULT_ERNST_POINTS
-) -> list[CheckReport]:
-    """Evaluate the complex-potential residual of xi = g_n/f_n at sample points.
+def ernst_residual_numeric(fam: TauFamily, n: int) -> list[CheckReport]:
+    """Evaluate the complex-potential residual of xi = g_n/f_n at ERNST_POINTS, read at call time.
 
     Uses the standard axisymmetric prolate-spheroidal form: with
     B = ((x^2-1) xi_x)_x + ((1-y^2) xi_y)_y and
@@ -405,7 +403,7 @@ def ernst_residual_numeric(
     the numerator is homogeneous of degree 6 in the values of the polynomials
     it reads, its coefficients included, which take Gaussian-integer values
     over one denominator, so it is tested for zero in integers.  A point
-    that cannot be used (|t| != 1, never evaluated, or a vanishing denominator) is an "error".
+    where a denominator vanishes is an "error".
     """
     site, half = _family_site(fam, n), Fraction(1, 2)
     # The site's u,v-polynomials, valued at u = (x+y)/2, v = (x-y)/2, where 2 d/dx = d/du + d/dv
@@ -418,12 +416,9 @@ def ernst_residual_numeric(
              d(gx, 1), d(gy, -1), d(fx, 1), d(fy, -1), *_ERNST_COEFFICIENTS)
 
     at_points = evaluate(polys, [((x0 + y0) * half, (x0 - y0) * half, t0)
-                                 for x0, y0, t0 in samples if t0.abs2() == 1])
+                                 for x0, y0, t0 in ERNST_POINTS])
 
-    def outcome(t0) -> tuple[str, str | None]:
-        if t0.abs2() != 1:
-            return "error", "sample point violates |t| = 1"
-        values, den = next(at_points)
+    def outcome(values, den) -> tuple[str, str | None]:
         (f, fs, g, gs, gx, gy, fx, fy, gxx, gyy, fxx, fyy,
          two_x, x2m1, minus_2y, one_m_y2) = (_GaussInt(*v) for v in values)
         if f == (0, 0) or fs == (0, 0):
@@ -440,8 +435,8 @@ def ernst_residual_numeric(
         scale = den * GaussianRational(*fs) * GaussianRational(*f) ** 4
         return "fail", str(GaussianRational(*numerator) / scale)
 
-    return [CheckReport("ernst", n, idx, *outcome(t0), note=f"x={x0}, y={y0}, t={t0}")
-            for idx, (x0, y0, t0) in enumerate(samples)]
+    return [CheckReport("ernst", n, idx, *outcome(*at), note=f"x={x0}, y={y0}, t={t0}")
+            for idx, ((x0, y0, t0), at) in enumerate(zip(ERNST_POINTS, at_points))]
 
 
 # -- suites --------------------------------------------------------------------
@@ -449,12 +444,16 @@ def ernst_residual_numeric(
 class CheckTask(NamedTuple):
     equation_id: str
     n: int
-    run: Callable[[], CheckReport | list[CheckReport]]
+    reads: int  # the deepest family site the task reads; 0 when it reads none
+    run: Callable[[TauFamily | None], CheckReport | list[CheckReport]]
 
 
-def _per_site(equation_id: str, last: int, check: Callable[[int], object]) -> list[CheckTask]:
-    """One task per site n = 1..last, each running check(n)."""
-    return [CheckTask(equation_id, n, lambda n=n: check(n)) for n in range(1, last + 1)]
+def _per_site(equation_id: str, last: int, check: Callable[[TauFamily, int], object],
+              reach: int | None = 0) -> list[CheckTask]:
+    """One task per site n = 1..last, each running check(fam, n) and reading the family
+    to site n + reach; with reach None it reads no family."""
+    return [CheckTask(equation_id, n, 0 if reach is None else n + reach,
+                      lambda fam, n=n: check(fam, n)) for n in range(1, last + 1)]
 
 
 def _with_g_row(row: CheckReport) -> list[CheckReport]:
@@ -462,67 +461,61 @@ def _with_g_row(row: CheckReport) -> list[CheckReport]:
     return [row._replace(equation_id="toda.tau"), row._replace(note="g_n = tau_n")]
 
 
-def _orderwise_tasks(suite: str, fam: TauFamily, n_max: int) -> list[CheckTask]:
+def _orderwise_tasks(suite: str, n_max: int) -> list[CheckTask]:
     return [
-        CheckTask(f"{suite}.{system}", n,
-                  lambda n=n, system=system: check_orderwise(fam, n, system))
+        CheckTask(f"{suite}.{system}", n, n + _reach(spec.identity),
+                  lambda fam, n=n, system=system: check_orderwise(fam, n, system))
         for n in range(1, n_max + 1)
         for system, spec in ORDERWISE_SYSTEMS.items()
         if spec.suite == suite
     ]
 
 
-class Suite(NamedTuple):
-    depth_extra: int  # family sites beyond n_max that checking sites 1..n_max reads
-    tasks: Callable[[TauFamily, int], list[CheckTask]]
-
-
-# Every suite in run order.  The tasks call checks by their module-level
-# names, so rebinding a name reaches the suite's calls.
-SUITES: dict[str, Suite] = {
-    "toda": Suite(1, lambda fam, n_max: (
-        _per_site("toda.tau", n_max, lambda n: _with_g_row(check_identity(fam, n, "toda.g")))
-        + _per_site("toda.f", n_max, lambda n: check_identity(fam, n, "toda.f")))),
-    "mixed": Suite(1, lambda fam, n_max: _per_site(
-        "mixed", n_max, lambda n: check_identity(fam, n, "mixed"))),
-    "jacobi": Suite(1, lambda fam, n_max: [
-        CheckTask("jacobi", 0, lambda: check_jacobi(fam, n_max))]),
-    "conjecture": Suite(0, lambda fam, n_max: [  # site by site, one task per identity
-        CheckTask(name, n, lambda n=n, name=name: check_identity(fam, n, name))
-        for n in range(1, n_max + 1) for name in ("tsdec1", "tsdec2", "tsdec3", "tsdec4")]),
-    "symmetries": Suite(0, lambda fam, n_max: _per_site(
-        "symmetry", n_max, lambda n: check_symmetries(fam, n))),
-    "closedforms": Suite(0, lambda fam, n_max: (
-        [CheckTask("closed.W", 0, lambda: _check_w_forms(max(12, 2 * n_max + 1))),
-         CheckTask("closed.A", 0, lambda: _check_a_facts())]
-        + _per_site("closed.q0", max(6, n_max), lambda n: _check_q0(n, max(6, n_max)))
-        + _per_site("closed.extreme", n_max, lambda n: _check_extremes(fam, n)))),
-    "weyl": Suite(0, lambda fam, n_max: (
-        [CheckTask("weyl.lock", 0, lambda: _check_weyl_lock())]
-        + _per_site("weyl.pair", max(3, n_max), lambda n: _check_weyl_pair(n)))),
-    "orderwise-A": Suite(1, lambda fam, n_max: _orderwise_tasks("orderwise-A", fam, n_max)),
-    "orderwise-B": Suite(0, lambda fam, n_max: _orderwise_tasks("orderwise-B", fam, n_max)),
-    "ernst-numeric": Suite(0, lambda fam, n_max: _per_site(
-        "ernst", n_max, lambda n: ernst_residual_numeric(fam, n))),
+# Every suite in run order, as the tasks it makes for sites 1..n_max.  The
+# tasks call checks by their module-level names, so rebinding a name reaches
+# the suite's calls.
+SUITES: dict[str, Callable[[int], list[CheckTask]]] = {
+    "toda": lambda n_max: (
+        _per_site("toda.tau", n_max, lambda fam, n: _with_g_row(check_identity(fam, n, "toda.g")),
+                  _reach("toda.g"))
+        + _per_site("toda.f", n_max, lambda fam, n: check_identity(fam, n, "toda.f"),
+                    _reach("toda.f"))),
+    "mixed": lambda n_max: _per_site(
+        "mixed", n_max, lambda fam, n: check_identity(fam, n, "mixed"), _reach("mixed")),
+    "jacobi": lambda n_max: [
+        CheckTask("jacobi", 0, n_max + _reach("toda.g"), lambda fam: check_jacobi(fam, n_max))],
+    "conjecture": lambda n_max: [  # site by site, one task per identity
+        CheckTask(name, n, n + _reach(name), lambda fam, n=n, name=name: check_identity(fam, n, name))
+        for n in range(1, n_max + 1) for name in ("tsdec1", "tsdec2", "tsdec3", "tsdec4")],
+    "symmetries": lambda n_max: _per_site(
+        "symmetry", n_max, lambda fam, n: check_symmetries(fam, n)),
+    "closedforms": lambda n_max: (
+        [CheckTask("closed.W", 0, 0, lambda fam: _check_w_forms(max(12, 2 * n_max + 1))),
+         CheckTask("closed.A", 0, 0, lambda fam: _check_a_facts())]
+        + _per_site("closed.q0", max(6, n_max), lambda fam, n: _check_q0(n, max(6, n_max)), None)
+        + _per_site("closed.extreme", n_max, lambda fam, n: _check_extremes(fam, n))),
+    "weyl": lambda n_max: (
+        [CheckTask("weyl.lock", 0, 0, lambda fam: _check_weyl_lock())]
+        + _per_site("weyl.pair", max(3, n_max), lambda fam, n: _check_weyl_pair(n), None)),
+    "orderwise-A": lambda n_max: _orderwise_tasks("orderwise-A", n_max),
+    "orderwise-B": lambda n_max: _orderwise_tasks("orderwise-B", n_max),
+    "ernst-numeric": lambda n_max: _per_site(
+        "ernst", n_max, lambda fam, n: ernst_residual_numeric(fam, n)),
 }
 
 
-def _expand(names: Iterable[str]) -> list[str]:
-    """Each suite once, where first named, "all" naming every suite; ValueError on an unknown one."""
+def suite_tasks(names: Iterable[str], n_max: int) -> list[CheckTask]:
+    """The tasks of each suite once, where first named, "all" naming every suite.
+
+    ValueError on an unknown suite, before any task is made.  A run reads the
+    family to the largest reads of its tasks.
+    """
     expanded: dict[str, None] = {}
     for name in names:
         if name not in SUITES and name != "all":
             raise ValueError(f"unknown suite {name!r}")
         expanded.update(dict.fromkeys(SUITES if name == "all" else [name]))
-    return list(expanded)
-
-
-def family_depth_needed(suites: Iterable[str], n_max: int) -> int:
-    return n_max + max((SUITES[s].depth_extra for s in _expand(suites)), default=0)
-
-
-def suite_tasks(names: Iterable[str], fam: TauFamily, n_max: int) -> list[CheckTask]:
-    return [task for suite in _expand(names) for task in SUITES[suite].tasks(fam, n_max)]
+    return [task for suite in expanded for task in SUITES[suite](n_max)]
 
 
 # -- closed-form and Weyl-branch checks used by the suites ---------------------
@@ -585,7 +578,7 @@ def _check_extremes(fam: TauFamily, n: int) -> CheckReport:
 
 
 def _check_weyl_lock() -> CheckReport:
-    """apply_F and apply_F_weyl agree on every x-only pair at n = 1..4.
+    """apply_F and apply_F_weyl agree on every x-only pair at every n.
 
     On x-only input both forms are bilinear differential operators of order
     at most 2 in each argument, with polynomial coefficients, so their
@@ -593,16 +586,19 @@ def _check_weyl_lock() -> CheckReport:
     sum_{k <= i, l <= j} c_kl (i)_k (j)_l x^(i+j-k-l), triangular in the
     falling factorials with c_ij weighted by i! j! != 0.  So its vanishing on
     the nine pairs with i, j <= 2 forces every c_kl = 0: the check holds for
-    every x-only pair at each n, not only for the pairs it evaluates.  A
-    failure reports n and order_index 3i + j.
+    every x-only pair at each n it evaluates, not only for the pairs.  Both
+    forms are affine in n^2 (c_n = -2n^2 ab in each), so their difference is
+    D0 + n^2 D1 with D0, D1 free of n; vanishing at n = 1 and n = 2 forces
+    D0 = D1 = 0, and so the forms agree at every n.  A failure reports n and
+    order_index 3i + j.
     """
     powers = [monomial(1, ex=i) for i in range(3)]
     records = [operand(to_uv(p)) for p in powers]
-    for n, i, j in ((n, i, j) for n in range(1, 5) for i in range(3) for j in range(3)):
+    for n, i, j in ((n, i, j) for n in (1, 2) for i in range(3) for j in range(3)):
         diff = apply_F(n, records[i], records[j]) - to_uv(apply_F_weyl(n, powers[i], powers[j]))
         if not diff.is_zero:
             return _report("weyl.lock", n, diff, order_index=3 * i + j)
-    return _report("weyl.lock", 0, ZERO, note="forms agree on every x-only pair at n=1..4")
+    return _report("weyl.lock", 0, ZERO, note="forms agree on every x-only pair at every n")
 
 
 def _check_weyl_pair(n: int) -> CheckReport:
@@ -618,8 +614,9 @@ def _check_weyl_pair(n: int) -> CheckReport:
 
 # -- execution -----------------------------------------------------------------
 
-def run_checks(tasks: Sequence[CheckTask], fail_fast: bool = False) -> list[CheckReport]:
-    """Execute tasks in order, flatten grouped results and sort them deterministically.
+def run_checks(tasks: Sequence[CheckTask], fam: TauFamily | None,
+               fail_fast: bool = False) -> list[CheckReport]:
+    """Run each task on fam in order, flatten grouped results and sort them deterministically.
 
     The runner is the one clock: it times each task whole and writes that time
     on the task's first row, so a task's rows sum to its time.  An exception
@@ -630,7 +627,7 @@ def run_checks(tasks: Sequence[CheckTask], fail_fast: bool = False) -> list[Chec
     for task in tasks:
         started = time.perf_counter()
         try:
-            result = task.run()
+            result = task.run(fam)
         except Exception as exc:
             result = CheckReport(task.equation_id, task.n, status="error",
                                  witness=f"{type(exc).__name__}: {exc}")

@@ -137,13 +137,16 @@ class TauFamily(NamedTuple("TauFamily", [("n_max", int), ("tau_uv", tuple), ("f_
     read n_max, tau_uv and f_uv only.
     """
 
-    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
+    # tau_uv and f_uv are keyword-only, so _make (and through it _replace) and
+    # __getnewargs_ex__ (copy and pickle) pass every field by name, through __new__'s check.
+    _make = classmethod(lambda cls, fields: cls(**dict(zip(cls._fields, fields))))
+    __getnewargs_ex__ = lambda self: ((), self._asdict())
     sites = cached_property(lambda self: {})
     tau = cached_property(lambda self: tuple(map(from_uv, self.tau_uv)))
     f = cached_property(lambda self: tuple(map(from_uv, self.f_uv)))
     g = property(lambda self: self.tau)
 
-    def __new__(cls, n_max: int, tau_uv: Iterable[LaurentPoly], f_uv: Iterable[LaurentPoly]):
+    def __new__(cls, n_max: int, *, tau_uv: Iterable[LaurentPoly], f_uv: Iterable[LaurentPoly]):
         tau_uv, f_uv = tuple(tau_uv), tuple(f_uv)
         if not len(tau_uv) == len(f_uv) == n_max + 1:
             raise ValueError(f"n_max={n_max} needs {n_max + 1} entries of tau and f, "
@@ -159,7 +162,7 @@ class TauFamily(NamedTuple("TauFamily", [("n_max", int), ("tau_uv", tuple), ("f_
     @classmethod
     def build(cls, n_max: int) -> "TauFamily":
         tau, f = zip(*site_steps(n_max))
-        return cls(n_max, tau, f)
+        return cls(n_max, tau_uv=tau, f_uv=f)
 
     # -- cache file: a header holding the format version and the CRC-32 of the
     # body, then one '<tau|f> n=<k>: <polynomial in u, v>' line per entry, u in
@@ -218,7 +221,7 @@ class TauFamily(NamedTuple("TauFamily", [("n_max", int), ("tau_uv", tuple), ("f_
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc
             if entries[-1].has_negative_xy():  # from_uv reads no negative u or v power
                 raise ValueError(f"{path}:{lineno}: negative u or v exponent")
-        fam = cls(n_max, entries[:n_max + 1], entries[n_max + 1:])
+        fam = cls(n_max, tau_uv=entries[:n_max + 1], f_uv=entries[n_max + 1:])
         # The CRC finds damage, not a faulty build: recompute the first sites
         # from the seed and compare.
         tau, f = zip(*site_steps(2))

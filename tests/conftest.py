@@ -189,7 +189,7 @@ def build_xy(n_max: int) -> TauFamily:
     shifted = l_plus_xy(l_minus_xy(psi))
     tau = _leading_minors(wronskian_matrix_xy(psi, n_max))
     f = _leading_minors(wronskian_matrix_xy(shifted, n_max - 1)) if n_max > 1 else ()
-    return TauFamily(n_max, map(to_uv, [ONE, *tau]), map(to_uv, [ZERO, ONE, *f]))
+    return TauFamily(n_max, tau_uv=map(to_uv, [ONE, *tau]), f_uv=map(to_uv, [ZERO, ONE, *f]))
 
 
 def det_cofactor(m: Matrix) -> LaurentPoly:
@@ -441,7 +441,7 @@ def site_rows_oracle(fam: TauFamily, n_max: int) -> list[tuple]:
             if off_pattern:
                 m = max(off_pattern)  # the row's residual is the whole t^m slice
                 row(low, n, monomial(1, et=m) * by_order[m], note="off the t^(K-2I) pattern")
-        for index, (x0, y0, t0) in enumerate(V.DEFAULT_ERNST_POINTS):
+        for index, (x0, y0, t0) in enumerate(V.ERNST_POINTS):
             rows.append(("ernst", n, index, *ernst_oracle(fam.g[n], fam.f[n], (x0, y0, t0)), 0,
                          f"x={x0}, y={y0}, t={t0}"))
     return sorted(rows, key=lambda r: (r[0], r[1], -1 if r[2] is None else r[2]))
@@ -451,8 +451,8 @@ def su11_rows_oracle(fam: TauFamily, n: int, params: V.Su11Params,
                      pair_index: int = 0) -> list[tuple]:
     """check_su11's (equation_id, n, order_index, status, witness, term_count, note) rows,
     in x, y: every identity of the transformed family by identity_oracle."""
-    moved = TauFamily(fam.n_max, *zip(*(map(to_uv, su11_transform(fam, k, params))
-                                        for k in range(fam.n_max + 1))))
+    tau, f = zip(*(map(to_uv, su11_transform(fam, k, params)) for k in range(fam.n_max + 1)))
+    moved = TauFamily(fam.n_max, tau_uv=tau, f_uv=f)
     note = f"alpha={params.alpha}, beta={params.beta}"
     return [(f"su11.{name}", n, pair_index, *row_outcome(lhs - rhs), note)
             for name, (lhs, rhs) in identity_oracle(moved, n).items()]

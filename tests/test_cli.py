@@ -106,7 +106,7 @@ class TestVerifyCommand:
         tau = [p + to_uv(parse(stray)) if stray and k == 3 else p
                for k, p in enumerate(built5.tau_uv)]
         cache = tmp_path / "f5.tau"
-        TauFamily(5, tau, built5.f_uv).save(cache)
+        TauFamily(5, tau_uv=tau, f_uv=built5.f_uv).save(cache)
         rows = lambda suites: strip_timings(json.loads(run_verify(
             n_max=4, suites=suites, cache_path=str(cache), report_format="json")[1]))["checks"]
         jacobi_first = rows(["jacobi", "toda"])
@@ -119,7 +119,7 @@ class TestVerifyCommand:
         # and stops before the next suite.  tau_3 enters the identity at sites 2..4.
         tau = [p + 1 if k == 3 else p for k, p in enumerate(built5.tau_uv)]
         cache = tmp_path / "f5.tau"
-        TauFamily(5, tau, built5.f_uv).save(cache)
+        TauFamily(5, tau_uv=tau, f_uv=built5.f_uv).save(cache)
         code = main(["verify", "--suite", "jacobi", "--suite", "mixed", "--n-max", "4",
                      "--fail-fast", "--cache", str(cache), "--format", "json"])
         assert code == 1
@@ -232,7 +232,7 @@ class TestCacheContract:
     def test_valid_looking_wrong_cache_is_rebuilt(self, tmp_path, capsys):
         # A well-formed cache with a correct CRC, written by a faulty build.
         built = TauFamily.build(2)
-        fam = TauFamily(2, [*built.tau_uv[:2], built.tau_uv[2] + 1], built.f_uv)
+        fam = TauFamily(2, tau_uv=[*built.tau_uv[:2], built.tau_uv[2] + 1], f_uv=built.f_uv)
         cache = tmp_path / "wrong.tau"
         fam.save(cache)
         assert main(["verify", "--suite", "toda", "--n-max", "1",
@@ -292,6 +292,25 @@ class TestCacheContract:
         assert main(["build", "--n-max", "0", "--cache", str(cache)]) == 2
         assert not cache.exists()
 
+    def test_inexact_pivot_division_exits_two_before_writing(self, tmp_path, monkeypatch, capsys):
+        def inexact(num, den):
+            raise ExactDivisionError("inexact", den)
+
+        monkeypatch.setattr(wronskian, "exact_divide", inexact)
+        assert main(["build", "--n-max", "3", "--cache", str(tmp_path / "f3.tau")]) == 2
+        assert capsys.readouterr().err == "error: inexact pivot division at step 1\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_weyl_run_obtains_no_family(self, tmp_path, monkeypatch):
+        # The weyl rows read no family site, so the run loads, builds and writes none.
+        monkeypatch.setenv("HV_CACHE_DIR", str(tmp_path / "hv"))
+        for name in ("build", "load"):
+            monkeypatch.setattr(TauFamily, name, classmethod(
+                lambda cls, *args, name=name: pytest.fail(f"TauFamily.{name} called")))
+        assert main(["verify", "--suite", "weyl", "--n-max", "7"]) == 0
+        assert main(["verify", "--suite", "weyl", "--cache", str(tmp_path / "none.tau")]) == 0
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestBenchCommand:
     def test_emits_row_per_site(self):
@@ -313,12 +332,12 @@ class TestBenchCommand:
 
         tables = []
 
-        def recording(suite, fam, n_max):
+        def recording(tasks, fam, fail_fast=False):
             tables.append(fam.sites)
-            return suite_tasks(suite, fam, n_max)
+            return run_checks(tasks, fam, fail_fast)
 
-        suite_tasks = verifier.suite_tasks
-        monkeypatch.setattr(verifier, "suite_tasks", recording)
+        run_checks = verifier.run_checks
+        monkeypatch.setattr(verifier, "run_checks", recording)
         assert cmd_bench(2, stream=io.StringIO()) == 0
         assert len({id(sites) for sites in tables}) == len(cli._BENCH_SUITES)
 
@@ -383,7 +402,7 @@ def test_exit_code_one_on_failure(tmp_path):
     built = TauFamily.build(3)
     from hirotaverify.laurent import parse
 
-    fam = TauFamily(3, [*built.tau_uv[:3], built.tau_uv[3] + parse("1")], built.f_uv)
+    fam = TauFamily(3, tau_uv=[*built.tau_uv[:3], built.tau_uv[3] + parse("1")], f_uv=built.f_uv)
     cache = tmp_path / "broken.tau"
     fam.save(cache)
     code, out = run_verify(n_max=2, suites=["toda"], cache_path=str(cache),

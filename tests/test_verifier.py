@@ -84,8 +84,8 @@ class TestLatticeChecks:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_toda(self, fam5, which, n):
         # The suite reports toda.tau and its g_n = tau_n copy toda.g from one toda.g residual.
-        tasks = [task for task in V.suite_tasks(["toda"], fam5, 4) if task.n == n]
-        rows = {r.equation_id: r for r in V.run_checks(tasks)}
+        tasks = [task for task in V.suite_tasks(["toda"], 4) if task.n == n]
+        rows = {r.equation_id: r for r in V.run_checks(tasks, fam5)}
         assert rows[f"toda.{which}"].passed
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -116,7 +116,7 @@ class TestLatticeChecks:
             return hirota_dst(f, g)
 
         monkeypatch.setattr(V, "hirota_dst", counting)
-        reports = V.run_checks(V.suite_tasks(["toda"], fam4, 3))
+        reports = V.run_checks(V.suite_tasks(["toda"], 3), fam4)
         assert len(calls) == 6
         assert [(r.equation_id, r.n) for r in reports] == [
             (which, n) for which in ("toda.f", "toda.g", "toda.tau") for n in (1, 2, 3)
@@ -127,8 +127,8 @@ class TestLatticeChecks:
 class TestConjecture:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_all_four_pass(self, fam5, n):
-        tasks = [task for task in V.suite_tasks(["conjecture"], fam5, 4) if task.n == n]
-        reports = V.run_checks(tasks)
+        tasks = [task for task in V.suite_tasks(["conjecture"], 4) if task.n == n]
+        reports = V.run_checks(tasks, fam5)
         assert [r.equation_id for r in reports] == [
             "tsdec1", "tsdec2", "tsdec3", "tsdec4",
         ]
@@ -234,7 +234,7 @@ class TestJacobiReadsTheSiteTable:
 
     def test_suite_alone_evaluates_toda_g_once_per_site(self, fam5, monkeypatch):
         evaluated, _ = self._count(monkeypatch)
-        assert all(r.passed for r in V.run_checks(V.suite_tasks(["jacobi"], fam5, 4)))
+        assert all(r.passed for r in V.run_checks(V.suite_tasks(["jacobi"], 4), fam5))
         assert evaluated == [("toda.g", n) for n in (1, 2, 3, 4)]
 
 
@@ -258,7 +258,7 @@ class TestSu11:
     def test_transforms_only_neighbour_sites(self, fam4):
         # The rows read sites n-1, n and n+1 only: damage at site 4 leaves site 2
         # alone, and a passing row has no residual terms to count.
-        far = TauFamily(4, [*fam4.tau_uv[:4], fam4.tau_uv[4] + ONE], fam4.f_uv)
+        far = TauFamily(4, tau_uv=[*fam4.tau_uv[:4], fam4.tau_uv[4] + ONE], f_uv=fam4.f_uv)
         params = V.Su11Params(GaussianRational(2), GaussianRational(3))
         reports = V.check_su11(far, 2, params)
         assert all(r.passed for r in reports)
@@ -278,8 +278,8 @@ class TestSu11:
 
     def test_rows_need_no_t_split(self, fam4, monkeypatch):
         # The rows are the direct route's; the t-splits are the site table's, made once.
-        broken = TauFamily(4, [p + ONE if k == 2 else p for k, p in enumerate(fam4.tau_uv)],
-                           fam4.f_uv)
+        broken = TauFamily(4, tau_uv=[p + ONE if k == 2 else p for k, p in enumerate(fam4.tau_uv)],
+                           f_uv=fam4.f_uv)
         params = V.Su11Params(GaussianRational(1, 1), GaussianRational(0, 2))
         expected = su11_direct(broken, 2, params)
         splits = []
@@ -315,7 +315,7 @@ class TestSu11:
             which, k, text = damage
             seqs = {"tau": list(fam4.tau_uv), "f": list(fam4.f_uv)}
             seqs[which][k] = seqs[which][k] + to_uv(parse(text))
-            fam = TauFamily(4, seqs["tau"], seqs["f"])
+            fam = TauFamily(4, tau_uv=seqs["tau"], f_uv=seqs["f"])
         rows = [r._replace(elapsed=0.0)
                 for index, params in enumerate(SU11_PAIRS)
                 for r in V.check_su11(fam, n, params, pair_index=index)]
@@ -549,14 +549,14 @@ class TestOrderwiseSystems:
             return identity(site)
 
         monkeypatch.setitem(V.IDENTITIES, spec.identity, counting)
-        tasks = [t for t in V.suite_tasks([spec.suite], fam4, 3)
+        tasks = [t for t in V.suite_tasks([spec.suite], 3)
                  if t.equation_id == f"{spec.suite}.{system}"]
-        assert all(r.passed for r in V.run_checks(tasks))
+        assert all(r.passed for r in V.run_checks(tasks, fam4))
         assert calls == [1, 2, 3]
 
     def test_suites_split_the_table(self, fam4):
         for suite in ("orderwise-A", "orderwise-B"):
-            tasks = V.suite_tasks([suite], fam4, 2)
+            tasks = V.suite_tasks([suite], 2)
             systems = [s for s, spec in V.ORDERWISE_SYSTEMS.items() if spec.suite == suite]
             assert [(t.n, t.equation_id) for t in tasks] == [
                 (n, f"{suite}.{s}") for n in (1, 2) for s in systems
@@ -580,8 +580,8 @@ class TestOrderwiseSystems:
     ])
     def test_stray_terms_fail(self, fam5, seq, k, extra, failing):
         broken = _with_stray_term(fam5, seq, k, extra)
-        tasks = V.suite_tasks(["orderwise-A", "orderwise-B"], broken, 3)
-        reports = V.run_checks(tasks)
+        tasks = V.suite_tasks(["orderwise-A", "orderwise-B"], 3)
+        reports = V.run_checks(tasks, broken)
         assert len(reports) == 87 + sum(note == self.OFF for *_, note in failing)
         assert [(r.equation_id, r.n, r.order_index, r.note)
                 for r in reports if not r.passed] == failing
@@ -611,8 +611,8 @@ class TestSiteTable:
 
             monkeypatch.setitem(V.IDENTITIES, name, counting)
         suites = ("toda", "mixed", "conjecture", "orderwise-A", "orderwise-B")
-        tasks = V.suite_tasks(suites, fam4, 3)
-        assert all(r.passed for r in V.run_checks(tasks))
+        tasks = V.suite_tasks(suites, 3)
+        assert all(r.passed for r in V.run_checks(tasks, fam4))
         assert sorted(calls) == sorted((name, n) for name in V.IDENTITIES for n in (1, 2, 3))
 
     def test_each_star_computed_once_per_site(self, fam4, monkeypatch):
@@ -625,8 +625,8 @@ class TestSiteTable:
         star = V.star
         monkeypatch.setattr(V, "star", counting)
         suites = ("conjecture", "symmetries", "ernst-numeric", "orderwise-B")
-        tasks = V.suite_tasks(suites, fam4, 3)
-        assert all(r.passed for r in V.run_checks(tasks))
+        tasks = V.suite_tasks(suites, 3)
+        assert all(r.passed for r in V.run_checks(tasks, fam4))
         # tsdec1 and tsdec2 also star their brackets; g_n and f_n go in once each, in u, v.
         assert ([stars.count(to_uv(p)) for n in (1, 2, 3) for p in (fam4.g[n], fam4.f[n])]
                 == [1] * 6)
@@ -656,10 +656,10 @@ class TestSiteTable:
         splits = []
         split = LaurentPoly.t_coefficients
         monkeypatch.setattr(LaurentPoly, "t_coefficients", lambda p: splits.append(p) or split(p))
-        tasks = V.suite_tasks(["toda", "mixed", "conjecture"], fam4, 3)
-        assert all(r.passed for r in V.run_checks(tasks))
+        tasks = V.suite_tasks(["toda", "mixed", "conjecture"], 3)
+        assert all(r.passed for r in V.run_checks(tasks, fam4))
         assert splits == []
-        assert all(r.passed for r in V.run_checks(V.suite_tasks(["orderwise-B"], fam4, 3)))
+        assert all(r.passed for r in V.run_checks(V.suite_tasks(["orderwise-B"], 3), fam4))
         assert splits
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -679,12 +679,13 @@ class TestSiteTable:
     @pytest.mark.parametrize("stray", [None, "t*x"])
     def test_all_equals_each_suite_alone(self, built5, stray):
         # A suite reads what an earlier suite left in the table; its rows must not change.
-        fresh = lambda: TauFamily(5, [p + to_uv(parse(stray)) if stray and k == 2 else p
-                                      for k, p in enumerate(built5.tau_uv)], built5.f_uv)
-        together = self._rows(V.run_checks(V.suite_tasks(["all"], fresh(), 4)))
+        fresh = lambda: TauFamily(5, tau_uv=[p + to_uv(parse(stray)) if stray and k == 2 else p
+                                             for k, p in enumerate(built5.tau_uv)],
+                                  f_uv=built5.f_uv)
+        together = self._rows(V.run_checks(V.suite_tasks(["all"], 4), fresh()))
         alone = self._rows(sorted(
             (r for name in V.SUITES
-             for r in V.run_checks(V.suite_tasks([name], fresh(), 4))), key=V.sort_key))
+             for r in V.run_checks(V.suite_tasks([name], 4), fresh())), key=V.sort_key))
         assert together == alone
         assert any(r.status == "fail" for r in together) == bool(stray)
 
@@ -730,7 +731,7 @@ CONTRACT_DAMAGE = [None, ("tau", 3, "1"), ("f", 3, "(2+3*i)*t^-1*y^2"), ("tau", 
 @pytest.fixture(scope="class")
 def contract_families(built5):
     # One family per damage, shared by the checks: no row depends on what fills the table.
-    fam4 = TauFamily(4, built5.tau_uv[:5], built5.f_uv[:5])
+    fam4 = TauFamily(4, tau_uv=built5.tau_uv[:5], f_uv=built5.f_uv[:5])
     return {damage: _with_stray_term(fam4, *damage) if damage else fam4
             for damage in CONTRACT_DAMAGE}
 
@@ -824,7 +825,7 @@ class TestCrossBasis:
     def test_damaged_rows_match_the_xy_oracle(self, fam4, seq, k, extra):
         fam = _with_stray_term(fam4, seq, k, extra)
         rows = sorted((r for suite in self.SUITES
-                       for r in V.run_checks(V.suite_tasks([suite], fam, 3))), key=V.sort_key)
+                       for r in V.run_checks(V.suite_tasks([suite], 3), fam)), key=V.sort_key)
         assert self._fields(rows) == site_rows_oracle(fam, 3)
         assert any(r.status == "fail" for r in rows)
         for index, params in enumerate((SU11_PAIRS[0], SU11_PAIRS[-1])):
@@ -866,7 +867,7 @@ class TestWeylLock:
     def test_passes_for_every_x_only_pair(self):
         report = V._check_weyl_lock()
         assert report.passed
-        assert report.note == "forms agree on every x-only pair at n=1..4"
+        assert report.note == "forms agree on every x-only pair at every n"
 
     # Each damage adds one bilinear term to the single-variable form.  The lock
     # reports the first n and 3i + j where it shows, with its leading term.
@@ -875,7 +876,9 @@ class TestWeylLock:
         (lambda n, a, b: monomial(1, ex=3) * differentiate(differentiate(a, "x"), "x")
          * differentiate(differentiate(b, "x"), "x"), (1, 8, "(-4)*x^3")),
         (lambda n, a, b: n * n * (a * b), (1, 0, "(-1)")),
-    ], ids=["a'b'", "x^3 a''b''", "n^2 ab"])
+        # Zero at n = 1: the lock's second value of n finds it.
+        (lambda n, a, b: (n * n - 1) * (a * b), (2, 0, "(-3)")),
+    ], ids=["a'b'", "x^3 a''b''", "n^2 ab", "(n^2-1) ab"])
     def test_catches_a_damaged_weyl_form(self, monkeypatch, extra, failure):
         weyl = V.apply_F_weyl
         monkeypatch.setattr(V, "apply_F_weyl", lambda n, a, b: weyl(n, a, b) + extra(n, a, b))
@@ -901,6 +904,28 @@ class TestWeylLock:
                     assert from_uv(uv) == apply_F_weyl(n, a, b), (n, a, b)
 
 
+class TestClosedFormRows:
+    def test_w_forms_report_the_first_wrong_n(self, monkeypatch):
+        from hirotaverify import closedform
+
+        w_formula = closedform.w_formula
+        monkeypatch.setattr(closedform, "w_formula",
+                            lambda k: w_formula(k) + (monomial(3, ex=2) if k >= 5 else ZERO))
+        report = V._check_w_forms(12)
+        assert (report.status, report.n, report.witness, report.term_count) == (
+            "fail", 5, "(3)*x^2", 1)
+
+    # A wrong A_3 breaks a stated value; a wrong A_6 only the squared recursion at n = 5.
+    @pytest.mark.parametrize("k, row", [(3, (3, "A_3 = 5")), (6, (5, "squared recursion fails"))])
+    def test_a_facts_fail_at_a_wrong_coefficient(self, monkeypatch, k, row):
+        from hirotaverify import closedform
+
+        a_coeff = closedform.a_coeff
+        monkeypatch.setattr(closedform, "a_coeff", lambda j: a_coeff(j) + (j == k))
+        report = V._check_a_facts()
+        assert (report.status, report.n, report.witness) == ("fail", *row)
+
+
 class TestErnstNumeric:
     @pytest.mark.parametrize("n", [1, 2])
     def test_default_points_vanish(self, fam4, n):
@@ -908,18 +933,18 @@ class TestErnstNumeric:
         assert len(reports) == 3
         assert all(r.passed for r in reports)
 
-    def test_unit_circle_enforced(self, fam4):
-        bad = (GaussianRational(2), GaussianRational(1), GaussianRational(2))
-        (report,) = V.ernst_residual_numeric(fam4, 1, [bad])
-        assert not report.passed
-        assert report.status == "error"
-        assert "|t|" in report.witness
+    def test_unit_circle_enforced(self):
+        # t -> 1/t is complex conjugation only where |t| = 1, with x and y real.
+        assert len(V.ERNST_POINTS) == 3
+        for x0, y0, t0 in V.ERNST_POINTS:
+            assert t0.abs2() == 1 and x0.im == 0 and y0.im == 0, (x0, y0, t0)
 
-    def test_denominator_zero_reported_per_point(self, fam4):
-        good = V.DEFAULT_ERNST_POINTS[0]
+    def test_denominator_zero_reported_per_point(self, fam4, monkeypatch):
+        good = V.ERNST_POINTS[0]
         # f_2(x, y, 1) = 2(x^3 - x) + 2(y^3 - y) vanishes at x = 1, y = 1.
         zero_point = (GaussianRational(1), GaussianRational(1), GaussianRational(1))
-        reports = V.ernst_residual_numeric(fam4, 2, [zero_point, good])
+        monkeypatch.setattr(V, "ERNST_POINTS", (zero_point, good))
+        reports = V.ernst_residual_numeric(fam4, 2)
         assert [r.passed for r in reports] == [False, True]
         assert reports[0].status == "error"
         assert "denominator" in reports[0].witness
@@ -930,14 +955,14 @@ class TestErnstNumeric:
         fam = TauFamily(n_max=1, tau_uv=[ONE, to_uv(g)], f_uv=[ONE, to_uv(f)])
         reports = V.ernst_residual_numeric(fam, 1)
         assert [(r.status, r.witness) for r in reports] == [
-            ernst_oracle(g, f, point) for point in V.DEFAULT_ERNST_POINTS]
+            ernst_oracle(g, f, point) for point in V.ERNST_POINTS]
 
     def test_family_matches_product_route(self, fam4):
         for n in (1, 2, 3):
             reports = V.ernst_residual_numeric(fam4, n)
             g, f = fam4.g[n], fam4.f[n]
             assert [(r.status, r.witness) for r in reports] == [
-                ernst_oracle(g, f, point) for point in V.DEFAULT_ERNST_POINTS]
+                ernst_oracle(g, f, point) for point in V.ERNST_POINTS]
 
     # A point with non-real x and y, beside the default ones.
     COMPLEX_POINT = (GaussianRational(Fraction(3, 2), Fraction(-1, 3)),
@@ -945,14 +970,15 @@ class TestErnstNumeric:
                      GaussianRational(Fraction(-8, 17), Fraction(15, 17)))
 
     @pytest.mark.parametrize("damage", [None, ("tau", "t*y"), ("f", "x^2")], ids=str)
-    def test_damaged_family_matches_product_route(self, fam4, damage):
+    def test_damaged_family_matches_product_route(self, fam4, monkeypatch, damage):
         seqs = {"tau": list(fam4.tau_uv), "f": list(fam4.f_uv)}
         if damage:
             which, text = damage
             seqs[which][3] = seqs[which][3] + to_uv(parse(text))
-        fam = TauFamily(4, seqs["tau"], seqs["f"])
-        points = [*V.DEFAULT_ERNST_POINTS, self.COMPLEX_POINT]
-        reports = V.ernst_residual_numeric(fam, 3, points)
+        fam = TauFamily(4, tau_uv=seqs["tau"], f_uv=seqs["f"])
+        points = (*V.ERNST_POINTS, self.COMPLEX_POINT)
+        monkeypatch.setattr(V, "ERNST_POINTS", points)
+        reports = V.ernst_residual_numeric(fam, 3)
         expected = [ernst_oracle(fam.g[3], fam.f[3], point) for point in points]
         assert [(r.status, r.witness) for r in reports] == expected
         assert {status for status, _ in expected} == {"fail" if damage else "pass"}
@@ -960,8 +986,8 @@ class TestErnstNumeric:
 
 class TestRunner:
     def test_reports_sorted_and_deterministic(self, fam4):
-        tasks = V.suite_tasks(["conjecture"], fam4, 2)
-        serial = V.run_checks(tasks)
+        tasks = V.suite_tasks(["conjecture"], 2)
+        serial = V.run_checks(tasks, fam4)
         strip = lambda rs: [(r.equation_id, r.n, r.order_index, r.status) for r in rs]
         assert strip(serial) == sorted(strip(serial), key=lambda x: (x[0], x[1]))
 
@@ -971,8 +997,8 @@ class TestRunner:
             tau_uv=[p + parse("1") if k == 2 else p for k, p in enumerate(fam4.tau_uv)],
             f_uv=fam4.f_uv,
         )
-        tasks = V.suite_tasks(["toda"], broken, 3)
-        reports = V.run_checks(tasks, fail_fast=True)
+        tasks = V.suite_tasks(["toda"], 3)
+        reports = V.run_checks(tasks, broken, fail_fast=True)
         assert any(not r.passed for r in reports)
         assert len(reports) < len(tasks)
 
@@ -980,9 +1006,9 @@ class TestRunner:
         # The site's stars are made inside the first task, so its first row carries their time.
         star = V.star
         monkeypatch.setattr(V, "star", lambda p: time.sleep(0.05) or star(p))
-        fresh = TauFamily(fam4.n_max, fam4.tau_uv, fam4.f_uv)  # an empty site table
+        fresh = TauFamily(fam4.n_max, tau_uv=fam4.tau_uv, f_uv=fam4.f_uv)  # an empty site table
         started = time.perf_counter()
-        reports = V.run_checks(V.suite_tasks(["symmetries"], fresh, 1))
+        reports = V.run_checks(V.suite_tasks(["symmetries"], 1), fresh)
         wall = time.perf_counter() - started
         first = next(r for r in reports if r.equation_id == "prop1.g")
         assert first.elapsed >= 0.05
@@ -993,14 +1019,14 @@ class TestRunner:
             time.sleep(0.05)
             raise RuntimeError("late")
 
-        [row] = V.run_checks([V.CheckTask("late", 0, slow_failure)])
+        [row] = V.run_checks([V.CheckTask("late", 0, 0, lambda fam: slow_failure())], None)
         assert row.status == "error" and row.elapsed >= 0.05
 
     def test_every_task_times_its_first_row_alone(self, fam4):
         # The runner is the only clock: no check body writes elapsed.
-        for task in V.suite_tasks(["all"], fam4, 3):
+        for task in V.suite_tasks(["all"], 3):
             started = time.perf_counter()
-            rows = V.run_checks([task])
+            rows = V.run_checks([task], fam4)
             wall = time.perf_counter() - started
             assert sum(r.elapsed > 0 for r in rows) == 1, task
             assert wall - 0.01 <= sum(r.elapsed for r in rows) <= wall, task
@@ -1008,40 +1034,54 @@ class TestRunner:
     def test_each_decomposition_keeps_its_own_time(self, fam4, monkeypatch):
         tsdec4 = V.IDENTITIES["tsdec4"]
         monkeypatch.setitem(V.IDENTITIES, "tsdec4", lambda site: time.sleep(0.05) or tsdec4(site))
-        rows = {r.equation_id: r for r in V.run_checks(V.suite_tasks(["conjecture"], fam4, 1))}
+        rows = {r.equation_id: r for r in V.run_checks(V.suite_tasks(["conjecture"], 1), fam4)}
         assert rows["tsdec4"].passed and rows["tsdec4"].elapsed >= 0.05
         assert all(rows[f"tsdec{k}"].elapsed < 0.05 for k in (1, 2, 3))
 
-    # The identities each site-table suite checks, orderwise ones aside.
-    SUITE_IDENTITIES = {"toda": ("toda.g", "toda.f"), "mixed": ("mixed",), "jacobi": ("toda.g",),
-                        "conjecture": ("tsdec1", "tsdec2", "tsdec3", "tsdec4")}
+    def test_each_suite_reads_exactly_its_depth(self, built5):
+        # A run's depth is the largest reads of its tasks: on a family of that depth
+        # every row passes, and one site shorter some task meets the range guard.
+        family = lambda d: TauFamily(d, tau_uv=built5.tau_uv[:d + 1], f_uv=built5.f_uv[:d + 1])
+        for suite, n_max in ((suite, n_max) for suite in V.SUITES for n_max in (1, 2, 3)):
+            tasks = V.suite_tasks([suite], n_max)
+            depth = max(task.reads for task in tasks)
+            rows = V.run_checks(tasks, family(depth) if depth else None)
+            assert rows and all(r.passed for r in rows), (suite, n_max)
+            if depth:
+                errors = [r.witness for r in V.run_checks(tasks, family(depth - 1))
+                          if r.status == "error"]
+                assert errors, (suite, n_max)
+                assert all(w.startswith("ValueError: need 1 <= n <= ") for w in errors), errors
 
-    def test_suite_depth_is_the_reach_of_its_identities(self):
-        for spec in V.ORDERWISE_SYSTEMS.values():
-            assert V._reach(spec.identity) == V.SUITES[spec.suite].depth_extra, spec
-        for suite, names in self.SUITE_IDENTITIES.items():
-            assert {V._reach(name) for name in names} == {V.SUITES[suite].depth_extra}, suite
-        assert [V.SUITES[suite].depth_extra for suite in self.SUITE_IDENTITIES] == [1, 1, 1, 0]
+    # How far past n_max each suite reads: the Toda and mixed rows read site n + 1.
+    READS_PAST_N_MAX = {"toda": 1, "mixed": 1, "jacobi": 1, "conjecture": 0, "symmetries": 0,
+                        "closedforms": 0, "orderwise-A": 1, "orderwise-B": 0, "ernst-numeric": 0}
 
     def test_family_depth(self):
-        assert V.family_depth_needed(["toda"], 3) == 4
-        assert V.family_depth_needed(["conjecture"], 3) == 3
-        assert V.family_depth_needed(["all"], 2) == 3
+        from hirotaverify.cli import _BENCH_SUITES
 
-    def test_unknown_suite(self, fam4):
+        depth = lambda names, n_max: max(task.reads for task in V.suite_tasks(names, n_max))
+        assert set(self.READS_PAST_N_MAX) == set(V.SUITES) - {"weyl"}
+        for n_max in range(1, 6):
+            for suite, extra in self.READS_PAST_N_MAX.items():
+                assert depth([suite], n_max) == n_max + extra, (suite, n_max)
+            assert depth(["weyl"], n_max) == 0  # the weyl rows read no family site
+            assert depth(["all"], n_max) == depth(_BENCH_SUITES, n_max) == n_max + 1
+
+    def test_unknown_suite(self):
         with pytest.raises(ValueError):
-            V.suite_tasks(["nope"], fam4, 2)
+            V.suite_tasks(["nope"], 2)
 
-    def test_each_suite_listed_once_where_first_named(self, fam4):
-        ids = lambda names: [(t.equation_id, t.n) for t in V.suite_tasks(names, fam4, 2)]
+    def test_each_suite_listed_once_where_first_named(self):
+        ids = lambda names: [(t.equation_id, t.n) for t in V.suite_tasks(names, 2)]
         rest = [name for name in V.SUITES if name != "toda"]
         assert ids(["toda", "all", "toda"]) == ids(["toda"]) + ids(rest)
 
     def test_family_depth_rejects_unknown_suite(self):
         with pytest.raises(ValueError, match="nope"):
-            V.family_depth_needed(["toda", "nope"], 3)
+            V.suite_tasks(["toda", "nope"], 3)
 
-    def test_all_runs_every_task_in_suite_order(self, fam4):
+    def test_all_runs_every_task_in_suite_order(self):
         # --fail-fast stops at the first failing task, so the order is part of the contract.
         sites = lambda eq_id, first, last: [(eq_id, n) for n in range(first, last + 1)]
         expected = (
@@ -1054,10 +1094,10 @@ class TestRunner:
             + [(f"orderwise-B.{s}", n) for n in (1, 2) for s in ("B1", "B2", "B3", "B4")]
             + sites("ernst", 1, 2)
         )
-        tasks = V.suite_tasks(["all"], fam4, 2)
+        tasks = V.suite_tasks(["all"], 2)
         assert [(t.equation_id, t.n) for t in tasks] == expected
         assert [t.equation_id for name in V.SUITES
-                for t in V.suite_tasks([name], fam4, 2)] == [e for e, _ in expected]
+                for t in V.suite_tasks([name], 2)] == [e for e, _ in expected]
 
     def test_sort_key_shape(self, fam4):
         report = V.check_identity(fam4, 1, "mixed")

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import re
 import zlib
 from itertools import islice
@@ -237,7 +239,7 @@ class TestTauFamily:
         tau, f = fam5.tau_uv, fam5.f_uv
         for tau, f in ((tau[:3], f), (tau, f[:5]), (tau, f + (ONE,))):
             with pytest.raises(ValueError, match="n_max=5 needs 6 entries"):
-                TauFamily(5, tau, f)
+                TauFamily(5, tau_uv=tau, f_uv=f)
 
     def test_cofactor_build_matches(self):
         small = TauFamily.build(3)
@@ -260,11 +262,11 @@ class TestTauFamily:
             fam5.tau_uv[2] = fam5.tau_uv[2] + 1
         with pytest.raises(AttributeError):
             fam5.f = ()
-        fam = TauFamily(2, [ONE, PSI, PSI], [ONE] * 3)
+        fam = TauFamily(2, tau_uv=[ONE, PSI, PSI], f_uv=[ONE] * 3)
         assert fam.tau_uv == (ONE, PSI, PSI) and fam.tau == (ONE, PSI_XY, PSI_XY)
 
     def test_site_table_is_no_field(self, fam5, built5):
-        fresh = TauFamily(5, built5.tau_uv, built5.f_uv)
+        fresh = TauFamily(5, tau_uv=built5.tau_uv, f_uv=built5.f_uv)
         fam5.sites[2] = "filled"
         assert fam5 == fresh and hash(fam5) == hash(fresh) and fresh.sites == {}
         assert fam5 == (5, built5.tau_uv, built5.f_uv)
@@ -281,6 +283,15 @@ class TestTauFamily:
     def test_replace_checks_the_entry_count(self, fam5):
         with pytest.raises(ValueError, match="n_max=4 needs 5 entries"):
             fam5._replace(n_max=4)
+        assert fam5._replace(n_max=5) == fam5
+
+    def test_sequences_are_keyword_only(self, fam5):
+        # Positional sequences could be the x,y readings tau and f, which read as u, v
+        # would be another family.
+        with pytest.raises(TypeError):
+            TauFamily(5, fam5.tau, fam5.f)
+        assert TauFamily._make(fam5) == fam5
+        assert copy.copy(fam5) == pickle.loads(pickle.dumps(fam5)) == fam5
 
 
 def write_cache(path, body: str, version: int = CACHE_VERSION) -> None:
@@ -342,7 +353,7 @@ class TestCacheFile:
     ], ids=["repeated tau n=3", "extra f n=7", "f before tau", "blank line"])
     def test_refuses_a_body_out_of_written_order(self, built5, tmp_path, change, refusal):
         path = tmp_path / "family.tau"
-        TauFamily(3, built5.tau_uv[:4], built5.f_uv[:4]).save(path)
+        TauFamily(3, tau_uv=built5.tau_uv[:4], f_uv=built5.f_uv[:4]).save(path)
         lines = path.read_text().splitlines()[1:]
         write_cache(path, "".join(f"{line}\n" for line in change(lines)))
         with pytest.raises(ValueError, match=rf"family\.tau:{refusal}$"):
@@ -496,5 +507,5 @@ class TestJacobiIdentity:
     def test_damaged_tau_fails_at_its_three_sites(self, fam5):
         tau = list(fam5.tau_uv)
         tau[2] = tau[2] + 1  # 1 in x, y is 1 in u, v
-        broken = TauFamily(fam5.n_max, tau, fam5.f_uv)
+        broken = TauFamily(fam5.n_max, tau_uv=tau, f_uv=fam5.f_uv)
         assert [r.passed for r in check_jacobi(broken, 4)] == [False, False, False, True]
