@@ -2,9 +2,9 @@
 
 Covers the derivative-recursion polynomials W_n, their double-sum binomial
 formula, the squared-factorial coefficients A_n, the non-rotating (q = 0)
-solution pair, and the extreme Laurent coefficients of g_n and f_n whose
-rational weights come from half-integer Gamma ratios.  The extreme
-coefficients are in u = (x+y)/2 (the x slot) and v = (x-y)/2 (the y slot).
+solution pair, and the highest Laurent coefficients of g_n and f_n, weighted
+by half-integer Gamma ratios, in u = (x+y)/2 (the x slot) and v = (x-y)/2
+(the y slot); the lowest coefficients are their u <-> v swap.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from .laurent import (
     ONE,
     ZERO,
     monomial,
-    swap_xy,
 )
 from .operators import X2_MINUS_1, l_x
 from .wronskian import tau_f_minors
@@ -64,22 +63,14 @@ def a_coeff(n: int) -> Fraction:
     return Fraction(prod * prod)
 
 
-def g_q0_closed(n: int) -> LaurentPoly:
-    """(A_n/2) (x^2-1)^{n(n-1)/2} ((x+1)^n + (x-1)^n), the non-rotating g_n."""
-    return _q0_closed(n, plus=True)
-
-
-def f_q0_closed(n: int) -> LaurentPoly:
-    """(A_n/2) (x^2-1)^{n(n-1)/2} ((x+1)^n - (x-1)^n), the non-rotating f_n."""
-    return _q0_closed(n, plus=False)
-
-
 @cache
-def _q0_closed(n: int, plus: bool) -> LaurentPoly:
+def q0_closed(n: int) -> tuple[LaurentPoly, LaurentPoly]:
+    """The non-rotating pair g_n, f_n: (A_n/2) (x^2-1)^{n(n-1)/2} ((x+1)^n +- (x-1)^n)."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    body = _x_shift_power(1, n) + (1 if plus else -1) * _x_shift_power(-1, n)
-    return a_coeff(n) / 2 * (X2_MINUS_1 ** (n * (n - 1) // 2)) * body
+    prefactor = a_coeff(n) / 2 * (X2_MINUS_1 ** (n * (n - 1) // 2))
+    plus, minus = _x_shift_power(1, n), _x_shift_power(-1, n)
+    return prefactor * (plus + minus), prefactor * (plus - minus)
 
 
 @cache
@@ -124,11 +115,6 @@ def g_high(n: int) -> LaurentPoly:
     return monomial(coeff, ex=n * (n - 1) // 2, ey=n * (n + 1) // 2)
 
 
-def g_low(n: int) -> LaurentPoly:
-    """Coefficient of t^-n in g_n: g_high under y -> -y, which swaps u and v."""
-    return swap_xy(g_high(n))
-
-
 def f_high(n: int) -> LaurentPoly:
     """Coefficient of t^{n-1} in f_n: the leading g-coefficient times a Gamma sum."""
     if n == 0:
@@ -139,8 +125,3 @@ def f_high(n: int) -> LaurentPoly:
     if product.has_negative_xy():
         raise ArithmeticError(f"inverse powers failed to cancel in the order-{n} Gamma sum")
     return product
-
-
-def f_low(n: int) -> LaurentPoly:
-    """Coefficient of t^{-n+1} in f_n: f_high under y -> -y, which swaps u and v."""
-    return swap_xy(f_high(n))

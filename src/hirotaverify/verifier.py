@@ -554,10 +554,10 @@ def _check_a_facts() -> CheckReport:
 def _check_q0(n: int, last: int) -> CheckReport:
     from . import closedform
 
-    g_det, f_det = closedform.q0_wronskians(last)
-    residual = closedform.g_q0_closed(n) - g_det[n - 1]
+    (g_det, f_det), (g, f) = closedform.q0_wronskians(last), closedform.q0_closed(n)
+    residual = g - g_det[n - 1]
     if residual.is_zero:
-        residual = closedform.f_q0_closed(n) - f_det[n - 1]
+        residual = f - f_det[n - 1]
     return _report("closed.q0", n, to_uv(residual))
 
 
@@ -566,11 +566,12 @@ def _check_extremes(fam: TauFamily, n: int) -> CheckReport:
 
     site = _family_site(fam, n)  # g_n and f_n in u, v, as the closed forms are
     g, f = site.g_n.t_coefficients(), site.f_n.t_coefficients()
+    g_high, f_high = closedform.g_high(n), closedform.f_high(n)  # the lowest: their u <-> v swap
     checks = [
-        (closedform.g_high(n), g.get(n, ZERO)),
-        (closedform.g_low(n), g.get(-n, ZERO)),
-        (closedform.f_high(n), f.get(n - 1, ZERO)),
-        (closedform.f_low(n), f.get(1 - n, ZERO)),
+        (g_high, g.get(n, ZERO)),
+        (swap_xy(g_high), g.get(-n, ZERO)),
+        (f_high, f.get(n - 1, ZERO)),
+        (swap_xy(f_high), f.get(1 - n, ZERO)),
     ]
     residual = next((closed - extracted for closed, extracted in checks
                      if closed != extracted), ZERO)
@@ -604,8 +605,7 @@ def _check_weyl_lock() -> CheckReport:
 def _check_weyl_pair(n: int) -> CheckReport:
     from . import closedform
 
-    g = closedform.g_q0_closed(n)
-    f = closedform.f_q0_closed(n)
+    g, f = closedform.q0_closed(n)
     residual = apply_F_weyl(n, g, f)
     if residual.is_zero:
         residual = apply_F_weyl(n, g, g) + apply_F_weyl(n, f, f)

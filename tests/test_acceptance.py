@@ -13,7 +13,7 @@ import time
 from hirotaverify import closedform
 from hirotaverify import verifier as V
 from hirotaverify.cli import RunConfig, cmd_verify
-from hirotaverify.laurent import ZERO, from_uv, monomial
+from hirotaverify.laurent import ZERO, from_uv, monomial, swap_xy
 from hirotaverify.operators import apply_F, hirota, hirota_dst, l_minus, l_plus, operand
 from hirotaverify.verifier import jacobi_residuals
 from hirotaverify.wronskian import (
@@ -97,15 +97,14 @@ def test_criterion_05_closed_forms():
     )
     g_det, f_det = closedform.q0_wronskians(6)
     ok = ok and all(
-        closedform.g_q0_closed(n) == g_det[n - 1]
-        and closedform.f_q0_closed(n) == f_det[n - 1]
+        closedform.q0_closed(n) == (g_det[n - 1], f_det[n - 1])
         for n in range(1, 7)
     )
     ok = ok and all(
         from_uv(closedform.g_high(n)) == fam.g[n].t_coefficients().get(n, ZERO)
-        and from_uv(closedform.g_low(n)) == fam.g[n].t_coefficients().get(-n, ZERO)
+        and from_uv(swap_xy(closedform.g_high(n))) == fam.g[n].t_coefficients().get(-n, ZERO)
         and from_uv(closedform.f_high(n)) == fam.f[n].t_coefficients().get(n - 1, ZERO)
-        and from_uv(closedform.f_low(n)) == fam.f[n].t_coefficients().get(-n + 1, ZERO)
+        and from_uv(swap_xy(closedform.f_high(n))) == fam.f[n].t_coefficients().get(-n + 1, ZERO)
         for n in range(1, 6)
     )
     from hirotaverify.laurent import parse

@@ -49,6 +49,13 @@ class TestVerifyCommand:
     def test_unknown_suite_exits_two(self):
         assert main(["verify", "--suite", "wrong", "--n-max", "2"]) == 2
 
+    def test_unknown_format_refused_before_any_check(self):
+        # On the command line argparse's choices refuse it first; a caller of cmd_verify meets validate.
+        stream = io.StringIO()
+        with pytest.raises(ValueError, match="format must be 'json' or 'text'"):
+            cmd_verify(RunConfig(suites=["weyl"], report_format="xml"), stream=stream)
+        assert stream.getvalue() == ""
+
     def test_text_format_summary_line(self):
         code, out = run_verify(n_max=2, suites=["mixed"], report_format="text")
         assert code == 0

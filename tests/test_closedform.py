@@ -5,17 +5,14 @@ import pytest
 from hirotaverify.closedform import (
     a_coeff,
     f_high,
-    f_low,
-    f_q0_closed,
     g_high,
-    g_low,
-    g_q0_closed,
     half_gamma_ratio,
+    q0_closed,
     q0_wronskians,
     w_formula,
     w_recursive,
 )
-from hirotaverify.laurent import ONE, ZERO, from_uv, monomial, parse, subst_y_negate
+from hirotaverify.laurent import ONE, ZERO, from_uv, monomial, parse, subst_y_negate, swap_xy
 from hirotaverify.operators import hirota_dst, operand
 from hirotaverify.wronskian import Matrix
 
@@ -63,22 +60,28 @@ class TestACoefficients:
         assert a_coeff(1) * a_coeff(3) == 4 * a_coeff(2)
         assert a_coeff(2) * a_coeff(4) != 9 * a_coeff(3)
 
+    def test_negative_index_refused(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            a_coeff(-1)
+
 
 class TestNonRotatingForms:
     def test_schwarzschild_case(self):
-        assert g_q0_closed(1) == X
-        assert f_q0_closed(1) == parse("1")
+        assert q0_closed(1) == (X, parse("1"))
+
+    def test_site_zero_refused(self):
+        with pytest.raises(ValueError, match="at least 1"):
+            q0_closed(0)
 
     def test_explicit_forms(self):
-        assert g_q0_closed(2) == (X**2 - 1) * (X**2 + 1)
-        assert g_q0_closed(3) == 4 * X * (X**2 - 1) ** 3 * (X**2 + 3)
+        assert q0_closed(2)[0] == (X**2 - 1) * (X**2 + 1)
+        assert q0_closed(3)[0] == 4 * X * (X**2 - 1) ** 3 * (X**2 + 3)
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_matches_determinants(self, n):
         # Every site is read from one elimination of the largest matrices.
         g_det, f_det = q0_wronskians(8)
-        assert g_q0_closed(n) == g_det[n - 1]
-        assert f_q0_closed(n) == f_det[n - 1]
+        assert q0_closed(n) == (g_det[n - 1], f_det[n - 1])
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_minors_match_cofactor_expansion(self, n):
@@ -88,7 +91,7 @@ class TestNonRotatingForms:
 
     def test_first_site_and_domain(self):
         g_det, f_det = q0_wronskians(1)
-        assert g_det == (g_q0_closed(1),) and f_det == (ONE,)
+        assert g_det == (q0_closed(1)[0],) and f_det == (ONE,)
         with pytest.raises(ValueError):
             q0_wronskians(0)
 
@@ -98,7 +101,7 @@ class TestNonRotatingForms:
             collapsed = ZERO
             for _, coeff_poly in fam5.g[n].t_coefficients().items():
                 collapsed = collapsed + coeff_poly
-            assert collapsed == g_q0_closed(n)
+            assert collapsed == q0_closed(n)[0]
 
 
 class TestGammaRatios:
@@ -117,32 +120,42 @@ class TestGammaRatios:
 class TestExtremeCoefficients:
     def test_small_cases(self):
         assert from_uv(g_high(1)) == from_uv(monomial(1, ey=1))  # v
-        assert from_uv(g_low(1)) == from_uv(monomial(1, ex=1))  # u
+        assert from_uv(swap_xy(g_high(1))) == from_uv(monomial(1, ex=1))  # u
         assert from_uv(g_high(2)) == from_uv(monomial(4, ex=1, ey=3))  # 4 u v^3
         assert from_uv(f_high(1)) == parse("1")
-        assert from_uv(f_low(1)) == parse("1")
+        assert from_uv(swap_xy(f_high(1))) == parse("1")
         assert f_high(0).is_zero and from_uv(g_high(0)) == parse("1")
 
     def test_f2_anchor(self):
         # 2u(u^2 + 3v^2 - 1) equals x^3 + y^3 - x - y in the x,y basis.
         assert from_uv(f_high(2)) == parse("x^3 + y^3 - x - y")
-        assert from_uv(f_low(2)) == parse("x^3 - y^3 - x + y")
+        assert from_uv(swap_xy(f_high(2))) == parse("x^3 - y^3 - x + y")
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_match_extracted_coefficients(self, fam5, n):
         assert from_uv(g_high(n)) == fam5.g[n].t_coefficients().get(n, ZERO)
-        assert from_uv(g_low(n)) == fam5.g[n].t_coefficients().get(-n, ZERO)
+        assert from_uv(swap_xy(g_high(n))) == fam5.g[n].t_coefficients().get(-n, ZERO)
         assert from_uv(f_high(n)) == fam5.f[n].t_coefficients().get(n - 1, ZERO)
-        assert from_uv(f_low(n)) == fam5.f[n].t_coefficients().get(-n + 1, ZERO)
+        assert from_uv(swap_xy(f_high(n))) == fam5.f[n].t_coefficients().get(-n + 1, ZERO)
 
     def test_mirror_pairs(self):
         for n in range(1, 5):
-            assert from_uv(g_low(n)) == subst_y_negate(from_uv(g_high(n)))
-            assert from_uv(f_low(n)) == subst_y_negate(from_uv(f_high(n)))
+            assert from_uv(swap_xy(g_high(n))) == subst_y_negate(from_uv(g_high(n)))
+            assert from_uv(swap_xy(f_high(n))) == subst_y_negate(from_uv(f_high(n)))
 
     @pytest.mark.parametrize("n", range(7))
     def test_low_orders_match_the_uv_swap(self, n):
-        assert (from_uv(g_low(n)), from_uv(f_low(n))) == low_extremes_uv_swap(n)
+        low = swap_xy(g_high(n)), swap_xy(f_high(n))
+        assert tuple(map(from_uv, low)) == low_extremes_uv_swap(n)
+
+    def test_uncancelled_inverse_powers_refused(self, monkeypatch):
+        # The Gamma sum reaches v^-(2n-1), which g_high's v^(n(n+1)/2) cancels at every n >= 1
+        # whatever the weights, so only a leading form with too low a power of v is refused.
+        from hirotaverify import closedform
+
+        monkeypatch.setattr(closedform, "g_high", lambda n: ONE)
+        with pytest.raises(ArithmeticError, match="order-2 Gamma sum"):
+            f_high(2)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_highest_order_lattice_equations(self, n):

@@ -84,8 +84,20 @@ def test_zero_division_rejected():
         I / GaussianRational(0)
 
 
+def test_non_rational_operands_refused():
+    z = GaussianRational(1, 2)
+    with pytest.raises(TypeError, match="not a rational value"):
+        GaussianRational("1")
+    for operation in (lambda: z + "a", lambda: "a" + z, lambda: z - "a", lambda: "a" - z,
+                      lambda: z / "a", lambda: z ** 0.0):
+        with pytest.raises(TypeError):
+            operation()
+    assert (z == "a") is False and z != "a"
+
+
 def test_text_forms():
     assert str(GaussianRational(Fraction(3, 2))) == "3/2"
     assert str(GaussianRational(0, 1)) == "1*i"
     assert str(GaussianRational(Fraction(1, 2), Fraction(-3, 4))) == "1/2-3/4*i"
     assert str(GaussianRational(0, Fraction(-1, 3))) == "-1/3*i"
+    assert repr(GaussianRational(Fraction(1, 2), -3)) == "GaussianRational(1/2, -3)"

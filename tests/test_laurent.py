@@ -325,6 +325,38 @@ def test_leading_term_order():
     assert q.leading_term()[0] == Monomial(0, 1, 1)
 
 
+def test_zero_has_no_leading_term():
+    with pytest.raises(ValueError, match="no leading term"):
+        ZERO.leading_term()
+
+
+def test_powers_are_non_negative_integers():
+    for exponent in (-1, 1.5):
+        with pytest.raises(ValueError, match="non-negative integers"):
+            X ** exponent
+
+
+def test_differentiate_refuses_other_variables():
+    with pytest.raises(ValueError, match="'x' or 'y'"):
+        differentiate(X, "z")
+
+
+def test_str_operands_refused():
+    for operation in (lambda: X + "x", lambda: "x" + X, lambda: X - "x", lambda: "x" - X):
+        with pytest.raises(TypeError):
+            operation()
+    assert (X == "x") is False and X != "x"
+
+
+def test_repr_truncates_long_text():
+    short = parse("x + t")
+    assert repr(short) == f"LaurentPoly[{serialize(short)}]"
+    long = sum(monomial(k + 1, ex=k) for k in range(40))
+    text = serialize(long)
+    assert len(text) > 120
+    assert repr(long) == f"LaurentPoly[{text[:117]}...]"
+
+
 def test_evaluate_exact():
     p = parse("x^2*y - t^-1")
     [([(re, im)], den)] = evaluate([p], [(Fraction(3, 2), 2, Fraction(1, 2))])

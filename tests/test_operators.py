@@ -153,10 +153,10 @@ class TestWeylForm:
         assert apply_F_weyl(2, one, one) == parse("-8")
 
     def test_zero_on_nonrotating_pairs(self):
-        from hirotaverify.closedform import f_q0_closed, g_q0_closed
+        from hirotaverify.closedform import q0_closed
 
         for n in (1, 2, 3):
-            g, f = g_q0_closed(n), f_q0_closed(n)
+            g, f = q0_closed(n)
             assert apply_F_weyl(n, g, f).is_zero
             assert (apply_F_weyl(n, g, g) + apply_F_weyl(n, f, f)).is_zero
 

@@ -14,11 +14,13 @@ from hirotaverify.laurent import (
     ZERO,
     LaurentPoly,
     differentiate,
+    evaluate,
     from_uv,
     monomial,
     parse,
     serialize,
     subst_y_negate,
+    swap_xy,
     to_uv,
 )
 from hirotaverify import operators
@@ -485,12 +487,12 @@ class TestOrderwiseNakamura:
         assert _label(fam4, 2, "B4", 4) == "B.12"
 
     def test_top_order_uses_extreme_forms(self, fam4):
-        from hirotaverify.closedform import f_high, g_high, g_low
+        from hirotaverify.closedform import f_high, g_high
 
         lhs, _ = orderwise_oracle(fam4, 2, 0, "B3")
-        assert lhs == from_uv(apply_F(2, operand(g_low(2)), operand(f_high(2))))
+        assert lhs == from_uv(apply_F(2, operand(swap_xy(g_high(2))), operand(f_high(2))))
         lhs, _ = orderwise_oracle(fam4, 2, 0, "B4")
-        assert lhs == from_uv(apply_F(2, operand(g_low(2)), operand(g_high(2))))
+        assert lhs == from_uv(apply_F(2, operand(swap_xy(g_high(2))), operand(g_high(2))))
 
     @pytest.mark.parametrize("which", ["B1", "B2", "B3", "B4"])
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -925,6 +927,64 @@ class TestClosedFormRows:
         report = V._check_a_facts()
         assert (report.status, report.n, report.witness) == ("fail", *row)
 
+    # A stray x,y term at each of the four orders the closed.extreme row at n = 3
+    # compares, in the row's order: g_3 at t^3 and t^-3, then f_3 at t^2 and t^-2.
+    EXTREME_DAMAGE = [("tau", "2*t^3*x^2", "(-2)*x^2"), ("tau", "3*t^-3*y", "(-3)*y^1"),
+                      ("f", "5*t^2*x*y", "(-5)*x^1*y^1"), ("f", "7*t^-2*y^3", "(-7)*y^3")]
+
+    @pytest.mark.parametrize("broken", [(0,), (1,), (2,), (3,), (0, 1), (0, 3), (1, 2), (2, 3)],
+                             ids=str)
+    def test_extremes_report_the_first_failing_comparison(self, fam4, broken):
+        fam = fam4
+        for k in broken:
+            seq, extra, _ = self.EXTREME_DAMAGE[k]
+            fam = _with_stray_term(fam, seq, 3, extra)
+        report = V._check_extremes(fam, 3)
+        assert (report.status, report.n, report.witness, report.term_count) == (
+            "fail", 3, self.EXTREME_DAMAGE[broken[0]][2], 1)
+
+    def test_extremes_make_each_closed_form_once(self, fam4, monkeypatch):
+        from hirotaverify import closedform
+
+        calls = []
+        for name in ("g_high", "f_high"):
+            form = getattr(closedform, name)
+            monkeypatch.setattr(closedform, name,
+                                lambda n, form=form, name=name: calls.append(name) or form(n))
+        assert V._check_extremes(fam4, 3).passed
+        # g_high once for the row and once inside f_high.
+        assert sorted(calls) == ["f_high", "g_high", "g_high"]
+
+    @pytest.mark.parametrize("damage, witness", [
+        ((monomial(2, ex=3), ZERO), "(-2)*x^3"),
+        ((ZERO, monomial(5, ex=1)), "(-5)*x^1"),
+        ((monomial(2, ex=3), monomial(5, ex=1)), "(-2)*x^3"),
+    ], ids=["g", "f", "g and f"])
+    def test_q0_reports_g_before_f(self, monkeypatch, damage, witness):
+        from hirotaverify import closedform
+
+        q0 = closedform.q0_wronskians
+        monkeypatch.setattr(closedform, "q0_wronskians", lambda last: tuple(
+            tuple(p + extra for p in dets) for dets, extra in zip(q0(last), damage)))
+        report = V._check_q0(2, 6)
+        assert (report.status, report.n, report.witness, report.term_count) == (
+            "fail", 2, witness, 1)
+
+    # F(g, f) is the one call with two different operands; F(g, g) and F(f, f)
+    # each gain the extra, so their sum gains it twice.
+    @pytest.mark.parametrize("pair, same, witness", [
+        (monomial(3, ex=2), ZERO, "(3)*x^2"),
+        (ZERO, monomial(7, ex=4), "(14)*x^4"),
+        (monomial(3, ex=2), monomial(7, ex=4), "(3)*x^2"),
+    ], ids=["F(g, f)", "F(g, g) + F(f, f)", "both"])
+    def test_weyl_pair_reports_the_first_failing_bracket(self, monkeypatch, pair, same, witness):
+        weyl = V.apply_F_weyl
+        monkeypatch.setattr(V, "apply_F_weyl",
+                            lambda n, a, b: weyl(n, a, b) + (same if a == b else pair))
+        report = V._check_weyl_pair(2)
+        assert (report.status, report.n, report.witness, report.term_count) == (
+            "fail", 2, witness, 1)
+
 
 class TestErnstNumeric:
     @pytest.mark.parametrize("n", [1, 2])
@@ -982,6 +1042,28 @@ class TestErnstNumeric:
         expected = [ernst_oracle(fam.g[3], fam.f[3], point) for point in points]
         assert [(r.status, r.witness) for r in reports] == expected
         assert {status for status, _ in expected} == {"fail" if damage else "pass"}
+
+    # The conjugate lemma: at real x, y and |t| = 1, 1/t is the conjugate of t, so
+    # star(p) takes the conjugate of p's value.  Each point is read in u, v as the check reads it.
+    @staticmethod
+    def _star_is_conjugate(p, point):
+        x0, y0, t0 = point
+        half = Fraction(1, 2)
+        [([(re, im), star_value], _)] = evaluate(
+            [p, V.star(p)], [((x0 + y0) * half, (x0 - y0) * half, t0)])
+        return star_value == (re, -im)
+
+    def test_star_is_the_conjugate_on_the_family(self, fam4):
+        for p in (*fam4.tau_uv[1:4], *fam4.f_uv[1:4]):
+            assert all(self._star_is_conjugate(p, point) for point in V.ERNST_POINTS), p
+
+    @given(p=polys)
+    def test_star_is_the_conjugate_with_gaussian_coefficients(self, p):
+        assert all(self._star_is_conjugate(p, point) for point in V.ERNST_POINTS)
+
+    def test_star_is_not_the_conjugate_at_non_real_x_y(self, fam4):
+        family = (*fam4.tau_uv[1:4], *fam4.f_uv[1:4])
+        assert not all(self._star_is_conjugate(p, self.COMPLEX_POINT) for p in family)
 
 
 class TestRunner:
