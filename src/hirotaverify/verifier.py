@@ -389,54 +389,44 @@ class _GaussInt(NamedTuple):
     __mul__ = lambda a, b: _GaussInt(a.re * b.re - a.im * b.im, a.re * b.im + a.im * b.re)
 
 
-_ERNST_COEFFICIENTS = tuple(to_uv(p) for p in (  # 2x, x^2 - 1, -2y and 1 - y^2 in u, v
-    monomial(2, ex=1), monomial(1, ex=2) - 1, monomial(-2, ey=1), 1 - monomial(1, ey=2)))
-
-
 def ernst_residual_numeric(fam: TauFamily, n: int) -> list[CheckReport]:
     """Evaluate the complex-potential residual of xi = g_n/f_n at ERNST_POINTS, read at call time.
 
-    Uses the standard axisymmetric prolate-spheroidal form: with
-    B = ((x^2-1) xi_x)_x + ((1-y^2) xi_y)_y and
-    G = (x^2-1) xi_x^2 + (1-y^2) xi_y^2, the residual is
-    (xi xi* - 1) B - 2 xi* G, cleared of denominators.  Evaluation is exact:
-    the numerator is homogeneous of degree 6 in the values of the polynomials
-    it reads, its coefficients included, which take Gaussian-integer values
-    over one denominator, so it is tested for zero in integers.  A point
-    where a denominator vanishes is an "error".
+    Uses the standard axisymmetric prolate-spheroidal form (xi xi* - 1) E - 2 xi* G, with
+    E = ((x^2-1) xi_x)_x + ((1-y^2) xi_y)_y = (d/du L-xi + d/dv L+xi) / 2, the partner of F's M,
+    and G = (x^2-1) xi_x^2 + (1-y^2) xi_y^2 = (xi_u L-xi + xi_v L+xi) / 2.  With f = f_n and
+    g = g_n, L-+xi = (f L-+g - g L-+f) / f^2, so the row reads g, f, their stars, the fields
+    of their records and lp = d/du L-p + d/dv L+p of each, and the residual is N / (2 f* f^4).
+    Evaluation is exact: N and f* f^4 are homogeneous of degree 5 in the values read, which
+    are Gaussian integers over one denominator, so it cancels and N is tested for zero in
+    integers.  A point where f or f* vanishes is an "error".
     """
     site, half = _family_site(fam, n), Fraction(1, 2)
-    # The site's u,v-polynomials, valued at u = (x+y)/2, v = (x-y)/2, where 2 d/dx = d/du + d/dv
-    # and 2 d/dy = d/du - d/dv.  With p = g_x f - g f_x and q = g_y f - g f_y, the g_x f_x and
-    # g_y f_y terms cancel from p_x and q_y; every factor is a value at the point.
-    xy = lambda r: (half * (r.pu + r.pv), half * (r.pu - r.pv))
-    (gx, gy), (fx, fy) = xy(site.g), xy(site.f)
-    d = lambda p, sign: half * (differentiate(p, "x") + sign * differentiate(p, "y"))
-    polys = (site.f_n, site.f_star, site.g_n, site.g_star, gx, gy, fx, fy,
-             d(gx, 1), d(gy, -1), d(fx, 1), d(fy, -1), *_ERNST_COEFFICIENTS)
+    ell = lambda r: differentiate(r.minus, "x") + differentiate(r.plus, "y")  # the x slot is u
+    g, f = site.g, site.f
+    polys = (f.p, site.f_star, g.p, site.g_star, g.pu, g.pv, g.plus, g.minus,
+             f.pu, f.pv, f.plus, f.minus, ell(g), ell(f))
 
     at_points = evaluate(polys, [((x0 + y0) * half, (x0 - y0) * half, t0)
                                  for x0, y0, t0 in ERNST_POINTS])
 
-    def outcome(values, den) -> tuple[str, str | None]:
-        (f, fs, g, gs, gx, gy, fx, fy, gxx, gyy, fxx, fyy,
-         two_x, x2m1, minus_2y, one_m_y2) = (_GaussInt(*v) for v in values)
+    def outcome(values) -> tuple[str, str | None]:
+        f, fs, g, gs, gu, gv, gp, gm, fu, fv, fp, fm, lg, lf = (_GaussInt(*v) for v in values)
         if f == (0, 0) or fs == (0, 0):
             return "error", "denominator vanishes at sample point"
-        p, q = gx * f - g * fx, gy * f - g * fy
-        px, qy = gxx * f - g * fxx, gyy * f - g * fyy
-        n_b = ((two_x * p + x2m1 * px) * f - x2m1 * (p + p) * fx
-               + (minus_2y * q + one_m_y2 * qy) * f - one_m_y2 * (q + q) * fy)
-        n_g = x2m1 * p * p + one_m_y2 * q * q
-        numerator = (g * gs - f * fs) * n_b - (gs + gs) * n_g
+        # a, b are f^2 L-xi and f^2 L+xi; n_e is 2 f^3 E and n_g is 2 f^4 G
+        a, b = f * gm - g * fm, f * gp - g * fp
+        cross = a * fu + b * fv
+        n_e = (f * lg - g * lf + fu * gm - gu * fm + fv * gp - gv * fp) * f - (cross + cross)
+        n_g = (gu * f - g * fu) * a + (gv * f - g * fv) * b
+        numerator = (g * gs - f * fs) * n_e - (gs + gs) * n_g
         if numerator == (0, 0):
             return "pass", None
-        # The residual is (numerator / L^6) / ((fs / L) (f / L)^4).
-        scale = den * GaussianRational(*fs) * GaussianRational(*f) ** 4
-        return "fail", str(GaussianRational(*numerator) / scale)
+        return "fail", str(GaussianRational(*numerator)
+                           / (2 * GaussianRational(*fs) * GaussianRational(*f) ** 4))
 
-    return [CheckReport("ernst", n, idx, *outcome(*at), note=f"x={x0}, y={y0}, t={t0}")
-            for idx, ((x0, y0, t0), at) in enumerate(zip(ERNST_POINTS, at_points))]
+    return [CheckReport("ernst", n, idx, *outcome(values), note=f"x={x0}, y={y0}, t={t0}")
+            for idx, ((x0, y0, t0), (values, _)) in enumerate(zip(ERNST_POINTS, at_points))]
 
 
 # -- suites --------------------------------------------------------------------

@@ -1,8 +1,10 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hirotaverify.laurent import from_uv, monomial, parse, to_uv
+from hirotaverify.laurent import differentiate, from_uv, monomial, parse, to_uv
 from hirotaverify.operators import (
     apply_F,
     apply_F_weyl,
@@ -24,6 +26,7 @@ from conftest import (
     polys,
     psi_xy,
     x_polys,
+    xy_polys,
 )
 
 X = monomial(1, ex=1)
@@ -108,6 +111,25 @@ class TestFewerProducts:
             assert from_uv(apply_F(3, ua, ub)) == apply_F_oracle(3, a, b)
         assert hirota_dst(operand(zero), operand(g)).is_zero
         assert apply_F(1, operand(g), operand(zero)).is_zero
+
+
+class TestErnstOperators:
+    """The Ernst rows' light-cone forms: with P, Q the u,v images of p, q,
+    ((x^2-1) p_x)_x + ((1-y^2) p_y)_y is (d/du L-P + d/dv L+P) / 2, the partner of F's M,
+    and (x^2-1) p_x q_x + (1-y^2) p_y q_y is (P_u L-Q + P_v L+Q) / 2."""
+
+    @given(p=xy_polys)
+    def test_second_order_operator(self, p):
+        xy = differentiate(l_x(p), "x") - differentiate(l_y(p), "y")
+        r = operand(to_uv(p))
+        ell = differentiate(r.minus, "x") + differentiate(r.plus, "y")  # the x slot is u
+        assert to_uv(xy) == Fraction(1, 2) * ell
+
+    @given(p=xy_polys, q=xy_polys)
+    def test_gradient_pairing(self, p, q):
+        xy = l_x(p) * differentiate(q, "x") - l_y(p) * differentiate(q, "y")
+        a, b = operand(to_uv(p)), operand(to_uv(q))
+        assert to_uv(xy) == Fraction(1, 2) * (a.pu * b.minus + a.pv * b.plus)
 
 
 class TestFOperator:

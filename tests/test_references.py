@@ -6,12 +6,15 @@ perfbench/*.py reads it, as a name or an attribute, outside the definition
 itself.  Imports and __all__ entries do not count: code that only its tests
 call belongs with the tests.
 
+Every function perfbench/tracer.py counts as a check body returns CheckReport rows.
+
 No module in src/ imports random either: every row is exact, so none may
 rest on a draw.  Nor does one import another's private name, or read one
 as an attribute of a name it imported: what two modules share is public.
 """
 
 import ast
+import importlib.util
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -99,3 +102,18 @@ def test_no_module_imports_a_private_name():
                        and node.value.id in imported and _private(node.attr)
                        and node.attr not in NAMEDTUPLE_API})
         assert read == [], f"{path.name} reads {read}"
+
+
+def test_every_counted_check_returns_rows():
+    # perfbench/tracer.py counts the rows each verifier function its is_check names returns,
+    # so a helper named like a check fails here instead of skewing verifier.checks.
+    spec = importlib.util.spec_from_file_location("tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    tree = ast.parse((ROOT / "src" / "hirotaverify" / "verifier.py").read_text())
+    returns = {node.name: node.returns and ast.unparse(node.returns) for node in tree.body
+               if isinstance(node, ast.FunctionDef) and tracer.is_check(node.name)}
+    assert "ernst_residual_numeric" in returns and "check_identity" in returns
+    wrong = {name: kind for name, kind in returns.items()
+             if kind not in ("CheckReport", "list[CheckReport]")}
+    assert wrong == {}
