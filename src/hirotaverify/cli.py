@@ -2,7 +2,8 @@
 
 Exit codes: 0 when every selected check passes, 1 when any identity fails
 (the report is still emitted), 2 on usage or configuration errors and on
-harness errors: a failed elimination, an inexact division or cache I/O.
+harness errors: a failed elimination, an inexact division, an exponent
+outside the packed-key fields or cache I/O.
 A harness error inside one check is reported as that check's "error" row;
 the run then exits 2 unless some identity failed.
 """
@@ -211,7 +212,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "build":
             return cmd_build(args.n_max, args.cache)
         return cmd_bench(args.n_max)
-    except (ValueError, DeterminantError, ExactDivisionError, OSError) as exc:
+    except (ValueError, DeterminantError, ExactDivisionError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

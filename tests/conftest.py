@@ -1,10 +1,15 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
+import hirotaverify
 from hirotaverify.closedform import a_coeff, half_gamma_ratio
 from hirotaverify.gaussian import GaussianRational, minus_i_power
 from hirotaverify.laurent import (
@@ -15,6 +20,7 @@ from hirotaverify.laurent import (
     differentiate,
     from_uv,
     monomial,
+    parse,
     serialize,
     subst_t_inverse,
     subst_t_negate,
@@ -53,6 +59,26 @@ def fam5(built5: TauFamily) -> TauFamily:
 @pytest.fixture
 def fam4(built5: TauFamily) -> TauFamily:
     return TauFamily(n_max=4, tau_uv=built5.tau_uv[:5], f_uv=built5.f_uv[:5])
+
+
+def with_stray_term(fam: TauFamily, seq: str, k: int, extra: str) -> TauFamily:
+    """A copy of fam with the x,y term extra added to tau_k or f_k, as its u,v image."""
+    add = lambda name: [p + to_uv(parse(extra)) if (name, i) == (seq, k) else p
+                        for i, p in enumerate(getattr(fam, name + "_uv"))]
+    return TauFamily(n_max=fam.n_max, tau_uv=add("tau"), f_uv=add("f"))
+
+
+def run_fresh(args: list[str], cwd: Path, **env: str) -> subprocess.CompletedProcess:
+    """`python *args` in a fresh interpreter in cwd, with its output captured as text.
+
+    PYTHONPATH leads with the directory of the hirotaverify under test, and
+    HV_CACHE_DIR is dropped unless env sets it.
+    """
+    base = {k: v for k, v in os.environ.items() if k != "HV_CACHE_DIR"}
+    src = str(Path(hirotaverify.__file__).parents[1])
+    base["PYTHONPATH"] = os.pathsep.join(filter(None, [src, base.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env=base | env, cwd=cwd,
+                          capture_output=True, text=True, timeout=120)
 
 
 # -- the order-by-order systems written out by hand ----------------------------

@@ -42,6 +42,7 @@ from conftest import (
     su11_rows_oracle,
     su11_transform,
     sylvester_oracle,
+    with_stray_term,
 )
 
 # Damaged entries (sequence, site, added term), real and non-real, for the
@@ -172,7 +173,7 @@ class TestSymmetries:
 
     @pytest.mark.parametrize("seq, k, extra", MIRROR_DAMAGE)
     def test_mirror_rows_match_the_orderwise_sum(self, fam4, seq, k, extra):
-        damaged = _with_stray_term(fam4, seq, k, extra)
+        damaged = with_stray_term(fam4, seq, k, extra)
         rows = {r.equation_id: r for r in V.check_symmetries(damaged, k)}
         for eq_id, p in (("mirror.g", damaged.g[k]), ("mirror.f", damaged.f[k])):
             expected = V._report(eq_id, k, to_uv(mirror_oracle(p)))
@@ -183,7 +184,7 @@ class TestSymmetries:
 
     def test_mirror_witness_of_an_unpartnered_order(self, fam4):
         # The difference holds x at t^7 and -x at t^-7; the t^7 term leads.
-        damaged = _with_stray_term(fam4, "tau", 2, "t^-7*x")
+        damaged = with_stray_term(fam4, "tau", 2, "t^-7*x")
         rows = {r.equation_id: r for r in V.check_symmetries(damaged, 2)}
         assert rows["mirror.g"].witness == "(1)*t^7*x^1"
         assert serialize(mirror_oracle(damaged.g[2])) == "(-1)*t^-7*x^1"
@@ -209,7 +210,7 @@ class TestJacobiReadsTheSiteTable:
                              ids=lambda d: "built" if d is None else f"{d[0]}_{d[1]}+{d[2]}")
     def test_residual_equals_the_direct_formula(self, fam5, damage):
         # The same polynomial, not only the same zero test, on damaged families too.
-        fam = _with_stray_term(fam5, *damage) if damage else fam5
+        fam = with_stray_term(fam5, *damage) if damage else fam5
         residuals = list(V.jacobi_residuals(fam, 4))  # in u, v
         assert [from_uv(r) for r in residuals] == [sylvester_oracle(fam, n) for n in (1, 2, 3, 4)]
         assert any(not r.is_zero for r in residuals) == bool(damage)
@@ -400,13 +401,6 @@ def _label(fam, n, system, I):
     return V.check_orderwise(fam, n, system)[I].equation_id
 
 
-def _with_stray_term(fam, seq, k, extra):
-    """A copy of fam with the x,y term extra added to tau_k or f_k, as its u,v image."""
-    add = lambda name: [p + to_uv(parse(extra)) if (name, i) == (seq, k) else p
-                        for i, p in enumerate(getattr(fam, name + "_uv"))]
-    return TauFamily(n_max=fam.n_max, tau_uv=add("tau"), f_uv=add("f"))
-
-
 class TestOrderwiseToda:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_every_order_passes(self, fam4, n):
@@ -458,7 +452,7 @@ class TestOrderwiseToda:
 
     def test_broken_mirror_is_a_route_mismatch(self, fam4):
         # t^2 x in g_2 has no y-reflected t^-2 partner, so g_2 loses its mirror symmetry.
-        broken = _with_stray_term(fam4, "tau", 2, "t^2*x")
+        broken = with_stray_term(fam4, "tau", 2, "t^2*x")
         reports = V.check_orderwise(broken, 2, "g")
         mirror_rows = [r for r in reports if r.equation_id == "TD3"]
         assert [r.order_index for r in mirror_rows] == [3, 4]
@@ -581,7 +575,7 @@ class TestOrderwiseSystems:
                            ("TD7", 2, None, OFF), ("TD7", 3, None, OFF)]),
     ])
     def test_stray_terms_fail(self, fam5, seq, k, extra, failing):
-        broken = _with_stray_term(fam5, seq, k, extra)
+        broken = with_stray_term(fam5, seq, k, extra)
         tasks = V.suite_tasks(["orderwise-A", "orderwise-B"], 3)
         reports = V.run_checks(tasks, broken)
         assert len(reports) == 87 + sum(note == self.OFF for *_, note in failing)
@@ -591,7 +585,7 @@ class TestOrderwiseSystems:
 
     def test_off_pattern_witness(self, fam5):
         # At n = 1 the rhs 2 tau_2 tau_0 carries 2*t*x, which no order reads.
-        broken = _with_stray_term(fam5, "tau", 2, "t*x")
+        broken = with_stray_term(fam5, "tau", 2, "t*x")
         *_, row = V.check_orderwise(broken, 1, "g")
         assert (row.status, row.witness, row.note) == ("fail", "(-2)*t^1*x^1", self.OFF)
 
@@ -734,7 +728,7 @@ CONTRACT_DAMAGE = [None, ("tau", 3, "1"), ("f", 3, "(2+3*i)*t^-1*y^2"), ("tau", 
 def contract_families(built5):
     # One family per damage, shared by the checks: no row depends on what fills the table.
     fam4 = TauFamily(4, tau_uv=built5.tau_uv[:5], f_uv=built5.f_uv[:5])
-    return {damage: _with_stray_term(fam4, *damage) if damage else fam4
+    return {damage: with_stray_term(fam4, *damage) if damage else fam4
             for damage in CONTRACT_DAMAGE}
 
 
@@ -825,7 +819,7 @@ class TestCrossBasis:
     @pytest.mark.parametrize("seq, k, extra", [("tau", 3, "2*t^-1*x^2*y + t^2*y^3"),
                                                ("f", 2, "(2+3*i)*t^-1*y^2")])
     def test_damaged_rows_match_the_xy_oracle(self, fam4, seq, k, extra):
-        fam = _with_stray_term(fam4, seq, k, extra)
+        fam = with_stray_term(fam4, seq, k, extra)
         rows = sorted((r for suite in self.SUITES
                        for r in V.run_checks(V.suite_tasks([suite], 3), fam)), key=V.sort_key)
         assert self._fields(rows) == site_rows_oracle(fam, 3)
@@ -938,7 +932,7 @@ class TestClosedFormRows:
         fam = fam4
         for k in broken:
             seq, extra, _ = self.EXTREME_DAMAGE[k]
-            fam = _with_stray_term(fam, seq, 3, extra)
+            fam = with_stray_term(fam, seq, 3, extra)
         report = V._check_extremes(fam, 3)
         assert (report.status, report.n, report.witness, report.term_count) == (
             "fail", 3, self.EXTREME_DAMAGE[broken[0]][2], 1)
