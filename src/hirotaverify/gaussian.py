@@ -1,4 +1,5 @@
-"""Exact complex-rational scalars: a + b*i with arbitrary-precision rational a, b."""
+"""Exact complex-rational scalars a + b*i: SU(1,1) parameters, sample points and the
+coefficients that LaurentPoly.terms() yields, at the edges of the rational kernel."""
 
 from __future__ import annotations
 
@@ -132,7 +133,7 @@ class GaussianRational:
         return f"GaussianRational({self.re!s}, {self.im!s})"
 
     def __str__(self):
-        """Grammar form used by the polynomial serializer, e.g. '1/2-3/4*i'."""
+        """Text form of notes and witnesses, e.g. '1/2-3/4*i'."""
         if not self.im:
             return str(self.re)
         im_text = f"{abs(self.im)}*i"
@@ -142,14 +143,4 @@ class GaussianRational:
         return f"{self.re}{sign}{im_text}"
 
 
-ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
-I_UNIT = GaussianRational(0, 1)
-
-# i**k repeats with period 4; Python % keeps this valid for negative k.
-_I_CYCLE = (ONE, I_UNIT, GaussianRational(-1), GaussianRational(0, -1))
-
-
-def minus_i_power(k: int) -> GaussianRational:
-    """Exact power of -i, any integer exponent."""
-    return _I_CYCLE[(-k) % 4]

@@ -1,7 +1,7 @@
-"""Sparse Laurent polynomials in t, x, y over Gaussian rationals.
+"""Sparse Laurent polynomials in t, x, y over the rationals.
 
 A polynomial is a finite sum of terms c * t^et * x^ex * y^ey with nonzero
-Gaussian-rational coefficients c.  t carries integer exponents of both signs
+rational coefficients c.  t carries integer exponents of both signs
 throughout.  x and y are normally non-negative, but negative exponents are
 permitted so that intermediate objects (inverse-power sums that later cancel
 against a monomial prefactor) live in the same type.  The canonical term
@@ -15,19 +15,20 @@ positive denominator that shares no factor with all of them:
 
     nums: {key: int},  den: int
 
-A key packs a monomial and a power of i into one int,
+A key packs a monomial into one int,
 
-    key = -3 * (et * R**2 + (ex + ey) * R + ex) + e,    R = 2**12,  e in {0, 1},
+    key = -(et * R**2 + (ex + ey) * R + ex),    R = 2**12.
 
-so the numerator at e = 0 is the real part of the monomial's coefficient
-and the one at e = 1 its imaginary part, each over den.  The key is linear,
-so adding two keys multiplies their monomials and their powers of i, and
-its integer order is the canonical term order: the leading term has the
+The key is linear, so adding two keys multiplies their monomials, and its
+integer order is the canonical term order: the leading term has the
 smallest key.  Each of et, ex + ey and ex must lie in [-2**10, 2**10), and a
-key is one 30-bit CPython digit while |et| <= 21.  A sum of two such keys
+key is one 30-bit CPython digit while |et| <= 63.  A sum of two such keys
 still decodes exactly, so every operation that can leave that range checks
-its result and raises OverflowError instead of wrapping.  The public methods
-take and return Monomial and GaussianRational.
+its result and raises OverflowError instead of wrapping.
+
+The public methods take int, Fraction and GaussianRational scalars and
+return Monomial and GaussianRational.  A non-real scalar is refused where it
+would enter a polynomial (ValueError), and a polynomial equals none.
 """
 
 from __future__ import annotations
@@ -54,15 +55,13 @@ class Monomial(NamedTuple):
 
 # -- packed keys ----------------------------------------------------------------
 #
-# A key is 3 * m + e.  m holds three balanced base-R digits (et, ex + ey, ex),
-# negated, and e is the i digit.  Stored digits of m lie in [-_LIMIT, _LIMIT)
-# and a stored e is 0 or 1; the sum of two stored keys has digits of m in
-# [-2*_LIMIT, 2*_LIMIT), which _unpack still reads exactly, and e <= 2, which
-# key // 3 and key % 3 still separate.  (_BIAS - key // 3) & _OUTSIDE is
-# nonzero exactly when such a key has left the stored range: a digit out of
-# range sets a bit of its field above the low _BITS - 1, or borrows from the
-# top field, setting its top bit.  The masks are positive, since & on a
-# negative int is slower in CPython.
+# A key holds three balanced base-R digits (et, ex + ey, ex), negated.  Stored
+# digits lie in [-_LIMIT, _LIMIT); the sum of two stored keys has digits in
+# [-2*_LIMIT, 2*_LIMIT), which _unpack still reads exactly.  (_BIAS - key) &
+# _OUTSIDE is nonzero exactly when such a key has left the stored range: a
+# digit out of range sets a bit of its field above the low _BITS - 1, or
+# borrows from the top field, setting its top bit.  The masks are positive,
+# since & on a negative int is slower in CPython.
 
 _BITS = 12
 _RADIX = 1 << _BITS
@@ -77,9 +76,7 @@ _HALF_BIAS = (_LIMIT >> 1) * _DIGITS
 _HALF_OUTSIDE = _FIELDS - (_LIMIT - 1) * _DIGITS
 _T_SHIFT = 2 * _BITS
 _T_HALF = 1 << (_T_SHIFT - 1)
-_T_UNIT = 3 << _T_SHIFT  # a key's step per power of t
-_I = 1  # key + _I holds the imaginary part of the coefficient at key
-_i_digit = (3).__rmod__  # key -> e
+_T_UNIT = 1 << _T_SHIFT  # a key's step per power of t
 
 
 def _pack(et: int, ex: int, ey: int) -> int:
@@ -87,22 +84,15 @@ def _pack(et: int, ex: int, ey: int) -> int:
     s = ex + ey
     if not (-_LIMIT <= et < _LIMIT and -_LIMIT <= s < _LIMIT and -_LIMIT <= ex < _LIMIT):
         raise OverflowError(f"t^{et}*x^{ex}*y^{ey} is outside the exponent fields")
-    return -3 * ((et << _T_SHIFT) + (s << _BITS) + ex)
+    return -((et << _T_SHIFT) + (s << _BITS) + ex)
 
 
 def _unpack(key: int) -> Monomial:
-    v = -(key // 3)
+    v = -key
     ex = ((v + _DIGIT_HALF) & _DIGIT_MASK) - _DIGIT_HALF
     v = (v - ex) >> _BITS
     s = ((v + _DIGIT_HALF) & _DIGIT_MASK) - _DIGIT_HALF
     return Monomial((v - s) >> _BITS, ex, s - ex)
-
-
-def _monomial_keys(nums: dict):
-    """Each monomial's real-part key once, whichever of its parts are stored."""
-    if any(map(_i_digit, nums)):
-        return {k - k % 3 for k in nums}
-    return nums.keys()
 
 
 def _parts(value: ScalarLike) -> tuple[int, int, int]:
@@ -118,6 +108,14 @@ def _parts(value: ScalarLike) -> tuple[int, int, int]:
     return re.numerator * (den // re.denominator), im.numerator * (den // im.denominator), den
 
 
+def _ratio(value: ScalarLike) -> tuple[int, int]:
+    """(num, den) with value = num / den and den > 0; ValueError on a non-real scalar."""
+    num, im, den = _parts(value)
+    if im:
+        raise ValueError(f"not a real coefficient: {value}")
+    return num, den
+
+
 def _times(nums: dict, factor: int) -> dict:
     return {k: v * factor for k, v in nums.items()}
 
@@ -129,7 +127,7 @@ class LaurentPoly:
 
     def __init__(self, terms: Mapping | Iterable = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
-        p = _collect([(_pack(*mono), _parts(value)) for mono, value in items])
+        p = _collect([(_pack(*mono), _ratio(value)) for mono, value in items])
         self._nums, self._den = p._nums, p._den
 
     @classmethod
@@ -144,27 +142,23 @@ class LaurentPoly:
 
     # -- inspection ---------------------------------------------------------
 
-    def _coeff_at(self, key: int) -> GaussianRational:
-        """The coefficient of the monomial whose real-part key is key."""
-        get, den = self._nums.get, self._den
-        return GaussianRational(Fraction(get(key, 0), den), Fraction(get(key + _I, 0), den))
-
     @property
     def is_zero(self) -> bool:
         return not self._nums
 
     @property
     def term_count(self) -> int:
-        return len(_monomial_keys(self._nums))
+        return len(self._nums)
 
     def terms(self) -> Iterator[tuple[Monomial, GaussianRational]]:
-        return ((_unpack(k), self._coeff_at(k)) for k in _monomial_keys(self._nums))
+        den = self._den
+        return ((_unpack(k), GaussianRational(Fraction(v, den))) for k, v in self._nums.items())
 
     def leading_term(self) -> tuple[Monomial, GaussianRational]:
         if self.is_zero:
             raise ValueError("zero polynomial has no leading term")
-        key = min(_monomial_keys(self._nums))
-        return _unpack(key), self._coeff_at(key)
+        key = min(self._nums)
+        return _unpack(key), GaussianRational(Fraction(self._nums[key], self._den))
 
     def has_negative_xy(self) -> bool:
         return any(m.ex < 0 or m.ey < 0 for m in map(_unpack, self._nums))
@@ -201,12 +195,10 @@ class LaurentPoly:
     __rmul__ = __mul__
 
     def scale(self, scalar: ScalarLike) -> "LaurentPoly":
-        re, im, den = _parts(scalar)
-        if im:
-            return _product(self, monomial(scalar))
-        if not re:
+        num, den = _ratio(scalar)
+        if not num:
             return ZERO
-        return LaurentPoly._make(_times(self._nums, re), self._den * den)
+        return LaurentPoly._make(_times(self._nums, num), self._den * den)
 
     def __pow__(self, exponent: int) -> "LaurentPoly":
         if not isinstance(exponent, int) or exponent < 0:
@@ -223,15 +215,18 @@ class LaurentPoly:
         return result
 
     def __eq__(self, other):
-        other = _as_poly(other)
+        try:
+            other = _as_poly(other)
+        except ValueError:  # a non-real scalar
+            return False
         if other is None:
             return NotImplemented
         return self._den == other._den and self._nums == other._nums
 
     def __hash__(self):
-        if self._nums.keys() <= {0, _I}:
+        if self._nums.keys() <= {0}:
             # Zero or a constant equals its scalar, so it hashes like it.
-            return hash(self._coeff_at(0))
+            return hash(Fraction(self._nums.get(0, 0), self._den))
         return hash((self._den, frozenset(self._nums.items())))
 
     def __bool__(self):
@@ -249,7 +244,7 @@ class LaurentPoly:
         """Split into t-free polynomials keyed by t-exponent."""
         split: dict[int, dict] = {}
         for k, v in self._nums.items():
-            et = (_T_HALF - k // 3) >> _T_SHIFT  # the et digit
+            et = (_T_HALF - k) >> _T_SHIFT  # the et digit
             split.setdefault(et, {})[k + et * _T_UNIT] = v
         return {et: LaurentPoly._make(nums, self._den) for et, nums in split.items()}
 
@@ -270,12 +265,11 @@ def evaluate(polys: Sequence[LaurentPoly], points: Iterable[tuple]) -> Iterator[
         (t_pow, t_den), (x_pow, x_den), (y_pow, y_den) = (
             _powers(value, exponents) for value, exponents in zip((t, x, y), slots))
         den = common * t_den * x_den * y_den
-        mono = {}  # the value of i**e * t^et * x^ex * y^ey at each key
+        mono = {}  # the value of t^et * x^ex * y^ey at each key
         for k, (et, ex, ey) in exps.items():
             (ar, ai), (br, bi), (cr, ci) = t_pow[et], x_pow[ex], y_pow[ey]
             ar, ai = ar * br - ai * bi, ar * bi + ai * br
-            ar, ai = ar * cr - ai * ci, ar * ci + ai * cr
-            mono[k] = (-ai, ar) if k % 3 else (ar, ai)
+            mono[k] = (ar * cr - ai * ci, ar * ci + ai * cr)
         values = []
         for p in polys:
             nums, factor = p._nums.items(), common // p._den
@@ -334,25 +328,23 @@ def _add(a: LaurentPoly, b: LaurentPoly, sign: int) -> LaurentPoly:
     return LaurentPoly._make(_accumulate(nums, b._nums, fb), den)
 
 
-def _collect(terms: list[tuple[int | None, tuple[int, int, int]]]) -> LaurentPoly:
-    """The sum of (key, (re, im, den)) terms over the lcm of their denominators.
+def _collect(terms: list[tuple[int | None, tuple[int, int]]]) -> LaurentPoly:
+    """The sum of (key, (num, den)) terms over the lcm of their denominators.
 
-    A term whose numerators are both zero may have key None.
+    A term whose numerator is zero may have key None.
     """
-    den = lcm(*(d for _, (_, _, d) in terms))
+    den = lcm(*(d for _, (_, d) in terms))
     nums: dict[int, int] = {}
-    for key, (a, b, d) in terms:
+    for key, (a, d) in terms:
         if a:
             nums[key] = nums.get(key, 0) + a * (den // d)
-        if b:
-            nums[key + _I] = nums.get(key + _I, 0) + b * (den // d)
     return LaurentPoly._make({k: v for k, v in nums.items() if v}, den)
 
 
 def _checked(nums: dict, den: int) -> LaurentPoly:
     """The polynomial nums / den; OverflowError if a key left the stored range."""
     for key in nums:
-        if (_BIAS - key // 3) & _OUTSIDE:
+        if (_BIAS - key) & _OUTSIDE:
             raise OverflowError(f"{_unpack(key)} is outside the exponent fields")
     return LaurentPoly._make(nums, den)
 
@@ -368,20 +360,16 @@ def _product(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
         for ky, cy in pairs:
             k = kx + ky
             out[k] = get(k, 0) + cx * cy
-    if any(map(_i_digit, x)) and any(map(_i_digit, y)):
-        # Fold each i**2 key onto the real key below it: i**2 = -1.
-        for k in [k for k in out if k % 3 == 2]:
-            out[k - 2] = get(k - 2, 0) - out.pop(k)
     nums = {k: v for k, v in out.items() if v}
     # Keys whose digits lie in [-_LIMIT/2, _LIMIT/2) sum to keys in the stored range.
     for k in chain(x, y):
-        if (_HALF_BIAS - k // 3) & _HALF_OUTSIDE:
+        if (_HALF_BIAS - k) & _HALF_OUTSIDE:
             return _checked(nums, a._den * b._den)
     return LaurentPoly._make(nums, a._den * b._den)
 
 
 def monomial(coeff: ScalarLike, et: int = 0, ex: int = 0, ey: int = 0) -> LaurentPoly:
-    return _collect([(_pack(et, ex, ey), _parts(coeff))])
+    return _collect([(_pack(et, ex, ey), _ratio(coeff))])
 
 
 ZERO = LaurentPoly()
@@ -392,15 +380,14 @@ def differentiate(p: LaurentPoly, var: str) -> LaurentPoly:
     """Formal partial derivative in x or y (term-wise power rule)."""
     if var not in ("x", "y"):
         raise ValueError("differentiate expects var 'x' or 'y'")
-    # Lowering ex lowers ex and ex + ey: the key grows by 3 * (R + 1); for ey, by 3 * R.
-    step = 3 * (_RADIX + 1 if var == "x" else _RADIX)
+    # Lowering ex lowers ex and ex + ey: the key grows by R + 1; for ey, by R.
+    step = _RADIX + 1 if var == "x" else _RADIX
     out = {}
     for k, c in p._nums.items():
         # The ex digit of the key, and for y the ex + ey digit minus it (see _unpack).
-        m = k // 3
-        e = ((_DIGIT_HALF - m) & _DIGIT_MASK) - _DIGIT_HALF
+        e = ((_DIGIT_HALF - k) & _DIGIT_MASK) - _DIGIT_HALF
         if var == "y":
-            e = ((((-m - e) >> _BITS) + _DIGIT_HALF) & _DIGIT_MASK) - _DIGIT_HALF - e
+            e = ((((-k - e) >> _BITS) + _DIGIT_HALF) & _DIGIT_MASK) - _DIGIT_HALF - e
         if e:
             out[k + step] = c * e
     return _checked(out, p._den)
@@ -409,39 +396,28 @@ def differentiate(p: LaurentPoly, var: str) -> LaurentPoly:
 # -- substitutions ----------------------------------------------------------
 
 def _transform(p: LaurentPoly, step) -> LaurentPoly:
-    """Term-wise map: step(et, ex, ey) gives the new exponents and k, the coefficient gaining i**k."""
+    """Term-wise map: step(et, ex, ey) gives the new exponents and the sign of the coefficient."""
     out = {}
     for key, v in p._nums.items():
-        exps, k = step(*_unpack(key))
-        k += key % 3  # the power of i at the new key, modulo 4
-        out[_pack(*exps) + (k & 1)] = -v if k & 2 else v
+        exps, sign = step(*_unpack(key))
+        out[_pack(*exps)] = sign * v
     return LaurentPoly._make(out, p._den)
 
 
 def subst_t_inverse(p: LaurentPoly) -> LaurentPoly:
-    return _transform(p, lambda et, ex, ey: ((-et, ex, ey), 0))
+    return _transform(p, lambda et, ex, ey: ((-et, ex, ey), 1))
 
 
 def subst_y_negate(p: LaurentPoly) -> LaurentPoly:
-    return _transform(p, lambda et, ex, ey: ((et, ex, ey), 2 * (ey % 2)))
+    return _transform(p, lambda et, ex, ey: ((et, ex, ey), -1 if ey % 2 else 1))
 
 
 def subst_t_negate(p: LaurentPoly) -> LaurentPoly:
-    return _transform(p, lambda et, ex, ey: ((et, ex, ey), 2 * (et % 2)))
-
-
-def subst_t_times_i(p: LaurentPoly) -> LaurentPoly:
-    """t -> i*t, multiplying each term by i**et."""
-    return _transform(p, lambda et, ex, ey: ((et, ex, ey), et))
+    return _transform(p, lambda et, ex, ey: ((et, ex, ey), -1 if et % 2 else 1))
 
 
 def swap_xy(p: LaurentPoly) -> LaurentPoly:
-    return _transform(p, lambda et, ex, ey: ((et, ey, ex), 0))
-
-
-def conjugate_coeffs(p: LaurentPoly) -> LaurentPoly:
-    """Conjugate every coefficient, leaving monomials alone."""
-    return LaurentPoly._make({k: -v if k % 3 else v for k, v in p._nums.items()}, p._den)
+    return _transform(p, lambda et, ex, ey: ((et, ey, ex), 1))
 
 
 # -- exact division ---------------------------------------------------------
@@ -455,17 +431,15 @@ class ExactDivisionError(ArithmeticError):
 
 
 def exact_divide(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """Quotient a / b of real polynomials when b divides a exactly in the Laurent ring.
+    """Quotient a / b when b divides a exactly in the Laurent ring.
 
     Multivariate division under the canonical term order.  Exactness makes
     every quotient monomial reach at least min(a) - min(b) in each variable,
     the minima taken over the terms of each operand, so the first leading
     remainder term that b's leading term cannot reduce within that bound
     proves non-divisibility; it is reported with the outstanding remainder
-    a - q*b.  A non-real operand raises ValueError.
+    a - q*b.
     """
-    if any(map(_i_digit, a._nums)) or any(map(_i_digit, b._nums)):
-        raise ValueError("exact_divide takes real polynomials only")
     if b.is_zero:
         raise ZeroDivisionError("division by the zero polynomial")
     if a.is_zero:
@@ -566,8 +540,8 @@ def to_uv(p: LaurentPoly) -> LaurentPoly:
     for k, v in p._nums.items():
         _, i, j = _unpack(k)
         for r, c in enumerate(_uv_row(i, j)):
-            if c:  # slot powers r and i+j-r: the key plus 3 * (i - r)
-                key = k + 3 * (i - r)
+            if c:  # slot powers r and i+j-r: the key plus i - r
+                key = k + i - r
                 out[key] = out.get(key, 0) + v * c
     return LaurentPoly._make({k: v for k, v in out.items() if v}, p._den)
 
@@ -578,21 +552,16 @@ def serialize(p: LaurentPoly) -> str:
     """Deterministic text form: '(coeff)*t^a*x^b*y^c' terms in canonical order."""
     if p.is_zero:
         return "0"
-    get, den = p._nums.get, p._den
+    den = p._den
 
     def ratio(num: int) -> str:  # str(Fraction(num, den)), read off the numerators
         g = gcd(num, den)
         return str(num // g) if g == den else f"{num // g}/{den // g}"
 
     parts = []
-    for key in sorted(_monomial_keys(p._nums)):
-        a, b = get(key, 0), get(key + _I, 0)
-        text = ratio(a)
-        if b:
-            sign = "-" if b < 0 else "+" if a else ""
-            text = f"{text if a else ''}{sign}{ratio(abs(b))}*i"
+    for key, num in sorted(p._nums.items()):
         et, ex, ey = _unpack(key)
-        parts.append(f"({text})" + "".join(
+        parts.append(f"({ratio(num)})" + "".join(
             f"*{name}^{e}" for name, e in (("t", et), ("x", ex), ("y", ey)) if e))
     return " + ".join(parts)
 
@@ -607,8 +576,8 @@ class ParseError(ValueError):
 
 # A token is one operator or name character, or a run of ASCII digits.  Any other
 # character but a space, tab, "\n" or "\r" is refused up front, so none is skipped.
-_TOKEN = r"[()*/^+\-txyi]|[0-9]+"
-_BAD_CHARACTER = r"[^ \t\n\r0-9txyi()*/^+-]"
+_TOKEN = r"[()*/^+\-txy]|[0-9]+"
+_BAD_CHARACTER = r"[^ \t\n\r0-9txy()*/^+-]"
 _SIGNS = ("+", "-")
 _VARIABLES = ("t", "x", "y")  # a tuple: "" (end of input) is in every string
 
@@ -645,7 +614,7 @@ def parse(text: str) -> LaurentPoly:
 
 
 # The readers below take the token list and an index, and return what they
-# read with the index after it.  A scalar is (re, im, den): (re + i*im) / den.
+# read with the index after it.  A scalar is (num, den): num / den.
 # Inside parentheses only scalars are read (scalar_only).
 
 def _parse_sum(toks: list[str], i: int, scalar_only: bool) -> tuple[list, int]:
@@ -669,7 +638,7 @@ def _parse_product(toks: list[str], i: int, sign: int, scalar_only: bool) -> tup
 
     The key is None for a scalar-only product and for a zero coefficient.
     """
-    re, im, den = sign, 0, 1
+    num, den = sign, 1
     et = ex = ey = 0
     while True:
         tok = toks[i]
@@ -694,20 +663,19 @@ def _parse_product(toks: list[str], i: int, sign: int, scalar_only: bool) -> tup
                 inside = -_LIMIT <= ex + ey < _LIMIT
             # The running product leaves the fields where a product of
             # polynomials would; a zero coefficient has no term to check.
-            if not inside and (re or im):
+            if not inside and num:
                 raise OverflowError(f"t^{et}*x^{ex}*y^{ey} is outside the exponent fields")
         elif tok == "(" and not scalar_only:
             scalars, i = _parse_sum(toks, i + 1, True)
             if toks[i] != ")":
                 raise _TokenError(f"expected ')', found {toks[i]!r}", i)
             i += 1
-            a, b, d = 0, 0, 1
-            for _, (a2, b2, d2) in scalars:
-                a, b, d = a * d2 + a2 * d, b * d2 + b2 * d, d * d2
-            re, im, den = re * a - im * b, re * b + im * a, den * d
+            a, d = 0, 1
+            for _, (a2, d2) in scalars:
+                a, d = a * d2 + a2 * d, d * d2
+            num, den = num * a, den * d
         elif tok.isdigit():
-            n = int(tok)
-            re, im = re * n, im * n
+            num *= int(tok)
             i += 1
             if toks[i] == "/":
                 if not toks[i + 1].isdigit():
@@ -717,14 +685,11 @@ def _parse_product(toks: list[str], i: int, sign: int, scalar_only: bool) -> tup
                     raise _TokenError("zero denominator", i + 1)
                 den *= d
                 i += 2
-        elif tok == "i":
-            re, im = -im, re
-            i += 1
         elif scalar_only:
-            raise _TokenError(f"expected a rational or 'i', found {tok!r}", i)
+            raise _TokenError(f"expected a rational, found {tok!r}", i)
         else:
             raise _TokenError(f"unexpected token {tok!r}", i)
         if toks[i] != "*":
-            key = None if scalar_only or not (re or im) else _pack(et, ex, ey)
-            return key, (re, im, den), i
+            key = None if scalar_only or not num else _pack(et, ex, ey)
+            return key, (num, den), i
         i += 1

@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import time
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .gaussian import GaussianRational, minus_i_power
+from .gaussian import GaussianRational
 from .laurent import (
     LaurentPoly,
     ZERO,
-    conjugate_coeffs,
     differentiate,
     evaluate,
     from_uv,
@@ -28,7 +27,6 @@ from .laurent import (
     serialize,
     subst_t_inverse,
     subst_t_negate,
-    subst_t_times_i,
     subst_y_negate,
     swap_xy,
     to_uv,
@@ -95,8 +93,8 @@ def sort_key(report: CheckReport):
 
 
 def star(p: LaurentPoly) -> LaurentPoly:
-    """Conjugate of a solution: coefficient conjugation composed with t -> 1/t."""
-    return subst_t_inverse(conjugate_coeffs(p))
+    """Conjugate of a solution: t -> 1/t, the coefficients being real."""
+    return subst_t_inverse(p)
 
 
 def _report(
@@ -222,7 +220,8 @@ def check_symmetries(fam: TauFamily, n: int) -> list[CheckReport]:
     prop1: star equals plain t -> 1/t (coefficients are real).
     prop2: star equals y -> -y, which swaps u and v.
     prop3: t -> -t scales by (-1)^n on g and (-1)^{n-1} on f.
-    prop4: t -> i t equals (-i)^{n^2} (swap x,y, which is v -> -v) on g and (-i)^{n^2-1} on f.
+    prop4: t -> i t equals (-i)^N (swap x,y, which is v -> -v), N = n^2 on g and n^2-1 on f;
+        read in real terms, v -> -v gives the real part of i^N p(i t) (see _quarter_turn).
     mirror: the t^-m coefficient is the y-reflection of the t^m one (prop2 - prop1).
     """
     site, reports = _family_site(fam, n), []
@@ -232,7 +231,7 @@ def check_symmetries(fam: TauFamily, n: int) -> list[CheckReport]:
             ("prop1", lambda: getattr(site, name + "_star") - subst_t_inverse(p)),
             ("prop2", lambda: getattr(site, name + "_star") - swap_xy(p)),
             ("prop3", lambda: subst_t_negate(p) - (-1) ** (n - k) * p),
-            ("prop4", lambda: subst_t_times_i(p) - minus_i_power(n * n - k) * subst_y_negate(p)),
+            ("prop4", lambda: subst_y_negate(p) - _quarter_turn(p, n * n - k)),
             # prop2 - prop1 is p(1/t) - p(-y), whose t^m coefficient is c_{-m} - (y -> -y)(c_m):
             # each order keeps its own t-slot, so distinct failures cannot cancel.
             ("mirror", lambda: res["prop2"] - res["prop1"]),
@@ -240,6 +239,12 @@ def check_symmetries(fam: TauFamily, n: int) -> list[CheckReport]:
             res[prop] = residual_fn()
             reports.append(_report(f"{prop}.{name}", n, res[prop]))
     return reports
+
+
+def _quarter_turn(p: LaurentPoly, N: int) -> LaurentPoly:
+    """The real part of i^N p(i t): each t^m term with m + N even, times (-1)^((m+N)/2)."""
+    return LaurentPoly({m: (-1) ** ((m.et + N) // 2) * c
+                        for m, c in p.terms() if (m.et + N) % 2 == 0})
 
 
 # -- SU(1,1) transformations --------------------------------------------------
@@ -265,28 +270,36 @@ def check_su11(
     Every identity is bilinear in (g, f): D_S D_T and F are symmetric, D_x
     and D_y antisymmetric, and star is antilinear and commutes with d/dx,
     d/dy and F.  So the residual of the pair (alpha g + beta* f,
-    beta g + alpha* f) is a Gaussian-scalar combination of the family's own
-    residuals at site n, which its site table evaluates once for every pair
-    and suite.  The Toda and mixed identities read sites n-1 and n+1, so n
-    stays below fam.n_max.
+    beta g + alpha* f) is a sum of Gaussian scalars c_k times the family's
+    own real residuals r_k at site n, which its site table evaluates once
+    for every pair and suite.  The row passes when both sum Re(c_k) r_k and
+    sum Im(c_k) r_k vanish; it reports the real part, or else the imaginary
+    part with "; imaginary part" added to its note.  The Toda and mixed
+    identities read sites n-1 and n+1, so n stays below fam.n_max.
     """
-    r = _family_site(fam, n, max(map(_reach, IDENTITIES))).identity
+    site = _family_site(fam, n, max(map(_reach, IDENTITIES)))
+    r = {name: site.identity(name) for name in IDENTITIES}
+    r3s = star(r["tsdec3"])
     a, b = params
     ac, bc = a.conjugate(), b.conjugate()
-    s, d = a.abs2() + b.abs2(), a.abs2() - b.abs2()
-    r3s = cache(lambda: star(r("tsdec3")))
+    s, d = GaussianRational(a.abs2() + b.abs2()), GaussianRational(a.abs2() - b.abs2())
     combinations = {
-        "toda.g": lambda: a * a * r("toda.g") + 2 * a * bc * r("mixed") + bc * bc * r("toda.f"),
-        "toda.f": lambda: b * b * r("toda.g") + 2 * ac * b * r("mixed") + ac * ac * r("toda.f"),
-        "mixed": lambda: a * b * r("toda.g") + s * r("mixed") + ac * bc * r("toda.f"),
-        "tsdec1": lambda: d * r("tsdec1"),
-        "tsdec2": lambda: d * r("tsdec2"),
-        "tsdec3": lambda: ac * ac * r("tsdec3") + b * b * r3s() + ac * b * r("tsdec4"),
-        "tsdec4": lambda: s * r("tsdec4") + 2 * ac * bc * r("tsdec3") + 2 * a * b * r3s(),
+        "toda.g": ((a * a, r["toda.g"]), (2 * a * bc, r["mixed"]), (bc * bc, r["toda.f"])),
+        "toda.f": ((b * b, r["toda.g"]), (2 * ac * b, r["mixed"]), (ac * ac, r["toda.f"])),
+        "mixed": ((a * b, r["toda.g"]), (s, r["mixed"]), (ac * bc, r["toda.f"])),
+        "tsdec1": ((d, r["tsdec1"]),),
+        "tsdec2": ((d, r["tsdec2"]),),
+        "tsdec3": ((ac * ac, r["tsdec3"]), (b * b, r3s), (ac * b, r["tsdec4"])),
+        "tsdec4": ((s, r["tsdec4"]), (2 * ac * bc, r["tsdec3"]), (2 * a * b, r3s)),
     }
-    note = f"alpha={a}, beta={b}"
-    return [_report(f"su11.{name}", n, residual(), order_index=pair_index, note=note)
-            for name, residual in combinations.items()]
+    reports = []
+    for name, terms in combinations.items():
+        real = sum((c.re * r_k for c, r_k in terms), ZERO)
+        imag = sum((c.im * r_k for c, r_k in terms), ZERO)
+        residual, part = (imag, "; imaginary part") if real.is_zero and imag else (real, "")
+        reports.append(_report(f"su11.{name}", n, residual, order_index=pair_index,
+                               note=f"alpha={a}, beta={b}{part}"))
+    return reports
 
 
 # -- order-by-order systems ---------------------------------------------------

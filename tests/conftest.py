@@ -1,9 +1,12 @@
+import operator
 import os
 import random
 import subprocess
 import sys
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
+from typing import NamedTuple, Sequence
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -11,7 +14,7 @@ from hypothesis import strategies as st
 
 import hirotaverify
 from hirotaverify.closedform import a_coeff, half_gamma_ratio
-from hirotaverify.gaussian import GaussianRational, minus_i_power
+from hirotaverify.gaussian import GaussianRational
 from hirotaverify.laurent import (
     ONE,
     ZERO,
@@ -24,14 +27,13 @@ from hirotaverify.laurent import (
     serialize,
     subst_t_inverse,
     subst_t_negate,
-    subst_t_times_i,
     subst_y_negate,
     swap_xy,
     to_uv,
 )
 from hirotaverify.operators import X2_MINUS_1, l_x
 from hirotaverify import verifier as V
-from hirotaverify.verifier import CheckReport, star
+from hirotaverify.verifier import star
 from hirotaverify.wronskian import Matrix, TauFamily, _leading_minors, sylvester_minors
 
 settings.register_profile(
@@ -345,13 +347,59 @@ def ernst_oracle(g: LaurentPoly, f: LaurentPoly, point: tuple) -> tuple[str, str
     return ("pass", None) if residual.is_zero else ("fail", str(residual))
 
 
+# -- polynomials with non-real coefficients, outside the library ---------------
+
+class Pair(NamedTuple):
+    """The polynomial re + i*im, for real polynomials re and im.
+
+    +, - and * act as on complex values, * also with a Gaussian or rational
+    scalar on either side; a real polynomial operand has im = 0.  bilinear
+    applies a real bilinear form part by part, and star is antilinear.
+    """
+
+    re: LaurentPoly
+    im: LaurentPoly = ZERO
+
+    def __add__(a, b):
+        b = _as_pair(b)
+        return Pair(a.re + b.re, a.im + b.im)
+
+    def __sub__(a, b):
+        b = _as_pair(b)
+        return Pair(a.re - b.re, a.im - b.im)
+
+    def __mul__(a, b):
+        if isinstance(b, (Pair, LaurentPoly)):
+            return a.bilinear(operator.mul, _as_pair(b))
+        k = b if isinstance(b, GaussianRational) else GaussianRational(b)
+        return Pair(k.re * a.re - k.im * a.im, k.re * a.im + k.im * a.re)
+
+    __rmul__ = __mul__
+
+    def bilinear(a, form, b: "Pair") -> "Pair":
+        return Pair(form(a.re, b.re) - form(a.im, b.im), form(a.re, b.im) + form(a.im, b.re))
+
+    def star(a) -> "Pair":
+        return Pair(star(a.re), -star(a.im))
+
+
+def _as_pair(p) -> Pair:
+    return p if isinstance(p, Pair) else Pair(p)
+
+
+def quarter_turn_oracle(p: LaurentPoly) -> Pair:
+    """p(i t): each t^m term of p times i^m."""
+    i = GaussianRational(0, 1)
+    return sum((i ** m.et * Pair(LaurentPoly({m: c})) for m, c in p.terms()), Pair(ZERO))
+
+
 # -- the SU(1,1) rows by transforming the family ---------------------------------
 
-def su11_transform(fam: TauFamily, n: int, params: V.Su11Params) -> tuple[LaurentPoly, LaurentPoly]:
-    """Transformed pair (alpha g + beta* f, beta g + alpha* f) at site n."""
+def su11_transform(fam: TauFamily, n: int, params: V.Su11Params) -> tuple[Pair, Pair]:
+    """Transformed pair (alpha g + beta* f, beta g + alpha* f) at site n, in x, y."""
     if not 0 <= n <= fam.n_max:
         raise ValueError(f"need 0 <= n <= {fam.n_max}, got {n}")
-    g, f = fam.g[n], fam.f[n]
+    g, f = Pair(fam.g[n]), Pair(fam.f[n])
     gp = params.alpha * g + params.beta.conjugate() * f
     fp = params.beta * g + params.alpha.conjugate() * f
     return gp, fp
@@ -376,39 +424,31 @@ def random_su11_params(count: int, seed: int = 1789) -> list[V.Su11Params]:
     return params
 
 
-def su11_direct(fam: TauFamily, n: int, params: V.Su11Params,
-                pair_index: int = 0) -> list[CheckReport]:
-    """check_su11's rows by the direct route: every identity on the transformed pair.
-
-    Sites n-1, n and n+1 are transformed to g' = alpha g + beta* f and
-    f' = beta g + alpha* f, and each IDENTITIES entry is evaluated on them
-    in u, v with non-real operands, independently of the family's site table.
-    """
-    V._family_site(fam, n, 1)
-    pairs = [su11_transform(fam, k, params) for k in (n - 1, n, n + 1)]
-    site = V._Site(n, *zip(*([to_uv(p) for p in pair] for pair in pairs)))
-    note = f"alpha={params.alpha}, beta={params.beta}"
-    return [V._report(f"su11.{name}", n, identity(site), order_index=pair_index, note=note)
-            for name, identity in V.IDENTITIES.items()]
-
-
 # -- the identities and the rows of the site table, all in x, y ---------------------
 
-def identity_oracle(fam: TauFamily, n: int) -> dict[str, tuple[LaurentPoly, LaurentPoly]]:
-    """(lhs, rhs) of each verifier.IDENTITIES entry at site n < fam.n_max, in x, y.
+def identity_oracle(g: Sequence, f: Sequence, n: int) -> dict[str, tuple]:
+    """(lhs, rhs) of each verifier.IDENTITIES entry at site n, in x, y, for the sequences
+    g and f, read at n-1..n+1: real polynomials, or Pairs, on which each form acts part
+    by part.
 
     Built with the x,y product forms above, not with the library's operators.
     """
-    g, f, gs, fs = fam.g[n], fam.f[n], star(fam.g[n]), star(fam.f[n])
-    (g_lo, g_hi), (f_lo, f_hi) = (fam.g[n - 1], fam.g[n + 1]), (fam.f[n - 1], fam.f[n + 1])
+    on_pairs = isinstance(g[n], Pair)
+    form = lambda bracket, a, b: a.bilinear(bracket, b) if on_pairs else bracket(a, b)
+    conj = lambda p: p.star() if on_pairs else star(p)
+    dst = partial(form, hirota_dst_oracle)
+    bracket = lambda var, a, b: form(partial(hirota_xy, var), a, b)
+    F = partial(form, partial(apply_F_oracle, n))
+    (g_lo, g, g_hi), (f_lo, f, f_hi) = g[n - 1:n + 2], f[n - 1:n + 2]
+    gs, fs = conj(g), conj(f)
     return {
-        "toda.g": (hirota_dst_oracle(g, g), 2 * (g_hi * g_lo)),
-        "toda.f": (hirota_dst_oracle(f, f), 2 * (f_hi * f_lo)),
-        "mixed": (hirota_dst_oracle(f, g), f_hi * g_lo + f_lo * g_hi),
-        "tsdec1": (hirota_xy("x", g, f) - hirota_xy("x", gs, fs), ZERO),
-        "tsdec2": (hirota_xy("y", g, f) + hirota_xy("y", gs, fs), ZERO),
-        "tsdec3": (apply_F_oracle(n, gs, f), ZERO),
-        "tsdec4": (apply_F_oracle(n, gs, g) + apply_F_oracle(n, fs, f), ZERO),
+        "toda.g": (dst(g, g), 2 * (g_hi * g_lo)),
+        "toda.f": (dst(f, f), 2 * (f_hi * f_lo)),
+        "mixed": (dst(f, g), f_hi * g_lo + f_lo * g_hi),
+        "tsdec1": (bracket("x", g, f) - bracket("x", gs, fs), ZERO),
+        "tsdec2": (bracket("y", g, f) + bracket("y", gs, fs), ZERO),
+        "tsdec3": (F(gs, f), ZERO),
+        "tsdec4": (F(gs, g) + F(fs, f), ZERO),
     }
 
 
@@ -434,7 +474,7 @@ def site_rows_oracle(fam: TauFamily, n_max: int) -> list[tuple]:
     row = lambda eq, n, residual, index=None, note=None: rows.append(
         (eq, n, index, *row_outcome(residual), note))
     for n in range(1, n_max + 1):
-        res = {name: lhs - rhs for name, (lhs, rhs) in identity_oracle(fam, n).items()}
+        res = {name: lhs - rhs for name, (lhs, rhs) in identity_oracle(fam.g, fam.f, n).items()}
         row("toda.tau", n, res["toda.g"])
         row("toda.g", n, res["toda.g"], note="g_n = tau_n")
         row("toda.f", n, res["toda.f"])
@@ -443,9 +483,12 @@ def site_rows_oracle(fam: TauFamily, n_max: int) -> list[tuple]:
         for name in ("tsdec1", "tsdec2", "tsdec3", "tsdec4"):
             row(name, n, res[name])
         for k, (name, p) in enumerate((("g", fam.g[n]), ("f", fam.f[n]))):
+            # p(i t) = (-i)^N swap(p) is swap(p) = i^N p(i t), whose real part is the row's.
+            i_power = GaussianRational(0, 1) ** (n * n - k)
+            quarter = Pair(swap_xy(p)) - i_power * quarter_turn_oracle(p)
+            assert quarter.re or not quarter.im  # a zero real part leaves nothing
             props = {"prop1": star(p) - subst_t_inverse(p), "prop2": star(p) - subst_y_negate(p),
-                     "prop3": subst_t_negate(p) - (-1) ** (n - k) * p,
-                     "prop4": subst_t_times_i(p) - minus_i_power(n * n - k) * swap_xy(p)}
+                     "prop3": subst_t_negate(p) - (-1) ** (n - k) * p, "prop4": quarter.re}
             props["mirror"] = props["prop2"] - props["prop1"]
             for prop, residual in props.items():
                 row(f"{prop}.{name}", n, residual)
@@ -476,12 +519,16 @@ def site_rows_oracle(fam: TauFamily, n_max: int) -> list[tuple]:
 def su11_rows_oracle(fam: TauFamily, n: int, params: V.Su11Params,
                      pair_index: int = 0) -> list[tuple]:
     """check_su11's (equation_id, n, order_index, status, witness, term_count, note) rows,
-    in x, y: every identity of the transformed family by identity_oracle."""
-    tau, f = zip(*(map(to_uv, su11_transform(fam, k, params)) for k in range(fam.n_max + 1)))
-    moved = TauFamily(fam.n_max, tau_uv=tau, f_uv=f)
+    in x, y: every identity of the transformed family by identity_oracle, on Pairs.  A row
+    reads the residual's real part, or else its imaginary part."""
+    g, f = zip(*(su11_transform(fam, k, params) for k in range(fam.n_max + 1)))
     note = f"alpha={params.alpha}, beta={params.beta}"
-    return [(f"su11.{name}", n, pair_index, *row_outcome(lhs - rhs), note)
-            for name, (lhs, rhs) in identity_oracle(moved, n).items()]
+    rows = []
+    for name, (lhs, rhs) in identity_oracle(g, f, n).items():
+        res = lhs - rhs
+        read, part = (res.im, "; imaginary part") if res.im and not res.re else (res.re, "")
+        rows.append((f"su11.{name}", n, pair_index, *row_outcome(read), note + part))
+    return rows
 
 
 # -- hypothesis strategies ----------------------------------------------------
@@ -503,11 +550,8 @@ laurent_monomials = st.builds(
     st.integers(min_value=-2, max_value=4),
 )
 
-polys = st.dictionaries(monomials, gaussians, max_size=5).map(LaurentPoly)
-real_polys = st.dictionaries(
-    monomials, st.builds(GaussianRational, rationals), max_size=5
-).map(LaurentPoly)
-laurent_polys = st.dictionaries(laurent_monomials, gaussians, max_size=5).map(LaurentPoly)
+polys = st.dictionaries(monomials, rationals, max_size=5).map(LaurentPoly)
+laurent_polys = st.dictionaries(laurent_monomials, rationals, max_size=5).map(LaurentPoly)
 
 xy_monomials = st.builds(
     Monomial,
@@ -515,11 +559,9 @@ xy_monomials = st.builds(
     st.integers(min_value=0, max_value=4),
     st.integers(min_value=0, max_value=4),
 )
-xy_polys = st.dictionaries(xy_monomials, gaussians, max_size=5).map(LaurentPoly)
+xy_polys = st.dictionaries(xy_monomials, rationals, max_size=5).map(LaurentPoly)
 
 x_monomials = st.builds(
     Monomial, st.just(0), st.integers(min_value=0, max_value=6), st.just(0)
 )
-x_polys = st.dictionaries(
-    x_monomials, st.builds(GaussianRational, rationals), max_size=5
-).map(LaurentPoly)
+x_polys = st.dictionaries(x_monomials, rationals, max_size=5).map(LaurentPoly)

@@ -135,11 +135,9 @@ def test_criterion_07_symmetries():
     ok = True
     for n in range(1, 6):
         for report in V.check_symmetries(fam, n):
-            if report.equation_id.startswith("prop4") and n > 4:
-                continue  # beyond the required range, still expected to hold
             ok = ok and report.passed
     conclude(7, "t-inversion, reflection, sign and quarter-turn rules for n=1..5, "
-                "corrected quarter-turn for n=1..4", ok, started)
+                "corrected quarter-turn for n=1..5", ok, started)
 
 
 def test_criterion_08_orderwise_systems():

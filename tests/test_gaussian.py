@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given
 
-from hirotaverify.gaussian import GaussianRational, minus_i_power
+from hirotaverify.gaussian import GaussianRational
 
 from conftest import gaussians, nonzero_gaussians
 
@@ -42,10 +42,10 @@ def test_basic_values():
 
 
 def test_powers_of_i():
-    assert [minus_i_power(-k) for k in range(4)] == [1, I, -1, -I]  # i^k
-    assert minus_i_power(1) == -I  # also i^-1
-    assert minus_i_power(4) == 1
-    assert minus_i_power(9) == -I  # (-i)^(3^2)
+    assert [I ** k for k in range(4)] == [1, I, -1, -I]
+    assert I ** -1 == -I
+    assert (-I) ** 4 == 1
+    assert (-I) ** 9 == -I  # (-i)^(3^2)
 
 
 def test_integer_powers():

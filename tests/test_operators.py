@@ -17,7 +17,6 @@ from hirotaverify.operators import (
 )
 from conftest import (
     apply_F_oracle,
-    gaussians,
     hirota_dst_oracle,
     hirota_xy,
     l_minus_xy,
@@ -25,6 +24,7 @@ from conftest import (
     l_y,
     polys,
     psi_xy,
+    rationals,
     x_polys,
     xy_polys,
 )
@@ -152,7 +152,7 @@ class TestFOperator:
                  + apply_F(1, operand(star(f1)), operand(f1)))
         assert total.is_zero
 
-    @given(a=polys, b=polys, c=gaussians)
+    @given(a=polys, b=polys, c=rationals)
     def test_bilinear_and_symmetric(self, a, b, c):
         F = lambda p, q: apply_F(2, operand(p), operand(q))
         assert F(a, b) == F(b, a)

@@ -376,7 +376,8 @@ class TestCacheFile:
         (b"(1)*x +", "unexpected end of input"),
         ("(1)*x\u00e9".encode(), "unexpected character '\u00e9'"),
         (b"(1)*x\xff", "unexpected character '\ufffd'"),
-    ], ids=["unexpected end", "non-ASCII character", "not UTF-8"])
+        (b"(1+2*i)*x", "unexpected character 'i'"),
+    ], ids=["unexpected end", "non-ASCII character", "not UTF-8", "non-real coefficient"])
     def test_refuses_a_line_that_does_not_parse(self, tmp_path, line, refusal):
         path = tmp_path / "bad.tau"
         body = b"tau n=0: 1\ntau n=1: " + line + b"\nf n=0: 0\nf n=1: 1\n"
