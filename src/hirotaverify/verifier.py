@@ -243,8 +243,8 @@ def check_symmetries(fam: TauFamily, n: int) -> list[CheckReport]:
 
 def _quarter_turn(p: LaurentPoly, N: int) -> LaurentPoly:
     """The real part of i^N p(i t): each t^m term with m + N even, times (-1)^((m+N)/2)."""
-    return LaurentPoly({m: (-1) ** ((m.et + N) // 2) * c
-                        for m, c in p.terms() if (m.et + N) % 2 == 0})
+    return LaurentPoly((m, c if (m.et + N) % 4 == 0 else -c)
+                       for m, c in p.terms() if (m.et + N) % 2 == 0)
 
 
 # -- SU(1,1) transformations --------------------------------------------------

@@ -161,10 +161,19 @@ class TestSymmetries:
             assert quarter_turn_oracle(p) == minus_i ** N * Pair(swap_xy(p))
             assert V._quarter_turn(p_uv, N) == subst_y_negate(p_uv)
 
+    def test_quarter_turn_below_order_minus_n(self):
+        # Terms with m + N even and negative: t^-11 at N = 9 and t^-10 at N = 8.
+        p = parse("t^-11*x + 2*t^-10*y - t^-7*x*y + 3*t^2")
+        for N in (8, 9):
+            i_power = GaussianRational(0, 1) ** N
+            assert V._quarter_turn(p, N) == (i_power * quarter_turn_oracle(p)).re
+
     # Damage to one site: (sequence, site, added term).  t^-7 x gives g_2 an
-    # order whose partner t^7 is absent.
+    # order whose partner t^7 is absent, as do t^-11 x on g_3 and t^-10 x on f_3,
+    # orders with m + N even and negative.
+    UNPARTNERED = ("t^-7*x", "t^-11*x", "t^-10*x")
     MIRROR_DAMAGE = [("tau", 2, "t*x"), ("tau", 2, "t^-7*x"), ("f", 3, "t^5*y"),
-                     ("f", 2, "x*y")]
+                     ("f", 2, "x*y"), ("tau", 3, "t^-11*x"), ("f", 3, "t^-10*x")]
 
     @pytest.mark.parametrize("seq, k, extra", MIRROR_DAMAGE)
     def test_mirror_rows_match_the_orderwise_sum(self, fam4, seq, k, extra):
@@ -173,7 +182,7 @@ class TestSymmetries:
         for eq_id, p in (("mirror.g", damaged.g[k]), ("mirror.f", damaged.f[k])):
             expected = V._report(eq_id, k, to_uv(mirror_oracle(p)))
             assert rows[eq_id].status == expected.status
-            if extra != "t^-7*x":
+            if extra not in self.UNPARTNERED:
                 assert rows[eq_id].witness == expected.witness
         assert {rows["mirror.g"].status, rows["mirror.f"].status} == {"pass", "fail"}
 
