@@ -3,7 +3,7 @@
 Exit codes: 0 when every selected check passes, 1 when any identity fails
 (the report is still emitted), 2 on usage or configuration errors and on
 harness errors: a failed elimination, an inexact division, an exponent
-outside the packed-key fields or cache I/O.
+outside the packed-key fields, cache I/O or any other exception outside the checks.
 A harness error inside one check is reported as that check's "error" row;
 the run then exits 2 unless some identity failed.
 """
@@ -214,6 +214,9 @@ def main(argv: list[str] | None = None) -> int:
         return cmd_bench(args.n_max)
     except (ValueError, DeterminantError, ExactDivisionError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:  # a crash outside the checks (a MemoryError, say), never exit 1
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

@@ -232,15 +232,15 @@ class TauFamily(NamedTuple("TauFamily", [("n_max", int), ("tau_uv", tuple), ("f_
         return fam
 
 
-def sylvester_minors(n_max: int) -> Iterator[tuple[LaurentPoly, LaurentPoly, LaurentPoly]]:
-    """D[n;n], D[n+1;n] and D[n;n+1] of the (n+1)-dim seed Wronskian, in u, v, for n = 1..n_max.
+def sylvester_minors(n_max: int) -> Iterator[tuple[LaurentPoly, ...]]:
+    """tau_n, D[n;n], D[n+1;n], D[n;n+1] of the (n+1)-dim seed Wronskian, in u, v, for n = 1..n_max.
 
-    D[i; j] deletes row i and column j (1-based).  Each is the (n-1)-dimensional leading
-    block bordered by one of the last two rows and columns, read before elimination step n-1.
-    A leading block eliminates as the smaller matrix does, so one elimination of the
+    D[i; j] deletes row i and column j (1-based).  Read before elimination step n-1, tau_n is the
+    pivot and each D the (n-1)-dimensional leading block bordered by one of the last two rows and
+    columns.  A leading block eliminates as the smaller matrix does, so one elimination of the
     (n_max+1)-dimensional matrix, read before each step, serves every n; its last step never runs.
     """
     if n_max < 1:
         raise ValueError(f"need n_max >= 1, got {n_max}")
     steps = islice(_eliminate(wronskian_matrix(build_psi(), n_max + 1)), n_max)
-    return ((a[n][n], a[n - 1][n], a[n][n - 1]) for n, a in enumerate(steps, start=1))
+    return ((a[n - 1][n - 1], a[n][n], a[n - 1][n], a[n][n - 1]) for n, a in enumerate(steps, 1))

@@ -145,13 +145,29 @@ def mirror_oracle(p: LaurentPoly) -> LaurentPoly:
     return total
 
 
-# -- Sylvester's identity by its direct formula -------------------------------------
+# -- the jacobi row and Sylvester's identity by their direct formulas ----------------
 
 def sylvester_oracle(fam: TauFamily, n: int) -> LaurentPoly:
     """D[n;n] tau_n - D[n+1;n] D[n;n+1] - tau_{n+1} tau_{n-1}, as three products of the minors in x, y."""
-    *_, minors = sylvester_minors(n)  # the last triple is site n's
+    *_, (_, *minors) = sylvester_minors(n)  # the last tuple is site n's
     d_nn, d_sr, d_rs = map(from_uv, minors)
     return d_nn * fam.tau[n] - d_sr * d_rs - fam.tau[n + 1] * fam.tau[n - 1]
+
+
+def deleting(m: Matrix, row: int, col: int) -> Matrix:
+    """m with one 0-based row and column deleted."""
+    return tuple(tuple(e for j, e in enumerate(entries) if j != col)
+                 for i, entries in enumerate(m) if i != row)
+
+
+def jacobi_oracle(fam: TauFamily, n: int) -> LaurentPoly:
+    """The jacobi row's residual at site n, in x, y: the first nonzero of tau_n, L-L+ tau_n,
+    L- tau_n and L+ tau_n less the cofactor determinants of the (n+1)-dim seed Wronskian's
+    leading n-block, D[n;n], D[n+1;n] and D[n;n+1]."""
+    m, tau = wronskian_matrix_xy(psi_xy(), n + 1), fam.tau[n]
+    pairs = ((tau, deleting(m, n, n)), (l_minus_xy(l_plus_xy(tau)), deleting(m, n - 1, n - 1)),
+             (l_minus_xy(tau), deleting(m, n, n - 1)), (l_plus_xy(tau), deleting(m, n - 1, n)))
+    return next((d for d in (p - det_cofactor(minor) for p, minor in pairs) if not d.is_zero), ZERO)
 
 
 # -- the lowest t-orders of g_n and f_n by the u <-> v swap ------------------------
@@ -465,7 +481,7 @@ def site_rows_oracle(fam: TauFamily, n_max: int) -> list[tuple]:
     the suites that read the site table, at sites 1..n_max < fam.n_max, in report order.
 
     Every residual is formed in x, y: the identities by identity_oracle, the
-    jacobi rows by sylvester_oracle, the symmetry rows with y -> -y and x <-> y
+    jacobi rows by jacobi_oracle, the symmetry rows with y -> -y and x <-> y
     as written, the orderwise rows from the t-coefficients of the identity
     residuals with the y -> -y mirror, and the Ernst rows, whose term_count is
     0, by ernst_oracle.
@@ -479,7 +495,7 @@ def site_rows_oracle(fam: TauFamily, n_max: int) -> list[tuple]:
         row("toda.g", n, res["toda.g"], note="g_n = tau_n")
         row("toda.f", n, res["toda.f"])
         row("mixed", n, res["mixed"])
-        row("jacobi", n, sylvester_oracle(fam, n))
+        row("jacobi", n, jacobi_oracle(fam, n))
         for name in ("tsdec1", "tsdec2", "tsdec3", "tsdec4"):
             row(name, n, res[name])
         for k, (name, p) in enumerate((("g", fam.g[n]), ("f", fam.f[n]))):

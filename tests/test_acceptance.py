@@ -15,11 +15,11 @@ from hirotaverify import verifier as V
 from hirotaverify.cli import RunConfig, cmd_verify
 from hirotaverify.laurent import ZERO, from_uv, monomial, swap_xy
 from hirotaverify.operators import apply_F, hirota, hirota_dst, l_minus, l_plus, operand
-from hirotaverify.verifier import jacobi_residuals
 from hirotaverify.wronskian import (
     TauFamily,
     _leading_minors,
     build_psi,
+    sylvester_minors,
     wronskian_matrix,
 )
 
@@ -60,10 +60,16 @@ def test_criterion_01_toda_suite():
 
 
 def test_criterion_02_jacobi_identity():
+    # Sylvester's D[n;n] tau_n - D[n+1;n] D[n;n+1] - tau_{n+1} tau_{n-1} from the seed
+    # Wronskian's minors and the family, and the jacobi rows, which state the derivative rule.
     started = time.perf_counter()
     fam = family(4)
-    ok = all(residual.is_zero for residual in jacobi_residuals(fam, 3))
-    conclude(2, "Sylvester minor identity residual zero for n=1..3", ok, started)
+    tau = fam.tau_uv
+    ok = all((d_nn * tau[n] - d_sr * d_rs - tau[n + 1] * tau[n - 1]).is_zero
+             for n, (_, d_nn, d_sr, d_rs) in enumerate(sylvester_minors(3), start=1))
+    ok = ok and all(r.passed for r in V.check_jacobi(fam, 3))
+    conclude(2, "Sylvester minor identity residual zero and jacobi rows pass for n=1..3",
+             ok, started)
 
 
 def test_criterion_03_conjecture_suite():

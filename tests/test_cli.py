@@ -77,6 +77,16 @@ class TestVerifyCommand:
         assert main(["verify", "--suite", "toda", "--n-max", "1"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_crash_outside_the_checks_exits_two(self, monkeypatch, capsys):
+        # Exit 1 is only for a counterexample: a MemoryError while building the family,
+        # outside every check, is a harness error with its type named.
+        def fail(*args, **kwargs):
+            raise MemoryError("out of memory")
+
+        monkeypatch.setattr(TauFamily, "build", classmethod(fail))
+        assert main(["verify", "--suite", "toda", "--n-max", "1"]) == 2
+        assert capsys.readouterr().err == "error: MemoryError: out of memory\n"
+
     def test_error_in_one_check_keeps_the_report(self, monkeypatch, capsys):
         def fail(fam, n_max):
             raise DeterminantError("zero pivot")
@@ -102,7 +112,7 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("stray", [None, "t*x"])
     def test_jacobi_and_toda_in_either_order(self, built5, tmp_path, stray):
-        # jacobi reads the toda.g residual of the site table, whichever suite forms it.
+        # Both suites share the site table's records, whichever suite forms them.
         # The load check recomputes sites 0..2, so the stray term goes on tau_3.
         cache = tmp_path / "f5.tau"
         (with_stray_term(built5, "tau", 3, stray) if stray else built5).save(cache)
@@ -115,7 +125,7 @@ class TestVerifyCommand:
 
     def test_fail_fast_stops_after_every_jacobi_row(self, built5, tmp_path, capsys):
         # The jacobi suite is one task, so --fail-fast keeps all of its rows
-        # and stops before the next suite.  tau_3 enters the identity at sites 2..4.
+        # and stops before the next suite.  tau_3 enters the row at site 3 only.
         cache = tmp_path / "f5.tau"
         with_stray_term(built5, "tau", 3, "1").save(cache)
         code = main(["verify", "--suite", "jacobi", "--suite", "mixed", "--n-max", "4",
@@ -123,7 +133,7 @@ class TestVerifyCommand:
         assert code == 1
         rows = json.loads(capsys.readouterr().out)["checks"]
         assert [(r["equation_id"], r["n"], r["status"]) for r in rows] == [
-            ("jacobi", n, "pass" if n == 1 else "fail") for n in (1, 2, 3, 4)]
+            ("jacobi", n, "fail" if n == 3 else "pass") for n in (1, 2, 3, 4)]
 
     def test_verify_converts_no_family_polynomial(self, tmp_path, monkeypatch, capsys):
         # The site table reads the loaded u,v sequences as they are, and a passing

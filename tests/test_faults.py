@@ -24,8 +24,9 @@ ROOT = Path(__file__).resolve().parents[1]
 GOLDENS = json.loads((ROOT / "perfbench" / "goldens.json").read_text())["digests"]
 V2_HEADER = re.compile(r"hirotaverify tau-family v2 crc32=[0-9a-f]{8}")
 
-# tau_3 + 1: the jacobi rows that read tau_3, at sites 2..4, fail, and only
-# they; the Ernst rows read g_n and f_n alone.
+# tau_3 + 1: the rows that read tau_3.  A jacobi row reads tau_n alone of the
+# family, so only site 3's fails, with the stray term as witness; the Toda rows
+# read tau_{n-1..n+1}, and the Ernst rows g_n and f_n alone.
 TAU3_ONE = ("tau", 3, "1")
 # f_3 + xy: the rows that read f_3, at sites 2..4.  The term is real, even
 # in t and at t^0, away from f_3's extreme orders t^2 and t^-2, so
@@ -68,7 +69,16 @@ FAULTS = {
                               *[(f"su11.tsdec{k}", 3) for k in (1, 2, 3, 4)]}),
     "tau3-jacobi": Fault(TAU3_ONE, ("-m hirotaverify verify --suite jacobi --n-max 4 "
                                     "--cache f5.tau --format json",), 1,
-                         failing={("jacobi", 2), ("jacobi", 3), ("jacobi", 4)}),
+                         failing={("jacobi", 3)}, witnesses={("jacobi", 3): "(1)"}),
+    # A pure power of t, which L+- annihilate, fails tau_3 against its minor.
+    "tau3-t2-jacobi": Fault(("tau", 3, "t^2"), ("-m hirotaverify verify --suite jacobi "
+                                                "--n-max 4 --cache f5.tau --format json",), 1,
+                            failing={("jacobi", 3)}, witnesses={("jacobi", 3): "(1)*t^2"}),
+    # With the toda suite, damaged sites 2, 3 and 4 still fail in the run.
+    "tau3-toda-jacobi": Fault(TAU3_ONE, ("-m hirotaverify verify --suite toda --suite jacobi "
+                                         "--n-max 4 --cache f5.tau --format json",), 1,
+                              failing={("jacobi", 3), *[(eq, n) for n in (2, 3, 4)
+                                                        for eq in ("toda.tau", "toda.g")]}),
     # The residual's value at the first point is pinned too, so a
     # reformulation that keeps the statuses but changes the value fails here.
     "tau3-ernst": Fault(TAU3_ONE, ("-m hirotaverify verify --suite ernst-numeric --n-max 4 "
@@ -91,10 +101,25 @@ FAULTS = {
     "f4-all": Fault(("f", 4, "t*x"), ("-m hirotaverify verify --suite all --n-max 4 "
                                       "--cache f5.tau --format json",), 1,
                     failing=F4_TX_FAILING),
-    # Site 5, read at --n-max 4, enters only the rows at n = 4 that read site n + 1.
+    # A stray term on f_3 under one suite each: t^2 y^2 on f_3's top t-order, t^-2 x y on
+    # its lowest, which leaves the highest-order B.11 passing, and t x, odd in t where f_3
+    # is even.
+    "f3-conjecture": Fault(("f", 3, "t^2*y^2"), ("-m hirotaverify verify --suite conjecture "
+                                                 "--n-max 4 --cache f5.tau --format json",), 1,
+                           failing={(f"tsdec{k}", 3) for k in (1, 2, 3, 4)}),
+    "f3-orderwise-B": Fault(("f", 3, "t^-2*x*y"), ("-m hirotaverify verify --suite orderwise-B "
+                                                   "--n-max 4 --cache f5.tau --format json",), 1,
+                            failing={(f"B.{k}", 3) for k in range(1, 13) if k != 11}),
+    "f3-symmetries": Fault(("f", 3, "t*x"), ("-m hirotaverify verify --suite symmetries "
+                                             "--n-max 4 --cache f5.tau --format json",), 1,
+                           failing={(f"{prop}.f", 3) for prop in ("prop2", "prop3", "prop4",
+                                                                  "mirror")},
+                           witnesses={("prop3.f", 3): "(-2)*t^1*x^1"}),
+    # Site 5, read at --n-max 4, enters only the rows at n = 4 that read site n + 1;
+    # a jacobi row reads tau_n alone.
     "tau5-all": Fault(("tau", 5, "t*x"), ("-m hirotaverify verify --suite all --n-max 4 "
                                           "--cache f5.tau --format json",), 1,
-                      failing={(eq, 4) for eq in ("toda.tau", "toda.g", "mixed", "jacobi", "TD1",
+                      failing={(eq, 4) for eq in ("toda.tau", "toda.g", "mixed", "TD1",
                                                   "TD2", "TD3", "TD7", "TD8", "TD9")}),
     "f6-golden": Fault(None, ("-m hirotaverify build --n-max 6 --cache f6.tau",
                               "perfbench/digest.py f6.tau"), 0,

@@ -33,6 +33,7 @@ from conftest import (
     ernst_oracle,
     gaussians,
     identity_oracle,
+    jacobi_oracle,
     mirror_oracle,
     orderwise_oracle,
     polys,
@@ -206,43 +207,47 @@ class TestSymmetries:
 
 
 # Stray terms on tau_1, tau_2 or tau_3; None is the family as built.
-JACOBI_DAMAGE = [None] + [("tau", k, extra) for k in (1, 2, 3) for extra in ("1", "t^2*x", "x*y")]
+JACOBI_DAMAGE = [None] + [("tau", k, extra) for k in (1, 2, 3)
+                          for extra in ("1", "t^2*x", "x*y", "t^2")]
 
 
 class TestJacobiReadsTheSiteTable:
     @pytest.mark.parametrize("damage", JACOBI_DAMAGE,
                              ids=lambda d: "built" if d is None else f"{d[0]}_{d[1]}+{d[2]}")
     def test_residual_equals_the_direct_formula(self, fam5, damage):
-        # The same polynomial, not only the same zero test, on damaged families too.
+        # The same polynomial, not only the same zero test, on damaged families too:
+        # a stray term on tau_k fails site k alone, with the term itself as witness.
         fam = with_stray_term(fam5, *damage) if damage else fam5
-        residuals = list(V.jacobi_residuals(fam, 4))  # in u, v
-        assert [from_uv(r) for r in residuals] == [sylvester_oracle(fam, n) for n in (1, 2, 3, 4)]
-        assert any(not r.is_zero for r in residuals) == bool(damage)
+        residuals = [from_uv(r) for r in V.jacobi_residuals(fam, 4)]  # from u, v
+        assert residuals == [jacobi_oracle(fam, n) for n in (1, 2, 3, 4)]
+        assert [n for n, r in enumerate(residuals, start=1) if not r.is_zero] == (
+            [damage[1]] if damage else [])
+        assert not damage or residuals[damage[1] - 1] == parse(damage[2])
 
-    @staticmethod
-    def _count(monkeypatch) -> tuple[list, list]:
-        """Record each IDENTITIES evaluation as (name, n) and each hirota_dst call."""
-        evaluated, brackets = [], []
-        for name, identity in list(V.IDENTITIES.items()):
-            monkeypatch.setitem(V.IDENTITIES, name, lambda s, name=name, identity=identity:
-                                evaluated.append((name, s.n)) or identity(s))
+    @pytest.mark.parametrize("damage", JACOBI_DAMAGE,
+                             ids=lambda d: "built" if d is None else f"{d[0]}_{d[1]}+{d[2]}")
+    def test_half_toda_is_sylvester_where_the_row_passes(self, fam5, damage):
+        # Sylvester's identity for the family is the toda.g row given the derivative rule:
+        # at each site whose jacobi row passes, half the toda.g residual is the Sylvester one.
+        fam = with_stray_term(fam5, *damage) if damage else fam5
+        for n, row in enumerate(V.check_jacobi(fam, 4), start=1):
+            if row.passed:
+                half_toda = from_uv(Fraction(1, 2) * V._family_site(fam, n, 1).identity("toda.g"))
+                assert half_toda == sylvester_oracle(fam, n), n
+
+    def test_suite_alone_reads_no_identity(self, fam5, monkeypatch):
+        # No IDENTITIES entry and no Hirota bracket: each raises if the suite reads it.
+        def refuse(*args):
+            raise AssertionError("the jacobi rows read an identity")
+
+        for name in list(V.IDENTITIES):
+            monkeypatch.setitem(V.IDENTITIES, name, refuse)
         for module in (V, operators):
-            dst = module.hirota_dst
-            monkeypatch.setattr(module, "hirota_dst", lambda f, g, dst=dst:
-                                brackets.append(1) or dst(f, g))
-        return evaluated, brackets
-
-    def test_after_toda_reads_only_the_table(self, fam5, monkeypatch):
-        for n in (1, 2, 3, 4):
-            assert V.check_identity(fam5, n, "toda.g").passed
-        evaluated, brackets = self._count(monkeypatch)
-        assert all(r.passed for r in V.check_jacobi(fam5, 4))
-        assert evaluated == [] and brackets == []
-
-    def test_suite_alone_evaluates_toda_g_once_per_site(self, fam5, monkeypatch):
-        evaluated, _ = self._count(monkeypatch)
-        assert all(r.passed for r in V.run_checks(V.suite_tasks(["jacobi"], 4), fam5))
-        assert evaluated == [("toda.g", n) for n in (1, 2, 3, 4)]
+            monkeypatch.setattr(module, "hirota_dst", refuse)
+        reports = V.run_checks(V.suite_tasks(["jacobi"], 4), fam5)
+        assert [(r.equation_id, r.n, r.status) for r in reports] == [
+            ("jacobi", n, "pass") for n in (1, 2, 3, 4)]
+        assert all(r.passed for r in V.check_jacobi(fam5, 5))
 
 
 class TestSu11:
@@ -701,7 +706,7 @@ class TestSiteTable:
         "toda.tau": (lambda fam, n: V.check_identity(fam, n, "toda.g"), 3),
         "toda.f": (lambda fam, n: V.check_identity(fam, n, "toda.f"), 3),
         "mixed": (lambda fam, n: V.check_identity(fam, n, "mixed"), 3),
-        "jacobi": (lambda fam, n: V.check_jacobi(fam, n), 3),
+        "jacobi": (lambda fam, n: V.check_jacobi(fam, n), 4),
         "conjecture": (lambda fam, n: [V.check_identity(fam, n, name)
                                        for name in ("tsdec1", "tsdec2", "tsdec3", "tsdec4")], 4),
         "symmetries": (lambda fam, n: V.check_symmetries(fam, n), 4),
@@ -764,9 +769,10 @@ class TestRowContract:
     # Failing rows per damage, in the order of CHECKS.  The orderwise rows of
     # the last three damages include route mismatches, and those of the middle
     # three off-pattern rows.
-    FAILING = dict(zip(CONTRACT_DAMAGE, [(0, 0, 0, 0, 0, 0, 0, 0), (8, 2, 2, 9, 20, 0, 1, 3),
-                                         (8, 4, 0, 10, 20, 0, 1, 3), (9, 4, 3, 12, 26, 0, 1, 3),
-                                         (9, 3, 3, 39, 26, 1, 1, 3)]))
+    # A jacobi row reads tau_n alone, so a damaged tau_k fails one, at site k.
+    FAILING = dict(zip(CONTRACT_DAMAGE, [(0, 0, 0, 0, 0, 0, 0, 0), (8, 2, 1, 9, 20, 0, 1, 3),
+                                         (8, 4, 0, 10, 20, 0, 1, 3), (9, 4, 1, 12, 26, 0, 1, 3),
+                                         (9, 3, 1, 39, 26, 1, 1, 3)]))
 
     @pytest.mark.parametrize("check", CHECKS)
     @pytest.mark.parametrize("damage", CONTRACT_DAMAGE,
@@ -1143,7 +1149,7 @@ class TestRunner:
                 assert all(w.startswith("ValueError: need 1 <= n <= ") for w in errors), errors
 
     # How far past n_max each suite reads: the Toda and mixed rows read site n + 1.
-    READS_PAST_N_MAX = {"toda": 1, "mixed": 1, "jacobi": 1, "conjecture": 0, "symmetries": 0,
+    READS_PAST_N_MAX = {"toda": 1, "mixed": 1, "jacobi": 0, "conjecture": 0, "symmetries": 0,
                         "closedforms": 0, "orderwise-A": 1, "orderwise-B": 0, "ernst-numeric": 0}
 
     def test_family_depth(self):

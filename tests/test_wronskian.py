@@ -29,7 +29,9 @@ from hirotaverify.wronskian import (
 )
 from hirotaverify.closedform import w_recursive
 
-from conftest import build_xy, det_cofactor, l_minus_xy, l_plus_xy, psi_xy, wronskian_matrix_xy
+from conftest import (
+    build_xy, deleting, det_cofactor, l_minus_xy, l_plus_xy, psi_xy, wronskian_matrix_xy,
+)
 
 PSI = build_psi()  # t v + u/t, u in the x slot and v in the y slot
 PSI_XY = psi_xy()
@@ -38,12 +40,6 @@ PSI_XY = psi_xy()
 def det(m: Matrix):
     """The last leading principal minor of m, its determinant."""
     return list(_leading_minors(m))[-1]
-
-
-def deleting(m: Matrix, row: int, col: int) -> Matrix:
-    """m with one 0-based row and column deleted."""
-    return tuple(tuple(e for j, e in enumerate(entries) if j != col)
-                 for i, entries in enumerate(m) if i != row)
 
 
 class TestSeed:
@@ -464,13 +460,14 @@ class TestJacobiIdentity:
             assert from_uv(a[r][c]) == a_xy[r][c]
 
     def test_minors_from_one_elimination(self):
-        # Site n's minors, read off one 5x5 elimination, are those of the (n+1)-dim matrix.
-        triples = list(sylvester_minors(4))
-        assert len(triples) == 4
-        for n, triple in enumerate(triples, start=1):
+        # Site n's minors, read off one 5x5 elimination, are those of the (n+1)-dim matrix:
+        # its leading n-block, tau_n, then D[n;n], D[n+1;n] and D[n;n+1].
+        minors = list(sylvester_minors(4))
+        assert len(minors) == 4
+        for n, site in enumerate(minors, start=1):
             m = wronskian_matrix(PSI, n + 1)
-            assert triple == tuple(det_cofactor(deleting(m, i, j))
-                                   for i, j in ((n - 1, n - 1), (n, n - 1), (n - 1, n)))
+            assert site == tuple(det_cofactor(deleting(m, i, j))
+                                 for i, j in ((n, n), (n - 1, n - 1), (n, n - 1), (n - 1, n)))
 
     def test_check_report(self, fam5):
         reports = check_jacobi(fam5, 2)
@@ -481,13 +478,12 @@ class TestJacobiIdentity:
         with pytest.raises(ValueError):
             list(jacobi_residuals(fam5, 0))
         with pytest.raises(ValueError):
-            list(jacobi_residuals(fam5, 5))
+            list(jacobi_residuals(fam5, 6))
         with pytest.raises(ValueError):
             sylvester_minors(0)
 
     def test_one_elimination_per_run(self, fam5, monkeypatch):
-        # tau_{n+1}, tau_n and tau_{n-1} are read from the family, not eliminated
-        # again; the other three minors of every site come from one elimination,
+        # Every site's tau_n and its three border minors come from one elimination,
         # sized from the run's n_max, whose consumer takes n_max working-row
         # states and so never runs its last step.
         import hirotaverify.wronskian as W
@@ -505,8 +501,10 @@ class TestJacobiIdentity:
         assert all(r.passed for r in check_jacobi(fam5, 3))
         assert runs == [[4, 3]]
 
-    def test_damaged_tau_fails_at_its_three_sites(self, fam5):
+    def test_damaged_tau_fails_at_its_site(self, fam5):
+        # A row reads tau_n alone of the family, and the stray term is its witness.
         tau = list(fam5.tau_uv)
         tau[2] = tau[2] + 1  # 1 in x, y is 1 in u, v
         broken = TauFamily(fam5.n_max, tau_uv=tau, f_uv=fam5.f_uv)
-        assert [r.passed for r in check_jacobi(broken, 4)] == [False, False, False, True]
+        assert [(r.passed, r.witness) for r in check_jacobi(broken, 4)] == [
+            (True, None), (False, "(1)"), (True, None), (True, None)]
