@@ -34,26 +34,6 @@ from .laurent import (
 from .operators import apply_F, apply_F_weyl, hirota, hirota_dst, operand
 from .wronskian import TauFamily, sylvester_minors
 
-__all__ = [
-    "CheckReport",
-    "star",
-    "check_identity",
-    "jacobi_residuals",
-    "check_jacobi",
-    "check_symmetries",
-    "IDENTITIES",
-    "ORDERWISE_SYSTEMS",
-    "orderwise_span",
-    "check_orderwise",
-    "Su11Params",
-    "check_su11",
-    "ernst_residual_numeric",
-    "ERNST_POINTS",
-    "SUITES",
-    "suite_tasks",
-    "run_checks",
-]
-
 
 class CheckReport(NamedTuple):
     """Outcome of one identity check, immutable; _replace makes a changed copy.

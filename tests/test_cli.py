@@ -381,6 +381,13 @@ class TestImportSet:
         assert not {"dataclasses", "inspect"} & loaded
         assert ("hirotaverify.closedform" in loaded) == closedform
 
+    def test_package_import_loads_no_submodule(self, tmp_path):
+        code = ("import sys\n"
+                "import hirotaverify\n"
+                "print(*sorted(m for m in sys.modules if m.startswith('hirotaverify.')))\n")
+        run = run_fresh(["-c", code], tmp_path)
+        assert run.returncode == 0 and run.stdout.split() == []
+
     def test_build_command_leaves_the_verifier_unimported(self, tmp_path):
         # -X importtime lists on stderr every module the command imports.
         run = run_fresh(["-X", "importtime", "-m", "hirotaverify", "build", "--n-max", "2",

@@ -3,8 +3,9 @@ property of a class there, has a user in src/ or perfbench/.
 
 A name counts as used when some expression in src/hirotaverify/*.py or
 perfbench/*.py reads it, as a name or an attribute, outside the definition
-itself.  Imports and __all__ entries do not count: code that only its tests
-call belongs with the tests.
+itself.  Imports do not count: code that only its tests call belongs with
+the tests.  The leading underscore alone says what is public, so no module
+keeps an __all__ list.
 
 Every function perfbench/tracer.py counts as a check body returns CheckReport rows.
 
@@ -66,6 +67,14 @@ def test_every_public_definition_has_a_user():
     unused = [".".join(filter(None, (f"{d[0]}:{d[1]}", d[2]))) for d in definitions
               if all(inside(place, d) for place in readers.get(d[2] or d[1], ()))]
     assert unused == []
+
+
+def test_no_module_keeps_an_all_list():
+    for path in SOURCES:
+        assigned = {target.id for node in ast.walk(ast.parse(path.read_text()))
+                    if isinstance(node, ast.Assign) for target in node.targets
+                    if isinstance(target, ast.Name)}
+        assert "__all__" not in assigned, path.name
 
 
 def test_no_module_imports_random():

@@ -79,6 +79,19 @@ class TestStar:
         for var in ("x", "y"):
             assert V.star(differentiate(p, var)) == differentiate(V.star(p), var)
 
+    # star commutes with d/du and d/dv and fixes F's t-free coefficients, F is
+    # symmetric and star is an involution, so star(F(g*, g)) = F(g, g*) = F(g*, g)
+    # for every g: the t^-m coefficient of a tsdec4 residual is its t^m one.
+    @given(g=polys, n=st.integers(min_value=0, max_value=12))
+    def test_F_of_a_conjugate_pair_is_star_invariant(self, g, n):
+        residual = apply_F(n, operand(V.star(g)), operand(g))
+        assert V.star(residual) == residual
+
+    def test_F_of_another_pair_need_not_be(self):
+        # F(u/t, 1) = M(u/t) - 8u/t = -6u/t at n = 2; tsdec3's F(g*, f) has no mirror.
+        residual = apply_F(2, operand(V.star(parse("t*x"))), operand(ONE))
+        assert residual == parse("-6*t^-1*x") and V.star(residual) != residual
+
 
 class TestLatticeChecks:
     @pytest.mark.parametrize("which", ["tau", "g", "f"])
